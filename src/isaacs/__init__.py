@@ -4,7 +4,9 @@ finite-difference grids.
 
 Modules:
     expressions  safe mini-language for coefficient strings
-    model        problem data, Hamiltonians, validation
+    model        problem data, Hamiltonians, validation, the space-time
+                 grid and penalty schedule, obstacle variants and the
+                 reflected step both backward solvers take
     forwardsim   path simulation, recombining lattices, forward estimates
     rbsde        backward solvers with reflection and penalization
     pde          finite-difference value fields, sweeps, residuals
@@ -23,11 +25,15 @@ from .model import (
     HamiltonianInput,
     HamiltonianValue,
     IsaacsReport,
+    PenalizationSchedule,
     ProblemSpec,
+    SpaceTimeGrid,
     ValidationReport,
+    Variant,
     hamiltonian_lower,
     hamiltonian_upper,
     isaacs_condition_check,
+    obstacle_step,
     validate_problem,
 )
 from .forwardsim import (
@@ -39,7 +45,6 @@ from .forwardsim import (
     simulate_paths,
 )
 from .rbsde import (
-    PenalizationSchedule,
     RBSDESolution,
     apriori_estimate_check,
     backward_semigroup,
@@ -49,7 +54,6 @@ from .rbsde import (
 from .pde import (
     CflError,
     ConvergenceReport,
-    SpaceTimeGrid,
     ValueField,
     cfl_number,
     run_penalization_sweep,

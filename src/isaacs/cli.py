@@ -37,9 +37,7 @@ import time
 import numpy as np
 
 from . import __version__, forwardsim, games, pde, problems, rbsde
-from .model import validate_problem
-from .pde import SpaceTimeGrid
-from .rbsde import PenalizationSchedule
+from .model import PenalizationSchedule, SpaceTimeGrid, shifted_spec, validate_problem
 
 
 class ConfigError(ValueError):
@@ -357,20 +355,6 @@ def _sweep_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def _shifted_spec(spec, delta):
-    """Copy of the problem with terminal and driver lifted by delta."""
-    co = spec.coefficients
-    lifted = dataclasses.replace(
-        co,
-        terminal=lambda x, _f=co.terminal: np.asarray(_f(x), dtype=float) + delta,
-        driver=lambda t, x, y, z, u, v, _f=co.driver: np.asarray(
-            _f(t, x, y, z, u, v), dtype=float
-        )
-        + delta,
-    )
-    return dataclasses.replace(spec, coefficients=lifted)
-
-
 @dataclasses.dataclass(frozen=True)
 class RunManifest:
     """Provenance record of one run."""
@@ -437,9 +421,8 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet):
     if name == "comparison":
         lattice = forwardsim.build_lattice(spec, 0.0, grid)
         controls = next(iter(spec.control_pairs()))
-        report = rbsde.comparison_check(
-            spec, _shifted_spec(spec, 0.05), lattice, controls, seed=seed
-        )
+        lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
+        report = rbsde.comparison_check(spec, lifted, lattice, controls, seed=seed)
         return {
             "passed": bool(report.passed),
             "conclusive": bool(report.conclusive),
@@ -595,3 +578,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if manifest.all_passed else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,8 +11,9 @@ Grammar (whitespace ignored):
 Names are restricted to the state variables t, x, y, z, u, v and the
 functions min, max, abs, exp.  min and max take two or more arguments,
 abs and exp exactly one.  The exponent of '^' must be a nonnegative
-integer literal.  Everything evaluates through numpy, so feeding arrays
-for any variable broadcasts elementwise.
+integer literal.  Parentheses, calls and unary minus may nest at most
+MAX_DEPTH levels deep.  Everything evaluates through numpy, so feeding
+arrays for any variable broadcasts elementwise.
 
 There is deliberately no eval() anywhere: expressions come from config
 files and must not reach the Python interpreter.
@@ -25,6 +26,7 @@ import re
 import numpy as np
 
 VARIABLES = ("t", "x", "y", "z", "u", "v")
+MAX_DEPTH = 50
 
 _FUNCTIONS = {
     "abs": (1, 1),
@@ -91,6 +93,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.variables = set()
 
     def peek(self):
@@ -155,11 +158,22 @@ class _Parser:
         return node
 
     def unary(self):
-        kind, val, _ = self.peek()
+        # every nested operand passes through here, so this bounds the
+        # parser's recursion
+        kind, val, pos = self.peek()
+        if self.depth == MAX_DEPTH:
+            raise ExpressionError(
+                f"expression nests deeper than {MAX_DEPTH} levels at position"
+                f" {pos} in {self.text!r}"
+            )
+        self.depth += 1
         if kind == "op" and val == "-":
             self.take()
-            return _unary(np.negative, self.unary())
-        return self.atom()
+            node = _unary(np.negative, self.unary())
+        else:
+            node = self.atom()
+        self.depth -= 1
+        return node
 
     def atom(self):
         kind, val, pos = self.take()

@@ -33,6 +33,8 @@ import math
 
 import numpy as np
 
+from .model import sigma_rows
+
 _U64 = (1 << 64) - 1
 
 
@@ -121,36 +123,12 @@ def simulate_paths(
             drift = np.broadcast_to(b.reshape(-1, 1) if b.ndim else b, (n_paths, 1))
         else:
             drift = np.broadcast_to(b, (n_paths, n))
-        rows = _sigma_rows(co.sigma(t, x_arg, u, v), n_paths, n, d)
+        rows = sigma_rows(co, t, x_arg, u, v, d).reshape(n_paths, n, d)
         states[:, k + 1, :] = x + drift * dt + np.einsum("pnd,pd->pn", rows, dw[:, k, :])
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("nonfinite state encountered during simulation")
     out = states[:, :, 0] if n == 1 else states
     return ForwardTrajectoryBatch(times=times, states=out, seed=seed, state_dim=n)
-
-
-def _sigma_rows(raw, n_paths, n, d):
-    """Normalize a sigma callable's output to shape (n_paths, n, d)."""
-    raw = np.asarray(raw, dtype=float)
-    if n == 1:
-        if raw.ndim == 0:
-            return np.broadcast_to(raw.reshape(1, 1, 1), (n_paths, 1, d))
-        if raw.ndim == 1 and raw.shape[0] == n_paths:
-            if d != 1:
-                raise ValueError(
-                    f"sigma returned shape {raw.shape} but noise_dim = {d}"
-                )
-            return raw.reshape(n_paths, 1, 1)
-        if raw.ndim == 1 and raw.shape[0] == d:
-            return np.broadcast_to(raw.reshape(1, 1, d), (n_paths, 1, d))
-        if raw.ndim == 2 and raw.shape == (n_paths, d):
-            return raw.reshape(n_paths, 1, d)
-        raise ValueError(f"cannot interpret sigma shape {raw.shape}")
-    if raw.shape == (n, d):
-        return np.broadcast_to(raw.reshape(1, n, d), (n_paths, n, d))
-    if raw.shape == (n_paths, n, d):
-        return raw
-    raise ValueError(f"cannot interpret sigma shape {raw.shape}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -239,7 +217,8 @@ def build_lattice(spec, t0, grid, consistency_tol=1e-10):
         reach = 1
         for iu, iv, u, v in pairs:
             b = np.broadcast_to(np.asarray(co.b(t, x, u, v), dtype=float), x.shape)
-            s2 = _scalar_sigma_sq(co.sigma(t, x, u, v), x.shape, spec.noise_dim)
+            rows = sigma_rows(co, t, x, u, v, spec.noise_dim)
+            s2 = np.einsum("ij,ij->i", rows, rows)
             nu = b * (dt / dx)
             shift = np.rint(nu).astype(np.int64)
             resid = nu - shift
@@ -308,29 +287,6 @@ def build_lattice(spec, t0, grid, consistency_tol=1e-10):
         mean_error=worst_mean,
         var_error=worst_var,
     )
-
-
-def _scalar_sigma_sq(raw, shape, noise_dim):
-    """Squared diffusion magnitude per node for scalar state."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim == 0:
-        if noise_dim != 1:
-            raise ValueError(
-                f"sigma returned a scalar but noise_dim = {noise_dim};"
-                " return the full row instead"
-            )
-        return np.broadcast_to(raw ** 2, shape).copy()
-    if raw.ndim == 1 and raw.shape == shape:
-        if noise_dim != 1:
-            raise ValueError(
-                f"sigma returned shape {raw.shape} but noise_dim = {noise_dim}"
-            )
-        return raw ** 2
-    if raw.ndim == 1 and raw.shape[0] == noise_dim:
-        return np.broadcast_to(np.sum(np.square(raw)), shape).copy()
-    if raw.ndim == 2 and raw.shape == shape + (noise_dim,):
-        return np.sum(np.square(raw), axis=1)
-    raise ValueError(f"cannot interpret sigma shape {raw.shape}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -24,6 +24,12 @@ Conventions used across the package:
     for state_dim > 1 they receive vectors of shape (state_dim,)
   * `lipschitz` bounds the x-Lipschitz constant of every coefficient,
     `driver_lipschitz` bounds the (y, z)-Lipschitz constant of the driver
+
+Both backward solvers (the lattice recursion in `rbsde` and the
+finite-difference march in `pde`) take the same reflected step,
+`obstacle_step`, under a `Variant` that says which obstacles it penalizes
+and which it clamps to; the grid and penalty-schedule types they share
+live here as well.
 """
 
 from __future__ import annotations
@@ -99,6 +105,190 @@ class ProblemSpec:
         for u in self.controls_i.points:
             for v in self.controls_ii.points:
                 yield u, v
+
+
+@dataclasses.dataclass(frozen=True)
+class SpaceTimeGrid:
+    """Uniform grid on [0, horizon] x [x_min, x_max].
+
+    nx counts nodes (so dx = (x_max - x_min) / (nx - 1)), nt counts time
+    steps (so there are nt + 1 levels and dt = horizon / nt).
+    """
+
+    x_min: float
+    x_max: float
+    nx: int
+    nt: int
+    horizon: float
+
+    def __post_init__(self):
+        if not self.x_max > self.x_min:
+            raise ValueError("x_max must exceed x_min")
+        if self.nx < 3:
+            raise ValueError("need at least 3 space nodes for the stencil")
+        if self.nt < 1:
+            raise ValueError("need at least one time step")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ValueError("horizon must be positive and finite")
+
+    @property
+    def dx(self):
+        return (self.x_max - self.x_min) / (self.nx - 1)
+
+    @property
+    def dt(self):
+        return self.horizon / self.nt
+
+    def space_nodes(self):
+        return np.linspace(self.x_min, self.x_max, self.nx)
+
+    def time_nodes(self):
+        return np.linspace(0.0, self.horizon, self.nt + 1)
+
+    def time_level(self, t, tol=1e-9):
+        """Index of the time level at t, which must sit on the grid."""
+        j = int(round(t / self.dt))
+        if not 0 <= j <= self.nt or abs(j * self.dt - t) > tol * max(1.0, self.horizon):
+            raise ValueError(
+                f"t={t!r} is not a grid time level (dt={self.dt!r}, nt={self.nt})"
+            )
+        return j
+
+
+@dataclasses.dataclass(frozen=True)
+class PenalizationSchedule:
+    """Strictly increasing positive penalty levels."""
+
+    levels: tuple
+
+    def __post_init__(self):
+        if len(self.levels) == 0:
+            raise ValueError("empty penalty schedule")
+        prev = 0.0
+        for m in self.levels:
+            if not (m > prev and math.isfinite(m)):
+                raise ValueError(
+                    f"penalty levels must be strictly increasing and positive,"
+                    f" got {self.levels}"
+                )
+            prev = m
+
+    def __iter__(self):
+        return iter(self.levels)
+
+    def __len__(self):
+        return len(self.levels)
+
+
+# name -> (clamp lower, clamp upper, penalty argument), as in Variant
+_VARIANTS = {
+    "plain": (False, False, None),
+    "penalized": (False, False, "pair"),
+    "one_barrier_lower": (True, False, "upper"),
+    "one_barrier_upper": (False, True, "lower"),
+    "two_barrier": (True, True, None),
+}
+_VARIANTS["free"] = _VARIANTS["penalized"]  # the finite-difference spelling
+
+
+@dataclasses.dataclass(frozen=True)
+class Variant:
+    """How a backward step treats the obstacles: which it penalizes, with
+    what weight, and which it clamps to.
+
+        plain              no penalty, no clamp
+        penalized, free    penalties (m, n) on (upper, lower), no clamp
+        one_barrier_lower  upper penalty m, clamp to the lower obstacle
+        one_barrier_upper  lower penalty m, clamp to the upper obstacle
+        two_barrier        no penalty, clamp to both
+
+    The one-barrier variants approximate the two-barrier solution from
+    above and from below as m grows.
+    """
+
+    clamp_lower: bool
+    clamp_upper: bool
+    pen_upper: float = 0.0
+    pen_lower: float = 0.0
+
+    @classmethod
+    def named(cls, name, penalty=None):
+        """The variant called `name`, with `penalty` checked against it."""
+        if name not in _VARIANTS:
+            raise ValueError(f"unknown mode {name!r}; choose one of {tuple(_VARIANTS)}")
+        clamp_lower, clamp_upper, takes = _VARIANTS[name]
+        if takes is None:
+            if penalty not in (None, 0, 0.0, (0.0, 0.0)):
+                raise ValueError(f"mode {name!r} takes no penalty, got {penalty!r}")
+            return cls(clamp_lower, clamp_upper)
+        if takes == "pair":
+            try:
+                m, n = penalty
+            except TypeError:
+                raise ValueError(f"mode {name!r} takes an (upper, lower) penalty pair")
+            if m < 0 or n < 0:
+                raise ValueError("penalties must be nonnegative")
+            return cls(clamp_lower, clamp_upper, float(m), float(n))
+        m = float(penalty if penalty is not None else 0.0)
+        if m < 0:
+            raise ValueError("penalty must be nonnegative")
+        if takes == "upper":
+            return cls(clamp_lower, clamp_upper, pen_upper=m)
+        return cls(clamp_lower, clamp_upper, pen_lower=m)
+
+    def check_terminal(self, row, lo, up, t, tol):
+        """Refuse terminal values that do not match the obstacle rows in
+        shape or that leave an obstacle this variant clamps to."""
+        if row.shape != lo.shape:
+            raise ValueError(f"terminal values have shape {row.shape}, nodes {lo.shape}")
+        if self.clamp_lower and np.any(row < lo - tol):
+            raise ValueError(f"terminal values dip below the lower obstacle at t={t:.6g}")
+        if self.clamp_upper and np.any(row > up + tol):
+            raise ValueError(f"terminal values exceed the upper obstacle at t={t:.6g}")
+
+
+def obstacle_rows(coefficients, t, x):
+    """The lower and upper obstacles at time t on the nodes x."""
+    lo = np.broadcast_to(np.asarray(coefficients.lower(t, x), dtype=float), x.shape)
+    up = np.broadcast_to(np.asarray(coefficients.upper(t, x), dtype=float), x.shape)
+    return lo, up
+
+
+def obstacle_step(base, drive, dt, lo, up, variant):
+    """One explicit reflected step: returns (y, dK+, dK-).
+
+        y~  = base + dt * ( drive - m * max(base - up, 0) + n * max(lo - base, 0) )
+        dK+ = max(lo - y~, 0),  dK- = max(y~ - up, 0)   (clamped sides only)
+        y   = min(max(y~, lo), up)                      (clamped sides only)
+
+    with (m, n) the variant's penalty weights.  dK+ > 0 forces y = lo
+    exactly and dK- > 0 forces y = up exactly, so for lo < up the discrete
+    Skorokhod conditions dK+ * dK- = (y - lo) * dK+ = (up - y) * dK- = 0
+    hold as identities in float arithmetic.
+    """
+    if variant.pen_upper > 0.0:
+        drive = drive - variant.pen_upper * np.maximum(base - up, 0.0)
+    if variant.pen_lower > 0.0:
+        drive = drive + variant.pen_lower * np.maximum(lo - base, 0.0)
+    y = base + dt * drive
+    dkp = np.maximum(lo - y, 0.0) if variant.clamp_lower else np.zeros_like(y)
+    dkm = np.maximum(y - up, 0.0) if variant.clamp_upper else np.zeros_like(y)
+    if variant.clamp_lower:
+        y = np.maximum(y, lo)
+    if variant.clamp_upper:
+        y = np.minimum(y, up)
+    return y, dkp, dkm
+
+
+def shifted_spec(spec, delta, names):
+    """Copy of the problem with the named coefficients lifted by delta."""
+    co = spec.coefficients
+    lifted = {name: _lifted(getattr(co, name), delta) for name in names}
+    return dataclasses.replace(spec, coefficients=dataclasses.replace(co, **lifted))
+
+
+def _lifted(fn, delta):
+    return lambda *args: np.asarray(fn(*args), dtype=float) + delta
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,21 +369,8 @@ def _scalar_state(spec, x):
 
 
 def _sigma_matrix(spec, t, x, u, v):
-    raw = np.asarray(
-        spec.coefficients.sigma(t, _scalar_state(spec, x), u, v), dtype=float
-    )
-    n, d = spec.state_dim, spec.noise_dim
-    if raw.ndim == 0:
-        if n == 1 and d == 1:
-            return raw.reshape(1, 1)
-        raise CoefficientError(
-            f"sigma returned a scalar for state_dim={n}, noise_dim={d}"
-        )
-    if raw.shape == (n, d):
-        return raw
-    if raw.ndim == 1 and n == 1 and raw.size == d:
-        return raw.reshape(1, d)
-    raise CoefficientError(f"sigma shape {raw.shape} does not match ({n}, {d})")
+    raw = spec.coefficients.sigma(t, _scalar_state(spec, x), u, v)
+    return _sigma_block(raw, 1, spec.state_dim, spec.noise_dim)[0]
 
 
 def _drift_vector(spec, t, x, u, v):
@@ -207,36 +384,55 @@ def _drift_vector(spec, t, x, u, v):
     return raw
 
 
-def sigma_rows(coefficients, t, x, u, v, noise_dim):
-    """Evaluate sigma on an array of scalar states as (len(x), noise_dim) rows.
+def _sigma_block(raw, count, n, d):
+    """Read sigma evaluated at `count` states as a (count, n, d) block.
 
-    Scalar-state coefficients are written elementwise and may come back as a
-    scalar, a per-node array or full rows; this normalizes all three.  A 1-d
-    result matching x in shape is read as per-node values (noise_dim 1 only).
+    Accepted: a scalar (n = d = 1 only), an (n, d) matrix shared by every
+    state, or the full block; for scalar state (n = 1) also one value per
+    state (d = 1 only), one row of d entries shared by every state, or a
+    (count, d) array.  A 1-d result of length count is read as per-state
+    values first.
     """
-    x = np.asarray(x, dtype=float)
-    raw = np.asarray(coefficients.sigma(t, x, u, v), dtype=float)
+    raw = np.asarray(raw, dtype=float)
     if raw.ndim == 0:
-        if noise_dim != 1:
+        if n != 1 or d != 1:
             raise CoefficientError(
-                f"sigma returned a scalar but noise_dim = {noise_dim};"
-                f" return the full row instead"
+                f"sigma returned a scalar but state_dim = {n}, noise_dim = {d};"
+                f" return the full matrix instead"
             )
-        return np.broadcast_to(raw.reshape(1), x.shape + (1,))
-    if raw.ndim == 1 and raw.shape == x.shape:
-        if noise_dim != 1:
-            raise CoefficientError(
-                f"sigma returned per-node scalars but noise_dim = {noise_dim}"
-            )
-        return raw.reshape(-1, 1)
-    if raw.ndim == 1 and raw.shape == (noise_dim,):
-        return np.broadcast_to(raw.reshape(1, -1), (x.shape[0], noise_dim))
-    if raw.ndim == 2 and raw.shape == (x.shape[0], noise_dim):
+        return np.broadcast_to(raw, (count, 1, 1))
+    if n == 1:
+        if raw.shape == (count,):
+            if d != 1:
+                raise CoefficientError(
+                    f"sigma returned per-node scalars but noise_dim = {d}"
+                )
+            return raw.reshape(count, 1, 1)
+        if raw.shape == (d,):
+            return np.broadcast_to(raw, (count, 1, d))
+        if raw.shape == (count, d):
+            return raw.reshape(count, 1, d)
+    if raw.shape == (n, d):
+        return np.broadcast_to(raw, (count, n, d))
+    if raw.shape == (count, n, d):
         return raw
     raise CoefficientError(
-        f"cannot interpret sigma shape {raw.shape} for {x.shape[0]} nodes"
-        f" with noise_dim {noise_dim}"
+        f"cannot interpret sigma shape {raw.shape} for {count} state(s)"
+        f" with state_dim {n}, noise_dim {d}"
     )
+
+
+def sigma_rows(coefficients, t, x, u, v, noise_dim):
+    """Evaluate sigma on a batch of states; returns shape x.shape + (noise_dim,).
+
+    x holds scalar states, shape (count,), or vector states, shape
+    (count, state_dim).  Coefficients are written elementwise and may come
+    back in any shape `_sigma_block` accepts; this normalizes them.
+    """
+    x = np.asarray(x, dtype=float)
+    n = 1 if x.ndim == 1 else x.shape[1]
+    block = _sigma_block(coefficients.sigma(t, x, u, v), x.shape[0], n, noise_dim)
+    return block.reshape(x.shape + (noise_dim,))
 
 
 def _integrand(spec, point, u, v):

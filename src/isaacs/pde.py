@@ -18,9 +18,11 @@ of the driver:
                                  - m * max(W_next - upper, 0)
                                  + n * max(lower - W_next, 0) )
 
-followed by clamping to the obstacles that the variant keeps hard.  The
-clamp makes each level satisfy its obstacle constraints exactly and the
-discrete complementarity residual vanish identically, which is what
+followed by clamping to the obstacles that the variant keeps hard: this is
+`model.obstacle_step` with base W_next and drive H, and the penalty
+weights and clamps come from a `model.Variant`.  The clamp makes each
+level satisfy its obstacle constraints exactly and the discrete
+complementarity residual vanish identically, which is what
 `viscosity_residual` measures.
 
 Monotonicity of the explicit step requires roughly
@@ -39,60 +41,18 @@ import math
 
 import numpy as np
 
-from .model import sigma_rows
-from .rbsde import PenalizationSchedule
+from .model import (
+    PenalizationSchedule,
+    SpaceTimeGrid,  # noqa: F401  (re-exported)
+    Variant,
+    obstacle_rows,
+    obstacle_step,
+    sigma_rows,
+)
 
 
 class CflError(ValueError):
     """The explicit step would not be monotone on this grid."""
-
-
-@dataclasses.dataclass(frozen=True)
-class SpaceTimeGrid:
-    """Uniform grid on [0, horizon] x [x_min, x_max].
-
-    nx counts nodes (so dx = (x_max - x_min) / (nx - 1)), nt counts time
-    steps (so there are nt + 1 levels and dt = horizon / nt).
-    """
-
-    x_min: float
-    x_max: float
-    nx: int
-    nt: int
-    horizon: float
-
-    def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if self.nx < 3:
-            raise ValueError("need at least 3 space nodes for the stencil")
-        if self.nt < 1:
-            raise ValueError("need at least one time step")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ValueError("horizon must be positive and finite")
-
-    @property
-    def dx(self):
-        return (self.x_max - self.x_min) / (self.nx - 1)
-
-    @property
-    def dt(self):
-        return self.horizon / self.nt
-
-    def space_nodes(self):
-        return np.linspace(self.x_min, self.x_max, self.nx)
-
-    def time_nodes(self):
-        return np.linspace(0.0, self.horizon, self.nt + 1)
-
-    def time_level(self, t, tol=1e-9):
-        """Index of the time level at t, which must sit on the grid."""
-        j = int(round(t / self.dt))
-        if not 0 <= j <= self.nt or abs(j * self.dt - t) > tol * max(1.0, self.horizon):
-            raise ValueError(
-                f"t={t!r} is not a grid time level (dt={self.dt!r}, nt={self.nt})"
-            )
-        return j
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,6 +143,14 @@ def _reduce(tables, kind):
     raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
 
 
+def _stability_number(dt, dx, mu, max_s2, max_b, max_smag, penalties):
+    # penalties are added one by one, after the rest, in a fixed float order
+    number = max_s2 / dx**2 + max_b / dx + mu * (1.0 + max_smag / dx)
+    for penalty in penalties:
+        number = number + penalty
+    return dt * number
+
+
 def cfl_number(spec, grid, penalty=0.0, time_samples=5):
     """Advisory worst-case stability number for the explicit step.
 
@@ -192,18 +160,10 @@ def cfl_number(spec, grid, penalty=0.0, time_samples=5):
     x = grid.space_nodes()
     worst = 0.0
     zeros = np.zeros_like(x)
+    mu = spec.coefficients.driver_lipschitz
     for t in np.linspace(0.0, grid.horizon, time_samples):
-        _, max_s2, max_b, max_smag = _hamiltonian_tables(
-            spec, float(t), x, zeros, grid.dx
-        )
-        mu = spec.coefficients.driver_lipschitz
-        number = grid.dt * (
-            max_s2 / grid.dx**2
-            + max_b / grid.dx
-            + mu * (1.0 + max_smag / grid.dx)
-            + penalty
-        )
-        worst = max(worst, number)
+        _, *maxima = _hamiltonian_tables(spec, float(t), x, zeros, grid.dx)
+        worst = max(worst, _stability_number(grid.dt, grid.dx, mu, *maxima, (penalty,)))
     return worst
 
 
@@ -215,46 +175,20 @@ def _check_cfl(number, t, dt, cfl_margin):
         )
 
 
-def _obstacle_rows(co, t, x):
-    lo = np.broadcast_to(np.asarray(co.lower(t, x), dtype=float), x.shape)
-    up = np.broadcast_to(np.asarray(co.upper(t, x), dtype=float), x.shape)
-    return lo, up
-
-
-def _terminal_row(spec, grid, terminal, j_hi, clamp_lower, clamp_upper, tol=1e-9):
+def _terminal_row(spec, grid, terminal, j_hi, variant, tol=1e-9):
     x = grid.space_nodes()
     t_hi = j_hi * grid.dt
     if terminal is None:
-        row = np.broadcast_to(
+        terminal = np.broadcast_to(
             np.asarray(spec.coefficients.terminal(x), dtype=float), x.shape
-        ).astype(float)
-    else:
-        row = np.asarray(terminal, dtype=float).copy()
-        if row.shape != x.shape:
-            raise ValueError(
-                f"terminal row has shape {row.shape}, grid has {x.shape}"
-            )
-    lo, up = _obstacle_rows(spec.coefficients, t_hi, x)
-    if clamp_lower and np.any(row < lo - tol):
-        raise ValueError(f"terminal row dips below the lower obstacle at t={t_hi:.6g}")
-    if clamp_upper and np.any(row > up + tol):
-        raise ValueError(f"terminal row exceeds the upper obstacle at t={t_hi:.6g}")
+        )
+    row = np.asarray(terminal, dtype=float).copy()
+    lo, up = obstacle_rows(spec.coefficients, t_hi, x)
+    variant.check_terminal(row, lo, up, t_hi, tol)
     return row
 
 
-def _march(
-    spec,
-    grid,
-    kind,
-    clamp_lower,
-    clamp_upper,
-    pen_upper,
-    pen_lower,
-    terminal,
-    t_hi,
-    cfl_margin,
-    label,
-):
+def _march(spec, grid, kind, variant, terminal, t_hi, cfl_margin, label):
     if spec.state_dim != 1:
         raise ValueError("finite-difference solvers cover scalar state only")
     j_hi = grid.nt if t_hi is None else grid.time_level(t_hi)
@@ -264,35 +198,22 @@ def _march(
     dx, dt = grid.dx, grid.dt
     co = spec.coefficients
     mu = co.driver_lipschitz
+    penalties = (variant.pen_upper, variant.pen_lower)
 
     values = np.empty((j_hi + 1, grid.nx))
-    values[j_hi] = _terminal_row(spec, grid, terminal, j_hi, clamp_lower, clamp_upper)
+    values[j_hi] = _terminal_row(spec, grid, terminal, j_hi, variant)
     worst = 0.0
     for j in range(j_hi - 1, -1, -1):
         t = j * dt
         w_next = values[j + 1]
-        tables, max_s2, max_b, max_smag = _hamiltonian_tables(spec, t, x, w_next, dx)
-        number = dt * (
-            max_s2 / dx**2
-            + max_b / dx
-            + mu * (1.0 + max_smag / dx)
-            + pen_upper
-            + pen_lower
-        )
+        tables, *maxima = _hamiltonian_tables(spec, t, x, w_next, dx)
+        number = _stability_number(dt, dx, mu, *maxima, penalties)
         _check_cfl(number, t, dt, cfl_margin)
         worst = max(worst, number)
-        h = _reduce(tables, kind)
-        lo, up = _obstacle_rows(co, t, x)
-        if pen_upper > 0.0:
-            h = h - pen_upper * np.maximum(w_next - up, 0.0)
-        if pen_lower > 0.0:
-            h = h + pen_lower * np.maximum(lo - w_next, 0.0)
-        row = w_next + dt * h
-        if clamp_lower:
-            row = np.maximum(row, lo)
-        if clamp_upper:
-            row = np.minimum(row, up)
-        values[j] = row
+        lo, up = obstacle_rows(co, t, x)
+        values[j], _, _ = obstacle_step(
+            w_next, _reduce(tables, kind), dt, lo, up, variant
+        )
 
     return ValueField(
         label=label,
@@ -300,7 +221,7 @@ def _march(
         nodes=x,
         values=values,
         cfl_number=worst,
-        penalty=(pen_upper, pen_lower),
+        penalty=penalties,
     )
 
 
@@ -313,22 +234,8 @@ def solve_isaacs_double_obstacle(
     time `t_hi` (a grid level, default the horizon); it must sit between the
     obstacles there.  Returns a ValueField over [0, t_hi].
     """
-    return _march(
-        spec,
-        grid,
-        kind,
-        clamp_lower=True,
-        clamp_upper=True,
-        pen_upper=0.0,
-        pen_lower=0.0,
-        terminal=terminal,
-        t_hi=t_hi,
-        cfl_margin=cfl_margin,
-        label=kind,
-    )
-
-
-PENALTY_KINDS = ("one_barrier_lower", "one_barrier_upper", "free")
+    variant = Variant.named("two_barrier")
+    return _march(spec, grid, kind, variant, terminal, t_hi, cfl_margin, kind)
 
 
 def solve_isaacs_penalized(
@@ -343,49 +250,16 @@ def solve_isaacs_penalized(
 ):
     """Penalized variants of the double-obstacle solve.
 
-    one_barrier_lower keeps the lower obstacle hard and penalizes the upper
-    one with weight m (approximates the two-obstacle field from above as m
-    grows); one_barrier_upper is the mirror image (from below); free drops
-    both clamps and takes a penalty pair (m, n) for (upper, lower).
+    `penalty_kind` names a `model.Variant` and `penalty` is its penalty
+    argument: one_barrier_lower keeps the lower obstacle hard and penalizes
+    the upper one with weight m (approximates the two-obstacle field from
+    above as m grows); one_barrier_upper is the mirror image (from below);
+    free drops both clamps and takes a penalty pair (m, n) for (upper,
+    lower).
     """
-    if penalty_kind == "one_barrier_lower":
-        m = float(penalty)
-        if m < 0:
-            raise ValueError("penalty must be nonnegative")
-        pen_upper, pen_lower = m, 0.0
-        clamp_lower, clamp_upper = True, False
-    elif penalty_kind == "one_barrier_upper":
-        m = float(penalty)
-        if m < 0:
-            raise ValueError("penalty must be nonnegative")
-        pen_upper, pen_lower = 0.0, m
-        clamp_lower, clamp_upper = False, True
-    elif penalty_kind == "free":
-        try:
-            m, n = penalty
-        except TypeError:
-            raise ValueError("free penalization takes a (upper, lower) penalty pair")
-        if m < 0 or n < 0:
-            raise ValueError("penalties must be nonnegative")
-        pen_upper, pen_lower = float(m), float(n)
-        clamp_lower = clamp_upper = False
-    else:
-        raise ValueError(
-            f"penalty_kind must be one of {PENALTY_KINDS}, got {penalty_kind!r}"
-        )
-    return _march(
-        spec,
-        grid,
-        kind,
-        clamp_lower=clamp_lower,
-        clamp_upper=clamp_upper,
-        pen_upper=pen_upper,
-        pen_lower=pen_lower,
-        terminal=terminal,
-        t_hi=t_hi,
-        cfl_margin=cfl_margin,
-        label=f"{kind}_{penalty_kind}",
-    )
+    variant = Variant.named(penalty_kind, penalty)
+    label = f"{kind}_{penalty_kind}"
+    return _march(spec, grid, kind, variant, terminal, t_hi, cfl_margin, label)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -518,7 +392,7 @@ def viscosity_residual(spec, field, kind=None, tolerance=None):
         w_next = field.values[j + 1]
         tables, _, _, _ = _hamiltonian_tables(spec, t, x, w_next, dx)
         h = _reduce(tables, kind)
-        lo, up = _obstacle_rows(spec.coefficients, t, x)
+        lo, up = obstacle_rows(spec.coefficients, t, x)
         resid = np.maximum(np.minimum(-(w_next - w) / dt - h, w - lo), w - up)
         k = int(np.argmax(np.abs(resid)))
         if abs(float(resid[k])) > worst:

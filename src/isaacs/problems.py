@@ -17,9 +17,13 @@ import math
 import numpy as np
 
 from .expressions import parse_expression
-from .model import CoefficientSet, ControlGrid, ProblemSpec
-from .pde import SpaceTimeGrid
-from .rbsde import PenalizationSchedule
+from .model import (
+    CoefficientSet,
+    ControlGrid,
+    PenalizationSchedule,
+    ProblemSpec,
+    SpaceTimeGrid,
+)
 
 
 @dataclasses.dataclass(frozen=True)

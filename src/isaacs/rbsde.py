@@ -4,27 +4,13 @@ One explicit backward step from level j+1 to level j at a node x reads
 
     ey  = E[Y_{j+1}]                      (lattice expectation)
     z   = slope * sigma,  slope = Cov(Y_{j+1}, X_{j+1}) / Var(X_{j+1})
-    yt  = ey + dt * ( f(t_j, x, ey, z, u, v)
-                      - m * max(ey - upper(t_j, x), 0)      [upper penalty]
-                      + n * max(lower(t_j, x) - ey, 0) )    [lower penalty]
+    Y_j = obstacle_step(ey, f(t_j, x, ey, z, u, v), dt, lower, upper, variant)
 
-followed by the mode's projection:
-
-    plain              no penalty, no projection
-    penalized          penalties (m, n), no projection
-    one_barrier_lower  upper penalty m, then Y = max(yt, lower)
-    one_barrier_upper  lower penalty m, then Y = min(yt, upper)
-    two_barrier        no penalty, Y = min(max(yt, lower), upper)
-
-Projection residuals are the reflection increments,
-
-    dK+ = max(lower - yt, 0),   dK- = max(yt - upper, 0),
-
-so dK+ > 0 forces Y = lower exactly and dK- > 0 forces Y = upper exactly.
-That makes the discrete Skorokhod conditions identities rather than
-approximations: dK+ * dK- = 0 (the obstacles are strictly separated) and
-(Y - lower) * dK+ = (upper - Y) * dK- = 0, both node by node and in the
-occupation-weighted sums reported on the solution.
+where `mode` names the `model.Variant` and `model.obstacle_step` applies
+its penalties (m, n) to the drive and then its clamps.  The clamp
+residuals are the reflection increments dK+ and dK-, and the discrete
+Skorokhod conditions hold for them as identities, both node by node and
+in the occupation-weighted sums reported on the solution.
 
 Stability of the explicit step requires dt * (driver_lipschitz + max(m, n))
 < 1; the solver refuses to run outside that region.
@@ -37,34 +23,16 @@ import math
 
 import numpy as np
 
-from .model import sigma_rows
-
-MODES = ("plain", "penalized", "one_barrier_lower", "one_barrier_upper", "two_barrier")
-
-
-@dataclasses.dataclass(frozen=True)
-class PenalizationSchedule:
-    """Strictly increasing positive penalty levels."""
-
-    levels: tuple
-
-    def __post_init__(self):
-        if len(self.levels) == 0:
-            raise ValueError("empty penalty schedule")
-        prev = 0.0
-        for m in self.levels:
-            if not (m > prev and math.isfinite(m)):
-                raise ValueError(
-                    f"penalty levels must be strictly increasing and positive,"
-                    f" got {self.levels}"
-                )
-            prev = m
-
-    def __iter__(self):
-        return iter(self.levels)
-
-    def __len__(self):
-        return len(self.levels)
+from .forwardsim import build_lattice
+from .model import (
+    PenalizationSchedule,  # noqa: F401  (re-exported)
+    SpaceTimeGrid,
+    Variant,
+    obstacle_rows,
+    obstacle_step,
+    shifted_spec,
+    sigma_rows,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,33 +105,6 @@ def _resolve_controls(spec, controls, n_steps):
     return seq
 
 
-def _normalize_penalty(mode, penalty):
-    """Return (upper penalty m, lower penalty n) for the given mode."""
-    if mode == "plain" or mode == "two_barrier":
-        if penalty not in (None, 0, 0.0, (0.0, 0.0)):
-            raise ValueError(f"mode {mode!r} takes no penalty, got {penalty!r}")
-        return 0.0, 0.0
-    if mode == "one_barrier_lower":
-        m = float(penalty if penalty is not None else 0.0)
-        if m < 0:
-            raise ValueError("penalty must be nonnegative")
-        return m, 0.0
-    if mode == "one_barrier_upper":
-        m = float(penalty if penalty is not None else 0.0)
-        if m < 0:
-            raise ValueError("penalty must be nonnegative")
-        return 0.0, m
-    if mode == "penalized":
-        try:
-            m, n = penalty
-        except TypeError:
-            raise ValueError("penalized mode takes a (m, n) penalty pair")
-        if m < 0 or n < 0:
-            raise ValueError("penalties must be nonnegative")
-        return float(m), float(n)
-    raise ValueError(f"unknown mode {mode!r}; choose one of {MODES}")
-
-
 def _expectation(y_next, center, probs):
     return (
         probs[:, 0] * y_next[center - 1]
@@ -191,9 +132,7 @@ def solve_backward(
     set of `end_step`; in barrier modes it must already sit inside the
     obstacles there.  Returns an RBSDESolution.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose one of {MODES}")
-    pen_upper, pen_lower = _normalize_penalty(mode, penalty)
+    variant = Variant.named(mode, penalty)
     n_total = lattice.n_steps
     if end_step is None:
         end_step = n_total
@@ -204,12 +143,12 @@ def solve_backward(
     dt = float(lattice.times[1] - lattice.times[0])
     co = spec.coefficients
     mu = co.driver_lipschitz
-    slope_budget = dt * (mu + max(pen_upper, pen_lower))
+    pen = max(variant.pen_upper, variant.pen_lower)
+    slope_budget = dt * (mu + pen)
     if slope_budget >= 1.0:
         raise ValueError(
             f"explicit step not contracting: dt*(driver_lipschitz + penalty)"
-            f" = {slope_budget:.6g} >= 1; need dt < "
-            f"{1.0 / (mu + max(pen_upper, pen_lower)):.6g}"
+            f" = {slope_budget:.6g} >= 1; need dt < {1.0 / (mu + pen):.6g}"
         )
 
     pairs = _resolve_controls(spec, controls, n_total)
@@ -219,17 +158,8 @@ def solve_backward(
         y_cur = np.asarray(co.terminal(x_end), dtype=float) + np.zeros_like(x_end)
     else:
         y_cur = np.asarray(terminal, dtype=float).copy()
-        if y_cur.shape != x_end.shape:
-            raise ValueError(
-                f"terminal values have shape {y_cur.shape}, node set has {x_end.shape}"
-            )
-        if mode in ("one_barrier_lower", "one_barrier_upper", "two_barrier"):
-            lo_end = np.asarray(co.lower(t_end, x_end), dtype=float)
-            up_end = np.asarray(co.upper(t_end, x_end), dtype=float)
-            if mode != "one_barrier_upper" and np.any(y_cur < lo_end - sandwich_tol):
-                raise ValueError("terminal values dip below the lower obstacle")
-            if mode != "one_barrier_lower" and np.any(y_cur > up_end + sandwich_tol):
-                raise ValueError("terminal values exceed the upper obstacle")
+        lo_end, up_end = obstacle_rows(co, t_end, x_end)
+        variant.check_terminal(y_cur, lo_end, up_end, t_end, sandwich_tol)
 
     n_levels = end_step - start_step + 1
     y_list = [None] * n_levels
@@ -241,8 +171,6 @@ def solve_backward(
     dkp_list[-1] = np.zeros_like(y_cur)
     dkm_list[-1] = np.zeros_like(y_cur)
 
-    clamp_lower = mode in ("one_barrier_lower", "two_barrier")
-    clamp_upper = mode in ("one_barrier_upper", "two_barrier")
     upoints, vpoints = lattice.control_points
 
     for j in range(end_step - 1, start_step - 1, -1):
@@ -271,22 +199,8 @@ def solve_backward(
         fval = np.broadcast_to(
             np.asarray(co.driver(t, x, ey, z_arg, u, v), dtype=float), x.shape
         )
-        drive = fval
-        lo = np.broadcast_to(np.asarray(co.lower(t, x), dtype=float), x.shape)
-        up = np.broadcast_to(np.asarray(co.upper(t, x), dtype=float), x.shape)
-        if pen_upper > 0.0:
-            drive = drive - pen_upper * np.maximum(ey - up, 0.0)
-        if pen_lower > 0.0:
-            drive = drive + pen_lower * np.maximum(lo - ey, 0.0)
-
-        y_tilde = ey + dt * drive
-        dkp = np.maximum(lo - y_tilde, 0.0) if clamp_lower else np.zeros_like(y_tilde)
-        dkm = np.maximum(y_tilde - up, 0.0) if clamp_upper else np.zeros_like(y_tilde)
-        y_new = y_tilde
-        if clamp_lower:
-            y_new = np.maximum(y_new, lo)
-        if clamp_upper:
-            y_new = np.minimum(y_new, up)
+        lo, up = obstacle_rows(co, t, x)
+        y_new, dkp, dkm = obstacle_step(ey, fval, dt, lo, up, variant)
 
         k = j - start_step
         y_list[k] = y_new
@@ -316,17 +230,14 @@ def solve_backward(
             np.add.at(nxt, center + off, w * probs[:, col])
         kp_mean[k + 1] = kp_mean[k] + float(np.sum(w * dkp_list[k]))
         km_mean[k + 1] = km_mean[k] + float(np.sum(w * dkm_list[k]))
-        x = lattice.node_values(j)
-        t = float(lattice.times[j])
-        lo = np.broadcast_to(np.asarray(co.lower(t, x), dtype=float), x.shape)
-        up = np.broadcast_to(np.asarray(co.upper(t, x), dtype=float), x.shape)
+        lo, up = obstacle_rows(co, float(lattice.times[j]), lattice.node_values(j))
         flat_lo += float(np.sum(w * (y_list[k] - lo) * dkp_list[k]))
         flat_up += float(np.sum(w * (up - y_list[k]) * dkm_list[k]))
         excl = max(excl, float(np.max(dkp_list[k] * dkm_list[k])))
 
     return RBSDESolution(
         mode=mode,
-        penalty=(pen_upper, pen_lower),
+        penalty=(variant.pen_upper, variant.pen_lower),
         controls=pairs[start_step:end_step],
         start_step=start_step,
         end_step=end_step,
@@ -496,69 +407,62 @@ class EstimateReport:
     passed: bool
 
 
+def _backward_moments(lattice, pairs, terminal, increment):
+    """Node arrays E[S_0] and E[S_0^2] for the path sum along the chain
+
+        S_N = terminal,  S_j = increment(j) + S_{j+1}.
+    """
+    mean = terminal
+    sq = terminal * terminal
+    for j in range(lattice.n_steps - 1, -1, -1):
+        center, probs = lattice.transition(j, *pairs[j])
+        em = _expectation(mean, center, probs)
+        eq = _expectation(sq, center, probs)
+        g = increment(j)
+        mean = g + em
+        sq = g * g + 2.0 * g * em + eq
+    return mean, sq
+
+
 def _estimate_quantities(spec, lattice, controls, perturbation):
     co = spec.coefficients
     n_steps = lattice.n_steps
     pairs = _resolve_controls(spec, controls, n_steps)
     dt = float(lattice.times[1] - lattice.times[0])
     root = lattice.counts[0] // 2
-
-    sol = solve_backward(spec, lattice, controls, mode="two_barrier")
-
-    def nodes(j):
-        return lattice.node_values(j)
-
-    def lower_at(j):
-        return np.broadcast_to(
-            np.asarray(co.lower(float(lattice.times[j]), nodes(j)), float), nodes(j).shape
-        )
-
-    def upper_at(j):
-        return np.broadcast_to(
-            np.asarray(co.upper(float(lattice.times[j]), nodes(j)), float), nodes(j).shape
-        )
+    zeros = np.zeros(lattice.counts[n_steps])
 
     def snell(level_fn):
         cur = level_fn(n_steps)
         for j in range(n_steps - 1, -1, -1):
-            center, probs = lattice.transition(j, pairs[j][0], pairs[j][1])
+            center, probs = lattice.transition(j, *pairs[j])
             cur = np.maximum(level_fn(j), _expectation(cur, center, probs))
         return float(cur[root])
 
-    # size bound: Snell(|Y|^2) against terminal, driver-at-zero and obstacles
+    def moments(terminal, increment):
+        mean, sq = _backward_moments(lattice, pairs, terminal, increment)
+        return float(mean[root]), float(sq[root])
+
+    def obstacles(j):
+        return obstacle_rows(co, float(lattice.times[j]), lattice.node_values(j))
+
+    def f0_dt(j):
+        x = lattice.node_values(j)
+        u = lattice.control_points[0][pairs[j][0]]
+        v = lattice.control_points[1][pairs[j][1]]
+        f0 = co.driver(float(lattice.times[j]), x, 0.0, 0.0, u, v)
+        return np.abs(np.broadcast_to(np.asarray(f0, float), x.shape)) * dt
+
+    sol = solve_backward(spec, lattice, controls, mode="two_barrier")
+
+    # size bound: Snell(|Y|^2) against terminal, driver-at-zero and obstacles;
+    # the driver enters through the second moment of S_j = sum_{r>=j} |f0| dt
     lhs_size = snell(lambda j: sol.y[j] ** 2)
-    cur = np.asarray(co.terminal(nodes(n_steps)), float) ** 2 + np.zeros(
-        lattice.counts[n_steps]
-    )
-    for j in range(n_steps - 1, -1, -1):
-        center, probs = lattice.transition(j, pairs[j][0], pairs[j][1])
-        cur = _expectation(cur, center, probs)
-    term_sq = float(cur[root])
-
-    def f0_at(j):
-        x = nodes(j)
-        t = float(lattice.times[j])
-        u, v = (
-            lattice.control_points[0][pairs[j][0]],
-            lattice.control_points[1][pairs[j][1]],
-        )
-        return np.abs(np.broadcast_to(np.asarray(co.driver(t, x, 0.0, 0.0, u, v), float), x.shape))
-
-    # first and second moments of the path sum S_j = sum_{r>=j} |f0| dt
-    s_mean = [None] * (n_steps + 1)
-    s_sq = [None] * (n_steps + 1)
-    s_mean[n_steps] = np.zeros(lattice.counts[n_steps])
-    s_sq[n_steps] = np.zeros(lattice.counts[n_steps])
-    for j in range(n_steps - 1, -1, -1):
-        center, probs = lattice.transition(j, pairs[j][0], pairs[j][1])
-        em = _expectation(s_mean[j + 1], center, probs)
-        eq = _expectation(s_sq[j + 1], center, probs)
-        g = f0_at(j) * dt
-        s_mean[j] = g + em
-        s_sq[j] = g * g + 2.0 * g * em + eq
-    drive_sq = float(s_sq[0][root])
-    snell_lo = snell(lambda j: lower_at(j) ** 2)
-    snell_up = snell(lambda j: upper_at(j) ** 2)
+    phi = np.asarray(co.terminal(lattice.node_values(n_steps)), float)
+    term_sq, _ = moments(phi ** 2 + zeros, lambda j: 0.0)
+    _, drive_sq = moments(zeros, f0_dt)
+    snell_lo = snell(lambda j: obstacles(j)[0] ** 2)
+    snell_up = snell(lambda j: obstacles(j)[1] ** 2)
     rhs_size = term_sq + drive_sq + snell_lo + snell_up
     const_size = lhs_size / rhs_size if rhs_size > 0 else math.inf
 
@@ -567,44 +471,21 @@ def _estimate_quantities(spec, lattice, controls, perturbation):
     quot = float(np.max(np.abs(np.diff(y0)))) / lattice.dx
     const_state = quot / max(co.lipschitz, 1e-30)
 
-    # data-perturbation bound: shift terminal and driver by eps
+    # data-perturbation bound: shift terminal, driver and upper obstacle by eps
     eps = perturbation
-    co_b = dataclasses.replace(
-        spec.coefficients,
-        terminal=lambda x, _f=co.terminal: np.asarray(_f(x), float) + eps,
-        driver=lambda t, x, y, z, u, v, _f=co.driver: np.asarray(
-            _f(t, x, y, z, u, v), float
-        )
-        + eps,
-        upper=lambda t, x, _f=co.upper: np.asarray(_f(t, x), float) + eps,
-    )
-    spec_b = dataclasses.replace(spec, coefficients=co_b)
+    spec_b = shifted_spec(spec, eps, ("terminal", "driver", "upper"))
     sol_b = solve_backward(spec_b, lattice, controls, mode="two_barrier")
 
-    lhs_dy = snell(lambda j: (sol.y[j] - sol_b.y[j]) ** 2)
-    dz_sq = [None] * (n_steps + 1)
-    dz_sq[n_steps] = np.zeros(lattice.counts[n_steps])
-    for j in range(n_steps - 1, -1, -1):
-        center, probs = lattice.transition(j, pairs[j][0], pairs[j][1])
+    def dz_sq_dt(j):
         dz = np.asarray(sol.z[j], float) - np.asarray(sol_b.z[j], float)
-        step = (dz * dz if dz.ndim == 1 else np.sum(dz * dz, axis=1)) * dt
-        dz_sq[j] = step + _expectation(dz_sq[j + 1], center, probs)
-    lhs_dz = float(dz_sq[0][root])
+        return (dz * dz if dz.ndim == 1 else np.sum(dz * dz, axis=1)) * dt
 
-    dn_mean = [None] * (n_steps + 1)
-    dn_sq = [None] * (n_steps + 1)
-    dn_mean[n_steps] = np.zeros(lattice.counts[n_steps])
-    dn_sq[n_steps] = np.zeros(lattice.counts[n_steps])
-    for j in range(n_steps - 1, -1, -1):
-        center, probs = lattice.transition(j, pairs[j][0], pairs[j][1])
-        em = _expectation(dn_mean[j + 1], center, probs)
-        eq = _expectation(dn_sq[j + 1], center, probs)
-        delta = (
-            sol.dk_plus[j] - sol.dk_minus[j] - sol_b.dk_plus[j] + sol_b.dk_minus[j]
-        )
-        dn_mean[j] = delta + em
-        dn_sq[j] = delta * delta + 2.0 * delta * em + eq
-    lhs_dk = float(dn_sq[0][root])
+    def dk_diff(j):
+        return sol.dk_plus[j] - sol.dk_minus[j] - sol_b.dk_plus[j] + sol_b.dk_minus[j]
+
+    lhs_dy = snell(lambda j: (sol.y[j] - sol_b.y[j]) ** 2)
+    lhs_dz, _ = moments(zeros, dz_sq_dt)
+    _, lhs_dk = moments(zeros, dk_diff)
 
     # the shifted upper obstacle enters through its square root times bounded
     # moments, hence the first-order eps term
@@ -616,17 +497,6 @@ def _estimate_quantities(spec, lattice, controls, perturbation):
         "state_lipschitz": const_state,
         "perturbation": const_diff,
     }
-
-
-@dataclasses.dataclass(frozen=True)
-class _GridShim:
-    x_min: float
-    x_max: float
-    nx: int
-    nt: int
-    dx: float
-    dt: float
-    horizon: float
 
 
 def apriori_estimate_check(
@@ -652,31 +522,18 @@ def apriori_estimate_check(
     nonnegative probabilities at the finer spacing and quartered otherwise
     (the report records which).
     """
-    from . import forwardsim
-
-    base = forwardsim.build_lattice(spec, 0.0, grid)
+    base = build_lattice(spec, 0.0, grid)
     constants = _estimate_quantities(spec, base, controls, perturbation)
 
-    def shim(factor_x, factor_t):
-        nx = (grid.nx - 1) * factor_x + 1
-        nt = grid.nt * factor_t
-        return _GridShim(
-            x_min=grid.x_min,
-            x_max=grid.x_max,
-            nx=nx,
-            nt=nt,
-            dx=(grid.x_max - grid.x_min) / (nx - 1),
-            dt=grid.horizon / nt,
-            horizon=grid.horizon,
-        )
+    def finer(factor_t):
+        nx = (grid.nx - 1) * 2 + 1
+        return SpaceTimeGrid(grid.x_min, grid.x_max, nx, grid.nt * factor_t, grid.horizon)
 
     try:
-        fine_grid = shim(2, 2)
-        fine = forwardsim.build_lattice(spec, 0.0, fine_grid)
+        fine = build_lattice(spec, 0.0, finer(2))
         refinement = "dx/2, dt/2"
     except Exception:
-        fine_grid = shim(2, 4)
-        fine = forwardsim.build_lattice(spec, 0.0, fine_grid)
+        fine = build_lattice(spec, 0.0, finer(4))
         refinement = "dx/2, dt/4"
     refined = _estimate_quantities(spec, fine, controls, perturbation)
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import isaacs
 from isaacs.cli import ConfigError, main, parse_config, run
 
 MINIMAL = """\
@@ -226,3 +230,27 @@ def test_repeated_checks_run_once(tmp_path):
         config, str(tmp_path), checks=("validate", "validate"), quiet=True
     )
     assert list(manifest.checks) == ["validate"]
+
+
+def test_deeply_nested_expression_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.ini"
+    path.write_text(CUSTOM.replace("driver = 0", "driver = " + "(" * 3000 + "0" + ")" * 3000))
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "nest" in capsys.readouterr().err
+
+
+def test_module_entry_point_reports_the_exit_status(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[problem]\nname = nonesuch\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isaacs.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isaacs.cli", "run", str(bad), "--out", str(tmp_path / "o")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "unknown problem" in proc.stderr

@@ -7,20 +7,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isaacs.forwardsim import build_lattice
 from isaacs.model import (
     CoefficientError,
     CoefficientSet,
     ControlGrid,
     HamiltonianInput,
     ProblemSpec,
+    SpaceTimeGrid,
+    Variant,
     hamiltonian_lower,
     hamiltonian_upper,
     isaacs_condition_check,
+    obstacle_step,
     sigma_rows,
     validate_problem,
 )
+from isaacs.pde import solve_isaacs_penalized
 from isaacs.problems import builtin
+from isaacs.rbsde import solve_backward
 
 
 def _point(t=0.3, x=0.7, y=0.2, gradient=1.5, hessian=-2.0):
@@ -197,6 +205,21 @@ def test_sigma_rows_rejects_ambiguous_shapes():
         sigma_rows(bad, 0.0, np.zeros(3), 0.0, 0.0, 1)
 
 
+def test_sigma_rows_reads_vector_states_as_blocks():
+    x = np.zeros((4, 2))
+    base = builtin("constant").spec.coefficients
+    mat = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 1.0]])
+    shared = dataclasses.replace(base, sigma=lambda t, x, u, v: mat)
+    rows = sigma_rows(shared, 0.0, x, 0.0, 0.0, 3)
+    assert rows.shape == (4, 2, 3) and np.all(rows == mat)
+    block = np.arange(24.0).reshape(4, 2, 3)
+    full = dataclasses.replace(base, sigma=lambda t, x, u, v: block)
+    assert np.array_equal(sigma_rows(full, 0.0, x, 0.0, 0.0, 3), block)
+    scalar = dataclasses.replace(base, sigma=lambda t, x, u, v: 0.7)
+    with pytest.raises(CoefficientError, match="noise_dim"):
+        sigma_rows(scalar, 0.0, x, 0.0, 0.0, 3)
+
+
 def test_control_grid_and_spec_validation():
     with pytest.raises(ValueError, match="empty"):
         ControlGrid("u", ())
@@ -212,3 +235,75 @@ def test_control_grid_and_spec_validation():
         )
     with pytest.raises(ValueError, match="Lipschitz"):
         dataclasses.replace(co, lipschitz=-1.0)
+
+
+@pytest.mark.parametrize(
+    "name, penalty, expected",
+    [
+        ("plain", None, Variant(False, False, 0.0, 0.0)),
+        ("penalized", (2.0, 3.0), Variant(False, False, 2.0, 3.0)),
+        ("free", (2.0, 3.0), Variant(False, False, 2.0, 3.0)),
+        ("one_barrier_lower", 5.0, Variant(True, False, 5.0, 0.0)),
+        ("one_barrier_upper", 5.0, Variant(False, True, 0.0, 5.0)),
+        ("two_barrier", None, Variant(True, True, 0.0, 0.0)),
+    ],
+)
+def test_each_variant_name_maps_to_its_variant(name, penalty, expected):
+    assert Variant.named(name, penalty) == expected
+
+
+def test_free_and_penalized_spell_the_same_variant():
+    for pair in ((0.0, 0.0), (1.5, 0.25)):
+        assert Variant.named("free", pair) == Variant.named("penalized", pair)
+
+
+@pytest.mark.parametrize("solver", ["lattice", "grid"])
+def test_unknown_variant_names_are_rejected_by_both_solvers(solver):
+    spec = builtin("constant").spec
+    grid = SpaceTimeGrid(-1.0, 1.0, 5, 10, 1.0)
+    with pytest.raises(ValueError, match="unknown mode"):
+        if solver == "lattice":
+            solve_backward(spec, build_lattice(spec, 0.0, grid), (0.0, 0.0), mode="sideways")
+        else:
+            solve_isaacs_penalized(spec, grid, penalty_kind="sideways")
+
+
+_PENALTIES = {
+    "plain": None,
+    "penalized": (3.0, 7.0),
+    "free": (7.0, 3.0),
+    "one_barrier_lower": 5.0,
+    "one_barrier_upper": 5.0,
+    "two_barrier": None,
+}
+
+
+@st.composite
+def _step_rows(draw):
+    size = draw(st.integers(1, 8))
+    finite = st.floats(-1e3, 1e3)
+
+    def row(elements):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+    base, drive, lo = row(finite), row(finite), row(finite)
+    up = lo + row(st.floats(1e-6, 1e3))
+    dt = draw(st.floats(1e-4, 1.0))
+    return base, drive, dt, lo, up
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(_PENALTIES)), rows=_step_rows())
+def test_obstacle_step_keeps_the_skorokhod_identities_exact(name, rows):
+    base, drive, dt, lo, up = rows
+    assert np.all(lo < up)
+    variant = Variant.named(name, _PENALTIES[name])
+    y, dkp, dkm = obstacle_step(base, drive, dt, lo, up, variant)
+    assert np.all(dkp >= 0.0) and np.all(dkm >= 0.0)
+    assert np.all(dkp * dkm == 0.0)
+    assert np.all((y - lo) * dkp == 0.0)
+    assert np.all((up - y) * dkm == 0.0)
+    if variant.clamp_lower:
+        assert np.all(y >= lo)
+    if variant.clamp_upper:
+        assert np.all(y <= up)
