@@ -38,15 +38,16 @@ seed = 7
 """
 
 config = parse_config(CONFIG)
-out = pathlib.Path(tempfile.mkdtemp(prefix="isaacs_demo_"))
-manifest = run(config, str(out), seed=config.seed, checks=config.checks, quiet=True)
+with tempfile.TemporaryDirectory(prefix="isaacs_demo_") as tmp:
+    out = pathlib.Path(tmp)
+    manifest = run(config, str(out), seed=config.seed, checks=config.checks, quiet=True)
 
-print(f"all checks passed: {manifest.all_passed} ({manifest.wall_clock_s:.2f} s)")
-print(f"outputs in {out}:")
-for name in sorted(p.name for p in out.iterdir()):
-    print(f"  {name}")
+    print(f"all checks passed: {manifest.all_passed} ({manifest.wall_clock_s:.2f} s)")
+    print(f"outputs in {out}:")
+    for name in sorted(p.name for p in out.iterdir()):
+        print(f"  {name}")
 
-print()
-verdict = json.loads((out / "verdict.json").read_text())
+    print()
+    verdict = json.loads((out / "verdict.json").read_text())
 for check, entry in verdict.items():
     print(f"{check}: {entry}")

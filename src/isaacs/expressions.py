@@ -121,26 +121,22 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                node = _binary(np.add if val == "+" else np.subtract, node, rhs)
-            else:
-                return node
+        return self.chain(self.term, {"+": np.add, "-": np.subtract})
 
     def term(self):
-        node = self.power()
+        return self.chain(self.power, {"*": np.multiply, "/": np.divide})
+
+    def chain(self, operand, ops):
+        """One node for `operand (op operand)*` with op in `ops`, folded left
+        to right, so a long flat chain neither recurses nor nests."""
+        first = operand()
+        rest = []
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.power()
-                node = _binary(np.multiply if val == "*" else np.divide, node, rhs)
-            else:
-                return node
+            if kind != "op" or val not in ops:
+                return _fold(first, rest) if rest else first
+            self.take()
+            rest.append((ops[val], operand()))
 
     def power(self):
         node = self.unary()
@@ -221,16 +217,21 @@ class _Parser:
         if fname == "exp":
             return _unary(np.exp, args[0])
         reducer = np.minimum if fname == "min" else np.maximum
-        def node(env, _args=tuple(args), _r=reducer):
-            out = _args[0](env)
-            for a in _args[1:]:
-                out = _r(out, a(env))
-            return out
-        return node
+        return _fold(args[0], [(reducer, a) for a in args[1:]])
 
 
-def _binary(op, a, b):
-    return lambda env: op(a(env), b(env))
+def _fold(first, rest):
+    """Node evaluating first, then out = op(out, operand) for each pair of
+    `rest` in order."""
+    rest = tuple(rest)
+
+    def node(env):
+        out = first(env)
+        for op, operand in rest:
+            out = op(out, operand(env))
+        return out
+
+    return node
 
 
 def _unary(op, a):

@@ -150,7 +150,6 @@ class RecombiningLattice:
     first_index: tuple
     counts: tuple
     transitions: tuple
-    control_points: tuple
     mean_error: float
     var_error: float
 
@@ -283,7 +282,6 @@ def build_lattice(spec, t0, grid, consistency_tol=1e-10):
         first_index=tuple(first_index),
         counts=tuple(counts),
         transitions=tuple(transitions),
-        control_points=(spec.controls_i.points, spec.controls_ii.points),
         mean_error=worst_mean,
         var_error=worst_var,
     )
@@ -330,10 +328,8 @@ def check_forward_estimates(
     offsets = np.asarray(offsets, dtype=float)
     sup_ratios = np.empty_like(offsets)
     term_ratios = np.empty_like(offsets)
+    a = simulate_paths(spec, t0, base_state, n_paths, n_steps, seed, control_i, control_ii)
     for i, delta in enumerate(offsets):
-        a = simulate_paths(
-            spec, t0, base_state, n_paths, n_steps, seed, control_i, control_ii
-        )
         shifted = (
             base_state + delta
             if spec.state_dim == 1

@@ -35,6 +35,7 @@ live here as well.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Callable, NamedTuple
 
@@ -236,15 +237,24 @@ class Variant:
             return cls(clamp_lower, clamp_upper, pen_upper=m)
         return cls(clamp_lower, clamp_upper, pen_lower=m)
 
-    def check_terminal(self, row, lo, up, t, tol):
-        """Refuse terminal values that do not match the obstacle rows in
-        shape or that leave an obstacle this variant clamps to."""
+    def terminal_row(self, coefficients, t, x, terminal, tol):
+        """The terminal row on the nodes x at time t: a copy of `terminal`,
+        or the payoff when it is None.  Refuses a row whose shape is not that
+        of x, or that leaves an obstacle this variant clamps to by more than
+        tol."""
+        if terminal is None:
+            terminal = np.broadcast_to(
+                np.asarray(coefficients.terminal(x), dtype=float), x.shape
+            )
+        row = np.array(terminal, dtype=float)
+        lo, up = obstacle_rows(coefficients, t, x)
         if row.shape != lo.shape:
             raise ValueError(f"terminal values have shape {row.shape}, nodes {lo.shape}")
         if self.clamp_lower and np.any(row < lo - tol):
             raise ValueError(f"terminal values dip below the lower obstacle at t={t:.6g}")
         if self.clamp_upper and np.any(row > up + tol):
             raise ValueError(f"terminal values exceed the upper obstacle at t={t:.6g}")
+        return row
 
 
 def obstacle_rows(coefficients, t, x):
@@ -580,11 +590,10 @@ def validate_problem(spec, samples=200, seed=0, radius=3.0, tolerance=1e-8):
     growth_dyn = co.lipschitz + base_dyn
     growth_data = co.lipschitz + base_data
 
-    for k in range(samples):
+    for u, v in itertools.islice(itertools.cycle(pairs), samples):
         t = float(rng.uniform(0.0, T))
         xa = rng.uniform(-radius, radius, size=n)
         xb = rng.uniform(-radius, radius, size=n)
-        u, v = pairs[k % len(pairs)]
         y = float(rng.uniform(-radius, radius))
         z = float(rng.uniform(-radius, radius)) if spec.noise_dim == 1 else rng.uniform(
             -radius, radius, size=spec.noise_dim

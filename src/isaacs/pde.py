@@ -175,19 +175,6 @@ def _check_cfl(number, t, dt, cfl_margin):
         )
 
 
-def _terminal_row(spec, grid, terminal, j_hi, variant, tol=1e-9):
-    x = grid.space_nodes()
-    t_hi = j_hi * grid.dt
-    if terminal is None:
-        terminal = np.broadcast_to(
-            np.asarray(spec.coefficients.terminal(x), dtype=float), x.shape
-        )
-    row = np.asarray(terminal, dtype=float).copy()
-    lo, up = obstacle_rows(spec.coefficients, t_hi, x)
-    variant.check_terminal(row, lo, up, t_hi, tol)
-    return row
-
-
 def _march(spec, grid, kind, variant, terminal, t_hi, cfl_margin, label):
     if spec.state_dim != 1:
         raise ValueError("finite-difference solvers cover scalar state only")
@@ -201,7 +188,7 @@ def _march(spec, grid, kind, variant, terminal, t_hi, cfl_margin, label):
     penalties = (variant.pen_upper, variant.pen_lower)
 
     values = np.empty((j_hi + 1, grid.nx))
-    values[j_hi] = _terminal_row(spec, grid, terminal, j_hi, variant)
+    values[j_hi] = variant.terminal_row(co, j_hi * dt, x, terminal, 1e-9)
     worst = 0.0
     for j in range(j_hi - 1, -1, -1):
         t = j * dt

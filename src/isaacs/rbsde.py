@@ -1,6 +1,9 @@
 """Backward solvers on the lattice: reflected, penalized and plain flavors.
 
-One explicit backward step from level j+1 to level j at a node x reads
+Each solve holds one fixed control pair (u, v) on the control grids for
+the whole horizon, as in the probabilistic representation of the game for
+fixed controls.  One explicit backward step from level j+1 to level j at a
+node x reads
 
     ey  = E[Y_{j+1}]                      (lattice expectation)
     z   = slope * sigma,  slope = Cov(Y_{j+1}, X_{j+1}) / Var(X_{j+1})
@@ -19,6 +22,7 @@ Stability of the explicit step requires dt * (driver_lipschitz + max(m, n))
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -37,7 +41,8 @@ from .model import (
 
 @dataclasses.dataclass(frozen=True)
 class RBSDESolution:
-    """Backward solution on lattice steps start_step .. end_step.
+    """Backward solution on lattice steps start_step .. end_step under one
+    fixed control pair, `controls` = (u, v).
 
     Lists are indexed relative to start_step; entry j lives on the node set
     of lattice step start_step + j.  dk_plus[j] / dk_minus[j] are the
@@ -71,38 +76,16 @@ class RBSDESolution:
     def initial_values(self):
         return self.y[0]
 
-    def step_values(self, step):
-        return self.y[step - self.start_step]
 
-
-def _resolve_controls(spec, controls, n_steps):
-    """Normalize controls to per-step (iu, iv) index pairs."""
-
-    def index_pair(pair):
-        u, v = pair
-        try:
-            iu = spec.controls_i.points.index(u)
-        except ValueError:
-            raise ValueError(f"control {u!r} is not on grid {spec.controls_i.label!r}")
-        try:
-            iv = spec.controls_ii.points.index(v)
-        except ValueError:
-            raise ValueError(f"control {v!r} is not on grid {spec.controls_ii.label!r}")
-        return iu, iv
-
-    if (
-        isinstance(controls, tuple)
-        and len(controls) == 2
-        and not isinstance(controls[0], (list, np.ndarray))
-        and not (isinstance(controls[0], tuple) and isinstance(controls[0][0], tuple))
-    ):
-        return (index_pair(controls),) * n_steps
-    seq = tuple(index_pair(p) for p in controls)
-    if len(seq) != n_steps:
-        raise ValueError(
-            f"per-step controls have length {len(seq)}, lattice has {n_steps} steps"
-        )
-    return seq
+def _control_indices(spec, controls):
+    """Grid indices (iu, iv) of `controls`, which must be one (u, v) pair."""
+    if not (isinstance(controls, tuple) and len(controls) == 2):
+        raise ValueError(f"controls must be one (u, v) pair, got {controls!r}")
+    grids = (spec.controls_i, spec.controls_ii)
+    for point, grid in zip(controls, grids):
+        if point not in grid.points:
+            raise ValueError(f"control {point!r} is not on grid {grid.label!r}")
+    return tuple(grid.points.index(point) for point, grid in zip(controls, grids))
 
 
 def _expectation(y_next, center, probs):
@@ -111,6 +94,20 @@ def _expectation(y_next, center, probs):
         + probs[:, 1] * y_next[center]
         + probs[:, 2] * y_next[center + 1]
     )
+
+
+def _occupation(lattice, indices, start_step, end_step, root_index):
+    """Forward law of the chain on steps start_step .. end_step, started at
+    node root_index, under the transitions of the control indices."""
+    occ = [np.zeros(lattice.counts[start_step])]
+    occ[0][root_index] = 1.0
+    for j in range(start_step, end_step):
+        center, probs = lattice.transition(j, *indices)
+        nxt = np.zeros(lattice.counts[j + 1])
+        # transposed so that all down moves land first, then stay, then up
+        np.add.at(nxt, (center[:, None] + (-1, 0, 1)).T, (occ[-1][:, None] * probs).T)
+        occ.append(nxt)
+    return occ
 
 
 def solve_backward(
@@ -125,12 +122,14 @@ def solve_backward(
     root_index=None,
     sandwich_tol=1e-9,
 ):
-    """Run the explicit backward recursion described in the module docstring.
+    """Run the explicit backward recursion described in the module docstring
+    under one fixed control pair.
 
-    `controls` is a fixed (u, v) pair or a per-step sequence of pairs.
-    `terminal` overrides the terminal payoff with given values on the node
-    set of `end_step`; in barrier modes it must already sit inside the
-    obstacles there.  Returns an RBSDESolution.
+    `controls` is that (u, v) pair; both points must sit on the control
+    grids.  `terminal` overrides the terminal payoff with given values on
+    the node set of `end_step`.  In barrier modes the terminal row, given or
+    default, must already sit inside the obstacles there.  Returns an
+    RBSDESolution.
     """
     variant = Variant.named(mode, penalty)
     n_total = lattice.n_steps
@@ -151,15 +150,13 @@ def solve_backward(
             f" = {slope_budget:.6g} >= 1; need dt < {1.0 / (mu + pen):.6g}"
         )
 
-    pairs = _resolve_controls(spec, controls, n_total)
-    x_end = lattice.node_values(end_step)
+    indices = _control_indices(spec, controls)
+    u, v = controls
     t_end = float(lattice.times[end_step])
-    if terminal is None:
-        y_cur = np.asarray(co.terminal(x_end), dtype=float) + np.zeros_like(x_end)
-    else:
-        y_cur = np.asarray(terminal, dtype=float).copy()
-        lo_end, up_end = obstacle_rows(co, t_end, x_end)
-        variant.check_terminal(y_cur, lo_end, up_end, t_end, sandwich_tol)
+    y_cur = variant.terminal_row(co, t_end, lattice.node_values(end_step), terminal, sandwich_tol)
+    if root_index is None:
+        root_index = lattice.counts[start_step] // 2
+    occ = _occupation(lattice, indices, start_step, end_step, root_index)
 
     n_levels = end_step - start_step + 1
     y_list = [None] * n_levels
@@ -170,27 +167,23 @@ def solve_backward(
     z_list[-1] = np.zeros(y_cur.shape + ((spec.noise_dim,) if spec.noise_dim > 1 else ()))
     dkp_list[-1] = np.zeros_like(y_cur)
     dkm_list[-1] = np.zeros_like(y_cur)
-
-    upoints, vpoints = lattice.control_points
+    # occupation-weighted E[dK+], E[dK-], lower and upper flatness of step
+    # k in column k + 1, summed in step order by the cumsum below
+    sums = np.zeros((4, n_levels))
+    excl = 0.0
 
     for j in range(end_step - 1, start_step - 1, -1):
-        iu, iv = pairs[j]
-        u, v = upoints[iu], vpoints[iv]
+        k = j - start_step
         t = float(lattice.times[j])
         x = lattice.node_values(j)
-        x_next = lattice.node_values(j + 1)
-        center, probs = lattice.transition(j, iu, iv)
+        center, probs = lattice.transition(j, *indices)
+        around = center[:, None] + (-1, 0, 1)
 
         ey = _expectation(y_cur, center, probs)
-        targets = np.stack([x_next[center - 1], x_next[center], x_next[center + 1]], axis=1)
+        targets = lattice.node_values(j + 1)[around]
         mean_x = np.einsum("ik,ik->i", probs, targets)
         var_x = np.einsum("ik,ik->i", probs, (targets - mean_x[:, None]) ** 2)
-        cov = np.einsum(
-            "ik,ik->i",
-            probs,
-            np.stack([y_cur[center - 1], y_cur[center], y_cur[center + 1]], axis=1)
-            * (targets - mean_x[:, None]),
-        )
+        cov = np.einsum("ik,ik->i", probs, y_cur[around] * (targets - mean_x[:, None]))
         slope = np.where(var_x > 0.0, cov / np.where(var_x > 0.0, var_x, 1.0), 0.0)
         rows = sigma_rows(co, t, x, u, v, spec.noise_dim)
         z = rows * slope[:, None]
@@ -202,43 +195,26 @@ def solve_backward(
         lo, up = obstacle_rows(co, t, x)
         y_new, dkp, dkm = obstacle_step(ey, fval, dt, lo, up, variant)
 
-        k = j - start_step
+        w = occ[k]
+        sums[:, k + 1] = (
+            np.sum(w * dkp),
+            np.sum(w * dkm),
+            np.sum(w * (y_new - lo) * dkp),
+            np.sum(w * (up - y_new) * dkm),
+        )
+        excl = max(excl, float(np.max(dkp * dkm)))
+
         y_list[k] = y_new
-        z_list[k] = z_arg if spec.noise_dim == 1 else z
+        z_list[k] = z_arg
         dkp_list[k] = dkp
         dkm_list[k] = dkm
         y_cur = y_new
 
-    # forward occupation from the root, mean cumulative reflection, flatness
-    counts = [lattice.counts[s] for s in range(start_step, end_step + 1)]
-    if root_index is None:
-        root_index = counts[0] // 2
-    occ = [np.zeros(c) for c in counts]
-    occ[0][root_index] = 1.0
-    kp_mean = np.zeros(n_levels)
-    km_mean = np.zeros(n_levels)
-    flat_lo = 0.0
-    flat_up = 0.0
-    excl = 0.0
-    for j in range(start_step, end_step):
-        k = j - start_step
-        iu, iv = pairs[j]
-        center, probs = lattice.transition(j, iu, iv)
-        w = occ[k]
-        nxt = occ[k + 1]
-        for off, col in ((-1, 0), (0, 1), (1, 2)):
-            np.add.at(nxt, center + off, w * probs[:, col])
-        kp_mean[k + 1] = kp_mean[k] + float(np.sum(w * dkp_list[k]))
-        km_mean[k + 1] = km_mean[k] + float(np.sum(w * dkm_list[k]))
-        lo, up = obstacle_rows(co, float(lattice.times[j]), lattice.node_values(j))
-        flat_lo += float(np.sum(w * (y_list[k] - lo) * dkp_list[k]))
-        flat_up += float(np.sum(w * (up - y_list[k]) * dkm_list[k]))
-        excl = max(excl, float(np.max(dkp_list[k] * dkm_list[k])))
-
+    kp_mean, km_mean, flat_lo, flat_up = np.cumsum(sums, axis=1)
     return RBSDESolution(
         mode=mode,
         penalty=(variant.pen_upper, variant.pen_lower),
-        controls=pairs[start_step:end_step],
+        controls=controls,
         start_step=start_step,
         end_step=end_step,
         times=lattice.times[start_step : end_step + 1],
@@ -250,8 +226,8 @@ def solve_backward(
         k_minus_mean=km_mean,
         occupation=occ,
         root_index=root_index,
-        flatness_lower=flat_lo,
-        flatness_upper=flat_up,
+        flatness_lower=float(flat_lo[-1]),
+        flatness_upper=float(flat_up[-1]),
         exclusion_max=excl,
     )
 
@@ -317,17 +293,15 @@ def comparison_check(
     """
     rng = np.random.default_rng(seed)
     ca, cb = spec_a.coefficients, spec_b.coefficients
-    pairs = list(spec_a.control_pairs())
     slack = 1e-12
     detail = "ok"
     conclusive = True
     equal_barriers = True
-    for k in range(samples):
+    for u, v in itertools.islice(itertools.cycle(spec_a.control_pairs()), samples):
         t = rng.uniform(0.0, spec_a.horizon)
         x = rng.uniform(-radius, radius)
         y = rng.uniform(-radius, radius)
         z = rng.uniform(-radius, radius)
-        u, v = pairs[k % len(pairs)]
         if float(ca.terminal(x)) > float(cb.terminal(x)) + slack:
             conclusive, detail = False, f"terminal ordering fails at x={x:.6g}"
             break
@@ -407,27 +381,11 @@ class EstimateReport:
     passed: bool
 
 
-def _backward_moments(lattice, pairs, terminal, increment):
-    """Node arrays E[S_0] and E[S_0^2] for the path sum along the chain
-
-        S_N = terminal,  S_j = increment(j) + S_{j+1}.
-    """
-    mean = terminal
-    sq = terminal * terminal
-    for j in range(lattice.n_steps - 1, -1, -1):
-        center, probs = lattice.transition(j, *pairs[j])
-        em = _expectation(mean, center, probs)
-        eq = _expectation(sq, center, probs)
-        g = increment(j)
-        mean = g + em
-        sq = g * g + 2.0 * g * em + eq
-    return mean, sq
-
-
 def _estimate_quantities(spec, lattice, controls, perturbation):
     co = spec.coefficients
     n_steps = lattice.n_steps
-    pairs = _resolve_controls(spec, controls, n_steps)
+    indices = _control_indices(spec, controls)
+    u, v = controls
     dt = float(lattice.times[1] - lattice.times[0])
     root = lattice.counts[0] // 2
     zeros = np.zeros(lattice.counts[n_steps])
@@ -435,12 +393,24 @@ def _estimate_quantities(spec, lattice, controls, perturbation):
     def snell(level_fn):
         cur = level_fn(n_steps)
         for j in range(n_steps - 1, -1, -1):
-            center, probs = lattice.transition(j, *pairs[j])
+            center, probs = lattice.transition(j, *indices)
             cur = np.maximum(level_fn(j), _expectation(cur, center, probs))
         return float(cur[root])
 
     def moments(terminal, increment):
-        mean, sq = _backward_moments(lattice, pairs, terminal, increment)
+        """E[S_0] and E[S_0^2] at the root for the path sum along the chain
+
+            S_N = terminal,  S_j = increment(j) + S_{j+1}.
+        """
+        mean = terminal
+        sq = terminal * terminal
+        for j in range(n_steps - 1, -1, -1):
+            center, probs = lattice.transition(j, *indices)
+            em = _expectation(mean, center, probs)
+            eq = _expectation(sq, center, probs)
+            g = increment(j)
+            mean = g + em
+            sq = g * g + 2.0 * g * em + eq
         return float(mean[root]), float(sq[root])
 
     def obstacles(j):
@@ -448,8 +418,6 @@ def _estimate_quantities(spec, lattice, controls, perturbation):
 
     def f0_dt(j):
         x = lattice.node_values(j)
-        u = lattice.control_points[0][pairs[j][0]]
-        v = lattice.control_points[1][pairs[j][1]]
         f0 = co.driver(float(lattice.times[j]), x, 0.0, 0.0, u, v)
         return np.abs(np.broadcast_to(np.asarray(f0, float), x.shape)) * dt
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isaacs.expressions import ExpressionError, parse_expression
+from isaacs.expressions import Expression, ExpressionError, parse_expression
 
 
 def test_arithmetic_and_precedence():
@@ -97,3 +99,22 @@ def test_error_messages_carry_position_and_text():
         ExpressionError, match=r"'sin' at position 3 in '1 \+ sin\(x\)'"
     ):
         parse_expression("1 + sin(x)")
+
+
+@pytest.mark.parametrize("op, value", [("+", 2000.0), ("-", -1998.0), ("*", 1.0), ("/", 1.0)])
+def test_long_flat_chains_evaluate_without_recursion(op, value):
+    # nesting is bounded by the parser, flat chains are not: a 2000-term
+    # chain must evaluate as one loop, not as a 2000-deep call tree
+    e = parse_expression(f" {op} ".join(["x"] * 2000))
+    assert e(x=1.0) == value
+    assert np.array_equal(e(x=np.ones(3)), np.full(3, value))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(text=st.one_of(st.text(), st.text(alphabet="0123456789.eE+-*/^(),xyzuvt minaxbsp ")))
+def test_arbitrary_text_parses_or_raises_expression_error(text):
+    try:
+        e = parse_expression(text)
+    except ExpressionError:
+        return
+    assert isinstance(e, Expression)

@@ -289,7 +289,7 @@ def test_control_and_step_range_validation():
     spec, lattice = _ramp_spec(), _ramp_lattice()
     with pytest.raises(ValueError, match="not on grid"):
         solve_backward(spec, lattice, (0.5, 0.0))
-    with pytest.raises(ValueError, match="per-step controls"):
+    with pytest.raises(ValueError, match=r"one \(u, v\) pair"):
         solve_backward(spec, lattice, [(0.0, 0.0)] * 3)
     with pytest.raises(ValueError, match="bad step range"):
         solve_backward(spec, lattice, CONTROLS, start_step=50, end_step=50)
@@ -306,6 +306,20 @@ def test_terminal_override_is_validated():
         solve_backward(spec, lattice, CONTROLS, terminal=np.full(n_end, -5.0))
     with pytest.raises(ValueError, match="exceed the upper obstacle"):
         solve_backward(spec, lattice, CONTROLS, terminal=np.full(n_end, 5.0))
+
+
+def test_default_payoff_outside_a_clamped_obstacle_is_refused():
+    # the grid solver refuses this payoff; the lattice solver must as well
+    # and not silently clamp it on the first step
+    spec = _ramp_spec()
+    co = dataclasses.replace(spec.coefficients, terminal=lambda x: 2.0 + 0.0 * x)
+    spec = dataclasses.replace(spec, coefficients=co)
+    lattice = build_lattice(spec, 0.0, SpaceTimeGrid(-1.0, 1.0, 5, 100, 1.0))
+    with pytest.raises(ValueError, match="exceed the upper obstacle"):
+        solve_backward(spec, lattice, CONTROLS, mode="two_barrier")
+    with pytest.raises(ValueError, match="exceed the upper obstacle"):
+        solve_backward(spec, lattice, CONTROLS, mode="one_barrier_upper", penalty=1.0)
+    solve_backward(spec, lattice, CONTROLS, mode="one_barrier_lower", penalty=1.0)
 
 
 def test_penalty_mode_argument_validation():
