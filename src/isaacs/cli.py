@@ -326,14 +326,14 @@ def _write_text(out_dir, filename, text, outputs, quiet):
 
 
 def _field_csv(field):
+    # one joined string per time level keeps 80k short strings from living
+    # at once on a 401 x 201 field
     lines = ["t,x,value"]
-    for j in range(len(field.times)):
-        ts = _format_float(field.times[j])
-        row = field.values[j]
-        nodes = field.nodes
-        lines.extend(
-            f"{ts},{_format_float(nodes[i])},{_format_float(row[i])}"
-            for i in range(len(nodes))
+    xs = [_format_float(x) for x in field.nodes.tolist()]
+    for t, row in zip(field.times.tolist(), field.values):
+        ts = _format_float(t)
+        lines.append(
+            "\n".join(f"{ts},{x},{_format_float(v)}" for x, v in zip(xs, row.tolist()))
         )
     return "\n".join(lines) + "\n"
 
@@ -370,8 +370,12 @@ class RunManifest:
     all_passed: bool
 
 
-def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet):
-    """Execute one named check; returns a flat dict of JSON-safe numbers."""
+def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields):
+    """Execute one named check; returns a flat dict of JSON-safe numbers.
+
+    `fields` carries the value fields `game_value` solved to later checks of
+    the same run: `dpp` recomposes them instead of solving them again.
+    """
     if name == "validate":
         report = validate_problem(spec, seed=seed)
         return {
@@ -381,6 +385,7 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet):
         }
     if name == "game_value":
         verdict = games.compute_values(spec, grid, seed=seed)
+        fields.update(lower=verdict.lower, upper=verdict.upper)
         _write_text(out_dir, "values_lower.csv", _field_csv(verdict.lower), outputs, quiet)
         _write_text(out_dir, "values_upper.csv", _field_csv(verdict.upper), outputs, quiet)
         ok = verdict.order_violation <= 1e-10 and (
@@ -410,8 +415,8 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet):
             "final_gap": report.two_sided_gap[-1],
         }
     if name == "dpp":
-        lo = games.dpp_check(spec, grid, "lower")
-        up = games.dpp_check(spec, grid, "upper")
+        lo = games.dpp_check(spec, grid, "lower", full=fields.get("lower"))
+        up = games.dpp_check(spec, grid, "upper", full=fields.get("upper"))
         return {
             "passed": bool(lo.passed and up.passed),
             "residual_lower": lo.max_residual,
@@ -499,10 +504,11 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
     os.makedirs(out_dir, exist_ok=True)
     outputs = {}
     results = {}
+    fields = {}
     for name in ordered:
         try:
             results[name] = _run_check(
-                name, spec, grid, schedule, seed, out_dir, outputs, quiet
+                name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             )
         except Exception as exc:  # a failed stage must not lose earlier output
             results[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}

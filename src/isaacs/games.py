@@ -41,13 +41,9 @@ class GameVerdict:
 
 
 def compute_values(spec, grid, cfl_margin=0.9, isaacs_samples=64, seed=0):
-    """Solve both Hamiltonian reductions and compare them."""
-    lower = pde.solve_isaacs_double_obstacle(
-        spec, grid, "lower", cfl_margin=cfl_margin
-    )
-    upper = pde.solve_isaacs_double_obstacle(
-        spec, grid, "upper", cfl_margin=cfl_margin
-    )
+    """Solve both Hamiltonian reductions, in one stacked march, and compare
+    them."""
+    lower, upper = pde.solve_lower_and_upper(spec, grid, cfl_margin=cfl_margin)
     radius = max(abs(grid.x_min), abs(grid.x_max))
     isaacs = isaacs_condition_check(
         spec, samples=isaacs_samples, seed=seed, radius=radius
@@ -82,15 +78,18 @@ class DPPReport:
     passed: bool
 
 
-def dpp_check(spec, grid, kind="lower", split=None, cfl_margin=0.9, tolerance=1e-12):
+def dpp_check(
+    spec, grid, kind="lower", split=None, cfl_margin=0.9, tolerance=1e-12, full=None
+):
     """Freeze an intermediate level and re-solve the head of the interval.
 
     Solving on the whole interval, taking the level at the split time as
     terminal data, and solving again on the head must reproduce the original
     levels: the backward recursion repeats the same arithmetic on the same
-    numbers, so the residual is exactly zero.
+    numbers, so the residual is exactly zero.  `full` is the whole-interval
+    `kind` field when it is already solved on this grid (as
+    `compute_values` returns it); only the head is marched then.
     """
-    full = pde.solve_isaacs_double_obstacle(spec, grid, kind, cfl_margin=cfl_margin)
     if split is None:
         split_level = grid.nt // 2
         split = split_level * grid.dt
@@ -98,6 +97,13 @@ def dpp_check(spec, grid, kind="lower", split=None, cfl_margin=0.9, tolerance=1e
         split_level = grid.time_level(split)
     if not 0 < split_level < grid.nt:
         raise ValueError(f"split {split!r} must be strictly inside the horizon")
+    if full is None:
+        full = pde.solve_isaacs_double_obstacle(spec, grid, kind, cfl_margin=cfl_margin)
+    elif full.label != kind or full.values.shape != (grid.nt + 1, grid.nx):
+        raise ValueError(
+            f"full field {full.label!r} of shape {full.values.shape} is not the"
+            f" whole-interval {kind!r} field on this grid"
+        )
     head = pde.solve_isaacs_double_obstacle(
         spec,
         grid,

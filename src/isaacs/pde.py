@@ -32,6 +32,15 @@ Monotonicity of the explicit step requires roughly
 
 with mu the (y, z)-Lipschitz constant of the driver.  Every solve tracks
 that number level by level and refuses to run past `cfl_margin`.
+
+Rows, each a (reduction, variant) pair, are marched side by side as one
+(rows, nx) stack: b, sigma, the stability maxima and the obstacles do not
+depend on W and are evaluated once per level for the whole stack, while
+the driver sees the stacked W and the reduction and `obstacle_step` act
+row by row.  Each row's numbers are bitwise those of its own one-row
+march.  A penalization sweep is one such march of 2L+1 rows (reference,
+then above and below for each of the L levels), and
+`solve_lower_and_upper` marches both reductions together.
 """
 
 from __future__ import annotations
@@ -52,7 +61,21 @@ from .model import (
 
 
 class CflError(ValueError):
-    """The explicit step would not be monotone on this grid."""
+    """The explicit step would not be monotone on this grid.
+
+    `number` is the stability number met at time `t`, `margin` the bound it
+    broke and `admissible_dt` the largest step that would have kept it.
+    """
+
+    def __init__(self, number, t, dt, margin):
+        self.number = number
+        self.t = t
+        self.margin = margin
+        self.admissible_dt = margin * dt / number
+        super().__init__(
+            f"stability number {number:.4g} exceeds margin {margin} at"
+            f" t={t:.6g}; largest admissible dt is {self.admissible_dt:.6g}"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,24 +116,29 @@ class ValueField:
 
 
 def _derivatives(w, dx):
-    # ghost nodes with zero curvature: We[-1] = 2 W[0] - W[1]
-    we = np.concatenate(([2.0 * w[0] - w[1]], w, [2.0 * w[-1] - w[-2]]))
-    d2 = (we[:-2] - 2.0 * w + we[2:]) / (dx * dx)
-    dplus = (we[2:] - w) / dx
-    dminus = (w - we[:-2]) / dx
-    dcentral = (we[2:] - we[:-2]) / (2.0 * dx)
+    # ghost nodes with zero curvature: We[-1] = 2 W[0] - W[1]; w is (rows, nx)
+    we = np.concatenate(
+        (2.0 * w[:, :1] - w[:, 1:2], w, 2.0 * w[:, -1:] - w[:, -2:-1]), axis=1
+    )
+    d2 = (we[:, :-2] - 2.0 * w + we[:, 2:]) / (dx * dx)
+    dplus = (we[:, 2:] - w) / dx
+    dminus = (w - we[:, :-2]) / dx
+    dcentral = (we[:, 2:] - we[:, :-2]) / (2.0 * dx)
     return d2, dplus, dminus, dcentral
 
 
 def _hamiltonian_tables(spec, t, x, w_next, dx):
-    """Integrand values for every control pair, plus stability maxima.
+    """Integrand values for every control pair on a stack of rows, plus
+    stability maxima.
 
-    Returns (tables of shape (nu, nv, nx), max sigma^2, max |b|, max |sigma|).
+    w_next has shape (rows, nx).  b and sigma are evaluated once for the
+    whole stack; only the driver sees the stacked W.  Returns (tables of
+    shape (nu, nv, rows, nx), max sigma^2, max |b|, max |sigma|).
     """
     co = spec.coefficients
     d2, dplus, dminus, dcentral = _derivatives(w_next, dx)
     nu, nv = len(spec.controls_i), len(spec.controls_ii)
-    tables = np.empty((nu, nv, x.shape[0]))
+    tables = np.empty((nu, nv) + w_next.shape)
     max_s2 = 0.0
     max_b = 0.0
     max_smag = 0.0
@@ -119,10 +147,11 @@ def _hamiltonian_tables(spec, t, x, w_next, dx):
             b = np.broadcast_to(np.asarray(co.b(t, x, u, v), dtype=float), x.shape)
             rows = sigma_rows(co, t, x, u, v, spec.noise_dim)
             s2 = np.einsum("ij,ij->i", rows, rows)
-            z = dcentral[:, None] * rows
-            z_arg = z[:, 0] if spec.noise_dim == 1 else z
+            z = dcentral[:, :, None] * rows
+            z_arg = z[:, :, 0] if spec.noise_dim == 1 else z
             fval = np.broadcast_to(
-                np.asarray(co.driver(t, x, w_next, z_arg, u, v), dtype=float), x.shape
+                np.asarray(co.driver(t, x, w_next, z_arg, u, v), dtype=float),
+                w_next.shape,
             )
             bp = np.maximum(b, 0.0)
             bm = np.minimum(b, 0.0)
@@ -130,17 +159,17 @@ def _hamiltonian_tables(spec, t, x, w_next, dx):
             max_s2 = max(max_s2, float(np.max(s2)))
             max_b = max(max_b, float(np.max(np.abs(b))))
             max_smag = max(max_smag, float(np.max(np.abs(rows))))
-    if not np.all(np.isfinite(tables)):
-        raise ValueError(f"nonfinite Hamiltonian integrand at t={t}")
     return tables, max_s2, max_b, max_smag
 
 
-def _reduce(tables, kind):
-    if kind == "lower":
-        return np.max(np.min(tables, axis=1), axis=0)
-    if kind == "upper":
-        return np.min(np.max(tables, axis=0), axis=0)
-    raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
+def _nonfinite_error(t):
+    return ValueError(f"nonfinite Hamiltonian integrand at t={t}")
+
+
+_REDUCTIONS = {
+    "lower": lambda tables: np.max(np.min(tables, axis=1), axis=0),
+    "upper": lambda tables: np.min(np.max(tables, axis=0), axis=0),
+}
 
 
 def _stability_number(dt, dx, mu, max_s2, max_b, max_smag, penalties):
@@ -159,25 +188,32 @@ def cfl_number(spec, grid, penalty=0.0, time_samples=5):
     """
     x = grid.space_nodes()
     worst = 0.0
-    zeros = np.zeros_like(x)
+    zeros = np.zeros((1, x.shape[0]))
     mu = spec.coefficients.driver_lipschitz
     for t in np.linspace(0.0, grid.horizon, time_samples):
-        _, *maxima = _hamiltonian_tables(spec, float(t), x, zeros, grid.dx)
+        tables, *maxima = _hamiltonian_tables(spec, float(t), x, zeros, grid.dx)
+        if not np.isfinite(tables).all():
+            raise _nonfinite_error(float(t))
         worst = max(worst, _stability_number(grid.dt, grid.dx, mu, *maxima, (penalty,)))
     return worst
 
 
-def _check_cfl(number, t, dt, cfl_margin):
-    if number > cfl_margin:
-        raise CflError(
-            f"stability number {number:.4g} exceeds margin {cfl_margin} at"
-            f" t={t:.6g}; largest admissible dt is {cfl_margin * dt / number:.6g}"
-        )
+def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
+    """March rows of (kind, variant, label) side by side; one ValueField each.
 
-
-def _march(spec, grid, kind, variant, terminal, t_hi, cfl_margin, label):
+    The rows share every W-free evaluation of a level: b, sigma, the
+    stability maxima and the obstacles.  The reductions and
+    `model.obstacle_step` are applied row by row, so each row holds exactly
+    the numbers of its own one-row march.  A row stops at its own first
+    failure (terminal row, nonfinite integrand, then stability, checked as
+    in a one-row march); the march raises the failure of the first failing
+    row, as marching the rows one after another would.
+    """
     if spec.state_dim != 1:
         raise ValueError("finite-difference solvers cover scalar state only")
+    for kind, _, _ in rows:
+        if kind not in _REDUCTIONS:
+            raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
     j_hi = grid.nt if t_hi is None else grid.time_level(t_hi)
     if j_hi == 0:
         raise ValueError("t_hi = 0 leaves nothing to solve")
@@ -185,31 +221,64 @@ def _march(spec, grid, kind, variant, terminal, t_hi, cfl_margin, label):
     dx, dt = grid.dx, grid.dt
     co = spec.coefficients
     mu = co.driver_lipschitz
-    penalties = (variant.pen_upper, variant.pen_lower)
 
-    values = np.empty((j_hi + 1, grid.nx))
-    values[j_hi] = variant.terminal_row(co, j_hi * dt, x, terminal, 1e-9)
-    worst = 0.0
+    values = [np.empty((j_hi + 1, grid.nx)) for _ in rows]
+    worst = [0.0] * len(rows)
+    failures = {}
+    for r, (_, variant, _) in enumerate(rows):
+        try:
+            values[r][j_hi] = variant.terminal_row(co, j_hi * dt, x, terminal, 1e-9)
+        except ValueError as exc:
+            failures[r] = exc
+    live = [r for r in range(len(rows)) if r not in failures]
     for j in range(j_hi - 1, -1, -1):
+        if failures and (not live or min(failures) < live[0]):
+            break  # no row still marching comes before the first failure
         t = j * dt
-        w_next = values[j + 1]
+        w_next = np.stack([values[r][j + 1] for r in live])
         tables, *maxima = _hamiltonian_tables(spec, t, x, w_next, dx)
-        number = _stability_number(dt, dx, mu, *maxima, penalties)
-        _check_cfl(number, t, dt, cfl_margin)
-        worst = max(worst, number)
+        finite = np.isfinite(tables).all(axis=(0, 1, 3))  # per row
         lo, up = obstacle_rows(co, t, x)
-        values[j], _, _ = obstacle_step(
-            w_next, _reduce(tables, kind), dt, lo, up, variant
-        )
+        drives = {}
+        marching = []
+        for i, r in enumerate(live):
+            kind, variant, _ = rows[r]
+            if not finite[i]:
+                failures[r] = _nonfinite_error(t)
+                continue
+            number = _stability_number(
+                dt, dx, mu, *maxima, (variant.pen_upper, variant.pen_lower)
+            )
+            if number > cfl_margin:
+                failures[r] = CflError(number, t, dt, cfl_margin)
+                continue
+            worst[r] = max(worst[r], number)
+            if kind not in drives:
+                drives[kind] = _REDUCTIONS[kind](tables)
+            values[r][j], _, _ = obstacle_step(
+                w_next[i], drives[kind][i], dt, lo, up, variant
+            )
+            marching.append(r)
+        live = marching
+    if failures:
+        raise failures[min(failures)]
 
-    return ValueField(
-        label=label,
-        times=grid.time_nodes()[: j_hi + 1],
-        nodes=x,
-        values=values,
-        cfl_number=worst,
-        penalty=penalties,
-    )
+    times = grid.time_nodes()[: j_hi + 1]
+    return [
+        ValueField(
+            label=label,
+            times=times,
+            nodes=x,
+            values=values[r],
+            cfl_number=worst[r],
+            penalty=(variant.pen_upper, variant.pen_lower),
+        )
+        for r, (_, variant, label) in enumerate(rows)
+    ]
+
+
+def _two_barrier_row(kind):
+    return (kind, Variant.named("two_barrier"), kind)
 
 
 def solve_isaacs_double_obstacle(
@@ -221,8 +290,19 @@ def solve_isaacs_double_obstacle(
     time `t_hi` (a grid level, default the horizon); it must sit between the
     obstacles there.  Returns a ValueField over [0, t_hi].
     """
-    variant = Variant.named("two_barrier")
-    return _march(spec, grid, kind, variant, terminal, t_hi, cfl_margin, kind)
+    return _march(spec, grid, [_two_barrier_row(kind)], terminal, t_hi, cfl_margin)[0]
+
+
+def solve_lower_and_upper(spec, grid, cfl_margin=0.9):
+    """The lower and upper two-obstacle fields, marched side by side; each
+    is bitwise the field `solve_isaacs_double_obstacle` returns for it."""
+    rows = [_two_barrier_row("lower"), _two_barrier_row("upper")]
+    lower, upper = _march(spec, grid, rows, None, None, cfl_margin)
+    return lower, upper
+
+
+def _penalized_row(kind, penalty_kind, penalty):
+    return (kind, Variant.named(penalty_kind, penalty), f"{kind}_{penalty_kind}")
 
 
 def solve_isaacs_penalized(
@@ -244,9 +324,8 @@ def solve_isaacs_penalized(
     free drops both clamps and takes a penalty pair (m, n) for (upper,
     lower).
     """
-    variant = Variant.named(penalty_kind, penalty)
-    label = f"{kind}_{penalty_kind}"
-    return _march(spec, grid, kind, variant, terminal, t_hi, cfl_margin, label)
+    row = _penalized_row(kind, penalty_kind, penalty)
+    return _march(spec, grid, [row], terminal, t_hi, cfl_margin)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -281,7 +360,8 @@ class ConvergenceReport:
 
 
 def run_penalization_sweep(spec, grid, schedule, kind="lower", cfl_margin=0.9):
-    """March the penalized approximations through a schedule of weights.
+    """March the penalized approximations through a schedule of weights,
+    all levels and the reference side by side in one stacked march.
 
     Checks, level by level: the approximation from above decreases, the one
     from below increases, both stay on the correct side of the two-obstacle
@@ -289,7 +369,11 @@ def run_penalization_sweep(spec, grid, schedule, kind="lower", cfl_margin=0.9):
     """
     if not isinstance(schedule, PenalizationSchedule):
         schedule = PenalizationSchedule(tuple(schedule))
-    reference = solve_isaacs_double_obstacle(spec, grid, kind, cfl_margin=cfl_margin)
+    rows = [_two_barrier_row(kind)]
+    for m in schedule:
+        rows.append(_penalized_row(kind, "one_barrier_lower", m))
+        rows.append(_penalized_row(kind, "one_barrier_upper", m))
+    reference, *penalized = _march(spec, grid, rows, None, None, cfl_margin)
     gap_above = []
     gap_below = []
     two_sided = []
@@ -298,14 +382,7 @@ def run_penalization_sweep(spec, grid, schedule, kind="lower", cfl_margin=0.9):
     sandwich = -math.inf
     diagonal = -math.inf
     prev_above = prev_below = None
-    above = below = None
-    for m in schedule:
-        above = solve_isaacs_penalized(
-            spec, grid, kind, "one_barrier_lower", m, cfl_margin=cfl_margin
-        )
-        below = solve_isaacs_penalized(
-            spec, grid, kind, "one_barrier_upper", m, cfl_margin=cfl_margin
-        )
+    for above, below in zip(penalized[::2], penalized[1::2]):
         gap_above.append(float(np.max(np.abs(above.values - reference.values))))
         gap_below.append(float(np.max(np.abs(below.values - reference.values))))
         two_sided.append(float(np.max(above.values - below.values)))
@@ -331,8 +408,8 @@ def run_penalization_sweep(spec, grid, schedule, kind="lower", cfl_margin=0.9):
         sandwich_violation=sandwich,
         diagonal_violation=diagonal,
         reference=reference,
-        final_above=above,
-        final_below=below,
+        final_above=penalized[-2],
+        final_below=penalized[-1],
     )
 
 
@@ -377,8 +454,10 @@ def viscosity_residual(spec, field, kind=None, tolerance=None):
         t = float(field.times[j])
         w = field.values[j]
         w_next = field.values[j + 1]
-        tables, _, _, _ = _hamiltonian_tables(spec, t, x, w_next, dx)
-        h = _reduce(tables, kind)
+        tables, _, _, _ = _hamiltonian_tables(spec, t, x, w_next[None], dx)
+        if not np.isfinite(tables).all():
+            raise _nonfinite_error(t)
+        h = _REDUCTIONS[kind](tables)[0]
         lo, up = obstacle_rows(spec.coefficients, t, x)
         resid = np.maximum(np.minimum(-(w_next - w) / dt - h, w - lo), w - up)
         k = int(np.argmax(np.abs(resid)))

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .forwardsim import build_lattice
+from .forwardsim import LatticeError, build_lattice
 from .model import (
     PenalizationSchedule,  # noqa: F401  (re-exported)
     SpaceTimeGrid,
@@ -487,8 +487,9 @@ def apriori_estimate_check(
     by at most `stability_factor` either way.
 
     Refinement halves dx; dt is halved when the lattice still admits
-    nonnegative probabilities at the finer spacing and quartered otherwise
-    (the report records which).
+    nonnegative probabilities at the finer spacing and quartered when that
+    lattice is infeasible (the report records which); any other error
+    propagates.
     """
     base = build_lattice(spec, 0.0, grid)
     constants = _estimate_quantities(spec, base, controls, perturbation)
@@ -500,7 +501,7 @@ def apriori_estimate_check(
     try:
         fine = build_lattice(spec, 0.0, finer(2))
         refinement = "dx/2, dt/2"
-    except Exception:
+    except LatticeError:
         fine = build_lattice(spec, 0.0, finer(4))
         refinement = "dx/2, dt/4"
     refined = _estimate_quantities(spec, fine, controls, perturbation)

@@ -164,6 +164,15 @@ def test_thread_count_is_recorded_but_inert(tmp_path):
     assert a.outputs == b.outputs
 
 
+def test_dpp_after_game_value_reports_what_dpp_alone_reports(tmp_path):
+    # with game_value first, dpp recomposes its fields instead of solving them
+    config = parse_config(CUSTOM)
+    both = run(config, str(tmp_path / "a"), checks=("game_value", "dpp"), quiet=True)
+    alone = run(config, str(tmp_path / "b"), checks=("dpp",), quiet=True)
+    assert both.checks["dpp"] == alone.checks["dpp"]
+    assert both.checks["dpp"]["residual_lower"] == 0.0
+
+
 def test_threads_fall_back_to_the_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("ISAACS_THREADS", "3")
     config = parse_config(MINIMAL)

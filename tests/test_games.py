@@ -65,6 +65,20 @@ def test_dynamic_programming_accepts_any_interior_split():
         dpp_check(bp.spec, DYNKIN_COARSE, "lower", split=DYNKIN_COARSE.dt / 3.0)
 
 
+def test_dynamic_programming_recomposes_an_already_solved_field():
+    # compute_values marches both reductions side by side; its fields are
+    # the ones dpp_check would solve, so recomposing them is still exact
+    bp = builtin("separable_game")
+    grid = SpaceTimeGrid(-6.0, 6.0, 51, 400, 1.0)
+    verdict = compute_values(bp.spec, grid)
+    for kind, full in (("lower", verdict.lower), ("upper", verdict.upper)):
+        assert dpp_check(bp.spec, grid, kind, full=full) == dpp_check(bp.spec, grid, kind)
+    with pytest.raises(ValueError, match="whole-interval 'upper' field"):
+        dpp_check(bp.spec, grid, "upper", full=verdict.lower)
+    with pytest.raises(ValueError, match="whole-interval 'lower' field"):
+        dpp_check(bp.spec, DYNKIN_COARSE, "lower", full=verdict.lower)
+
+
 def test_frozen_controls_reconcile_the_two_solver_families():
     bp = builtin("dynkin_heat")
     report = fixed_control_crosscheck(bp.spec, bp.grid, (0.0, 0.0))

@@ -8,17 +8,18 @@ import math
 import numpy as np
 import pytest
 
-from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec
+from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec, Variant
 from isaacs.pde import (
     CflError,
     SpaceTimeGrid,
+    _march,
     cfl_number,
     run_penalization_sweep,
     solve_isaacs_double_obstacle,
     solve_isaacs_penalized,
     viscosity_residual,
 )
-from isaacs.problems import builtin
+from isaacs.problems import BUILTINS, builtin, from_expressions
 
 DYNKIN_COARSE = SpaceTimeGrid(-9.0, 9.0, 101, 400, 1.0)
 
@@ -202,3 +203,153 @@ def test_interpolation_recovers_node_values():
     field = solve_isaacs_double_obstacle(bp.spec, bp.grid, "lower")
     assert field.interpolate(0.5, 0.0) == 0.5
     assert field.interpolate(0.123, 1.771) == pytest.approx(0.5, abs=1e-12)
+
+
+# -- stacked marches ----------------------------------------------------------
+
+_MIXED_ROWS = [
+    (kind, Variant.named(name, penalty), f"{kind}_{name}")
+    for kind in ("lower", "upper")
+    for name, penalty in (
+        ("two_barrier", None),
+        ("one_barrier_lower", 0.0),
+        ("one_barrier_lower", 4.0),
+        ("one_barrier_upper", 0.0),
+        ("one_barrier_upper", 4.0),
+        ("free", (0.0, 0.0)),
+        ("free", (3.0, 2.0)),
+    )
+]
+
+
+def _y_dependent_custom():
+    return from_expressions(
+        horizon=0.5,
+        b="0.5 * (u + v) * exp(0 - x^2 / 8)",
+        sigma="0.8 + 0.2 * abs(u - v)",
+        driver="0.5 * (u - v) + 0.1 * min(max(y, 0 - 1), 1) + 0.05 * exp(0 - y^2) * z",
+        terminal="max(0, 1 - abs(x - 1)) - max(0, 1 - abs(x + 1))",
+        lower="max(0, 1 - abs(x - 1)) - max(0, 1 - abs(x + 1)) - 0.4",
+        upper="max(0, 1 - abs(x - 1)) - max(0, 1 - abs(x + 1)) + 0.4",
+        controls_i=(-1.0, 0.0, 1.0),
+        controls_ii=(-1.0, 0.0, 1.0),
+        lipschitz=1.0,
+        driver_lipschitz=0.2,
+    )
+
+
+def _stack_cases():
+    for name in BUILTINS:
+        bp = builtin(name)
+        g = bp.grid
+        # a quarter of the nodes keeps the pinned dt and only loosens the CFL
+        grid = SpaceTimeGrid(g.x_min, g.x_max, (g.nx - 1) // 4 + 1, g.nt, g.horizon)
+        yield pytest.param(bp.spec, grid, id=name)
+    yield pytest.param(
+        _y_dependent_custom(), SpaceTimeGrid(-4.0, 4.0, 41, 250, 0.5), id="custom"
+    )
+
+
+@pytest.mark.parametrize("spec,grid", _stack_cases())
+def test_stacked_rows_are_bitwise_their_one_row_marches(spec, grid):
+    t_hi = min(grid.nt, 100) * grid.dt  # the last 100 levels before the horizon
+    stacked = _march(spec, grid, _MIXED_ROWS, None, t_hi, 0.9)
+    for row, field in zip(_MIXED_ROWS, stacked):
+        (alone,) = _march(spec, grid, [row], None, t_hi, 0.9)
+        assert field.label == alone.label == row[2]
+        assert field.penalty == alone.penalty
+        assert field.values.tobytes() == alone.values.tobytes(), row
+        assert np.float64(field.cfl_number).tobytes() == np.float64(
+            alone.cfl_number
+        ).tobytes()
+
+
+def test_stacked_sweep_raises_the_parents_cfl_error():
+    # the above row at m = 64 is the first to fail, on the first level
+    bp = builtin("bilinear_game")
+    with pytest.raises(CflError) as info:
+        run_penalization_sweep(bp.spec, bp.grid, bp.schedule)
+    assert str(info.value) == (
+        "stability number 1 exceeds margin 0.9 at t=0.984375;"
+        " largest admissible dt is 0.0140625"
+    )
+
+
+def _climbing_spec():
+    """W climbs by dt per level; the integrand turns nan once W passes 0.9."""
+    co = CoefficientSet(
+        b=lambda t, x, u, v: 0.0 * np.asarray(x, dtype=float),
+        sigma=lambda t, x, u, v: 0.1 + 0.0 * np.asarray(x, dtype=float),
+        driver=lambda t, x, y, z, u, v: np.where(np.asarray(y) > 0.9, np.nan, 1.0),
+        terminal=lambda x: 0.5 + 0.0 * np.asarray(x, dtype=float),
+        lower=lambda t, x: -1.0 + 0.0 * np.asarray(x, dtype=float),
+        upper=lambda t, x: 0.8 + 0.0 * np.asarray(x, dtype=float),
+        lipschitz=1.0,
+        driver_lipschitz=0.0,
+    )
+    return ProblemSpec(
+        horizon=1.0,
+        coefficients=co,
+        controls_i=ControlGrid("u", (0.0,)),
+        controls_ii=ControlGrid("v", (0.0,)),
+    )
+
+
+def _first_error(spec, grid, rows, terminal=None):
+    """The error of the first row whose one-row march fails."""
+    for row in rows:
+        try:
+            _march(spec, grid, [row], terminal, None, 0.9)
+        except ValueError as exc:
+            return exc
+    return None
+
+
+def test_stacked_march_raises_the_first_failing_row_in_call_order():
+    spec = _climbing_spec()
+    grid = SpaceTimeGrid(-1.0, 1.0, 11, 100, 1.0)
+    clamped = ("lower", Variant.named("two_barrier"), "clamped")
+    climbs = ("lower", Variant.named("free", (0.0, 0.0)), "climbs")  # nan near t = 0.6
+    unstable = ("lower", Variant.named("free", (200.0, 0.0)), "unstable")  # first level
+    for rows in (
+        [clamped, climbs, unstable],
+        [clamped, unstable, climbs],
+        [unstable, climbs],
+        [climbs, clamped],
+    ):
+        expected = _first_error(spec, grid, rows)
+        with pytest.raises(ValueError) as info:
+            _march(spec, grid, rows, None, None, 0.9)
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
+    # a later row failing at a later level still wins over the first level's
+    # failure of an even later row
+    with pytest.raises(ValueError, match="nonfinite Hamiltonian integrand"):
+        _march(spec, grid, [clamped, climbs, unstable], None, None, 0.9)
+    # terminal rows fail before any level is marched, row by row
+    high = np.full(grid.nx, 0.85)
+    rows = [climbs, clamped]
+    expected = _first_error(spec, grid, rows, terminal=high)
+    assert "nonfinite" in str(expected)
+    with pytest.raises(ValueError) as info:
+        _march(spec, grid, rows, high, None, 0.9)
+    assert str(info.value) == str(expected)
+    with pytest.raises(ValueError, match="exceed the upper obstacle"):
+        _march(spec, grid, [clamped, climbs], high, None, 0.9)
+
+
+def test_cfl_error_carries_its_numbers():
+    bp = builtin("dynkin_heat")
+    coarse = SpaceTimeGrid(-9.0, 9.0, 201, 100, 1.0)
+    with pytest.raises(CflError) as info:
+        solve_isaacs_double_obstacle(bp.spec, coarse, "lower")
+    err = info.value
+    assert err.t == 0.99
+    assert err.margin == 0.9
+    assert err.number > 0.9
+    assert err.admissible_dt == 0.9 * coarse.dt / err.number
+    assert err.admissible_dt < coarse.dt
+    assert str(err) == (
+        f"stability number {err.number:.4g} exceeds margin 0.9 at t=0.99;"
+        f" largest admissible dt is {err.admissible_dt:.6g}"
+    )

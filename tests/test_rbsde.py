@@ -266,6 +266,27 @@ def test_apriori_constants_are_stable_under_refinement():
     assert report.passed, report.ratios
 
 
+def test_refinement_fallback_is_for_infeasible_lattices_only():
+    # the coefficient breaks once, on the first time off the base grid: the
+    # dt/2 build hits that, and the error must surface instead of sending the
+    # check to the dt/4 lattice (which would evaluate fine)
+    bp = builtin("dynkin_heat")
+    grid = SpaceTimeGrid(-9.0, 9.0, 41, 100, 1.0)
+    co = bp.spec.coefficients
+    broken = []
+
+    def b(t, x, u, v):
+        if not broken and abs(t * grid.nt - round(t * grid.nt)) > 1e-9:
+            broken.append(t)
+            raise RuntimeError(f"coefficient failed at t={t}")
+        return co.b(t, x, u, v)
+
+    spec = dataclasses.replace(bp.spec, coefficients=dataclasses.replace(co, b=b))
+    with pytest.raises(RuntimeError, match="coefficient failed"):
+        apriori_estimate_check(spec, grid, CONTROLS)
+    assert broken == [0.5 / grid.nt]
+
+
 def test_penalization_schedule_validation():
     assert list(PenalizationSchedule((1.0, 2.0))) == [1.0, 2.0]
     assert len(PenalizationSchedule((3.0,))) == 1
