@@ -31,7 +31,7 @@ print(f"\nforward estimates passed: {report.passed} (slope {report.slope:+.3f})"
 grid = SpaceTimeGrid(-9.0, 9.0, 101, 100, 1.0)
 lattice = build_lattice(spec, 0.0, grid)
 print(f"\nlattice: {lattice.counts[0]} -> {lattice.counts[-1]} nodes over {grid.nt} steps")
-center, probs = lattice.transition(0, 0, 0)
+center, probs = lattice.transition(0)
 print(f"root transition row (down, stay, up): {probs[0]}")
 print(f"rows sum to one: {np.allclose(probs.sum(axis=1), 1.0)}")
 print(f"lattice consistency: mean error {lattice.mean_error:.2e}, var error {lattice.var_error:.2e}")

@@ -425,9 +425,8 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
         }
     if name == "comparison":
         lattice = forwardsim.build_lattice(spec, 0.0, grid)
-        controls = next(iter(spec.control_pairs()))
         lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
-        report = rbsde.comparison_check(spec, lifted, lattice, controls, seed=seed)
+        report = rbsde.comparison_check(spec, lifted, lattice, lattice.controls, seed=seed)
         return {
             "passed": bool(report.passed),
             "conclusive": bool(report.conclusive),
@@ -436,16 +435,14 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             "max_k_minus_violation": report.max_k_minus_violation,
         }
     if name == "crosscheck":
-        controls = next(iter(spec.control_pairs()))
-        report = games.fixed_control_crosscheck(spec, grid, controls)
+        report = games.fixed_control_crosscheck(spec, grid, spec.control_pair())
         return {
             "passed": bool(report.passed),
             "max_diff": report.max_diff,
             "tolerance": report.tolerance,
         }
     if name == "estimates":
-        controls = next(iter(spec.control_pairs()))
-        report = rbsde.apriori_estimate_check(spec, grid, controls)
+        report = rbsde.apriori_estimate_check(spec, grid, spec.control_pair())
         out = {"passed": bool(report.passed), "refinement": report.refinement}
         for key, val in report.constants.items():
             out[f"constant_{key}"] = val

@@ -1,6 +1,8 @@
 """Forward dynamics: Monte Carlo paths and the recombining trinomial lattice.
 
-Paths use explicit Euler steps
+Both views hold one control pair (u, v) on the control grids fixed for the
+whole horizon, the first point of each grid unless told otherwise.  Paths
+use explicit Euler steps
 
     X_{k+1} = X_k + b(t_k, X_k, u, v) dt + sigma(t_k, X_k, u, v) dW_k
 
@@ -9,10 +11,10 @@ Path p therefore sees the same noise regardless of how many paths are
 requested or how the work is scheduled, which is what makes reruns and
 pairwise perturbation studies bit-reproducible.
 
-The lattice (scalar state only) discretizes the same dynamics on the spatial
-nodes of a grid.  One step from node x targets the three nodes around
-x + round(b dt / dx) dx with probabilities chosen so that the step mean is
-exactly x + b dt and the step variance exactly sigma^2 dt:
+The lattice (scalar state only) is the Markov chain of the same dynamics on
+the spatial nodes of a grid.  One step from node x targets the three nodes
+around x + round(b dt / dx) dx with probabilities chosen so that the step
+mean is exactly x + b dt and the step variance exactly sigma^2 dt:
 
     nu = b dt / dx,  shift = round(nu),  r = nu - shift
     q  = sigma^2 dt / dx^2 + r^2
@@ -21,9 +23,9 @@ exactly x + b dt and the step variance exactly sigma^2 dt:
 All three probabilities must be nonnegative; q <= 1 caps the time step the
 usual way, and q >= |r| fails exactly when the diffusion is too weak to
 bridge an off-node drift target (for sigma = 0 the drift must land on a
-node).  Node sets widen by the stencil reach every step so that every stored
-transition row is a genuine probability vector; no boundary absorption is
-ever applied.
+node).  Node sets widen every step by the reach of the pair's own stencil,
+max |shift| + 1 nodes per side, so that every stored transition row is a
+genuine probability vector; no boundary absorption is ever applied.
 """
 
 from __future__ import annotations
@@ -71,14 +73,6 @@ def _path_increments(seed, n_paths, n_steps, noise_dim, dt):
     return out
 
 
-def _control_value(control, grid, t, states):
-    if control is None:
-        return grid.points[0]
-    if callable(control):
-        return control(t, states)
-    return control
-
-
 def simulate_paths(
     spec,
     t0,
@@ -86,22 +80,22 @@ def simulate_paths(
     n_paths,
     n_steps,
     seed,
-    control_i=None,
-    control_ii=None,
+    controls=None,
 ):
     """Simulate Euler paths of the controlled state on [t0, horizon].
 
-    Controls may be fixed grid points or callables (t, states) -> point
-    applied uniformly across paths; they default to the first point of each
-    grid.  For state_dim == 1 the coefficient callables receive the whole
-    (n_paths,) state array and must broadcast; for larger state_dim they
-    receive (n_paths, state_dim) and must return matching (..., state_dim)
-    drifts and (..., state_dim, noise_dim) diffusions.
+    `controls` is the (u, v) pair held on every path, which must sit on the
+    control grids; None picks the first point of each grid.  For
+    state_dim == 1 the coefficient callables receive the whole (n_paths,)
+    state array and must broadcast; for larger state_dim they receive
+    (n_paths, state_dim) and must return matching (..., state_dim) drifts
+    and (..., state_dim, noise_dim) diffusions.
     """
     if not (0.0 <= t0 < spec.horizon):
         raise ValueError(f"t0 = {t0} outside [0, {spec.horizon})")
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need at least one path and one step")
+    u, v = spec.control_pair(controls)
     n, d = spec.state_dim, spec.noise_dim
     dt = (spec.horizon - t0) / n_steps
     times = t0 + dt * np.arange(n_steps + 1)
@@ -116,8 +110,6 @@ def simulate_paths(
         t = float(times[k])
         x = states[:, k, :]
         x_arg = x[:, 0] if n == 1 else x
-        u = _control_value(control_i, spec.controls_i, t, x_arg)
-        v = _control_value(control_ii, spec.controls_ii, t, x_arg)
         b = np.asarray(co.b(t, x_arg, u, v), dtype=float)
         if n == 1:
             drift = np.broadcast_to(b.reshape(-1, 1) if b.ndim else b, (n_paths, 1))
@@ -133,17 +125,20 @@ def simulate_paths(
 
 @dataclasses.dataclass(frozen=True)
 class RecombiningLattice:
-    """Trinomial lattice over the time levels of a grid (scalar state).
+    """Trinomial chain of one control pair over the time levels of a grid
+    (scalar state).
 
-    Step j runs from times[j] to times[j+1].  Node values at step j are
+    `controls` is the (u, v) pair whose dynamics the chain follows.  Step j
+    runs from times[j] to times[j+1].  Node values at step j are
     origin + (first_index[j] + arange(counts[j])) * dx; step 0 coincides
     with the spatial nodes of the grid the lattice was built from, and the
-    node set widens with j so every transition row stays a probability
-    vector.  transitions[j][(iu, iv)] is a pair (center, probs): row i of
-    probs is the (down, stay, up) distribution over next-step local indices
-    center[i] - 1, center[i], center[i] + 1.
+    node set widens with j by the pair's reach so every transition row
+    stays a probability vector.  transitions[j] is a pair (center, probs):
+    row i of probs is the (down, stay, up) distribution over next-step
+    local indices center[i] - 1, center[i], center[i] + 1.
     """
 
+    controls: tuple
     times: np.ndarray
     dx: float
     origin: float
@@ -161,11 +156,11 @@ class RecombiningLattice:
         lo = self.first_index[step]
         return self.origin + self.dx * (lo + np.arange(self.counts[step]))
 
-    def transition(self, step, iu, iv):
-        return self.transitions[step][(iu, iv)]
+    def transition(self, step):
+        return self.transitions[step]
 
-    def dense_transition(self, step, iu, iv):
-        center, probs = self.transitions[step][(iu, iv)]
+    def dense_transition(self, step):
+        center, probs = self.transitions[step]
         mat = np.zeros((self.counts[step], self.counts[step + 1]))
         rows = np.arange(self.counts[step])
         for off, col in ((-1, 0), (0, 1), (1, 2)):
@@ -173,14 +168,15 @@ class RecombiningLattice:
         return mat
 
 
-def build_lattice(spec, t0, grid, consistency_tol=1e-10):
-    """Build the moment-matched trinomial lattice for `spec` on `grid`.
+def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
+    """Build the moment-matched trinomial lattice of one control pair.
 
-    `grid` supplies x_min, dx, dt, nx, nt and the horizon (any object with
-    those attributes works).  t0 must sit on a time level.  Raises
-    LatticeError when some transition probability would be below -1e-12,
-    reporting the worst (node, u, v) and, when shrinking the step helps,
-    the largest admissible dt.
+    `controls` is that (u, v) pair, which must sit on the control grids of
+    `spec`; None picks the first point of each grid.  `grid` supplies x_min,
+    dx, dt, nx, nt and the horizon (any object with those attributes
+    works).  t0 must sit on a time level.  Raises LatticeError when some
+    transition probability would be below -1e-12, reporting the worst node
+    and, when shrinking the step helps, the largest admissible dt.
     """
     if spec.state_dim != 1:
         raise ValueError(
@@ -193,13 +189,9 @@ def build_lattice(spec, t0, grid, consistency_tol=1e-10):
         raise ValueError(f"t0 = {t0} is not a time level of the grid")
     n_steps = grid.nt - s0
     times = t0 + dt * np.arange(n_steps + 1)
-
+    controls = spec.control_pair(controls)
+    u, v = controls
     co = spec.coefficients
-    pairs = [
-        (iu, iv, u, v)
-        for iu, u in enumerate(spec.controls_i.points)
-        for iv, v in enumerate(spec.controls_ii.points)
-    ]
 
     first_index = [0]
     counts = [grid.nx]
@@ -212,62 +204,53 @@ def build_lattice(spec, t0, grid, consistency_tol=1e-10):
         lo = first_index[j]
         count = counts[j]
         x = grid.x_min + dx * (lo + np.arange(count))
-        step_rows = {}
-        reach = 1
-        for iu, iv, u, v in pairs:
-            b = np.broadcast_to(np.asarray(co.b(t, x, u, v), dtype=float), x.shape)
-            rows = sigma_rows(co, t, x, u, v, spec.noise_dim)
-            s2 = np.einsum("ij,ij->i", rows, rows)
-            nu = b * (dt / dx)
-            shift = np.rint(nu).astype(np.int64)
-            resid = nu - shift
-            q = s2 * dt / (dx * dx) + resid ** 2
-            p_up = 0.5 * (q + resid)
-            p_down = 0.5 * (q - resid)
-            p_stay = 1.0 - p_up - p_down
-            probs = np.stack([p_down, p_stay, p_up], axis=1)
-            low = float(probs.min())
-            if low < -1e-12:
-                i = int(np.unravel_index(np.argmin(probs), probs.shape)[0])
-                hints = []
-                if q[i] > 1.0:
-                    dt_max = (1.0 - resid[i] ** 2) * dx * dx / s2[i]
-                    hints.append(f"largest admissible dt is {dt_max:.6g}")
-                if q[i] < abs(resid[i]):
-                    if s2[i] == 0.0:
-                        hints.append(
-                            "sigma vanishes here, so b*dt/dx must be an integer"
-                        )
-                    else:
-                        hints.append(
-                            f"need sigma^2*dt/dx^2 >= {abs(resid[i]) * (1 - abs(resid[i])):.6g}"
-                        )
-                raise LatticeError(
-                    f"negative transition probability {low:.3e} at node"
-                    f" x={x[i]:.6g}, t={t:.6g}, controls ({u!r}, {v!r})"
-                    + "".join("; " + h for h in hints)
-                )
-            np.clip(probs, 0.0, 1.0, out=probs)
-            probs[:, 1] = 1.0 - probs[:, 0] - probs[:, 2]
+        b = np.broadcast_to(np.asarray(co.b(t, x, u, v), dtype=float), x.shape)
+        rows = sigma_rows(co, t, x, u, v, spec.noise_dim)
+        s2 = np.einsum("ij,ij->i", rows, rows)
+        nu = b * (dt / dx)
+        shift = np.rint(nu).astype(np.int64)
+        resid = nu - shift
+        q = s2 * dt / (dx * dx) + resid ** 2
+        p_up = 0.5 * (q + resid)
+        p_down = 0.5 * (q - resid)
+        p_stay = 1.0 - p_up - p_down
+        probs = np.stack([p_down, p_stay, p_up], axis=1)
+        low = float(probs.min())
+        if low < -1e-12:
+            i = int(np.unravel_index(np.argmin(probs), probs.shape)[0])
+            hints = []
+            if q[i] > 1.0:
+                dt_max = (1.0 - resid[i] ** 2) * dx * dx / s2[i]
+                hints.append(f"largest admissible dt is {dt_max:.6g}")
+            if q[i] < abs(resid[i]):
+                if s2[i] == 0.0:
+                    hints.append(
+                        "sigma vanishes here, so b*dt/dx must be an integer"
+                    )
+                else:
+                    hints.append(
+                        f"need sigma^2*dt/dx^2 >= {abs(resid[i]) * (1 - abs(resid[i])):.6g}"
+                    )
+            raise LatticeError(
+                f"negative transition probability {low:.3e} at node"
+                f" x={x[i]:.6g}, t={t:.6g}, controls ({u!r}, {v!r})"
+                + "".join("; " + h for h in hints)
+            )
+        np.clip(probs, 0.0, 1.0, out=probs)
+        probs[:, 1] = 1.0 - probs[:, 0] - probs[:, 2]
 
-            # exact local consistency, checked not assumed
-            targets = x[:, None] + dx * (shift[:, None] + np.array([-1.0, 0.0, 1.0]))
-            mean = np.einsum("ik,ik->i", probs, targets)
-            var = np.einsum("ik,ik->i", probs, (targets - mean[:, None]) ** 2)
-            worst_mean = max(worst_mean, float(np.max(np.abs(mean - (x + b * dt)))))
-            worst_var = max(worst_var, float(np.max(np.abs(var - s2 * dt))))
+        # exact local consistency, checked not assumed
+        targets = x[:, None] + dx * (shift[:, None] + np.array([-1.0, 0.0, 1.0]))
+        mean = np.einsum("ik,ik->i", probs, targets)
+        var = np.einsum("ik,ik->i", probs, (targets - mean[:, None]) ** 2)
+        worst_mean = max(worst_mean, float(np.max(np.abs(mean - (x + b * dt)))))
+        worst_var = max(worst_var, float(np.max(np.abs(var - s2 * dt))))
 
-            step_rows[(iu, iv)] = (shift, probs)
-            reach = max(reach, int(np.max(np.abs(shift))) + 1)
-
-        next_lo = lo - reach
-        first_index.append(next_lo)
+        reach = int(np.max(np.abs(shift))) + 1
+        first_index.append(lo - reach)
         counts.append(count + 2 * reach)
-        # convert stored shifts to local center indices in the next step
-        for key, (shift, probs) in step_rows.items():
-            center = (lo + np.arange(count) + shift) - next_lo
-            step_rows[key] = (center.astype(np.int64), probs)
-        transitions.append(step_rows)
+        # the next node set starts `reach` nodes lower
+        transitions.append((np.arange(count) + shift + reach, probs))
 
     if worst_mean > consistency_tol or worst_var > consistency_tol:
         raise LatticeError(
@@ -276,6 +259,7 @@ def build_lattice(spec, t0, grid, consistency_tol=1e-10):
         )
 
     return RecombiningLattice(
+        controls=controls,
         times=times,
         dx=dx,
         origin=grid.x_min,
@@ -314,8 +298,7 @@ def check_forward_estimates(
     n_paths=2000,
     n_steps=64,
     seed=0,
-    control_i=None,
-    control_ii=None,
+    controls=None,
     slope_tolerance=0.2,
 ):
     """Perturb the initial state and measure E[sup |dX|^2] / |dx0|^2.
@@ -328,16 +311,14 @@ def check_forward_estimates(
     offsets = np.asarray(offsets, dtype=float)
     sup_ratios = np.empty_like(offsets)
     term_ratios = np.empty_like(offsets)
-    a = simulate_paths(spec, t0, base_state, n_paths, n_steps, seed, control_i, control_ii)
+    a = simulate_paths(spec, t0, base_state, n_paths, n_steps, seed, controls)
     for i, delta in enumerate(offsets):
         shifted = (
             base_state + delta
             if spec.state_dim == 1
             else np.asarray(base_state, dtype=float) + np.eye(spec.state_dim)[0] * delta
         )
-        b = simulate_paths(
-            spec, t0, shifted, n_paths, n_steps, seed, control_i, control_ii
-        )
+        b = simulate_paths(spec, t0, shifted, n_paths, n_steps, seed, controls)
         diff = a.states - b.states
         if spec.state_dim > 1:
             dist = np.sqrt(np.sum(np.square(diff), axis=2))

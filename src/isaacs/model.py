@@ -107,6 +107,18 @@ class ProblemSpec:
             for v in self.controls_ii.points:
                 yield u, v
 
+    def control_pair(self, controls=None):
+        """`controls` checked to be one (u, v) pair on the control grids;
+        None picks the first point of each grid."""
+        if controls is None:
+            return self.controls_i.points[0], self.controls_ii.points[0]
+        if not (isinstance(controls, tuple) and len(controls) == 2):
+            raise ValueError(f"controls must be one (u, v) pair, got {controls!r}")
+        for point, grid in zip(controls, (self.controls_i, self.controls_ii)):
+            if point not in grid.points:
+                raise ValueError(f"control {point!r} is not on grid {grid.label!r}")
+        return controls
+
 
 @dataclasses.dataclass(frozen=True)
 class SpaceTimeGrid:

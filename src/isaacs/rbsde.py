@@ -2,8 +2,9 @@
 
 Each solve holds one fixed control pair (u, v) on the control grids for
 the whole horizon, as in the probabilistic representation of the game for
-fixed controls.  One explicit backward step from level j+1 to level j at a
-node x reads
+fixed controls, and runs on the lattice built for that pair: the lattice
+is the pair's forward chain, and the solve reads Y off it.  One explicit
+backward step from level j+1 to level j at a node x reads
 
     ey  = E[Y_{j+1}]                      (lattice expectation)
     z   = slope * sigma,  slope = Cov(Y_{j+1}, X_{j+1}) / Var(X_{j+1})
@@ -77,17 +78,6 @@ class RBSDESolution:
         return self.y[0]
 
 
-def _control_indices(spec, controls):
-    """Grid indices (iu, iv) of `controls`, which must be one (u, v) pair."""
-    if not (isinstance(controls, tuple) and len(controls) == 2):
-        raise ValueError(f"controls must be one (u, v) pair, got {controls!r}")
-    grids = (spec.controls_i, spec.controls_ii)
-    for point, grid in zip(controls, grids):
-        if point not in grid.points:
-            raise ValueError(f"control {point!r} is not on grid {grid.label!r}")
-    return tuple(grid.points.index(point) for point, grid in zip(controls, grids))
-
-
 def _expectation(y_next, center, probs):
     return (
         probs[:, 0] * y_next[center - 1]
@@ -96,13 +86,13 @@ def _expectation(y_next, center, probs):
     )
 
 
-def _occupation(lattice, indices, start_step, end_step, root_index):
-    """Forward law of the chain on steps start_step .. end_step, started at
-    node root_index, under the transitions of the control indices."""
+def _occupation(lattice, start_step, end_step, root_index):
+    """Forward law of the lattice's chain on steps start_step .. end_step,
+    started at node root_index."""
     occ = [np.zeros(lattice.counts[start_step])]
     occ[0][root_index] = 1.0
     for j in range(start_step, end_step):
-        center, probs = lattice.transition(j, *indices)
+        center, probs = lattice.transition(j)
         nxt = np.zeros(lattice.counts[j + 1])
         # transposed so that all down moves land first, then stay, then up
         np.add.at(nxt, (center[:, None] + (-1, 0, 1)).T, (occ[-1][:, None] * probs).T)
@@ -126,10 +116,10 @@ def solve_backward(
     under one fixed control pair.
 
     `controls` is that (u, v) pair; both points must sit on the control
-    grids.  `terminal` overrides the terminal payoff with given values on
-    the node set of `end_step`.  In barrier modes the terminal row, given or
-    default, must already sit inside the obstacles there.  Returns an
-    RBSDESolution.
+    grids, and the lattice must be the chain of that pair.  `terminal`
+    overrides the terminal payoff with given values on the node set of
+    `end_step`.  In barrier modes the terminal row, given or default, must
+    already sit inside the obstacles there.  Returns an RBSDESolution.
     """
     variant = Variant.named(mode, penalty)
     n_total = lattice.n_steps
@@ -150,13 +140,18 @@ def solve_backward(
             f" = {slope_budget:.6g} >= 1; need dt < {1.0 / (mu + pen):.6g}"
         )
 
-    indices = _control_indices(spec, controls)
+    controls = spec.control_pair(controls)
+    if controls != lattice.controls:
+        raise ValueError(
+            f"controls {controls!r} are not the pair {lattice.controls!r}"
+            " the lattice was built for"
+        )
     u, v = controls
     t_end = float(lattice.times[end_step])
     y_cur = variant.terminal_row(co, t_end, lattice.node_values(end_step), terminal, sandwich_tol)
     if root_index is None:
         root_index = lattice.counts[start_step] // 2
-    occ = _occupation(lattice, indices, start_step, end_step, root_index)
+    occ = _occupation(lattice, start_step, end_step, root_index)
 
     n_levels = end_step - start_step + 1
     y_list = [None] * n_levels
@@ -176,7 +171,7 @@ def solve_backward(
         k = j - start_step
         t = float(lattice.times[j])
         x = lattice.node_values(j)
-        center, probs = lattice.transition(j, *indices)
+        center, probs = lattice.transition(j)
         around = center[:, None] + (-1, 0, 1)
 
         ey = _expectation(y_cur, center, probs)
@@ -381,11 +376,10 @@ class EstimateReport:
     passed: bool
 
 
-def _estimate_quantities(spec, lattice, controls, perturbation):
+def _estimate_quantities(spec, lattice, perturbation):
     co = spec.coefficients
     n_steps = lattice.n_steps
-    indices = _control_indices(spec, controls)
-    u, v = controls
+    u, v = controls = lattice.controls
     dt = float(lattice.times[1] - lattice.times[0])
     root = lattice.counts[0] // 2
     zeros = np.zeros(lattice.counts[n_steps])
@@ -393,7 +387,7 @@ def _estimate_quantities(spec, lattice, controls, perturbation):
     def snell(level_fn):
         cur = level_fn(n_steps)
         for j in range(n_steps - 1, -1, -1):
-            center, probs = lattice.transition(j, *indices)
+            center, probs = lattice.transition(j)
             cur = np.maximum(level_fn(j), _expectation(cur, center, probs))
         return float(cur[root])
 
@@ -405,7 +399,7 @@ def _estimate_quantities(spec, lattice, controls, perturbation):
         mean = terminal
         sq = terminal * terminal
         for j in range(n_steps - 1, -1, -1):
-            center, probs = lattice.transition(j, *indices)
+            center, probs = lattice.transition(j)
             em = _expectation(mean, center, probs)
             eq = _expectation(sq, center, probs)
             g = increment(j)
@@ -486,25 +480,25 @@ def apriori_estimate_check(
     dominate.  The check passes when refining the grid moves each quotient
     by at most `stability_factor` either way.
 
-    Refinement halves dx; dt is halved when the lattice still admits
+    Refinement halves dx; dt is halved when the pair's lattice still admits
     nonnegative probabilities at the finer spacing and quartered when that
     lattice is infeasible (the report records which); any other error
     propagates.
     """
-    base = build_lattice(spec, 0.0, grid)
-    constants = _estimate_quantities(spec, base, controls, perturbation)
+    base = build_lattice(spec, 0.0, grid, controls)
+    constants = _estimate_quantities(spec, base, perturbation)
 
     def finer(factor_t):
         nx = (grid.nx - 1) * 2 + 1
         return SpaceTimeGrid(grid.x_min, grid.x_max, nx, grid.nt * factor_t, grid.horizon)
 
     try:
-        fine = build_lattice(spec, 0.0, finer(2))
+        fine = build_lattice(spec, 0.0, finer(2), controls)
         refinement = "dx/2, dt/2"
     except LatticeError:
-        fine = build_lattice(spec, 0.0, finer(4))
+        fine = build_lattice(spec, 0.0, finer(4), controls)
         refinement = "dx/2, dt/4"
-    refined = _estimate_quantities(spec, fine, controls, perturbation)
+    refined = _estimate_quantities(spec, fine, perturbation)
 
     ratios = {}
     stable = True

@@ -104,7 +104,7 @@ def test_lattice_probabilities_at_the_half_point():
         sigma=lambda t, x, u, v: sig + 0.0 * np.asarray(x, dtype=float),
     )
     lattice = build_lattice(spec, 0.0, grid)
-    center, probs = lattice.transition(0, 0, 0)
+    center, probs = lattice.transition(0)
     assert np.allclose(probs[:, 0], 0.25, atol=1e-12)
     assert np.allclose(probs[:, 1], 0.50, atol=1e-12)
     assert np.allclose(probs[:, 2], 0.25, atol=1e-12)
@@ -118,7 +118,7 @@ def test_degenerate_lattice_is_the_identity_chain():
     )
     grid = SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)
     lattice = build_lattice(spec, 0.0, grid)
-    center, probs = lattice.transition(0, 0, 0)
+    center, probs = lattice.transition(0)
     assert np.all(probs[:, 1] == 1.0)
     assert np.all(probs[:, 0] == 0.0) and np.all(probs[:, 2] == 0.0)
     # the node set still widens by the safety reach, values stay on the comb
@@ -135,10 +135,52 @@ def test_on_node_transport_shifts_by_exactly_one_column():
     )
     lattice = build_lattice(spec, 0.0, grid)
     x0 = lattice.node_values(0)
-    center, probs = lattice.transition(0, 0, 0)
+    center, probs = lattice.transition(0)
     x1 = lattice.node_values(1)
     assert np.all(probs[:, 1] == 1.0)
     assert np.allclose(x1[center], x0 + grid.dx, atol=1e-12)
+
+
+def test_node_sets_widen_by_the_pairs_own_reach():
+    # b = u with dx = dt puts b dt / dx on the nodes 0 and 1: the chain of
+    # u = 0 never shifts and widens by the one-node stencil reach, the chain
+    # of u = 1 shifts one column per step and widens by two
+    grid = SpaceTimeGrid(-1.0, 1.0, 21, 10, 1.0)  # dx = dt = 0.1
+    spec = dataclasses.replace(
+        _scalar_spec(
+            b=lambda t, x, u, v: u + 0.0 * np.asarray(x, dtype=float),
+            sigma=lambda t, x, u, v: 0.25 + 0.0 * np.asarray(x, dtype=float),
+        ),
+        controls_i=ControlGrid("u", (0.0, 1.0)),
+    )
+    still = build_lattice(spec, 0.0, grid, (0.0, 0.0))
+    moving = build_lattice(spec, 0.0, grid, (1.0, 0.0))
+    assert still.controls == (0.0, 0.0) and moving.controls == (1.0, 0.0)
+    assert still.counts == tuple(21 + 2 * j for j in range(11))
+    assert still.first_index == tuple(-j for j in range(11))
+    assert moving.counts == tuple(21 + 4 * j for j in range(11))
+    assert moving.first_index == tuple(-2 * j for j in range(11))
+    # no pair given: the first point of each grid
+    assert build_lattice(spec, 0.0, grid).counts == still.counts
+
+
+def test_lattice_and_paths_take_one_pair_on_the_grids():
+    spec = dataclasses.replace(
+        _scalar_spec(
+            b=lambda t, x, u, v: u + 0.0 * np.asarray(x, dtype=float),
+            sigma=lambda t, x, u, v: 0.0 * np.asarray(x, dtype=float),
+        ),
+        controls_i=ControlGrid("u", (0.0, 1.0)),
+    )
+    grid = SpaceTimeGrid(-1.0, 1.0, 21, 10, 1.0)
+    for bad, message in (((0.5, 0.0), "not on grid"), ([(0.0, 0.0)], r"one \(u, v\) pair")):
+        with pytest.raises(ValueError, match=message):
+            build_lattice(spec, 0.0, grid, bad)
+        with pytest.raises(ValueError, match=message):
+            simulate_paths(spec, 0.0, 0.0, n_paths=2, n_steps=4, seed=0, controls=bad)
+    moving = simulate_paths(spec, 0.0, 0.0, n_paths=2, n_steps=4, seed=0, controls=(1.0, 0.0))
+    assert np.allclose(moving.terminal, 1.0, rtol=0, atol=1e-12)
+    assert np.all(simulate_paths(spec, 0.0, 0.0, n_paths=2, n_steps=4, seed=0).terminal == 0.0)
 
 
 def test_off_node_transport_is_refused_with_a_hint():
@@ -161,7 +203,7 @@ def test_dense_transition_rows_are_probability_vectors():
     bp = builtin("dynkin_heat")
     grid = SpaceTimeGrid(-9.0, 9.0, 101, 100, 1.0)
     lattice = build_lattice(bp.spec, 0.0, grid)
-    mat = lattice.dense_transition(3, 0, 0)
+    mat = lattice.dense_transition(3)
     assert mat.shape == (lattice.counts[3], lattice.counts[4])
     assert np.all(mat >= 0.0)
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)

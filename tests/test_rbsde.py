@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isaacs.forwardsim import build_lattice
 from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec
@@ -316,6 +318,58 @@ def test_control_and_step_range_validation():
         solve_backward(spec, lattice, CONTROLS, start_step=50, end_step=50)
     with pytest.raises(ValueError, match="unknown mode"):
         solve_backward(spec, lattice, CONTROLS, mode="sideways")
+
+
+def test_a_pair_other_than_the_lattices_is_refused():
+    # (1, 0) sits on the grids, but the lattice is the chain of (0, 0)
+    spec = dataclasses.replace(_ramp_spec(), controls_i=ControlGrid("u", (0.0, 1.0)))
+    lattice = build_lattice(spec, 0.0, SpaceTimeGrid(-1.0, 1.0, 5, 100, 1.0))
+    with pytest.raises(ValueError, match=r"\(1\.0, 0\.0\).*\(0\.0, 0\.0\)"):
+        solve_backward(spec, lattice, (1.0, 0.0))
+    with pytest.raises(ValueError, match=r"\(1\.0, 0\.0\).*\(0\.0, 0\.0\)"):
+        comparison_check(spec, spec, lattice, (1.0, 0.0), samples=4)
+
+
+_SMALL_GRIDS = {
+    "dynkin_heat": SpaceTimeGrid(-9.0, 9.0, 37, 40, 1.0),
+    "separable_game": SpaceTimeGrid(-6.0, 6.0, 41, 40, 1.0),
+}
+_ORDERED_CASES = [
+    (name, pair)
+    for name in sorted(_SMALL_GRIDS)
+    for pair in builtin(name).spec.control_pairs()
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    case=st.sampled_from(_ORDERED_CASES),
+    mode=st.sampled_from(("two_barrier", "one_barrier_lower", "one_barrier_upper", "plain")),
+    d_term=st.floats(0.0, 0.4),
+    d_drive=st.floats(0.0, 0.5),
+    center=st.floats(-3.0, 3.0),
+)
+def test_comparison_holds_on_generated_ordered_data(case, mode, d_term, d_drive, center):
+    name, pair = case
+    spec = builtin(name).spec
+    co = spec.coefficients
+    bigger = dataclasses.replace(
+        spec,
+        coefficients=dataclasses.replace(
+            co,
+            terminal=lambda x: np.asarray(co.terminal(x), dtype=float)
+            + d_term / (1.0 + np.square(np.asarray(x, dtype=float) - center)),
+            driver=lambda t, x, y, z, u, v: np.asarray(
+                co.driver(t, x, y, z, u, v), dtype=float
+            )
+            + d_drive,
+        ),
+    )
+    lattice = build_lattice(spec, 0.0, _SMALL_GRIDS[name], pair)
+    penalty = 4.0 if mode.startswith("one_barrier") else None
+    report = comparison_check(spec, bigger, lattice, pair, mode=mode, penalty=penalty, samples=16)
+    assert report.conclusive, report.hypothesis_detail
+    assert report.passed, report
 
 
 def test_terminal_override_is_validated():
