@@ -19,6 +19,7 @@ from isaacs.model import (
     ProblemSpec,
     SpaceTimeGrid,
     Variant,
+    Violation,
     hamiltonian_lower,
     hamiltonian_upper,
     isaacs_condition_check,
@@ -107,6 +108,54 @@ def test_isaacs_check_is_deterministic():
     b = isaacs_condition_check(spec, samples=16, seed=3)
     assert a.max_gap == b.max_gap
     assert a.mean_gap == b.mean_gap
+
+
+def test_seeded_samplers_draw_the_pinned_stream():
+    # recorded values: a changed draw order or count changes them
+    report = isaacs_condition_check(_coupled_spec(), samples=16, seed=3)
+    assert report.max_gap == 0.7142916171938478
+    assert report.mean_gap == 0.13668134372233717
+
+    spec = _coupled_spec()
+    co = dataclasses.replace(
+        spec.coefficients,
+        b=lambda t, x, u, v: 2.0 * x + u,
+        sigma=lambda t, x, u, v: 1.0 + x * x,
+        driver=lambda t, x, y, z, u, v: u * v + 0.9 * y - 0.8 * z,
+    )
+    report = validate_problem(dataclasses.replace(spec, coefficients=co), samples=3, seed=5)
+    first = {"t": 0.045275193902445166, "x": -2.7074537356369914, "u": -1.0, "v": -1.0}
+    second = {"t": 0.8976776081085488, "x": 2.0653862256524462, "u": -1.0, "v": 1.0}
+    third = {"t": 0.27145160453010153, "x": 2.2779070400095325, "u": 0.0, "v": -1.0}
+    assert report.violations == (
+        Violation("lipschitz_b", first, 2.0, "|db|/|dx| = 2 exceeds declared 1.1"),
+        Violation(
+            "lipschitz_driver_yz", first, 1.021338760123588,
+            "|df|/|d(y,z)| = 1.02134 exceeds declared 0.3",
+        ),
+        Violation(
+            "growth_dynamics", first, 3.977180634825981,
+            "(|b|+|sigma|)/(1+|x|) = 3.97718 exceeds 3.1",
+        ),
+        Violation("lipschitz_b", second, 2.0, "|db|/|dx| = 2 exceeds declared 1.1"),
+        Violation(
+            "lipschitz_sigma", second, 1.419814211661115,
+            "|dsigma|/|dx| = 1.41981 exceeds declared 1.1",
+        ),
+        Violation(
+            "lipschitz_driver_yz", second, 0.6508081707173223,
+            "|df|/|d(y,z)| = 0.650808 exceeds declared 0.3",
+        ),
+        Violation("lipschitz_b", third, 2.0, "|db|/|dx| = 2 exceeds declared 1.1"),
+        Violation(
+            "lipschitz_driver_yz", third, 0.9434135084631621,
+            "|df|/|d(y,z)| = 0.943414 exceeds declared 0.3",
+        ),
+        Violation(
+            "growth_dynamics", third, 3.277907040009533,
+            "(|b|+|sigma|)/(1+|x|) = 3.27791 exceeds 3.1",
+        ),
+    )
 
 
 def test_hamiltonian_input_symmetrizes_and_records_asymmetry():
