@@ -255,6 +255,8 @@ def parse_config(text):
                 seed = int(cp["run"]["seed"])
             except ValueError:
                 raise ConfigError(f"seed must be an integer, got {cp['run']['seed']!r}")
+            if seed < 0:
+                raise ConfigError(f"seed must be nonnegative, got {seed}")
         if "threads" in cp["run"]:
             try:
                 threads = int(cp["run"]["threads"])
@@ -469,6 +471,8 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
     started = time.monotonic()
     if seed is None:
         seed = config.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     if threads is None:
         threads = config.threads
     if threads is None:
@@ -498,7 +502,10 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}")
     outputs = {}
     results = {}
     fields = {}
@@ -564,7 +571,7 @@ def main(argv=None):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -81,8 +81,9 @@ class CoefficientSet:
     driver_lipschitz: float
 
     def __post_init__(self):
-        if self.lipschitz < 0 or self.driver_lipschitz < 0:
-            raise ValueError("Lipschitz constants must be nonnegative")
+        for value in (self.lipschitz, self.driver_lipschitz):
+            if not (0.0 <= value < math.inf):
+                raise ValueError("Lipschitz constants must be finite and nonnegative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,6 +136,8 @@ class SpaceTimeGrid:
     horizon: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(f"x_min and x_max must be finite, got {self.x_min}, {self.x_max}")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.nx < 3:

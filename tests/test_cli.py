@@ -263,3 +263,50 @@ def test_module_entry_point_reports_the_exit_status(tmp_path):
     )
     assert proc.returncode == 2
     assert "unknown problem" in proc.stderr
+
+
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(MINIMAL + "\n[run]\nseed = -1\n")
+    with pytest.raises(ConfigError, match="seed"):
+        run(parse_config(MINIMAL), str(tmp_path / "r"), seed=-1, quiet=True)
+    path = tmp_path / "negative.ini"
+    path.write_text(MINIMAL + "\n[run]\nchecks = validate\nseed = -1\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "a"), "--quiet"]) == 2
+    good = tmp_path / "good.ini"
+    good.write_text(MINIMAL + "\n[run]\nchecks = validate\n")
+    args = ["run", str(good), "--out", str(tmp_path / "b"), "--seed", "-1", "--quiet"]
+    assert main(args) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_an_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "good.ini"
+    path.write_text(MINIMAL + "\n[run]\nchecks = validate\n")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["run", str(path), "--out", str(taken), "--quiet"]) == 2
+    assert str(taken) in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes("[problem]\nname = constant\n# café\n".encode("latin-1"))
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("x_max = 4.0", "x_max = inf"),
+        ("lipschitz = 1", "lipschitz = nan"),
+        ("driver_lipschitz = 0", "driver_lipschitz = inf"),
+    ],
+)
+def test_nonfinite_declared_numbers_are_config_errors(tmp_path, capsys, old, new):
+    path = tmp_path / "nonfinite.ini"
+    path.write_text(CUSTOM.replace(old, new, 1))
+    assert new in path.read_text()
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "finite" in capsys.readouterr().err

@@ -221,6 +221,22 @@ def test_nonfinite_coefficients_are_flagged_not_raised():
     assert any(v.kind == "nonfinite" for v in report.violations)
 
 
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_grid_bounds_must_be_finite(bound):
+    with pytest.raises(ValueError, match="finite"):
+        SpaceTimeGrid(-1.0, bound, 11, 4, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        SpaceTimeGrid(bound, 1.0, 11, 4, 1.0)
+
+
+@pytest.mark.parametrize("name", ["lipschitz", "driver_lipschitz"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_lipschitz_constants_must_be_finite_and_nonnegative(name, value):
+    co = builtin("constant").spec.coefficients
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(co, **{name: value})
+
+
 def test_sigma_rows_normalizes_every_supported_shape():
     x = np.array([0.0, 1.0, 2.0])
     base = builtin("constant").spec.coefficients
