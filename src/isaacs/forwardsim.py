@@ -11,7 +11,7 @@ Path p therefore sees the same noise regardless of how many paths are
 requested or how the work is scheduled, which is what makes reruns and
 pairwise perturbation studies bit-reproducible.
 
-The lattice (scalar state only) is the Markov chain of the same dynamics on
+The lattice is the Markov chain of the same dynamics on
 the spatial nodes of a grid.  One step from node x targets the three nodes
 around x + round(b dt / dx) dx with probabilities chosen so that the step
 mean is exactly x + b dt and the step variance exactly sigma^2 dt:
@@ -46,13 +46,12 @@ class LatticeError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class ForwardTrajectoryBatch:
-    """Euler paths: `states[p, k]` is path p at `times[k]` (scalar state),
-    or `states[p, k, :]` for vector state."""
+    """Euler paths: `states` has shape (n_paths, n_steps + 1), and
+    `states[p, k]` is path p at `times[k]`."""
 
     times: np.ndarray
     states: np.ndarray
     seed: int
-    state_dim: int
 
     @property
     def n_paths(self):
@@ -63,13 +62,13 @@ class ForwardTrajectoryBatch:
         return self.states[:, -1]
 
 
-def _path_increments(seed, n_paths, n_steps, noise_dim, dt):
-    out = np.empty((n_paths, n_steps, noise_dim))
+def _path_increments(seed, n_paths, n_steps, dt):
+    out = np.empty((n_paths, n_steps))
     root = math.sqrt(dt)
     for p in range(n_paths):
         bits = np.random.Philox(key=np.array([seed & _U64, p], dtype=np.uint64))
         gen = np.random.Generator(bits)
-        out[p] = gen.standard_normal((n_steps, noise_dim)) * root
+        out[p] = gen.standard_normal(n_steps) * root
     return out
 
 
@@ -85,48 +84,38 @@ def simulate_paths(
     """Simulate Euler paths of the controlled state on [t0, horizon].
 
     `controls` is the (u, v) pair held on every path, which must sit on the
-    control grids; None picks the first point of each grid.  For
-    state_dim == 1 the coefficient callables receive the whole (n_paths,)
-    state array and must broadcast; for larger state_dim they receive
-    (n_paths, state_dim) and must return matching (..., state_dim) drifts
-    and (..., state_dim, noise_dim) diffusions.
+    control grids; None picks the first point of each grid.  The
+    coefficient callables receive the whole (n_paths,) state array of a
+    time level and must broadcast; sigma may come back in any shape
+    `model.sigma_rows` accepts.
     """
     if not (0.0 <= t0 < spec.horizon):
         raise ValueError(f"t0 = {t0} outside [0, {spec.horizon})")
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need at least one path and one step")
     u, v = spec.control_pair(controls)
-    n, d = spec.state_dim, spec.noise_dim
     dt = (spec.horizon - t0) / n_steps
     times = t0 + dt * np.arange(n_steps + 1)
 
-    states = np.empty((n_paths, n_steps + 1, n))
-    x0 = np.asarray(x0, dtype=float)
-    states[:, 0, :] = x0.reshape(1, -1) if x0.ndim <= 1 else x0
+    states = np.empty((n_paths, n_steps + 1))
+    states[:, 0] = x0
 
-    dw = _path_increments(seed, n_paths, n_steps, d, dt)
+    dw = _path_increments(seed, n_paths, n_steps, dt)
     co = spec.coefficients
     for k in range(n_steps):
         t = float(times[k])
-        x = states[:, k, :]
-        x_arg = x[:, 0] if n == 1 else x
-        b = np.asarray(co.b(t, x_arg, u, v), dtype=float)
-        if n == 1:
-            drift = np.broadcast_to(b.reshape(-1, 1) if b.ndim else b, (n_paths, 1))
-        else:
-            drift = np.broadcast_to(b, (n_paths, n))
-        rows = sigma_rows(co, t, x_arg, u, v, d).reshape(n_paths, n, d)
-        states[:, k + 1, :] = x + drift * dt + np.einsum("pnd,pd->pn", rows, dw[:, k, :])
+        x = states[:, k]
+        drift = np.broadcast_to(np.asarray(co.b(t, x, u, v), dtype=float), x.shape)
+        sig = sigma_rows(co, t, x, u, v)
+        states[:, k + 1] = x + drift * dt + sig * dw[:, k]
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("nonfinite state encountered during simulation")
-    out = states[:, :, 0] if n == 1 else states
-    return ForwardTrajectoryBatch(times=times, states=out, seed=seed, state_dim=n)
+    return ForwardTrajectoryBatch(times=times, states=states, seed=seed)
 
 
 @dataclasses.dataclass(frozen=True)
 class RecombiningLattice:
-    """Trinomial chain of one control pair over the time levels of a grid
-    (scalar state).
+    """Trinomial chain of one control pair over the time levels of a grid.
 
     `controls` is the (u, v) pair whose dynamics the chain follows.  Step j
     runs from times[j] to times[j+1].  Node values at step j are
@@ -178,11 +167,6 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
     transition probability would be below -1e-12, reporting the worst node
     and, when shrinking the step helps, the largest admissible dt.
     """
-    if spec.state_dim != 1:
-        raise ValueError(
-            "the lattice implementation covers scalar state only;"
-            " higher-dimensional problems need a product construction"
-        )
     dt, dx = grid.dt, grid.dx
     s0 = int(round(t0 / dt))
     if abs(s0 * dt - t0) > 1e-9 * max(1.0, abs(t0)) or not 0 <= s0 < grid.nt:
@@ -205,8 +189,8 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         count = counts[j]
         x = grid.x_min + dx * (lo + np.arange(count))
         b = np.broadcast_to(np.asarray(co.b(t, x, u, v), dtype=float), x.shape)
-        rows = sigma_rows(co, t, x, u, v, spec.noise_dim)
-        s2 = np.einsum("ij,ij->i", rows, rows)
+        sig = sigma_rows(co, t, x, u, v)
+        s2 = sig * sig
         nu = b * (dt / dx)
         shift = np.rint(nu).astype(np.int64)
         resid = nu - shift
@@ -313,17 +297,8 @@ def check_forward_estimates(
     term_ratios = np.empty_like(offsets)
     a = simulate_paths(spec, t0, base_state, n_paths, n_steps, seed, controls)
     for i, delta in enumerate(offsets):
-        shifted = (
-            base_state + delta
-            if spec.state_dim == 1
-            else np.asarray(base_state, dtype=float) + np.eye(spec.state_dim)[0] * delta
-        )
-        b = simulate_paths(spec, t0, shifted, n_paths, n_steps, seed, controls)
-        diff = a.states - b.states
-        if spec.state_dim > 1:
-            dist = np.sqrt(np.sum(np.square(diff), axis=2))
-        else:
-            dist = np.abs(diff)
+        b = simulate_paths(spec, t0, base_state + delta, n_paths, n_steps, seed, controls)
+        dist = np.abs(a.states - b.states)
         sup_ratios[i] = float(np.mean(np.max(dist, axis=1) ** 2)) / delta ** 2
         term_ratios[i] = float(np.mean(dist[:, -1] ** 2)) / delta ** 2
     finite = bool(np.all(np.isfinite(sup_ratios)) and np.all(sup_ratios > 0))

@@ -10,7 +10,7 @@ picks u from a finite grid and maximizes, player II picks v and minimizes.
 
 The two Hamiltonians evaluated here are the pointwise
 
-    H_lower(t,x,y,q,X) = max_u min_v { 1/2 tr(sigma sigma^T X) + q.b + f(t,x,y,q.sigma,u,v) }
+    H_lower(t,x,y,q,X) = max_u min_v { 1/2 sigma^2 X + q b + f(t,x,y,q sigma,u,v) }
     H_upper(t,x,y,q,X) = min_v max_u { same integrand }
 
 H_lower <= H_upper always; equality of the two tables is what makes the game
@@ -18,10 +18,10 @@ have a value, and `isaacs_condition_check` measures the gap by sampling.
 
 Conventions used across the package:
 
-  * coefficient callables take (t, x, u, v), the driver takes (t, x, y, z, u, v)
-  * for state_dim == 1 the x (and z when noise_dim == 1) arguments are scalars
-    or numpy arrays and the callables must broadcast elementwise;
-    for state_dim > 1 they receive vectors of shape (state_dim,)
+  * one equation: the state x, the Brownian motion B and z are scalars
+  * coefficient callables take (t, x, u, v), the driver takes (t, x, y, z, u, v);
+    x and z are floats or numpy arrays and the callables must broadcast
+    elementwise
   * `lipschitz` bounds the x-Lipschitz constant of every coefficient,
     `driver_lipschitz` bounds the (y, z)-Lipschitz constant of the driver
 
@@ -94,14 +94,10 @@ class ProblemSpec:
     coefficients: CoefficientSet
     controls_i: ControlGrid
     controls_ii: ControlGrid
-    state_dim: int = 1
-    noise_dim: int = 1
 
     def __post_init__(self):
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive and finite")
-        if self.state_dim < 1 or self.noise_dim < 1:
-            raise ValueError("state_dim and noise_dim must be >= 1")
 
     def control_pairs(self):
         for u in self.controls_i.points:
@@ -318,37 +314,13 @@ def _lifted(fn, delta):
 
 @dataclasses.dataclass(frozen=True)
 class HamiltonianInput:
-    """Point at which a Hamiltonian is evaluated.
-
-    The second-order argument is symmetrized on entry; `asymmetry` records
-    the largest entry of (H - H^T)/2 that was discarded.
-    """
+    """Point (t, x, y, q, X) at which a Hamiltonian is evaluated."""
 
     t: float
-    x: np.ndarray
+    x: float
     y: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-    asymmetry: float = 0.0
-
-    def __init__(self, t, x, y, gradient, hessian):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        gradient = np.atleast_1d(np.asarray(gradient, dtype=float))
-        hessian = np.atleast_2d(np.asarray(hessian, dtype=float))
-        if hessian.shape != (x.size, x.size) or gradient.shape != x.shape:
-            raise ValueError(
-                f"shape mismatch: x {x.shape}, gradient {gradient.shape},"
-                f" hessian {hessian.shape}"
-            )
-        sym = 0.5 * (hessian + hessian.T)
-        object.__setattr__(self, "t", float(t))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", float(y))
-        object.__setattr__(self, "gradient", gradient)
-        object.__setattr__(self, "hessian", sym)
-        object.__setattr__(
-            self, "asymmetry", float(np.max(np.abs(hessian - sym))) if x.size else 0.0
-        )
+    gradient: float
+    hessian: float
 
 
 class HamiltonianValue(NamedTuple):
@@ -388,91 +360,38 @@ class IsaacsReport:
     worst: HamiltonianInput | None
 
 
-def _scalar_state(spec, x):
-    # state_dim 1 callables are written elementwise, hand them plain floats
-    return float(x[0]) if spec.state_dim == 1 else x
+def _at_state(fn, t, x, u, v, name):
+    """fn(t, x, u, v) at one scalar state, read as a float."""
+    raw = np.asarray(fn(t, x, u, v), dtype=float)
+    if raw.size != 1:
+        raise CoefficientError(f"{name} returned shape {raw.shape} at one state")
+    return float(raw.reshape(()))
 
 
-def _sigma_matrix(spec, t, x, u, v):
-    raw = spec.coefficients.sigma(t, _scalar_state(spec, x), u, v)
-    return _sigma_block(raw, 1, spec.state_dim, spec.noise_dim)[0]
+def sigma_rows(coefficients, t, x, u, v):
+    """Evaluate sigma on the scalar states x, shape (count,); returns x.shape.
 
-
-def _drift_vector(spec, t, x, u, v):
-    raw = np.asarray(spec.coefficients.b(t, _scalar_state(spec, x), u, v), dtype=float)
-    if raw.ndim == 0:
-        raw = raw.reshape(1)
-    if raw.shape != (spec.state_dim,):
-        raise CoefficientError(
-            f"b shape {raw.shape} does not match ({spec.state_dim},)"
-        )
-    return raw
-
-
-def _sigma_block(raw, count, n, d):
-    """Read sigma evaluated at `count` states as a (count, n, d) block.
-
-    Accepted: a scalar (n = d = 1 only), an (n, d) matrix shared by every
-    state, or the full block; for scalar state (n = 1) also one value per
-    state (d = 1 only), one row of d entries shared by every state, or a
-    (count, d) array.  A 1-d result of length count is read as per-state
-    values first.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim == 0:
-        if n != 1 or d != 1:
-            raise CoefficientError(
-                f"sigma returned a scalar but state_dim = {n}, noise_dim = {d};"
-                f" return the full matrix instead"
-            )
-        return np.broadcast_to(raw, (count, 1, 1))
-    if n == 1:
-        if raw.shape == (count,):
-            if d != 1:
-                raise CoefficientError(
-                    f"sigma returned per-node scalars but noise_dim = {d}"
-                )
-            return raw.reshape(count, 1, 1)
-        if raw.shape == (d,):
-            return np.broadcast_to(raw, (count, 1, d))
-        if raw.shape == (count, d):
-            return raw.reshape(count, 1, d)
-    if raw.shape == (n, d):
-        return np.broadcast_to(raw, (count, n, d))
-    if raw.shape == (count, n, d):
-        return raw
-    raise CoefficientError(
-        f"cannot interpret sigma shape {raw.shape} for {count} state(s)"
-        f" with state_dim {n}, noise_dim {d}"
-    )
-
-
-def sigma_rows(coefficients, t, x, u, v, noise_dim):
-    """Evaluate sigma on a batch of states; returns shape x.shape + (noise_dim,).
-
-    x holds scalar states, shape (count,), or vector states, shape
-    (count, state_dim).  Coefficients are written elementwise and may come
-    back in any shape `_sigma_block` accepts; this normalizes them.
+    Coefficients are written elementwise and may come back as one value
+    shared by every state, shape (), (1,) or (1, 1), or as one value per
+    state, shape (count,), (count, 1) or (count, 1, 1).
     """
     x = np.asarray(x, dtype=float)
-    n = 1 if x.ndim == 1 else x.shape[1]
-    block = _sigma_block(coefficients.sigma(t, x, u, v), x.shape[0], n, noise_dim)
-    return block.reshape(x.shape + (noise_dim,))
+    raw = np.asarray(coefficients.sigma(t, x, u, v), dtype=float)
+    if raw.shape in ((), (1,), (1, 1)):
+        return np.broadcast_to(raw.reshape(()), x.shape)
+    if raw.shape in (x.shape, x.shape + (1,), x.shape + (1, 1)):
+        return raw.reshape(x.shape)
+    raise CoefficientError(
+        f"cannot interpret sigma shape {raw.shape} for {x.shape[0]} state(s)"
+    )
 
 
 def _integrand(spec, point, u, v):
-    sig = _sigma_matrix(spec, point.t, point.x, u, v)
-    b = _drift_vector(spec, point.t, point.x, u, v)
-    z = point.gradient @ sig
-    z_arg = float(z[0]) if spec.noise_dim == 1 else z
-    fval = spec.coefficients.driver(
-        point.t, _scalar_state(spec, point.x), point.y, z_arg, u, v
-    )
-    val = (
-        0.5 * float(np.trace(sig @ sig.T @ point.hessian))
-        + float(point.gradient @ b)
-        + float(fval)
-    )
+    co = spec.coefficients
+    sig = _at_state(co.sigma, point.t, point.x, u, v, "sigma")
+    b = _at_state(co.b, point.t, point.x, u, v, "b")
+    f = float(co.driver(point.t, point.x, point.y, point.gradient * sig, u, v))
+    val = 0.5 * (sig * sig * point.hessian) + point.gradient * b + f
     if not math.isfinite(val):
         raise CoefficientError(
             f"nonfinite integrand at t={point.t}, x={point.x}, controls ({u!r}, {v!r})"
@@ -520,18 +439,17 @@ def isaacs_condition_check(spec, samples=64, seed=0, radius=2.0, tolerance=1e-9)
     sampled set and the game value computations may be expected to agree.
     """
     rng = np.random.default_rng(seed)
-    n = spec.state_dim
     worst = None
     max_gap = -math.inf
     total = 0.0
     for _ in range(samples):
-        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        a = rng.uniform(-1.0, 1.0)
         point = HamiltonianInput(
             t=rng.uniform(0.0, spec.horizon),
-            x=rng.uniform(-radius, radius, size=n),
+            x=rng.uniform(-radius, radius),
             y=rng.uniform(-radius, radius),
-            gradient=rng.uniform(-radius, radius, size=n),
-            hessian=a + a.T,
+            gradient=rng.uniform(-radius, radius),
+            hessian=2.0 * a,
         )
         gap = hamiltonian_upper(spec, point).value - hamiltonian_lower(spec, point).value
         total += gap
@@ -546,10 +464,6 @@ def isaacs_condition_check(spec, samples=64, seed=0, radius=2.0, tolerance=1e-9)
         satisfied=max_gap <= tolerance,
         worst=worst,
     )
-
-
-def _norm(arr):
-    return float(np.sqrt(np.sum(np.square(np.asarray(arr, dtype=float)))))
 
 
 def validate_problem(spec, samples=200, seed=0, radius=3.0, tolerance=1e-8):
@@ -570,19 +484,14 @@ def validate_problem(spec, samples=200, seed=0, radius=3.0, tolerance=1e-8):
     """
     rng = np.random.default_rng(seed)
     co = spec.coefficients
-    n = spec.state_dim
     T = spec.horizon
     violations = []
     slack = tolerance
-
-    def state(xvec):
-        return float(xvec[0]) if n == 1 else xvec
 
     def record(kind, where, magnitude, detail):
         violations.append(Violation(kind, where, float(magnitude), detail))
 
     pairs = list(spec.control_pairs())
-    zero = np.zeros(n)
 
     # growth baselines at the origin
     base_dyn = 0.0
@@ -592,48 +501,46 @@ def validate_problem(spec, samples=200, seed=0, radius=3.0, tolerance=1e-8):
         for u, v in pairs:
             base_dyn = max(
                 base_dyn,
-                _norm(_drift_vector(spec, t, zero, u, v))
-                + _norm(_sigma_matrix(spec, t, zero, u, v)),
+                abs(_at_state(co.b, t, 0.0, u, v, "b"))
+                + abs(_at_state(co.sigma, t, 0.0, u, v, "sigma")),
             )
-            base_data = max(base_data, abs(float(co.driver(t, state(zero), 0.0, 0.0, u, v))))
+            base_data = max(base_data, abs(float(co.driver(t, 0.0, 0.0, 0.0, u, v))))
         base_data = max(
             base_data,
-            abs(float(co.lower(t, state(zero)))),
-            abs(float(co.upper(t, state(zero)))),
+            abs(float(co.lower(t, 0.0))),
+            abs(float(co.upper(t, 0.0))),
         )
-    base_data = max(base_data, abs(float(co.terminal(state(zero)))))
+    base_data = max(base_data, abs(float(co.terminal(0.0))))
     growth_dyn = co.lipschitz + base_dyn
     growth_data = co.lipschitz + base_data
 
     for u, v in itertools.islice(itertools.cycle(pairs), samples):
         t = float(rng.uniform(0.0, T))
-        xa = rng.uniform(-radius, radius, size=n)
-        xb = rng.uniform(-radius, radius, size=n)
+        xa = float(rng.uniform(-radius, radius))
+        xb = float(rng.uniform(-radius, radius))
         y = float(rng.uniform(-radius, radius))
-        z = float(rng.uniform(-radius, radius)) if spec.noise_dim == 1 else rng.uniform(
-            -radius, radius, size=spec.noise_dim
-        )
-        here = {"t": t, "x": state(xa), "u": u, "v": v}
+        z = float(rng.uniform(-radius, radius))
+        here = {"t": t, "x": xa, "u": u, "v": v}
 
         try:
-            b_a = _drift_vector(spec, t, xa, u, v)
-            b_b = _drift_vector(spec, t, xb, u, v)
-            s_a = _sigma_matrix(spec, t, xa, u, v)
-            s_b = _sigma_matrix(spec, t, xb, u, v)
-            f_a = float(co.driver(t, state(xa), y, z, u, v))
-            f_b = float(co.driver(t, state(xb), y, z, u, v))
-            lo_a = float(co.lower(t, state(xa)))
-            up_a = float(co.upper(t, state(xa)))
-            phi_a = float(co.terminal(state(xa)))
-            phi_b = float(co.terminal(state(xb)))
-            lo_b = float(co.lower(t, state(xb)))
-            up_b = float(co.upper(t, state(xb)))
+            b_a = _at_state(co.b, t, xa, u, v, "b")
+            b_b = _at_state(co.b, t, xb, u, v, "b")
+            s_a = _at_state(co.sigma, t, xa, u, v, "sigma")
+            s_b = _at_state(co.sigma, t, xb, u, v, "sigma")
+            f_a = float(co.driver(t, xa, y, z, u, v))
+            f_b = float(co.driver(t, xb, y, z, u, v))
+            lo_a = float(co.lower(t, xa))
+            up_a = float(co.upper(t, xa))
+            phi_a = float(co.terminal(xa))
+            phi_b = float(co.terminal(xb))
+            lo_b = float(co.lower(t, xb))
+            up_b = float(co.upper(t, xb))
         except CoefficientError as exc:
             record("nonfinite", here, math.inf, str(exc))
             continue
 
         finite_probe = [
-            _norm(b_a), _norm(s_a), f_a, lo_a, up_a, phi_a, f_b, lo_b, up_b, phi_b,
+            abs(b_a), abs(s_a), f_a, lo_a, up_a, phi_a, f_b, lo_b, up_b, phi_b,
         ]
         if not all(math.isfinite(val) for val in finite_probe):
             record("nonfinite", here, math.inf, "coefficient returned nan/inf")
@@ -645,9 +552,9 @@ def validate_problem(spec, samples=200, seed=0, radius=3.0, tolerance=1e-8):
                 f"lower={lo_a} >= upper={up_a}",
             )
 
-        phi_T = float(co.terminal(state(xa)))
-        lo_T = float(co.lower(T, state(xa)))
-        up_T = float(co.upper(T, state(xa)))
+        phi_T = float(co.terminal(xa))
+        lo_T = float(co.lower(T, xa))
+        up_T = float(co.upper(T, xa))
         if phi_T < lo_T - slack or phi_T > up_T + slack:
             record(
                 "terminal_sandwich", here,
@@ -655,12 +562,12 @@ def validate_problem(spec, samples=200, seed=0, radius=3.0, tolerance=1e-8):
                 f"phi={phi_T} outside [{lo_T}, {up_T}] at horizon",
             )
 
-        dist = _norm(xa - xb)
+        dist = abs(xa - xb)
         if dist > 1e-12:
             budget = co.lipschitz * dist + slack * (1.0 + co.lipschitz)
             for name, gap in (
-                ("b", _norm(b_a - b_b)),
-                ("sigma", _norm(s_a - s_b)),
+                ("b", abs(b_a - b_b)),
+                ("sigma", abs(s_a - s_b)),
                 ("driver", abs(f_a - f_b)),
                 ("terminal", abs(phi_a - phi_b)),
                 ("lower", abs(lo_a - lo_b)),
@@ -674,14 +581,9 @@ def validate_problem(spec, samples=200, seed=0, radius=3.0, tolerance=1e-8):
                     )
 
         y2 = float(rng.uniform(-radius, radius))
-        if spec.noise_dim == 1:
-            z2 = float(rng.uniform(-radius, radius))
-            dz = abs(z - z2)
-        else:
-            z2 = rng.uniform(-radius, radius, size=spec.noise_dim)
-            dz = _norm(z - z2)
-        f_y2 = float(co.driver(t, state(xa), y2, z2, u, v))
-        dyz = math.hypot(abs(y - y2), dz)
+        z2 = float(rng.uniform(-radius, radius))
+        f_y2 = float(co.driver(t, xa, y2, z2, u, v))
+        dyz = math.hypot(abs(y - y2), abs(z - z2))
         if dyz > 1e-12:
             gap = abs(f_a - f_y2)
             if gap > co.driver_lipschitz * dyz + slack * (1.0 + co.driver_lipschitz):
@@ -691,15 +593,14 @@ def validate_problem(spec, samples=200, seed=0, radius=3.0, tolerance=1e-8):
                     f" {co.driver_lipschitz}",
                 )
 
-        scale = 1.0 + _norm(xa)
-        dyn = _norm(b_a) + _norm(s_a)
+        scale = 1.0 + abs(xa)
+        dyn = abs(b_a) + abs(s_a)
         if dyn > growth_dyn * scale + slack * (1.0 + growth_dyn):
             record(
                 "growth_dynamics", here, dyn / scale,
                 f"(|b|+|sigma|)/(1+|x|) = {dyn / scale:.6g} exceeds {growth_dyn:.6g}",
             )
-        z0 = 0.0 if spec.noise_dim == 1 else np.zeros(spec.noise_dim)
-        f0 = abs(float(co.driver(t, state(xa), 0.0, z0, u, v)))
+        f0 = abs(float(co.driver(t, xa, 0.0, 0.0, u, v)))
         data = max(f0, abs(phi_a), abs(lo_a), abs(up_a))
         if data > growth_data * scale + slack * (1.0 + growth_data):
             record(

@@ -145,12 +145,10 @@ def _hamiltonian_tables(spec, t, x, w_next, dx):
     for iu, u in enumerate(spec.controls_i.points):
         for iv, v in enumerate(spec.controls_ii.points):
             b = np.broadcast_to(np.asarray(co.b(t, x, u, v), dtype=float), x.shape)
-            rows = sigma_rows(co, t, x, u, v, spec.noise_dim)
-            s2 = np.einsum("ij,ij->i", rows, rows)
-            z = dcentral[:, :, None] * rows
-            z_arg = z[:, :, 0] if spec.noise_dim == 1 else z
+            sig = sigma_rows(co, t, x, u, v)
+            s2 = sig * sig
             fval = np.broadcast_to(
-                np.asarray(co.driver(t, x, w_next, z_arg, u, v), dtype=float),
+                np.asarray(co.driver(t, x, w_next, dcentral * sig, u, v), dtype=float),
                 w_next.shape,
             )
             bp = np.maximum(b, 0.0)
@@ -158,7 +156,7 @@ def _hamiltonian_tables(spec, t, x, w_next, dx):
             tables[iu, iv] = 0.5 * s2 * d2 + bp * dplus + bm * dminus + fval
             max_s2 = max(max_s2, float(np.max(s2)))
             max_b = max(max_b, float(np.max(np.abs(b))))
-            max_smag = max(max_smag, float(np.max(np.abs(rows))))
+            max_smag = max(max_smag, float(np.max(np.abs(sig))))
     return tables, max_s2, max_b, max_smag
 
 
@@ -209,8 +207,6 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
     in a one-row march); the march raises the failure of the first failing
     row, as marching the rows one after another would.
     """
-    if spec.state_dim != 1:
-        raise ValueError("finite-difference solvers cover scalar state only")
     for kind, _, _ in rows:
         if kind not in _REDUCTIONS:
             raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")

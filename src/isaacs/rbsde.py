@@ -159,7 +159,7 @@ def solve_backward(
     dkp_list = [None] * n_levels
     dkm_list = [None] * n_levels
     y_list[-1] = y_cur
-    z_list[-1] = np.zeros(y_cur.shape + ((spec.noise_dim,) if spec.noise_dim > 1 else ()))
+    z_list[-1] = np.zeros_like(y_cur)
     dkp_list[-1] = np.zeros_like(y_cur)
     dkm_list[-1] = np.zeros_like(y_cur)
     # occupation-weighted E[dK+], E[dK-], lower and upper flatness of step
@@ -180,12 +180,10 @@ def solve_backward(
         var_x = np.einsum("ik,ik->i", probs, (targets - mean_x[:, None]) ** 2)
         cov = np.einsum("ik,ik->i", probs, y_cur[around] * (targets - mean_x[:, None]))
         slope = np.where(var_x > 0.0, cov / np.where(var_x > 0.0, var_x, 1.0), 0.0)
-        rows = sigma_rows(co, t, x, u, v, spec.noise_dim)
-        z = rows * slope[:, None]
-        z_arg = z[:, 0] if spec.noise_dim == 1 else z
+        z = sigma_rows(co, t, x, u, v) * slope
 
         fval = np.broadcast_to(
-            np.asarray(co.driver(t, x, ey, z_arg, u, v), dtype=float), x.shape
+            np.asarray(co.driver(t, x, ey, z, u, v), dtype=float), x.shape
         )
         lo, up = obstacle_rows(co, t, x)
         y_new, dkp, dkm = obstacle_step(ey, fval, dt, lo, up, variant)
@@ -200,7 +198,7 @@ def solve_backward(
         excl = max(excl, float(np.max(dkp * dkm)))
 
         y_list[k] = y_new
-        z_list[k] = z_arg
+        z_list[k] = z
         dkp_list[k] = dkp
         dkm_list[k] = dkm
         y_cur = y_new
@@ -439,8 +437,8 @@ def _estimate_quantities(spec, lattice, perturbation):
     sol_b = solve_backward(spec_b, lattice, controls, mode="two_barrier")
 
     def dz_sq_dt(j):
-        dz = np.asarray(sol.z[j], float) - np.asarray(sol_b.z[j], float)
-        return (dz * dz if dz.ndim == 1 else np.sum(dz * dz, axis=1)) * dt
+        dz = sol.z[j] - sol_b.z[j]
+        return dz * dz * dt
 
     def dk_diff(j):
         return sol.dk_plus[j] - sol.dk_minus[j] - sol_b.dk_plus[j] + sol_b.dk_minus[j]

@@ -239,21 +239,3 @@ def test_forward_estimates_flag_non_lipschitz_dynamics():
     assert not report.passed
     assert report.slope < -1.5
 
-
-def test_vector_state_paths_apply_the_shared_sigma_matrix():
-    # both state components are driven by the first noise only, the second
-    # twice as hard, so from the origin X[1] = 2 X[0] exactly
-    mat = np.array([[1.0, 0.0], [2.0, 0.0]])
-    base = _scalar_spec(lambda t, x, u, v: 0.0 * x, lambda t, x, u, v: mat).coefficients
-    spec = ProblemSpec(
-        horizon=1.0,
-        coefficients=base,
-        controls_i=ControlGrid("u", (0.0,)),
-        controls_ii=ControlGrid("v", (0.0,)),
-        state_dim=2,
-        noise_dim=2,
-    )
-    batch = simulate_paths(spec, 0.0, np.zeros(2), n_paths=16, n_steps=8, seed=3)
-    assert batch.states.shape == (16, 9, 2)
-    assert np.array_equal(batch.states[:, :, 1], 2.0 * batch.states[:, :, 0])
-    assert np.any(batch.states[:, -1, 0] != 0.0)

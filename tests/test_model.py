@@ -158,13 +158,6 @@ def test_seeded_samplers_draw_the_pinned_stream():
     )
 
 
-def test_hamiltonian_input_symmetrizes_and_records_asymmetry():
-    point = HamiltonianInput(t=0.0, x=0.0, y=0.0, gradient=0.0, hessian=1.0)
-    assert point.asymmetry == 0.0
-    with pytest.raises(ValueError, match="shape mismatch"):
-        HamiltonianInput(t=0.0, x=0.0, y=0.0, gradient=(1.0, 2.0), hessian=1.0)
-
-
 def test_builtin_problems_pass_validation():
     for name in ("constant", "dynkin_heat", "bilinear_game", "separable_game"):
         report = validate_problem(builtin(name).spec, samples=60)
@@ -242,47 +235,29 @@ def test_sigma_rows_normalizes_every_supported_shape():
     base = builtin("constant").spec.coefficients
 
     scalar = dataclasses.replace(base, sigma=lambda t, x, u, v: 0.7)
-    rows = sigma_rows(scalar, 0.0, x, 0.0, 0.0, 1)
-    assert rows.shape == (3, 1) and np.all(rows == 0.7)
+    rows = sigma_rows(scalar, 0.0, x, 0.0, 0.0)
+    assert rows.shape == (3,) and np.all(rows == 0.7)
 
     per_node = dataclasses.replace(base, sigma=lambda t, x, u, v: np.asarray(x) * 2.0)
-    rows = sigma_rows(per_node, 0.0, x, 0.0, 0.0, 1)
-    assert np.array_equal(rows[:, 0], x * 2.0)
+    rows = sigma_rows(per_node, 0.0, x, 0.0, 0.0)
+    assert np.array_equal(rows, x * 2.0)
 
-    const_row = dataclasses.replace(base, sigma=lambda t, x, u, v: np.array([0.3, 0.4]))
-    rows = sigma_rows(const_row, 0.0, x, 0.0, 0.0, 2)
-    assert rows.shape == (3, 2) and np.all(rows == np.array([0.3, 0.4]))
-
-    full = dataclasses.replace(
-        base, sigma=lambda t, x, u, v: np.stack([np.asarray(x), 0.0 * np.asarray(x)], axis=1)
-    )
-    rows = sigma_rows(full, 0.0, x, 0.0, 0.0, 2)
-    assert rows.shape == (3, 2) and np.array_equal(rows[:, 0], x)
+    for shape in ((), (1,), (1, 1)):
+        shared = dataclasses.replace(base, sigma=lambda t, x, u, v: np.full(shape, 0.7))
+        rows = sigma_rows(shared, 0.0, x, 0.0, 0.0)
+        assert rows.shape == (3,) and np.all(rows == 0.7), shape
+    for shape in ((3,), (3, 1), (3, 1, 1)):
+        each = dataclasses.replace(base, sigma=lambda t, x, u, v: (x + 1.0).reshape(shape))
+        rows = sigma_rows(each, 0.0, x, 0.0, 0.0)
+        assert np.array_equal(rows, x + 1.0), shape
 
 
 def test_sigma_rows_rejects_ambiguous_shapes():
     base = builtin("constant").spec.coefficients
-    scalar = dataclasses.replace(base, sigma=lambda t, x, u, v: 0.7)
-    with pytest.raises(CoefficientError, match="noise_dim"):
-        sigma_rows(scalar, 0.0, np.zeros(3), 0.0, 0.0, 2)
-    bad = dataclasses.replace(base, sigma=lambda t, x, u, v: np.zeros((2, 2, 2)))
-    with pytest.raises(CoefficientError, match="cannot interpret"):
-        sigma_rows(bad, 0.0, np.zeros(3), 0.0, 0.0, 1)
-
-
-def test_sigma_rows_reads_vector_states_as_blocks():
-    x = np.zeros((4, 2))
-    base = builtin("constant").spec.coefficients
-    mat = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 1.0]])
-    shared = dataclasses.replace(base, sigma=lambda t, x, u, v: mat)
-    rows = sigma_rows(shared, 0.0, x, 0.0, 0.0, 3)
-    assert rows.shape == (4, 2, 3) and np.all(rows == mat)
-    block = np.arange(24.0).reshape(4, 2, 3)
-    full = dataclasses.replace(base, sigma=lambda t, x, u, v: block)
-    assert np.array_equal(sigma_rows(full, 0.0, x, 0.0, 0.0, 3), block)
-    scalar = dataclasses.replace(base, sigma=lambda t, x, u, v: 0.7)
-    with pytest.raises(CoefficientError, match="noise_dim"):
-        sigma_rows(scalar, 0.0, x, 0.0, 0.0, 3)
+    for shape in ((2, 2, 2), (2,), (3, 2)):
+        bad = dataclasses.replace(base, sigma=lambda t, x, u, v: np.zeros(shape))
+        with pytest.raises(CoefficientError, match="cannot interpret"):
+            sigma_rows(bad, 0.0, np.zeros(3), 0.0, 0.0)
 
 
 def test_control_grid_and_spec_validation():
