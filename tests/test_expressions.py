@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isaacs.expressions import Expression, ExpressionError, parse_expression
+from isaacs.expressions import MAX_DEPTH, Expression, ExpressionError, parse_expression
 
 
 def test_arithmetic_and_precedence():
@@ -118,3 +118,85 @@ def test_arbitrary_text_parses_or_raises_expression_error(text):
     except ExpressionError:
         return
     assert isinstance(e, Expression)
+
+
+# expression trees: ("num", c), ("x",), (op, a, b) for + - * /, ("^", a, k),
+# ("neg", a) and (name, *args) for abs, exp, min and max
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_CALLS = {"abs": np.abs, "exp": np.exp, "min": np.minimum, "max": np.maximum}
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(sorted(_BINARY)), children, children),
+        st.tuples(st.just("^"), children, st.integers(0, 4)),
+        st.tuples(st.just("neg"), children),
+        st.tuples(st.sampled_from(["abs", "exp"]), children),
+        st.builds(
+            lambda name, args: (name, *args),
+            st.sampled_from(["min", "max"]),
+            st.lists(children, min_size=2, max_size=4),
+        ),
+    )
+
+
+_TREES = st.recursive(
+    st.one_of(st.tuples(st.just("num"), st.floats(0.0, 1e3)), st.just(("x",))),
+    _extend,
+    max_leaves=30,
+)
+
+
+def _print(tree):
+    """Fully parenthesized text of a tree."""
+    kind = tree[0]
+    if kind == "num":
+        return repr(tree[1])
+    if kind == "x":
+        return "x"
+    if kind in _BINARY:
+        return f"({_print(tree[1])} {kind} {_print(tree[2])})"
+    if kind == "^":
+        return f"({_print(tree[1])}^{tree[2]})"
+    if kind == "neg":
+        return f"(-{_print(tree[1])})"
+    return f"{kind}({', '.join(_print(arg) for arg in tree[1:])})"
+
+
+def _evaluate(tree, xs):
+    kind = tree[0]
+    if kind == "num":
+        return tree[1]
+    if kind == "x":
+        return xs
+    if kind in _BINARY:
+        return _BINARY[kind](_evaluate(tree[1], xs), _evaluate(tree[2], xs))
+    if kind == "^":
+        return np.power(_evaluate(tree[1], xs), tree[2])
+    if kind == "neg":
+        return np.negative(_evaluate(tree[1], xs))
+    out = _evaluate(tree[1], xs)
+    for arg in tree[2:]:
+        out = _CALLS[kind](out, _evaluate(arg, xs))
+    return _CALLS[kind](out) if kind in ("abs", "exp") else out
+
+
+def _nesting(tree):
+    """Levels of the parser's nesting bound that the printed tree uses: one
+    per parenthesized group, call or leaf, two for a parenthesized minus."""
+    below = max((_nesting(arg) for arg in tree[1:] if isinstance(arg, tuple)), default=0)
+    return below + (2 if tree[0] == "neg" else 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    tree=_TREES,
+    xs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5).map(np.array),
+)
+def test_printed_trees_evaluate_as_their_numpy_evaluation(tree, xs):
+    assume(_nesting(tree) <= MAX_DEPTH)
+    with np.errstate(all="ignore"):
+        got = parse_expression(_print(tree))(x=xs)
+        want = _evaluate(tree, xs)
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+    np.testing.assert_array_equal(got, want)  # NaN matches NaN
