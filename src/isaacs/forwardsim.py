@@ -11,10 +11,10 @@ Path p therefore sees the same noise regardless of how many paths are
 requested or how the work is scheduled, which is what makes reruns and
 pairwise perturbation studies bit-reproducible.
 
-The lattice is the Markov chain of the same dynamics on
-the spatial nodes of a grid.  One step from node x targets the three nodes
-around x + round(b dt / dx) dx with probabilities chosen so that the step
-mean is exactly x + b dt and the step variance exactly sigma^2 dt:
+The lattice is the Markov chain of the same dynamics on the spatial nodes
+of a grid.  One step from node x targets the three nodes around
+x + round(b dt / dx) dx with probabilities chosen so that the step mean is
+exactly x + b dt and the step variance exactly sigma^2 dt:
 
     nu = b dt / dx,  shift = round(nu),  r = nu - shift
     q  = sigma^2 dt / dx^2 + r^2

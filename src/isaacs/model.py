@@ -133,7 +133,7 @@ class SpaceTimeGrid:
 
     def __post_init__(self):
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValueError(f"x_min and x_max must be finite, got {self.x_min}, {self.x_max}")
+            raise ValueError("x_min and x_max must be finite")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.nx < 3:
@@ -382,7 +382,7 @@ def sigma_rows(coefficients, t, x, u, v):
     if raw.shape in (x.shape, x.shape + (1,), x.shape + (1, 1)):
         return raw.reshape(x.shape)
     raise CoefficientError(
-        f"cannot interpret sigma shape {raw.shape} for {x.shape[0]} state(s)"
+        f"cannot interpret sigma shape {raw.shape} for {x.size} state(s)"
     )
 
 
