@@ -372,11 +372,20 @@ class RunManifest:
     all_passed: bool
 
 
+def _base_lattice(spec, grid, fields):
+    """The lattice of the first control pair on `grid` from t = 0, built on
+    first use and kept in `fields`."""
+    if "lattice" not in fields:
+        fields["lattice"] = forwardsim.build_lattice(spec, 0.0, grid)
+    return fields["lattice"]
+
+
 def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields):
     """Execute one named check; returns a flat dict of JSON-safe numbers.
 
-    `fields` carries the value fields `game_value` solved to later checks of
-    the same run: `dpp` recomposes them instead of solving them again.
+    `fields` carries what one check built to later checks of the same run:
+    `dpp` recomposes the value fields `game_value` solved instead of solving
+    them again, and `comparison` and `estimates` share one base lattice.
     """
     if name == "validate":
         report = validate_problem(spec, seed=seed)
@@ -426,7 +435,7 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             "split_time": lo.split_time,
         }
     if name == "comparison":
-        lattice = forwardsim.build_lattice(spec, 0.0, grid)
+        lattice = _base_lattice(spec, grid, fields)
         lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
         report = rbsde.comparison_check(spec, lifted, lattice, lattice.controls, seed=seed)
         return {
@@ -444,7 +453,9 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             "tolerance": report.tolerance,
         }
     if name == "estimates":
-        report = rbsde.apriori_estimate_check(spec, grid, spec.control_pair())
+        report = rbsde.apriori_estimate_check(
+            spec, grid, spec.control_pair(), base=_base_lattice(spec, grid, fields)
+        )
         out = {"passed": bool(report.passed), "refinement": report.refinement}
         for key, val in report.constants.items():
             out[f"constant_{key}"] = val

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .model import (
     shifted_spec,
     sigma_rows,
 )
+
+_SANDWICH_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,12 +81,90 @@ class RBSDESolution:
         return self.y[0]
 
 
-def _expectation(y_next, center, probs):
-    return (
-        probs[:, 0] * y_next[center - 1]
-        + probs[:, 1] * y_next[center]
-        + probs[:, 2] * y_next[center + 1]
+class _Step(NamedTuple):
+    """What one backward step from level j+1 to level j reads that does not
+    depend on the solved values: the nodes, the transition split into index
+    and probability columns, and the target deviations of the chain."""
+
+    t: float
+    x: np.ndarray
+    below: object  # center - 1, as indices or, when contiguous, a slice
+    center: object
+    above: object  # center + 1
+    p_down: np.ndarray
+    p_stay: np.ndarray
+    p_up: np.ndarray
+    probs: np.ndarray
+    around: np.ndarray  # (n, 3) next-step indices
+    deviation: np.ndarray  # (n, 3) targets minus their mean
+    spread: np.ndarray  # Var(X_{j+1}) > 0
+    var_x: np.ndarray  # Var(X_{j+1}), 1 where it vanishes
+    sigma: np.ndarray
+
+
+def _lattice_step(lattice, co, j, u, v):
+    center, probs = lattice.transition(j)
+    x = lattice.node_values(j)
+    t = float(lattice.times[j])
+    around = center[:, None] + (-1, 0, 1)
+    targets = lattice.node_values(j + 1)[around]
+    mean_x = np.einsum("ik,ik->i", probs, targets)
+    deviation = targets - mean_x[:, None]
+    var_x = np.einsum("ik,ik->i", probs, deviation ** 2)
+    spread = var_x > 0.0
+    if np.all(np.diff(center) == 1):
+        # one shift for every node: the gathers are plain slices
+        c0 = int(center[0])
+        below, middle, above = (slice(c0 + k, c0 + k + len(center)) for k in (-1, 0, 1))
+    else:
+        below, middle, above = center - 1, center, center + 1
+    return _Step(
+        t=t,
+        x=x,
+        below=below,
+        center=middle,
+        above=above,
+        p_down=probs[:, 0].copy(),
+        p_stay=probs[:, 1].copy(),
+        p_up=probs[:, 2].copy(),
+        probs=probs,
+        around=around,
+        deviation=deviation,
+        spread=spread,
+        var_x=np.where(spread, var_x, 1.0),
+        sigma=sigma_rows(co, t, x, u, v),
     )
+
+
+def _expectation(y_next, step):
+    return (
+        step.p_down * y_next[step.below]
+        + step.p_stay * y_next[step.center]
+        + step.p_up * y_next[step.above]
+    )
+
+
+def _reflected_step(co, variant, dt, u, v, step, y_next, lo, up):
+    """The backward step of the module docstring: (Y_j, Z_j, dK+, dK-)."""
+    ey = _expectation(y_next, step)
+    cov = np.einsum("ik,ik->i", step.probs, y_next[step.around] * step.deviation)
+    z = step.sigma * np.where(step.spread, cov / step.var_x, 0.0)
+    fval = np.broadcast_to(
+        np.asarray(co.driver(step.t, step.x, ey, z, u, v), dtype=float), step.x.shape
+    )
+    y, dkp, dkm = obstacle_step(ey, fval, dt, lo, up, variant)
+    return y, z, dkp, dkm
+
+
+def _contraction_check(co, variant, dt):
+    mu = co.driver_lipschitz
+    pen = max(variant.pen_upper, variant.pen_lower)
+    slope_budget = dt * (mu + pen)
+    if slope_budget >= 1.0:
+        raise ValueError(
+            f"explicit step not contracting: dt*(driver_lipschitz + penalty)"
+            f" = {slope_budget:.6g} >= 1; need dt < {1.0 / (mu + pen):.6g}"
+        )
 
 
 def _occupation(lattice, start_step, end_step, root_index):
@@ -93,10 +174,14 @@ def _occupation(lattice, start_step, end_step, root_index):
     occ[0][root_index] = 1.0
     for j in range(start_step, end_step):
         center, probs = lattice.transition(j)
-        nxt = np.zeros(lattice.counts[j + 1])
         # transposed so that all down moves land first, then stay, then up
-        np.add.at(nxt, (center[:, None] + (-1, 0, 1)).T, (occ[-1][:, None] * probs).T)
-        occ.append(nxt)
+        occ.append(
+            np.bincount(
+                (center[:, None] + (-1, 0, 1)).T.ravel(),
+                weights=(occ[-1][:, None] * probs).T.ravel(),
+                minlength=lattice.counts[j + 1],
+            )
+        )
     return occ
 
 
@@ -110,7 +195,7 @@ def solve_backward(
     start_step=0,
     end_step=None,
     root_index=None,
-    sandwich_tol=1e-9,
+    sandwich_tol=_SANDWICH_TOL,
 ):
     """Run the explicit backward recursion described in the module docstring
     under one fixed control pair.
@@ -131,14 +216,7 @@ def solve_backward(
         )
     dt = float(lattice.times[1] - lattice.times[0])
     co = spec.coefficients
-    mu = co.driver_lipschitz
-    pen = max(variant.pen_upper, variant.pen_lower)
-    slope_budget = dt * (mu + pen)
-    if slope_budget >= 1.0:
-        raise ValueError(
-            f"explicit step not contracting: dt*(driver_lipschitz + penalty)"
-            f" = {slope_budget:.6g} >= 1; need dt < {1.0 / (mu + pen):.6g}"
-        )
+    _contraction_check(co, variant, dt)
 
     controls = spec.control_pair(controls)
     if controls != lattice.controls:
@@ -169,24 +247,9 @@ def solve_backward(
 
     for j in range(end_step - 1, start_step - 1, -1):
         k = j - start_step
-        t = float(lattice.times[j])
-        x = lattice.node_values(j)
-        center, probs = lattice.transition(j)
-        around = center[:, None] + (-1, 0, 1)
-
-        ey = _expectation(y_cur, center, probs)
-        targets = lattice.node_values(j + 1)[around]
-        mean_x = np.einsum("ik,ik->i", probs, targets)
-        var_x = np.einsum("ik,ik->i", probs, (targets - mean_x[:, None]) ** 2)
-        cov = np.einsum("ik,ik->i", probs, y_cur[around] * (targets - mean_x[:, None]))
-        slope = np.where(var_x > 0.0, cov / np.where(var_x > 0.0, var_x, 1.0), 0.0)
-        z = sigma_rows(co, t, x, u, v) * slope
-
-        fval = np.broadcast_to(
-            np.asarray(co.driver(t, x, ey, z, u, v), dtype=float), x.shape
-        )
-        lo, up = obstacle_rows(co, t, x)
-        y_new, dkp, dkm = obstacle_step(ey, fval, dt, lo, up, variant)
+        step = _lattice_step(lattice, co, j, u, v)
+        lo, up = obstacle_rows(co, step.t, step.x)
+        y_new, z, dkp, dkm = _reflected_step(co, variant, dt, u, v, step, y_cur, lo, up)
 
         w = occ[k]
         sums[:, k + 1] = (
@@ -375,82 +438,89 @@ class EstimateReport:
 
 
 def _estimate_quantities(spec, lattice, perturbation):
+    """The three quotients of `apriori_estimate_check` on one lattice.
+
+    One backward walk from the last level to the root carries the
+    two-barrier solves of `spec` and of its perturbed copy side by side,
+    together with every row whose root value the quotients read:
+
+        Snell envelopes   |Y|^2, lower^2, upper^2, |Y - Y'|^2
+        path-sum moments  E[S] and E[S^2] of S_j = g_j + S_{j+1}, for the
+                          terminal square (S_N = phi^2, g = 0), the driver
+                          at zero (g = |f(., 0, 0)| dt), the Z difference
+                          (g = |Z - Z'|^2 dt) and the reflection difference
+                          (g = dK+ - dK- - dK+' + dK-')
+
+    Only the rows of the current level are kept: the walk stores no levels
+    and builds no occupation law.  The steps are those of `solve_backward`,
+    which refuses the same data with the same messages.
+    """
     co = spec.coefficients
+    eps = perturbation
+    spec_b = shifted_spec(spec, eps, ("terminal", "driver", "upper"))
+    co_b = spec_b.coefficients
+    variant = Variant.named("two_barrier")
     n_steps = lattice.n_steps
-    u, v = controls = lattice.controls
     dt = float(lattice.times[1] - lattice.times[0])
+    u, v = spec.control_pair(lattice.controls)
+
+    t_end = float(lattice.times[n_steps])
+    x_end = lattice.node_values(n_steps)
+    _contraction_check(co, variant, dt)  # the shifted copy has the same budget
+    y = variant.terminal_row(co, t_end, x_end, None, _SANDWICH_TOL)
+    y_b = variant.terminal_row(co_b, t_end, x_end, None, _SANDWICH_TOL)
+
+    lo, up = obstacle_rows(co, t_end, x_end)
+    snell_y, snell_lo, snell_up, snell_dy = y ** 2, lo ** 2, up ** 2, (y - y_b) ** 2
+    term = snell_y  # E[phi^2] starts from the same squared payoff
+    drive = drive_sq = dz_mean = dk = dk_sq = np.zeros(lattice.counts[n_steps])
+
+    for j in range(n_steps - 1, -1, -1):
+        step = _lattice_step(lattice, co, j, u, v)
+        lo, up = obstacle_rows(co, step.t, step.x)
+        # the perturbed copy shares sigma and the lower obstacle
+        up_b = np.broadcast_to(np.asarray(co_b.upper(step.t, step.x), dtype=float), up.shape)
+        y, z, dkp, dkm = _reflected_step(co, variant, dt, u, v, step, y, lo, up)
+        y_b, z_b, dkp_b, dkm_b = _reflected_step(co_b, variant, dt, u, v, step, y_b, lo, up_b)
+
+        snell_y = np.maximum(y ** 2, _expectation(snell_y, step))
+        snell_lo = np.maximum(lo ** 2, _expectation(snell_lo, step))
+        snell_up = np.maximum(up ** 2, _expectation(snell_up, step))
+        snell_dy = np.maximum((y - y_b) ** 2, _expectation(snell_dy, step))
+        term = _expectation(term, step)
+
+        f0 = co.driver(step.t, step.x, 0.0, 0.0, u, v)
+        g = np.abs(np.broadcast_to(np.asarray(f0, float), step.x.shape)) * dt
+        mean = _expectation(drive, step)
+        drive_sq = g * g + 2.0 * g * mean + _expectation(drive_sq, step)
+        drive = g + mean
+
+        dz = z - z_b
+        dz_mean = dz * dz * dt + _expectation(dz_mean, step)
+
+        g = dkp - dkm - dkp_b + dkm_b
+        mean = _expectation(dk, step)
+        dk_sq = g * g + 2.0 * g * mean + _expectation(dk_sq, step)
+        dk = g + mean
+
     root = lattice.counts[0] // 2
-    zeros = np.zeros(lattice.counts[n_steps])
-
-    def snell(level_fn):
-        cur = level_fn(n_steps)
-        for j in range(n_steps - 1, -1, -1):
-            center, probs = lattice.transition(j)
-            cur = np.maximum(level_fn(j), _expectation(cur, center, probs))
-        return float(cur[root])
-
-    def moments(terminal, increment):
-        """E[S_0] and E[S_0^2] at the root for the path sum along the chain
-
-            S_N = terminal,  S_j = increment(j) + S_{j+1}.
-        """
-        mean = terminal
-        sq = terminal * terminal
-        for j in range(n_steps - 1, -1, -1):
-            center, probs = lattice.transition(j)
-            em = _expectation(mean, center, probs)
-            eq = _expectation(sq, center, probs)
-            g = increment(j)
-            mean = g + em
-            sq = g * g + 2.0 * g * em + eq
-        return float(mean[root]), float(sq[root])
-
-    def obstacles(j):
-        return obstacle_rows(co, float(lattice.times[j]), lattice.node_values(j))
-
-    def f0_dt(j):
-        x = lattice.node_values(j)
-        f0 = co.driver(float(lattice.times[j]), x, 0.0, 0.0, u, v)
-        return np.abs(np.broadcast_to(np.asarray(f0, float), x.shape)) * dt
-
-    sol = solve_backward(spec, lattice, controls, mode="two_barrier")
 
     # size bound: Snell(|Y|^2) against terminal, driver-at-zero and obstacles;
     # the driver enters through the second moment of S_j = sum_{r>=j} |f0| dt
-    lhs_size = snell(lambda j: sol.y[j] ** 2)
-    phi = np.asarray(co.terminal(lattice.node_values(n_steps)), float)
-    term_sq, _ = moments(phi ** 2 + zeros, lambda j: 0.0)
-    _, drive_sq = moments(zeros, f0_dt)
-    snell_lo = snell(lambda j: obstacles(j)[0] ** 2)
-    snell_up = snell(lambda j: obstacles(j)[1] ** 2)
-    rhs_size = term_sq + drive_sq + snell_lo + snell_up
-    const_size = lhs_size / rhs_size if rhs_size > 0 else math.inf
+    rhs_size = (
+        float(term[root]) + float(drive_sq[root]) + float(snell_lo[root]) + float(snell_up[root])
+    )
+    const_size = float(snell_y[root]) / rhs_size if rhs_size > 0 else math.inf
 
     # initial-state stability: difference quotient of Y at the start level
-    y0 = sol.y[0]
-    quot = float(np.max(np.abs(np.diff(y0)))) / lattice.dx
+    quot = float(np.max(np.abs(np.diff(y)))) / lattice.dx
     const_state = quot / max(co.lipschitz, 1e-30)
 
-    # data-perturbation bound: shift terminal, driver and upper obstacle by eps
-    eps = perturbation
-    spec_b = shifted_spec(spec, eps, ("terminal", "driver", "upper"))
-    sol_b = solve_backward(spec_b, lattice, controls, mode="two_barrier")
-
-    def dz_sq_dt(j):
-        dz = sol.z[j] - sol_b.z[j]
-        return dz * dz * dt
-
-    def dk_diff(j):
-        return sol.dk_plus[j] - sol.dk_minus[j] - sol_b.dk_plus[j] + sol_b.dk_minus[j]
-
-    lhs_dy = snell(lambda j: (sol.y[j] - sol_b.y[j]) ** 2)
-    lhs_dz, _ = moments(zeros, dz_sq_dt)
-    _, lhs_dk = moments(zeros, dk_diff)
-
-    # the shifted upper obstacle enters through its square root times bounded
-    # moments, hence the first-order eps term
+    # data-perturbation bound: terminal, driver and upper obstacle shifted by
+    # eps; the shifted upper obstacle enters through its square root times
+    # bounded moments, hence the first-order eps term
     rhs_diff = eps * eps + (spec.horizon * eps) ** 2 + eps
-    const_diff = (lhs_dy + lhs_dz + lhs_dk) / rhs_diff
+    const_diff = (float(snell_dy[root]) + float(dz_mean[root]) + float(dk_sq[root])) / rhs_diff
 
     return {
         "size": const_size,
@@ -465,6 +535,7 @@ def apriori_estimate_check(
     controls,
     perturbation=0.1,
     stability_factor=2.0,
+    base=None,
 ):
     """Measure the implied constants of the a priori bounds and re-measure
     them on a refined grid.
@@ -478,12 +549,33 @@ def apriori_estimate_check(
     dominate.  The check passes when refining the grid moves each quotient
     by at most `stability_factor` either way.
 
+    Each lattice is walked once, from the last level to the root: both
+    reflected solves, the four Snell envelopes and the path-sum moments
+    advance together, and no level is stored.  `base` is the lattice of
+    `controls` on `grid` from t = 0 when it is already built (as the
+    `comparison` check of `isaacs run` builds it); it is built here
+    otherwise.
+
     Refinement halves dx; dt is halved when the pair's lattice still admits
     nonnegative probabilities at the finer spacing and quartered when that
     lattice is infeasible (the report records which); any other error
     propagates.
     """
-    base = build_lattice(spec, 0.0, grid, controls)
+    controls = spec.control_pair(controls)
+    if base is None:
+        base = build_lattice(spec, 0.0, grid, controls)
+    elif (
+        base.controls != controls
+        or base.counts[0] != grid.nx
+        or base.dx != grid.dx
+        or base.origin != grid.x_min
+        or not np.array_equal(base.times, grid.dt * np.arange(grid.nt + 1))
+    ):
+        raise ValueError(
+            f"lattice of pair {base.controls!r} with {base.n_steps} steps and"
+            f" {base.counts[0]} nodes from t = {base.times[0]:.6g} is not the base"
+            f" lattice of pair {controls!r} on this grid"
+        )
     constants = _estimate_quantities(spec, base, perturbation)
 
     def finer(factor_t):

@@ -173,6 +173,32 @@ def test_dpp_after_game_value_reports_what_dpp_alone_reports(tmp_path):
     assert both.checks["dpp"]["residual_lower"] == 0.0
 
 
+def test_comparison_and_estimates_share_one_base_lattice(tmp_path, monkeypatch):
+    from isaacs import forwardsim
+
+    text = "[problem]\nname = dynkin_heat\n\n[grid]\nx_min = -9\nx_max = 9\nnx = 37\nnt = 40\n"
+    config = parse_config(text)
+    alone = {
+        check: run(config, str(tmp_path / check), checks=(check,), quiet=True).checks[check]
+        for check in ("comparison", "estimates")
+    }
+    built = []
+    original = forwardsim.build_lattice
+
+    def counting(spec, t0, grid, *args, **kwargs):
+        built.append((t0, grid))
+        return original(spec, t0, grid, *args, **kwargs)
+
+    monkeypatch.setattr(forwardsim, "build_lattice", counting)
+    monkeypatch.setattr(isaacs.rbsde, "build_lattice", counting)
+    both = run(config, str(tmp_path / "both"), checks=("comparison", "estimates"), quiet=True)
+    _, grid, _ = config.resolve()
+    # the base lattice once, then the one refined lattice the estimates need
+    assert built.count((0.0, grid)) == 1
+    assert len(built) == 2
+    assert both.checks == alone
+
+
 def test_threads_fall_back_to_the_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("ISAACS_THREADS", "3")
     config = parse_config(MINIMAL)

@@ -239,3 +239,54 @@ def test_forward_estimates_flag_non_lipschitz_dynamics():
     assert not report.passed
     assert report.slope < -1.5
 
+
+
+def _composed_forward_estimates(spec, t0, base_state, offsets, n_paths, n_steps, seed, controls):
+    """The forward check rebuilt from one `simulate_paths` call per start."""
+    a = simulate_paths(spec, t0, base_state, n_paths, n_steps, seed, controls)
+    sup, term = [], []
+    for delta in offsets:
+        b = simulate_paths(spec, t0, base_state + delta, n_paths, n_steps, seed, controls)
+        dist = np.abs(a.states - b.states)
+        sup.append(float(np.mean(np.max(dist, axis=1) ** 2)) / delta ** 2)
+        term.append(float(np.mean(dist[:, -1] ** 2)) / delta ** 2)
+    slope = float(np.polyfit(np.log(offsets), np.log(sup), 1)[0])
+    return np.array(sup), np.array(term), slope
+
+
+@pytest.mark.parametrize(
+    "spec, t0, controls",
+    [
+        (
+            _scalar_spec(
+                b=lambda t, x, u, v: 2.0 * np.sin(np.asarray(x, dtype=float)) - t,
+                sigma=lambda t, x, u, v: 0.4 + 0.3 * np.cos(np.asarray(x, dtype=float)),
+            ),
+            0.0,
+            None,
+        ),
+        (builtin("separable_game").spec, 0.3, (1.0, -1.0)),
+    ],
+)
+def test_forward_estimates_equal_the_per_offset_simulations(spec, t0, controls):
+    offsets = (1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1)
+    report = check_forward_estimates(
+        spec, t0=t0, base_state=0.25, offsets=offsets, n_paths=150, n_steps=40, seed=11,
+        controls=controls,
+    )
+    sup, term, slope = _composed_forward_estimates(
+        spec, t0, 0.25, offsets, 150, 40, 11, controls
+    )
+    assert np.array_equal(report.sup_ratios, sup)
+    assert np.array_equal(report.terminal_ratios, term)
+    assert report.slope == slope
+
+
+def test_forward_estimates_validate_like_simulate_paths():
+    spec = builtin("separable_game").spec
+    with pytest.raises(ValueError, match="outside"):
+        check_forward_estimates(spec, t0=1.0, n_paths=4, n_steps=4)
+    with pytest.raises(ValueError, match="at least one path"):
+        check_forward_estimates(spec, n_paths=0, n_steps=4)
+    with pytest.raises(ValueError, match="not on grid"):
+        check_forward_estimates(spec, n_paths=4, n_steps=4, controls=(0.5, 0.0))

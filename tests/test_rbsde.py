@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isaacs.forwardsim import build_lattice
-from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec
+from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec, obstacle_rows, shifted_spec
 from isaacs.pde import SpaceTimeGrid
 from isaacs.problems import builtin
 from isaacs.rbsde import (
     PenalizationSchedule,
+    _estimate_quantities,
+    _occupation,
     apriori_estimate_check,
     backward_semigroup,
     comparison_check,
@@ -405,3 +407,188 @@ def test_penalty_mode_argument_validation():
         solve_backward(spec, lattice, CONTROLS, mode="one_barrier_lower", penalty=-1.0)
     with pytest.raises(ValueError, match="penalty pair"):
         solve_backward(spec, lattice, CONTROLS, mode="penalized", penalty=5.0)
+
+
+# -- the a-priori estimate walk ------------------------------------------
+
+
+def _reference_estimate_quantities(spec, lattice, perturbation):
+    """The three estimate quotients composed from whole solves: two
+    `solve_backward` calls, four Snell envelopes and three moment recursions,
+    each its own backward pass over stored levels.  The streaming walk of
+    `rbsde._estimate_quantities` must reproduce these numbers bitwise."""
+    co = spec.coefficients
+    n_steps = lattice.n_steps
+    u, v = controls = lattice.controls
+    dt = float(lattice.times[1] - lattice.times[0])
+    root = lattice.counts[0] // 2
+    zeros = np.zeros(lattice.counts[n_steps])
+
+    def expectation(y_next, j):
+        center, probs = lattice.transition(j)
+        return (
+            probs[:, 0] * y_next[center - 1]
+            + probs[:, 1] * y_next[center]
+            + probs[:, 2] * y_next[center + 1]
+        )
+
+    def snell(level_fn):
+        cur = level_fn(n_steps)
+        for j in range(n_steps - 1, -1, -1):
+            cur = np.maximum(level_fn(j), expectation(cur, j))
+        return float(cur[root])
+
+    def moments(terminal, increment):
+        mean = terminal
+        sq = terminal * terminal
+        for j in range(n_steps - 1, -1, -1):
+            em = expectation(mean, j)
+            eq = expectation(sq, j)
+            g = increment(j)
+            mean = g + em
+            sq = g * g + 2.0 * g * em + eq
+        return float(mean[root]), float(sq[root])
+
+    def obstacles(j):
+        return obstacle_rows(co, float(lattice.times[j]), lattice.node_values(j))
+
+    def f0_dt(j):
+        x = lattice.node_values(j)
+        f0 = co.driver(float(lattice.times[j]), x, 0.0, 0.0, u, v)
+        return np.abs(np.broadcast_to(np.asarray(f0, float), x.shape)) * dt
+
+    sol = solve_backward(spec, lattice, controls, mode="two_barrier")
+    lhs_size = snell(lambda j: sol.y[j] ** 2)
+    phi = np.asarray(co.terminal(lattice.node_values(n_steps)), float)
+    term_sq, _ = moments(phi ** 2 + zeros, lambda j: 0.0)
+    _, drive_sq = moments(zeros, f0_dt)
+    snell_lo = snell(lambda j: obstacles(j)[0] ** 2)
+    snell_up = snell(lambda j: obstacles(j)[1] ** 2)
+    rhs_size = term_sq + drive_sq + snell_lo + snell_up
+    const_size = lhs_size / rhs_size if rhs_size > 0 else math.inf
+
+    quot = float(np.max(np.abs(np.diff(sol.y[0])))) / lattice.dx
+    const_state = quot / max(co.lipschitz, 1e-30)
+
+    eps = perturbation
+    spec_b = shifted_spec(spec, eps, ("terminal", "driver", "upper"))
+    sol_b = solve_backward(spec_b, lattice, controls, mode="two_barrier")
+    lhs_dy = snell(lambda j: (sol.y[j] - sol_b.y[j]) ** 2)
+    lhs_dz, _ = moments(zeros, lambda j: (sol.z[j] - sol_b.z[j]) ** 2 * dt)
+    _, lhs_dk = moments(
+        zeros,
+        lambda j: sol.dk_plus[j] - sol.dk_minus[j] - sol_b.dk_plus[j] + sol_b.dk_minus[j],
+    )
+    rhs_diff = eps * eps + (spec.horizon * eps) ** 2 + eps
+    const_diff = (lhs_dy + lhs_dz + lhs_dk) / rhs_diff
+    return {"size": const_size, "state_lipschitz": const_state, "perturbation": const_diff}
+
+
+def _drifting_spec():
+    """dynkin_heat's tents under the bounded drift 6 tanh(x), with a driver
+    that reads y and z: on a grid with b dt / dx up to 0.6 the lattice's
+    shift varies by node, so the transition centers are not contiguous."""
+    spec = builtin("dynkin_heat").spec
+    co = dataclasses.replace(
+        spec.coefficients,
+        b=lambda t, x, u, v: 6.0 * np.tanh(np.asarray(x, dtype=float)),
+        sigma=lambda t, x, u, v: np.ones_like(np.asarray(x, dtype=float)),
+        driver=lambda t, x, y, z, u, v: 0.3 * np.sin(np.asarray(x, dtype=float))
+        - 0.2 * y
+        + 0.1 * np.tanh(z),
+        driver_lipschitz=0.3,
+    )
+    return dataclasses.replace(spec, coefficients=co)
+
+
+_DRIFT_GRID = SpaceTimeGrid(-4.0, 4.0, 41, 50, 1.0)
+
+_ESTIMATE_CASES = {
+    "dynkin_heat": (builtin("dynkin_heat").spec, SpaceTimeGrid(-9.0, 9.0, 37, 40, 1.0)),
+    "separable_game": (
+        builtin("separable_game").spec,
+        SpaceTimeGrid(-6.0, 6.0, 41, 40, 1.0),
+    ),
+    "bilinear_game": (builtin("bilinear_game").spec, SpaceTimeGrid(-2.0, 2.0, 21, 32, 1.0)),
+    "drifting": (_drifting_spec(), _DRIFT_GRID),
+}
+
+
+def test_the_drifting_lattice_has_node_varying_shifts():
+    spec, grid = _ESTIMATE_CASES["drifting"]
+    lattice = build_lattice(spec, 0.0, grid)
+    center, _ = lattice.transition(0)
+    assert len(np.unique(np.diff(center))) > 1
+
+
+@pytest.mark.parametrize("case", sorted(_ESTIMATE_CASES))
+def test_estimate_walk_equals_the_solve_composition_bitwise(case):
+    spec, grid = _ESTIMATE_CASES[case]
+    for pair in spec.control_pairs():
+        lattice = build_lattice(spec, 0.0, grid, pair)
+        for eps in (0.1, 0.37):
+            walk = _estimate_quantities(spec, lattice, eps)
+            assert walk == _reference_estimate_quantities(spec, lattice, eps), (pair, eps)
+
+
+def test_estimate_walk_refuses_what_solve_backward_refuses():
+    spec, lattice = _ramp_spec(), _ramp_lattice()
+    high = dataclasses.replace(
+        spec, coefficients=dataclasses.replace(spec.coefficients, terminal=lambda x: 2.0 + 0.0 * x)
+    )
+    with pytest.raises(ValueError, match="exceed the upper obstacle"):
+        solve_backward(high, lattice, CONTROLS)
+    with pytest.raises(ValueError, match="exceed the upper obstacle"):
+        _estimate_quantities(high, lattice, 0.1)
+    steep = dataclasses.replace(
+        spec, coefficients=dataclasses.replace(spec.coefficients, driver_lipschitz=150.0)
+    )
+    with pytest.raises(ValueError, match="not contracting"):
+        solve_backward(steep, lattice, CONTROLS)
+    with pytest.raises(ValueError, match="not contracting"):
+        _estimate_quantities(steep, lattice, 0.1)
+
+
+def _add_at_occupation(lattice, start_step, end_step, root_index):
+    occ = [np.zeros(lattice.counts[start_step])]
+    occ[0][root_index] = 1.0
+    for j in range(start_step, end_step):
+        center, probs = lattice.transition(j)
+        nxt = np.zeros(lattice.counts[j + 1])
+        np.add.at(nxt, (center[:, None] + (-1, 0, 1)).T, (occ[-1][:, None] * probs).T)
+        occ.append(nxt)
+    return occ
+
+
+@pytest.mark.parametrize("steps", [(0, None, None), (7, 41, 3)])
+def test_occupation_rows_equal_the_add_at_accumulation(steps):
+    spec, grid = _ESTIMATE_CASES["drifting"]
+    lattice = build_lattice(spec, 0.0, grid)
+    start, end, root = steps
+    end = lattice.n_steps if end is None else end
+    root = lattice.counts[start] // 2 if root is None else root
+    got = _occupation(lattice, start, end, root)
+    want = _add_at_occupation(lattice, start, end, root)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_given_base_lattice_reports_what_a_built_one_reports():
+    spec, grid = _ESTIMATE_CASES["drifting"]
+    built = apriori_estimate_check(spec, grid, CONTROLS)
+    given_ = apriori_estimate_check(
+        spec, grid, CONTROLS, base=build_lattice(spec, 0.0, grid, CONTROLS)
+    )
+    assert given_ == built
+
+
+def test_a_base_lattice_that_does_not_fit_is_refused():
+    spec = builtin("separable_game").spec
+    grid = SpaceTimeGrid(-6.0, 6.0, 41, 40, 1.0)
+    other_pair = build_lattice(spec, 0.0, grid, (0.0, 0.0))
+    other_times = build_lattice(spec, 0.0, SpaceTimeGrid(-6.0, 6.0, 41, 80, 1.0))
+    other_nodes = build_lattice(spec, 0.0, SpaceTimeGrid(-6.0, 6.0, 21, 40, 1.0))
+    late = build_lattice(spec, 0.5, grid)
+    for base in (other_pair, other_times, other_nodes, late):
+        with pytest.raises(ValueError, match="is not the base lattice"):
+            apriori_estimate_check(spec, grid, spec.control_pair(), base=base)
