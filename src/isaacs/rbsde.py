@@ -83,18 +83,15 @@ class RBSDESolution:
 
 class _Step(NamedTuple):
     """What one backward step from level j+1 to level j reads that does not
-    depend on the solved values: the nodes, the transition split into index
-    and probability columns, and the target deviations of the chain."""
+    depend on the solved values: the nodes, the transition's index columns
+    and probabilities, and the target deviations of the chain."""
 
     t: float
     x: np.ndarray
-    below: object  # center - 1, as indices or, when contiguous, a slice
-    center: object
-    above: object  # center + 1
-    p_down: np.ndarray
-    p_stay: np.ndarray
-    p_up: np.ndarray
-    probs: np.ndarray
+    below: np.ndarray  # center - 1
+    center: np.ndarray
+    above: np.ndarray  # center + 1
+    probs: np.ndarray  # (n, 3): down, stay, up
     around: np.ndarray  # (n, 3) next-step indices
     deviation: np.ndarray  # (n, 3) targets minus their mean
     spread: np.ndarray  # Var(X_{j+1}) > 0
@@ -112,21 +109,12 @@ def _lattice_step(lattice, co, j, u, v):
     deviation = targets - mean_x[:, None]
     var_x = np.einsum("ik,ik->i", probs, deviation ** 2)
     spread = var_x > 0.0
-    if np.all(np.diff(center) == 1):
-        # one shift for every node: the gathers are plain slices
-        c0 = int(center[0])
-        below, middle, above = (slice(c0 + k, c0 + k + len(center)) for k in (-1, 0, 1))
-    else:
-        below, middle, above = center - 1, center, center + 1
     return _Step(
         t=t,
         x=x,
-        below=below,
-        center=middle,
-        above=above,
-        p_down=probs[:, 0].copy(),
-        p_stay=probs[:, 1].copy(),
-        p_up=probs[:, 2].copy(),
+        below=center - 1,
+        center=center,
+        above=center + 1,
         probs=probs,
         around=around,
         deviation=deviation,
@@ -138,9 +126,9 @@ def _lattice_step(lattice, co, j, u, v):
 
 def _expectation(y_next, step):
     return (
-        step.p_down * y_next[step.below]
-        + step.p_stay * y_next[step.center]
-        + step.p_up * y_next[step.above]
+        step.probs[:, 0] * y_next[step.below]
+        + step.probs[:, 1] * y_next[step.center]
+        + step.probs[:, 2] * y_next[step.above]
     )
 
 
