@@ -1,13 +1,15 @@
 """Game values, dynamic programming and cross-solver consistency checks.
 
 The lower value solves the double-obstacle equation with the max-min
-Hamiltonian, the upper value with the min-max one.  The max-min never
-exceeds the min-max, so the fields are ordered; when the two Hamiltonians
-agree pointwise the fields coincide and the game has a value.  The checks
-here measure exactly that, plus two structural identities of the backward
-solvers: recomposing a solve at an intermediate time changes nothing, and
-freezing the controls makes the finite-difference and lattice solvers
-approximate the same linear problem.
+Hamiltonian, the upper value with the min-max one, both on the
+finite-difference grid, the only solver here that reduces over the
+controls.  The max-min never exceeds the min-max, so the fields are
+ordered; when the two Hamiltonians agree pointwise the fields coincide and
+the game has a value.  The checks here measure exactly that, plus two
+structural identities of the backward solvers: recomposing a solve at an
+intermediate time changes nothing, and freezing the controls makes the
+finite-difference and lattice solvers approximate the same linear problem,
+which is the one place the lattice meets the game.
 """
 
 from __future__ import annotations
@@ -40,14 +42,12 @@ class GameVerdict:
     has_value: bool
 
 
-def compute_values(spec, grid, cfl_margin=0.9, isaacs_samples=64, seed=0):
+def compute_values(spec, grid, seed=0):
     """Solve both Hamiltonian reductions, in one stacked march, and compare
     them."""
-    lower, upper = pde.solve_lower_and_upper(spec, grid, cfl_margin=cfl_margin)
+    lower, upper = pde.solve_lower_and_upper(spec, grid)
     radius = max(abs(grid.x_min), abs(grid.x_max))
-    isaacs = isaacs_condition_check(
-        spec, samples=isaacs_samples, seed=seed, radius=radius
-    )
+    isaacs = isaacs_condition_check(spec, seed=seed, radius=radius)
     max_gap = float(np.max(np.abs(upper.values - lower.values)))
     order_violation = float(np.max(lower.values - upper.values))
     spread = max(

@@ -178,8 +178,9 @@ def _stability_number(dt, dx, mu, max_s2, max_b, max_smag, penalties):
     return dt * number
 
 
-def cfl_number(spec, grid, penalty=0.0, time_samples=5):
-    """Advisory worst-case stability number for the explicit step.
+def cfl_number(spec, grid, penalty=0.0):
+    """Advisory worst-case stability number for the explicit step, sampled
+    at five evenly spaced times.
 
     Solvers re-measure this level by level; use this to size a grid before
     committing to a long march.
@@ -188,7 +189,7 @@ def cfl_number(spec, grid, penalty=0.0, time_samples=5):
     worst = 0.0
     zeros = np.zeros((1, x.shape[0]))
     mu = spec.coefficients.driver_lipschitz
-    for t in np.linspace(0.0, grid.horizon, time_samples):
+    for t in np.linspace(0.0, grid.horizon, 5):
         tables, *maxima = _hamiltonian_tables(spec, float(t), x, zeros, grid.dx)
         if not np.isfinite(tables).all():
             raise _nonfinite_error(float(t))

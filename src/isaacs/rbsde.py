@@ -16,8 +16,11 @@ residuals are the reflection increments dK+ and dK-, and the discrete
 Skorokhod conditions hold for them as identities, both node by node and
 in the occupation-weighted sums reported on the solution.
 
-Stability of the explicit step requires dt * (driver_lipschitz + max(m, n))
-< 1; the solver refuses to run outside that region.
+Every solve here iterates one walk down the lattice that holds only the
+current level; the comparison and a-priori checks stream through it and
+store no levels.  The walk refuses an explicit step that does not
+contract, dt * (driver_lipschitz + max(m, n)) >= 1, a nonfinite terminal
+row and, at any level, a nonfinite expectation or driver value.
 """
 
 from __future__ import annotations
@@ -132,27 +135,87 @@ def _expectation(y_next, step):
     )
 
 
+def _nodes(value, x):
+    """A coefficient's value as a float row on the nodes x."""
+    return np.broadcast_to(np.asarray(value, dtype=float), x.shape)
+
+
 def _reflected_step(co, variant, dt, u, v, step, y_next, lo, up):
     """The backward step of the module docstring: (Y_j, Z_j, dK+, dK-)."""
     ey = _expectation(y_next, step)
     cov = np.einsum("ik,ik->i", step.probs, y_next[step.around] * step.deviation)
     z = step.sigma * np.where(step.spread, cov / step.var_x, 0.0)
-    fval = np.broadcast_to(
-        np.asarray(co.driver(step.t, step.x, ey, z, u, v), dtype=float), step.x.shape
-    )
+    fval = _nodes(co.driver(step.t, step.x, ey, z, u, v), step.x)
+    if not (np.isfinite(ey).all() and np.isfinite(fval).all()):
+        raise ValueError(f"nonfinite expectation or driver value at t={step.t:.6g}")
     y, dkp, dkm = obstacle_step(ey, fval, dt, lo, up, variant)
     return y, z, dkp, dkm
 
 
-def _contraction_check(co, variant, dt):
-    mu = co.driver_lipschitz
-    pen = max(variant.pen_upper, variant.pen_lower)
-    slope_budget = dt * (mu + pen)
-    if slope_budget >= 1.0:
+def _walk(specs, lattice, controls, variant, terminal=None, start_step=0, end_step=None):
+    """The backward recursion of every spec in `specs` on one lattice.
+
+    Yields (end_step, None, rows) for the terminal level, then (j, step,
+    rows) for each level j down to start_step, where rows[i] = (y, z, dK+,
+    dK-, lo, up) of specs[i] on the step-j nodes.  The lattice-only `_Step`
+    is built once per level; a spec whose sigma, lower or upper is the
+    first spec's callable reuses the first spec's row of it.  Refusals: the
+    step range; for each spec in turn the contraction budget, the pair
+    against the lattice's, and a terminal row (`terminal`, or the payoff
+    when None) outside a clamped obstacle or nonfinite; then, level by
+    level, a nonfinite expectation or driver value.
+    """
+    n_total = lattice.n_steps
+    if end_step is None:
+        end_step = n_total
+    if not 0 <= start_step < end_step <= n_total:
         raise ValueError(
-            f"explicit step not contracting: dt*(driver_lipschitz + penalty)"
-            f" = {slope_budget:.6g} >= 1; need dt < {1.0 / (mu + pen):.6g}"
+            f"bad step range [{start_step}, {end_step}] for a {n_total}-step lattice"
         )
+    dt = float(lattice.times[1] - lattice.times[0])
+    pen = max(variant.pen_upper, variant.pen_lower)
+    t_end = float(lattice.times[end_step])
+    x_end = lattice.node_values(end_step)
+    rows = []
+    for spec in specs:
+        co = spec.coefficients
+        mu = co.driver_lipschitz
+        slope_budget = dt * (mu + pen)
+        if slope_budget >= 1.0:
+            raise ValueError(
+                f"explicit step not contracting: dt*(driver_lipschitz + penalty)"
+                f" = {slope_budget:.6g} >= 1; need dt < {1.0 / (mu + pen):.6g}"
+            )
+        pair = spec.control_pair(controls)
+        if pair != lattice.controls:
+            raise ValueError(
+                f"controls {pair!r} are not the pair {lattice.controls!r}"
+                " the lattice was built for"
+            )
+        y = variant.terminal_row(co, t_end, x_end, terminal, _SANDWICH_TOL)
+        if not np.isfinite(y).all():
+            raise ValueError(f"nonfinite terminal values at t={t_end:.6g}")
+        zeros = [np.zeros_like(y) for _ in range(3)]
+        rows.append((y, *zeros, *obstacle_rows(co, t_end, x_end)))
+    yield end_step, None, rows
+
+    u, v = pair
+    first = specs[0].coefficients
+    for j in range(end_step - 1, start_step - 1, -1):
+        step = _lattice_step(lattice, first, j, u, v)
+        t, x = step.t, step.x
+        lo_first, up_first = obstacle_rows(first, t, x)
+        levels = []
+        for spec, (y, *_) in zip(specs, rows):
+            co = spec.coefficients
+            own = step
+            if co.sigma is not first.sigma:
+                own = step._replace(sigma=sigma_rows(co, t, x, u, v))
+            lo = lo_first if co.lower is first.lower else _nodes(co.lower(t, x), x)
+            up = up_first if co.upper is first.upper else _nodes(co.upper(t, x), x)
+            levels.append((*_reflected_step(co, variant, dt, u, v, own, y, lo, up), lo, up))
+        rows = levels
+        yield j, step, rows
 
 
 def _occupation(lattice, start_step, end_step, root_index):
@@ -183,7 +246,6 @@ def solve_backward(
     start_step=0,
     end_step=None,
     root_index=None,
-    sandwich_tol=_SANDWICH_TOL,
 ):
     """Run the explicit backward recursion described in the module docstring
     under one fixed control pair.
@@ -195,70 +257,37 @@ def solve_backward(
     already sit inside the obstacles there.  Returns an RBSDESolution.
     """
     variant = Variant.named(mode, penalty)
-    n_total = lattice.n_steps
-    if end_step is None:
-        end_step = n_total
-    if not 0 <= start_step < end_step <= n_total:
-        raise ValueError(
-            f"bad step range [{start_step}, {end_step}] for a {n_total}-step lattice"
-        )
-    dt = float(lattice.times[1] - lattice.times[0])
-    co = spec.coefficients
-    _contraction_check(co, variant, dt)
-
-    controls = spec.control_pair(controls)
-    if controls != lattice.controls:
-        raise ValueError(
-            f"controls {controls!r} are not the pair {lattice.controls!r}"
-            " the lattice was built for"
-        )
-    u, v = controls
-    t_end = float(lattice.times[end_step])
-    y_cur = variant.terminal_row(co, t_end, lattice.node_values(end_step), terminal, sandwich_tol)
+    walk = _walk([spec], lattice, controls, variant, terminal, start_step, end_step)
+    end_step, _, ((y, z, dkp, dkm, _, _),) = next(walk)
     if root_index is None:
         root_index = lattice.counts[start_step] // 2
     occ = _occupation(lattice, start_step, end_step, root_index)
 
     n_levels = end_step - start_step + 1
-    y_list = [None] * n_levels
-    z_list = [None] * n_levels
-    dkp_list = [None] * n_levels
-    dkm_list = [None] * n_levels
-    y_list[-1] = y_cur
-    z_list[-1] = np.zeros_like(y_cur)
-    dkp_list[-1] = np.zeros_like(y_cur)
-    dkm_list[-1] = np.zeros_like(y_cur)
+    levels = [None] * n_levels
+    levels[-1] = (y, z, dkp, dkm)
     # occupation-weighted E[dK+], E[dK-], lower and upper flatness of step
     # k in column k + 1, summed in step order by the cumsum below
     sums = np.zeros((4, n_levels))
     excl = 0.0
-
-    for j in range(end_step - 1, start_step - 1, -1):
+    for j, _, ((y, z, dkp, dkm, lo, up),) in walk:
         k = j - start_step
-        step = _lattice_step(lattice, co, j, u, v)
-        lo, up = obstacle_rows(co, step.t, step.x)
-        y_new, z, dkp, dkm = _reflected_step(co, variant, dt, u, v, step, y_cur, lo, up)
-
         w = occ[k]
         sums[:, k + 1] = (
             np.sum(w * dkp),
             np.sum(w * dkm),
-            np.sum(w * (y_new - lo) * dkp),
-            np.sum(w * (up - y_new) * dkm),
+            np.sum(w * (y - lo) * dkp),
+            np.sum(w * (up - y) * dkm),
         )
         excl = max(excl, float(np.max(dkp * dkm)))
+        levels[k] = (y, z, dkp, dkm)
 
-        y_list[k] = y_new
-        z_list[k] = z
-        dkp_list[k] = dkp
-        dkm_list[k] = dkm
-        y_cur = y_new
-
+    y_list, z_list, dkp_list, dkm_list = (list(rows) for rows in zip(*levels))
     kp_mean, km_mean, flat_lo, flat_up = np.cumsum(sums, axis=1)
     return RBSDESolution(
         mode=mode,
         penalty=(variant.pen_upper, variant.pen_lower),
-        controls=controls,
+        controls=spec.control_pair(controls),
         start_step=start_step,
         end_step=end_step,
         times=lattice.times[start_step : end_step + 1],
@@ -283,16 +312,10 @@ def backward_semigroup(spec, lattice, controls, start_step, end_step, values):
     one-slab evolution whose concatenation property the dynamic programming
     checks exercise.  Returns the array of values on the start_step nodes.
     """
-    sol = solve_backward(
-        spec,
-        lattice,
-        controls,
-        mode="two_barrier",
-        terminal=values,
-        start_step=start_step,
-        end_step=end_step,
-    )
-    return sol.y[0]
+    variant = Variant.named("two_barrier")
+    for _, _, rows in _walk([spec], lattice, controls, variant, values, start_step, end_step):
+        pass
+    return rows[0][0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -323,8 +346,6 @@ def comparison_check(
     penalty=None,
     samples=64,
     seed=0,
-    radius=3.0,
-    tolerance=1e-10,
 ):
     """Check Y^a <= Y^b given ordered data (terminal and driver).
 
@@ -335,6 +356,7 @@ def comparison_check(
     checked on every step increment as well: the smaller solution is pushed
     down less at the upper obstacle and up more at the lower one.
     """
+    radius, tolerance = 3.0, 1e-10
     rng = np.random.default_rng(seed)
     ca, cb = spec_a.coefficients, spec_b.coefficients
     slack = 1e-12
@@ -377,23 +399,20 @@ def comparison_check(
             passed=False,
         )
 
-    sol_a = solve_backward(spec_a, lattice, controls, mode=mode, penalty=penalty)
-    sol_b = solve_backward(spec_b, lattice, controls, mode=mode, penalty=penalty)
-    y_viol = max(
-        float(np.max(ya - yb)) for ya, yb in zip(sol_a.y, sol_b.y)
-    )
-    if equal_barriers and mode == "two_barrier":
-        # checked on the per-step increments, which implies the ordering of
-        # the cumulative reflection along every path
-        km_viol = max(
-            float(np.max(da - db)) for da, db in zip(sol_a.dk_minus, sol_b.dk_minus)
-        )
-        kp_viol = max(
-            float(np.max(db - da)) for da, db in zip(sol_a.dk_plus, sol_b.dk_plus)
-        )
-    else:
-        km_viol = -math.inf
-        kp_viol = -math.inf
+    variant = Variant.named(mode, penalty)
+    # checked on the per-step increments, which implies the ordering of the
+    # cumulative reflection along every path
+    reflections = equal_barriers and mode == "two_barrier"
+    y_viol = kp_viol = km_viol = -math.inf
+    # max(new, old) keeps the new value on ties: the walk runs backward, so
+    # this is the first maximum in level order, as over the stored levels
+    for _, _, ((ya, _, kpa, kma, _, _), (yb, _, kpb, kmb, _, _)) in _walk(
+        [spec_a, spec_b], lattice, controls, variant
+    ):
+        y_viol = max(float(np.max(ya - yb)), y_viol)
+        if reflections:
+            km_viol = max(float(np.max(kma - kmb)), km_viol)
+            kp_viol = max(float(np.max(kpb - kpa)), kp_viol)
     return ComparisonReport(
         conclusive=True,
         hypothesis_detail="ok",
@@ -439,46 +458,29 @@ def _estimate_quantities(spec, lattice, perturbation):
                           (g = |Z - Z'|^2 dt) and the reflection difference
                           (g = dK+ - dK- - dK+' + dK-')
 
-    Only the rows of the current level are kept: the walk stores no levels
-    and builds no occupation law.  The steps are those of `solve_backward`,
-    which refuses the same data with the same messages.
+    This is `_walk` over both specs, the walk `solve_backward` takes, with
+    its refusals; it stores no levels and builds no occupation law.
     """
     co = spec.coefficients
     eps = perturbation
     spec_b = shifted_spec(spec, eps, ("terminal", "driver", "upper"))
-    co_b = spec_b.coefficients
-    variant = Variant.named("two_barrier")
-    n_steps = lattice.n_steps
+    u, v = lattice.controls
     dt = float(lattice.times[1] - lattice.times[0])
-    u, v = spec.control_pair(lattice.controls)
+    walk = _walk([spec, spec_b], lattice, lattice.controls, Variant.named("two_barrier"))
 
-    t_end = float(lattice.times[n_steps])
-    x_end = lattice.node_values(n_steps)
-    _contraction_check(co, variant, dt)  # the shifted copy has the same budget
-    y = variant.terminal_row(co, t_end, x_end, None, _SANDWICH_TOL)
-    y_b = variant.terminal_row(co_b, t_end, x_end, None, _SANDWICH_TOL)
-
-    lo, up = obstacle_rows(co, t_end, x_end)
+    _, _, ((y, _, _, _, lo, up), (y_b, *_)) = next(walk)
     snell_y, snell_lo, snell_up, snell_dy = y ** 2, lo ** 2, up ** 2, (y - y_b) ** 2
     term = snell_y  # E[phi^2] starts from the same squared payoff
-    drive = drive_sq = dz_mean = dk = dk_sq = np.zeros(lattice.counts[n_steps])
+    drive = drive_sq = dz_mean = dk = dk_sq = np.zeros(lattice.counts[lattice.n_steps])
 
-    for j in range(n_steps - 1, -1, -1):
-        step = _lattice_step(lattice, co, j, u, v)
-        lo, up = obstacle_rows(co, step.t, step.x)
-        # the perturbed copy shares sigma and the lower obstacle
-        up_b = np.broadcast_to(np.asarray(co_b.upper(step.t, step.x), dtype=float), up.shape)
-        y, z, dkp, dkm = _reflected_step(co, variant, dt, u, v, step, y, lo, up)
-        y_b, z_b, dkp_b, dkm_b = _reflected_step(co_b, variant, dt, u, v, step, y_b, lo, up_b)
-
+    for _, step, ((y, z, dkp, dkm, lo, up), (y_b, z_b, dkp_b, dkm_b, _, _)) in walk:
         snell_y = np.maximum(y ** 2, _expectation(snell_y, step))
         snell_lo = np.maximum(lo ** 2, _expectation(snell_lo, step))
         snell_up = np.maximum(up ** 2, _expectation(snell_up, step))
         snell_dy = np.maximum((y - y_b) ** 2, _expectation(snell_dy, step))
         term = _expectation(term, step)
 
-        f0 = co.driver(step.t, step.x, 0.0, 0.0, u, v)
-        g = np.abs(np.broadcast_to(np.asarray(f0, float), step.x.shape)) * dt
+        g = np.abs(_nodes(co.driver(step.t, step.x, 0.0, 0.0, u, v), step.x)) * dt
         mean = _expectation(drive, step)
         drive_sq = g * g + 2.0 * g * mean + _expectation(drive_sq, step)
         drive = g + mean
@@ -517,14 +519,7 @@ def _estimate_quantities(spec, lattice, perturbation):
     }
 
 
-def apriori_estimate_check(
-    spec,
-    grid,
-    controls,
-    perturbation=0.1,
-    stability_factor=2.0,
-    base=None,
-):
+def apriori_estimate_check(spec, grid, controls, base=None):
     """Measure the implied constants of the a priori bounds and re-measure
     them on a refined grid.
 
@@ -532,10 +527,10 @@ def apriori_estimate_check(
     square of Y against terminal, driver-at-zero and obstacle data), the
     initial-state Lipschitz quotient of Y against the declared state
     constant, and the data-perturbation bound (joint Y / Z / reflection
-    difference against the size of the perturbation).  Running suprema are
+    difference against a perturbation of size 0.1).  Running suprema are
     realized as Snell envelopes on the lattice, which the same inequalities
     dominate.  The check passes when refining the grid moves each quotient
-    by at most `stability_factor` either way.
+    by at most a factor of 2 either way.
 
     Each lattice is walked once, from the last level to the root: both
     reflected solves, the four Snell envelopes and the path-sum moments
@@ -564,6 +559,7 @@ def apriori_estimate_check(
             f" {base.counts[0]} nodes from t = {base.times[0]:.6g} is not the base"
             f" lattice of pair {controls!r} on this grid"
         )
+    perturbation, stability_factor = 0.1, 2.0
     constants = _estimate_quantities(spec, base, perturbation)
 
     def finer(factor_t):

@@ -336,3 +336,24 @@ def test_nonfinite_declared_numbers_are_config_errors(tmp_path, capsys, old, new
     assert new in path.read_text()
     assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, cause",
+    [
+        ("driver = 0", "driver = exp(y^2 * 40)", "nonfinite expectation or driver value at t="),
+        # both checks solve with two barriers, where the infinite payoff at
+        # x = 0 is refused before it is found nonfinite
+        ("terminal = max(0, 1 - abs(x))", "terminal = 1 / x", "exceed the upper obstacle"),
+    ],
+)
+def test_nonfinite_lattice_levels_are_failed_checks(tmp_path, old, new, cause):
+    text = CUSTOM.replace(old, new).replace("0 - 2", "0 - 10").replace("upper = 2", "upper = 10")
+    text = text.replace("nx = 81", "nx = 41")
+    with np.errstate(all="ignore"):
+        manifest = run(parse_config(text), str(tmp_path), checks=("comparison", "estimates"), quiet=True)
+    assert not manifest.all_passed
+    for check in ("comparison", "estimates"):
+        result = manifest.checks[check]
+        assert result["passed"] is False
+        assert result["error"].startswith("ValueError: ") and cause in result["error"], result

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from isaacs.forwardsim import build_lattice
 from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec, obstacle_rows, shifted_spec
 from isaacs.pde import SpaceTimeGrid
-from isaacs.problems import builtin
+from isaacs.problems import builtin, from_expressions
 from isaacs.rbsde import (
+    ComparisonReport,
     PenalizationSchedule,
     _estimate_quantities,
     _occupation,
@@ -592,3 +593,129 @@ def test_a_base_lattice_that_does_not_fit_is_refused():
     for base in (other_pair, other_times, other_nodes, late):
         with pytest.raises(ValueError, match="is not the base lattice"):
             apriori_estimate_check(spec, grid, spec.control_pair(), base=base)
+
+
+# -- the streamed comparison ---------------------------------------------
+
+
+def _reference_comparison(spec_a, spec_b, lattice, mode, penalty, equal_barriers):
+    """`comparison_check`'s report on ordered data, composed from two whole
+    `solve_backward` calls and maxima over their stored levels.  The
+    streamed comparison must reproduce it bitwise."""
+    controls = lattice.controls
+    sol_a = solve_backward(spec_a, lattice, controls, mode=mode, penalty=penalty)
+    sol_b = solve_backward(spec_b, lattice, controls, mode=mode, penalty=penalty)
+    y_viol = max(float(np.max(ya - yb)) for ya, yb in zip(sol_a.y, sol_b.y))
+    if equal_barriers and mode == "two_barrier":
+        km_viol = max(float(np.max(da - db)) for da, db in zip(sol_a.dk_minus, sol_b.dk_minus))
+        kp_viol = max(float(np.max(db - da)) for da, db in zip(sol_a.dk_plus, sol_b.dk_plus))
+    else:
+        km_viol = kp_viol = -math.inf
+    tol = 1e-10
+    return ComparisonReport(
+        conclusive=True,
+        hypothesis_detail="ok",
+        equal_barriers=equal_barriers,
+        max_y_violation=y_viol,
+        max_k_plus_violation=kp_viol,
+        max_k_minus_violation=km_viol,
+        tolerance=tol,
+        passed=(y_viol <= tol and kp_viol <= tol and km_viol <= tol),
+    )
+
+
+_COMPARISON_MODES = [
+    ("two_barrier", None),
+    ("one_barrier_lower", 4.0),
+    ("one_barrier_upper", 4.0),
+    ("plain", None),
+    ("penalized", (2.0, 3.0)),
+]
+
+
+def _rewrapped(spec):
+    """The spec with sigma and both obstacles behind new callables of equal
+    values, so that no row of a walk with `spec` first is shared."""
+    co = spec.coefficients
+    return dataclasses.replace(
+        spec,
+        coefficients=dataclasses.replace(
+            co,
+            sigma=lambda t, x, u, v: co.sigma(t, x, u, v),
+            lower=lambda t, x: co.lower(t, x),
+            upper=lambda t, x: co.upper(t, x),
+        ),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_ESTIMATE_CASES))
+def test_streamed_comparison_equals_the_solve_composition_bitwise(case):
+    spec, grid = _ESTIMATE_CASES[case]
+    lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
+    others = {
+        "equal": (lifted, True),
+        "widened": (shifted_spec(spec, 0.05, ("terminal", "driver", "upper")), False),
+        "rewrapped": (_rewrapped(lifted), True),
+    }
+    for pair in spec.control_pairs():
+        lattice = build_lattice(spec, 0.0, grid, pair)
+        for mode, penalty in _COMPARISON_MODES:
+            for name, (other, equal) in others.items():
+                got = comparison_check(spec, other, lattice, pair, mode=mode, penalty=penalty)
+                want = _reference_comparison(spec, other, lattice, mode, penalty, equal)
+                # repr tells -0.0 from 0.0, which == does not
+                assert repr(got) == repr(want), (pair, mode, name)
+
+        full = solve_backward(spec, lattice, pair)
+        slab = solve_backward(spec, lattice, pair, terminal=full.y[20], start_step=5, end_step=20)
+        head = backward_semigroup(spec, lattice, pair, 5, 20, full.y[20])
+        assert np.array_equal(head, slab.y[0]), pair
+
+
+# -- nonfinite levels ------------------------------------------------------
+
+
+def _hostile_spec(**overrides):
+    """Heat flow between wide flat obstacles, with one coefficient replaced."""
+    texts = dict(
+        horizon=1.0,
+        b="0",
+        sigma="1",
+        driver="0",
+        terminal="max(0, 1 - abs(x))",
+        lower="0 - 10",
+        upper="10",
+        controls_i=(0.0,),
+        controls_ii=(0.0,),
+        lipschitz=1.0,
+        driver_lipschitz=0.0,
+    )
+    return from_expressions(**{**texts, **overrides})
+
+
+_HOSTILE = [
+    # exp(40 y^2) overflows once y leaves [-4.2, 4.2]; the clamp at 10 would
+    # turn the infinite drive into a finite row and an infinite dK-
+    ("two_barrier", {"driver": "exp(y^2 * 40)"}),
+    ("plain", {"driver": "exp(y^2 * 40)"}),
+    # infinite at the node x = 0
+    ("plain", {"terminal": "1 / x"}),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, overrides", _HOSTILE, ids=["exp_driver", "exp_driver_plain", "inverse_payoff_plain"]
+)
+def test_the_walk_refuses_nonfinite_levels(mode, overrides):
+    spec = _hostile_spec(**overrides)
+    lattice = build_lattice(spec, 0.0, SpaceTimeGrid(-4.0, 4.0, 41, 100, 1.0))
+    lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="nonfinite .* at t="):
+            solve_backward(spec, lattice, CONTROLS, mode=mode)
+        with pytest.raises(ValueError, match="nonfinite .* at t="):
+            comparison_check(spec, lifted, lattice, CONTROLS, mode=mode)
+        # the estimates solve with both barriers, where an infinite payoff
+        # already exceeds the upper obstacle
+        with pytest.raises(ValueError):
+            _estimate_quantities(spec, lattice, 0.1)
