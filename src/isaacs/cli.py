@@ -229,6 +229,8 @@ def parse_config(text):
 
     levels = None
     if "penalization" in cp:
+        if "levels" not in cp["penalization"]:
+            raise ConfigError("[penalization] is missing: levels")
         levels = _parse_floats(cp["penalization"]["levels"])
         try:
             PenalizationSchedule(levels)

@@ -78,18 +78,17 @@ class DPPReport:
     passed: bool
 
 
-def dpp_check(
-    spec, grid, kind="lower", split=None, cfl_margin=0.9, tolerance=1e-12, full=None
-):
+def dpp_check(spec, grid, kind="lower", split=None, full=None):
     """Freeze an intermediate level and re-solve the head of the interval.
 
     Solving on the whole interval, taking the level at the split time as
     terminal data, and solving again on the head must reproduce the original
     levels: the backward recursion repeats the same arithmetic on the same
-    numbers, so the residual is exactly zero.  `full` is the whole-interval
-    `kind` field when it is already solved on this grid (as
-    `compute_values` returns it); only the head is marched then.
+    numbers, so the residual is exactly zero (the check allows 1e-12).
+    `full` is the whole-interval `kind` field when it is already solved on
+    this grid (as `compute_values` returns it); only the head is marched.
     """
+    tolerance = 1e-12
     if split is None:
         split_level = grid.nt // 2
         split = split_level * grid.dt
@@ -98,19 +97,14 @@ def dpp_check(
     if not 0 < split_level < grid.nt:
         raise ValueError(f"split {split!r} must be strictly inside the horizon")
     if full is None:
-        full = pde.solve_isaacs_double_obstacle(spec, grid, kind, cfl_margin=cfl_margin)
+        full = pde.solve_isaacs_double_obstacle(spec, grid, kind)
     elif full.label != kind or full.values.shape != (grid.nt + 1, grid.nx):
         raise ValueError(
             f"full field {full.label!r} of shape {full.values.shape} is not the"
             f" whole-interval {kind!r} field on this grid"
         )
     head = pde.solve_isaacs_double_obstacle(
-        spec,
-        grid,
-        kind,
-        terminal=full.values[split_level],
-        t_hi=split,
-        cfl_margin=cfl_margin,
+        spec, grid, kind, terminal=full.values[split_level], t_hi=split
     )
     residual = float(np.max(np.abs(head.values - full.values[: split_level + 1])))
     return DPPReport(
@@ -134,15 +128,15 @@ class CrosscheckReport:
     passed: bool
 
 
-def fixed_control_crosscheck(spec, grid, controls, cfl_margin=0.9, tolerance=None):
+def fixed_control_crosscheck(spec, grid, controls, tolerance=None):
     """Freeze one control pair and solve the resulting linear problem twice.
 
-    With singleton control grids both reductions collapse, and the
-    finite-difference march and the lattice recursion approximate the same
-    reflected solution through different spatial schemes (upwind differences
-    against exact-mean transitions).  Agreement is checked at the initial
-    time on the inner half of the domain, out of reach of either boundary
-    treatment at these horizons.  The default tolerance 5 (dx + dt) at the
+    The finite-difference march runs on singleton control grids, where both
+    reductions collapse, and the lattice recursion on the pair's chain:
+    both approximate the same reflected solution through different spatial
+    schemes (upwind differences against exact-mean transitions).  Agreement
+    is checked at the initial time on the inner half of the domain, out of
+    reach of either boundary treatment at these horizons.  The default tolerance 5 (dx + dt) at the
     field's own scale matches the schemes' first-order disagreement.
     """
     u, v = controls
@@ -151,11 +145,9 @@ def fixed_control_crosscheck(spec, grid, controls, cfl_margin=0.9, tolerance=Non
         controls_i=ControlGrid(spec.controls_i.label, (u,)),
         controls_ii=ControlGrid(spec.controls_ii.label, (v,)),
     )
-    field = pde.solve_isaacs_double_obstacle(
-        frozen, grid, "lower", cfl_margin=cfl_margin
-    )
-    lattice = forwardsim.build_lattice(frozen, 0.0, grid)
-    sol = rbsde.solve_backward(frozen, lattice, (u, v), mode="two_barrier")
+    field = pde.solve_isaacs_double_obstacle(frozen, grid, "lower")
+    lattice = forwardsim.build_lattice(spec, 0.0, grid, (u, v))
+    sol = rbsde.solve_backward(spec, lattice, (u, v))
     y0 = sol.initial_values()
     w0 = field.initial()
     i0, i1 = grid.nx // 4, grid.nx - grid.nx // 4

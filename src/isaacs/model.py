@@ -157,10 +157,10 @@ class SpaceTimeGrid:
     def time_nodes(self):
         return np.linspace(0.0, self.horizon, self.nt + 1)
 
-    def time_level(self, t, tol=1e-9):
+    def time_level(self, t):
         """Index of the time level at t, which must sit on the grid."""
         j = int(round(t / self.dt))
-        if not 0 <= j <= self.nt or abs(j * self.dt - t) > tol * max(1.0, self.horizon):
+        if not 0 <= j <= self.nt or abs(j * self.dt - t) > 1e-9 * max(1.0, self.horizon):
             raise ValueError(
                 f"t={t!r} is not a grid time level (dt={self.dt!r}, nt={self.nt})"
             )
@@ -248,15 +248,14 @@ class Variant:
             return cls(clamp_lower, clamp_upper, pen_upper=m)
         return cls(clamp_lower, clamp_upper, pen_lower=m)
 
-    def terminal_row(self, coefficients, t, x, terminal, tol):
+    def terminal_row(self, coefficients, t, x, terminal):
         """The terminal row on the nodes x at time t: a copy of `terminal`,
         or the payoff when it is None.  Refuses a row whose shape is not that
         of x, or that leaves an obstacle this variant clamps to by more than
-        tol."""
+        1e-9, the one terminal tolerance of both backward solvers."""
+        tol = 1e-9
         if terminal is None:
-            terminal = np.broadcast_to(
-                np.asarray(coefficients.terminal(x), dtype=float), x.shape
-            )
+            terminal = on_nodes(coefficients.terminal(x), x.shape)
         row = np.array(terminal, dtype=float)
         lo, up = obstacle_rows(coefficients, t, x)
         if row.shape != lo.shape:
@@ -268,10 +267,18 @@ class Variant:
         return row
 
 
+def on_nodes(value, shape):
+    """A coefficient's value as a float array of `shape`, broadcast unless it
+    already has that shape; it may be the coefficient's own array, so never
+    write into it."""
+    row = np.asarray(value, dtype=float)
+    return row if row.shape == shape else np.broadcast_to(row, shape)
+
+
 def obstacle_rows(coefficients, t, x):
     """The lower and upper obstacles at time t on the nodes x."""
-    lo = np.broadcast_to(np.asarray(coefficients.lower(t, x), dtype=float), x.shape)
-    up = np.broadcast_to(np.asarray(coefficients.upper(t, x), dtype=float), x.shape)
+    lo = on_nodes(coefficients.lower(t, x), x.shape)
+    up = on_nodes(coefficients.upper(t, x), x.shape)
     return lo, up
 
 
@@ -431,13 +438,14 @@ def hamiltonian_upper(spec, point):
     return best
 
 
-def isaacs_condition_check(spec, samples=64, seed=0, radius=2.0, tolerance=1e-9):
+def isaacs_condition_check(spec, samples=64, seed=0, radius=2.0):
     """Sample Hamiltonian inputs and measure sup (H_upper - H_lower).
 
     The gap is nonnegative up to roundoff by the minimax inequality; a gap
-    within `tolerance` means the two Hamiltonian tables coincide on the
-    sampled set and the game value computations may be expected to agree.
+    within 1e-9 means the two Hamiltonian tables coincide on the sampled
+    set and the game value computations may be expected to agree.
     """
+    tolerance = 1e-9
     rng = np.random.default_rng(seed)
     worst = None
     max_gap = -math.inf
@@ -466,8 +474,9 @@ def isaacs_condition_check(spec, samples=64, seed=0, radius=2.0, tolerance=1e-9)
     )
 
 
-def validate_problem(spec, samples=200, seed=0, radius=3.0, tolerance=1e-8):
-    """Spot-check the structural assumptions on random points.
+def validate_problem(spec, samples=200, seed=0):
+    """Spot-check the structural assumptions on random points of the box
+    |x|, |y|, |z| <= 3, each with a slack of 1e-8.
 
     Checks, each recorded as a Violation on failure:
       * all coefficients finite on the sampled box
@@ -486,7 +495,7 @@ def validate_problem(spec, samples=200, seed=0, radius=3.0, tolerance=1e-8):
     co = spec.coefficients
     T = spec.horizon
     violations = []
-    slack = tolerance
+    radius, slack = 3.0, 1e-8
 
     def record(kind, where, magnitude, detail):
         violations.append(Violation(kind, where, float(magnitude), detail))

@@ -31,7 +31,8 @@ Monotonicity of the explicit step requires roughly
            + mu * (1 + max |sigma| / dx) + penalties ) <= 1
 
 with mu the (y, z)-Lipschitz constant of the driver.  Every solve tracks
-that number level by level and refuses to run past `cfl_margin`.
+that number level by level and refuses to run past the margin 0.9
+(`_CFL_MARGIN`), which the two one-row solvers take as `cfl_margin`.
 
 Rows, each a (reduction, variant) pair, are marched side by side as one
 (rows, nx) stack: b, sigma, the stability maxima and the obstacles do not
@@ -56,8 +57,11 @@ from .model import (
     Variant,
     obstacle_rows,
     obstacle_step,
+    on_nodes,
     sigma_rows,
 )
+
+_CFL_MARGIN = 0.9
 
 
 class CflError(ValueError):
@@ -144,13 +148,10 @@ def _hamiltonian_tables(spec, t, x, w_next, dx):
     max_smag = 0.0
     for iu, u in enumerate(spec.controls_i.points):
         for iv, v in enumerate(spec.controls_ii.points):
-            b = np.broadcast_to(np.asarray(co.b(t, x, u, v), dtype=float), x.shape)
+            b = on_nodes(co.b(t, x, u, v), x.shape)
             sig = sigma_rows(co, t, x, u, v)
             s2 = sig * sig
-            fval = np.broadcast_to(
-                np.asarray(co.driver(t, x, w_next, dcentral * sig, u, v), dtype=float),
-                w_next.shape,
-            )
+            fval = on_nodes(co.driver(t, x, w_next, dcentral * sig, u, v), w_next.shape)
             bp = np.maximum(b, 0.0)
             bm = np.minimum(b, 0.0)
             tables[iu, iv] = 0.5 * s2 * d2 + bp * dplus + bm * dminus + fval
@@ -224,7 +225,7 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
     failures = {}
     for r, (_, variant, _) in enumerate(rows):
         try:
-            values[r][j_hi] = variant.terminal_row(co, j_hi * dt, x, terminal, 1e-9)
+            values[r][j_hi] = variant.terminal_row(co, j_hi * dt, x, terminal)
         except ValueError as exc:
             failures[r] = exc
     live = [r for r in range(len(rows)) if r not in failures]
@@ -279,7 +280,7 @@ def _two_barrier_row(kind):
 
 
 def solve_isaacs_double_obstacle(
-    spec, grid, kind="lower", terminal=None, t_hi=None, cfl_margin=0.9
+    spec, grid, kind="lower", terminal=None, t_hi=None, cfl_margin=_CFL_MARGIN
 ):
     """Both obstacles hard; `kind` picks the Hamiltonian reduction.
 
@@ -290,11 +291,11 @@ def solve_isaacs_double_obstacle(
     return _march(spec, grid, [_two_barrier_row(kind)], terminal, t_hi, cfl_margin)[0]
 
 
-def solve_lower_and_upper(spec, grid, cfl_margin=0.9):
+def solve_lower_and_upper(spec, grid):
     """The lower and upper two-obstacle fields, marched side by side; each
     is bitwise the field `solve_isaacs_double_obstacle` returns for it."""
     rows = [_two_barrier_row("lower"), _two_barrier_row("upper")]
-    lower, upper = _march(spec, grid, rows, None, None, cfl_margin)
+    lower, upper = _march(spec, grid, rows, None, None, _CFL_MARGIN)
     return lower, upper
 
 
@@ -310,7 +311,7 @@ def solve_isaacs_penalized(
     penalty=(0.0, 0.0),
     terminal=None,
     t_hi=None,
-    cfl_margin=0.9,
+    cfl_margin=_CFL_MARGIN,
 ):
     """Penalized variants of the double-obstacle solve.
 
@@ -356,9 +357,10 @@ class ConvergenceReport:
         return last / first
 
 
-def run_penalization_sweep(spec, grid, schedule, kind="lower", cfl_margin=0.9):
-    """March the penalized approximations through a schedule of weights,
-    all levels and the reference side by side in one stacked march.
+def run_penalization_sweep(spec, grid, schedule):
+    """March the penalized approximations of the lower-Hamiltonian field
+    through a schedule of weights, all levels and the reference side by
+    side in one stacked march.
 
     Checks, level by level: the approximation from above decreases, the one
     from below increases, both stay on the correct side of the two-obstacle
@@ -366,11 +368,12 @@ def run_penalization_sweep(spec, grid, schedule, kind="lower", cfl_margin=0.9):
     """
     if not isinstance(schedule, PenalizationSchedule):
         schedule = PenalizationSchedule(tuple(schedule))
+    kind = "lower"
     rows = [_two_barrier_row(kind)]
     for m in schedule:
         rows.append(_penalized_row(kind, "one_barrier_lower", m))
         rows.append(_penalized_row(kind, "one_barrier_upper", m))
-    reference, *penalized = _march(spec, grid, rows, None, None, cfl_margin)
+    reference, *penalized = _march(spec, grid, rows, None, None, _CFL_MARGIN)
     gap_above = []
     gap_below = []
     two_sided = []
@@ -421,7 +424,7 @@ class ResidualReport:
     passed: bool
 
 
-def viscosity_residual(spec, field, kind=None, tolerance=None):
+def viscosity_residual(spec, field):
     """Measure how well a field satisfies the discrete double-obstacle
     equation in complementarity form.
 
@@ -430,20 +433,18 @@ def viscosity_residual(spec, field, kind=None, tolerance=None):
         max( min( -(W_next - W)/dt - H(t, W_next), W - lower ), W - upper )
 
     which vanishes identically for fields produced by the two-obstacle
-    solver and grows like (perturbation / dt) for anything else.  `kind`
-    defaults to the field's label.  The default tolerance 1e-9 / dt admits
+    solver and grows like (perturbation / dt) for anything else.  The
+    field's label names the reduction H.  The tolerance 1e-9 / dt admits
     accumulated roundoff but flags any real perturbation.
     """
-    kind = kind or field.label
-    if kind not in ("lower", "upper"):
+    if field.label not in _REDUCTIONS:
         raise ValueError(
             "residual check covers the two-obstacle fields; got label"
             f" {field.label!r}"
         )
     dt = float(field.times[1] - field.times[0])
     dx = float(field.nodes[1] - field.nodes[0])
-    if tolerance is None:
-        tolerance = 1e-9 / dt
+    tolerance = 1e-9 / dt
     x = field.nodes
     worst = -1.0
     where = (0, 0)
@@ -454,7 +455,7 @@ def viscosity_residual(spec, field, kind=None, tolerance=None):
         tables, _, _, _ = _hamiltonian_tables(spec, t, x, w_next[None], dx)
         if not np.isfinite(tables).all():
             raise _nonfinite_error(t)
-        h = _REDUCTIONS[kind](tables)[0]
+        h = _REDUCTIONS[field.label](tables)[0]
         lo, up = obstacle_rows(spec.coefficients, t, x)
         resid = np.maximum(np.minimum(-(w_next - w) / dt - h, w - lo), w - up)
         k = int(np.argmax(np.abs(resid)))

@@ -46,13 +46,13 @@ def _const(value):
     return lambda t, x: np.full_like(np.asarray(x, dtype=float), value)
 
 
-def constant(level=0.5):
-    """Flat payoff pinned strictly between flat obstacles.
+def constant():
+    """Flat payoff 0.5 pinned strictly between flat obstacles at -0.5 and 1.5.
 
     Every term of the equation vanishes, so the value is the constant itself
     at all times and both reflection processes stay identically zero.
     """
-    c = float(level)
+    c = 0.5
     co = CoefficientSet(
         b=lambda t, x, u, v: np.zeros_like(np.asarray(x, dtype=float)),
         sigma=lambda t, x, u, v: np.ones_like(np.asarray(x, dtype=float)),
@@ -78,16 +78,16 @@ def constant(level=0.5):
     )
 
 
-def transport(speed=1.0):
+def transport():
     """Pure drift with a tent payoff and obstacles too far away to matter.
 
-    The value rides the characteristics: W(t, x) = payoff(x + (T - t) speed).
+    The value rides the characteristics at speed 1: W = payoff(x + T - t).
     The drift is off-node on the default grid, so with zero noise the
     lattice builder refuses it; the problem exists to exercise the
     degenerate-transport paths of the finite-difference scheme and the
     lattice feasibility errors.
     """
-    s = float(speed)
+    s = 1.0
     co = CoefficientSet(
         b=lambda t, x, u, v: np.full_like(np.asarray(x, dtype=float), s),
         sigma=lambda t, x, u, v: np.zeros_like(np.asarray(x, dtype=float)),
@@ -263,14 +263,13 @@ def from_expressions(
     controls_ii,
     lipschitz,
     driver_lipschitz,
-    labels=("u", "v"),
 ):
     """Build a scalar-state problem from mini-language strings.
 
     See the expressions module for the grammar.  Each coefficient may only
     use the variables its role provides: b and sigma see (t, x, u, v), the
     driver sees (t, x, y, z, u, v), the terminal payoff sees x, the
-    obstacles see (t, x).
+    obstacles see (t, x).  The control grids are labelled u and v.
     """
     exprs = {}
     for name, text in (
@@ -305,6 +304,6 @@ def from_expressions(
     return ProblemSpec(
         horizon=float(horizon),
         coefficients=co,
-        controls_i=ControlGrid(labels[0], tuple(float(p) for p in controls_i)),
-        controls_ii=ControlGrid(labels[1], tuple(float(p) for p in controls_ii)),
+        controls_i=ControlGrid("u", tuple(float(p) for p in controls_i)),
+        controls_ii=ControlGrid("v", tuple(float(p) for p in controls_ii)),
     )

@@ -39,11 +39,10 @@ from .model import (
     Variant,
     obstacle_rows,
     obstacle_step,
+    on_nodes,
     shifted_spec,
     sigma_rows,
 )
-
-_SANDWICH_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,17 +134,12 @@ def _expectation(y_next, step):
     )
 
 
-def _nodes(value, x):
-    """A coefficient's value as a float row on the nodes x."""
-    return np.broadcast_to(np.asarray(value, dtype=float), x.shape)
-
-
 def _reflected_step(co, variant, dt, u, v, step, y_next, lo, up):
     """The backward step of the module docstring: (Y_j, Z_j, dK+, dK-)."""
     ey = _expectation(y_next, step)
     cov = np.einsum("ik,ik->i", step.probs, y_next[step.around] * step.deviation)
     z = step.sigma * np.where(step.spread, cov / step.var_x, 0.0)
-    fval = _nodes(co.driver(step.t, step.x, ey, z, u, v), step.x)
+    fval = on_nodes(co.driver(step.t, step.x, ey, z, u, v), step.x.shape)
     if not (np.isfinite(ey).all() and np.isfinite(fval).all()):
         raise ValueError(f"nonfinite expectation or driver value at t={step.t:.6g}")
     y, dkp, dkm = obstacle_step(ey, fval, dt, lo, up, variant)
@@ -192,7 +186,7 @@ def _walk(specs, lattice, controls, variant, terminal=None, start_step=0, end_st
                 f"controls {pair!r} are not the pair {lattice.controls!r}"
                 " the lattice was built for"
             )
-        y = variant.terminal_row(co, t_end, x_end, terminal, _SANDWICH_TOL)
+        y = variant.terminal_row(co, t_end, x_end, terminal)
         if not np.isfinite(y).all():
             raise ValueError(f"nonfinite terminal values at t={t_end:.6g}")
         zeros = [np.zeros_like(y) for _ in range(3)]
@@ -211,8 +205,8 @@ def _walk(specs, lattice, controls, variant, terminal=None, start_step=0, end_st
             own = step
             if co.sigma is not first.sigma:
                 own = step._replace(sigma=sigma_rows(co, t, x, u, v))
-            lo = lo_first if co.lower is first.lower else _nodes(co.lower(t, x), x)
-            up = up_first if co.upper is first.upper else _nodes(co.upper(t, x), x)
+            lo = lo_first if co.lower is first.lower else on_nodes(co.lower(t, x), x.shape)
+            up = up_first if co.upper is first.upper else on_nodes(co.upper(t, x), x.shape)
             levels.append((*_reflected_step(co, variant, dt, u, v, own, y, lo, up), lo, up))
         rows = levels
         yield j, step, rows
@@ -245,7 +239,6 @@ def solve_backward(
     terminal=None,
     start_step=0,
     end_step=None,
-    root_index=None,
 ):
     """Run the explicit backward recursion described in the module docstring
     under one fixed control pair.
@@ -254,13 +247,13 @@ def solve_backward(
     grids, and the lattice must be the chain of that pair.  `terminal`
     overrides the terminal payoff with given values on the node set of
     `end_step`.  In barrier modes the terminal row, given or default, must
-    already sit inside the obstacles there.  Returns an RBSDESolution.
+    already sit inside the obstacles there.  The occupation law starts at
+    the middle node of `start_step`.  Returns an RBSDESolution.
     """
     variant = Variant.named(mode, penalty)
     walk = _walk([spec], lattice, controls, variant, terminal, start_step, end_step)
     end_step, _, ((y, z, dkp, dkm, _, _),) = next(walk)
-    if root_index is None:
-        root_index = lattice.counts[start_step] // 2
+    root_index = lattice.counts[start_step] // 2
     occ = _occupation(lattice, start_step, end_step, root_index)
 
     n_levels = end_step - start_step + 1
@@ -480,7 +473,7 @@ def _estimate_quantities(spec, lattice, perturbation):
         snell_dy = np.maximum((y - y_b) ** 2, _expectation(snell_dy, step))
         term = _expectation(term, step)
 
-        g = np.abs(_nodes(co.driver(step.t, step.x, 0.0, 0.0, u, v), step.x)) * dt
+        g = np.abs(on_nodes(co.driver(step.t, step.x, 0.0, 0.0, u, v), step.x.shape)) * dt
         mean = _expectation(drive, step)
         drive_sq = g * g + 2.0 * g * mean + _expectation(drive_sq, step)
         drive = g + mean

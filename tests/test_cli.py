@@ -100,6 +100,7 @@ def test_explicit_grid_and_levels_override_the_pinned_ones():
             "only valid for name = custom",
         ),
         (lambda t: "[grid]\nx_min = 0\nx_max = 1\nnx = 11\nnt = 4\n", "missing"),
+        (lambda t: t + "\n[penalization]\n", r"\[penalization\] is missing: levels"),
     ],
 )
 def test_bad_configs_are_rejected_with_cause(mangle, message):

@@ -24,6 +24,7 @@ from isaacs.model import (
     hamiltonian_upper,
     isaacs_condition_check,
     obstacle_step,
+    on_nodes,
     sigma_rows,
     validate_problem,
 )
@@ -347,3 +348,37 @@ def test_obstacle_step_keeps_the_skorokhod_identities_exact(name, rows):
         assert np.all(y >= lo)
     if variant.clamp_upper:
         assert np.all(y <= up)
+
+
+_ROW = np.linspace(-1.0, 1.0, 5)
+
+
+@pytest.mark.parametrize(
+    "value, shape",
+    [
+        (2, (5,)),
+        (np.float32(0.1), (5,)),
+        (np.array([3.0]), (5,)),
+        (_ROW, (5,)),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], (5,)),
+        (_ROW, (3, 5)),
+        (np.array([1, 2, 3])[:, None], (3, 5)),
+        (np.outer(np.arange(3.0), _ROW), (3, 5)),
+    ],
+)
+def test_on_nodes_is_a_float_broadcast(value, shape):
+    row = on_nodes(value, shape)
+    expected = np.broadcast_to(np.asarray(value, dtype=float), shape)
+    assert row.shape == shape and row.dtype == np.float64
+    assert np.array_equal(row, expected)
+    assert row.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_on_nodes_returns_a_matching_float_array_itself():
+    assert on_nodes(_ROW, _ROW.shape) is _ROW
+
+
+@pytest.mark.parametrize("value, shape", [(np.zeros(3), (5,)), (np.zeros((2, 5)), (3, 5))])
+def test_on_nodes_refuses_shapes_that_do_not_broadcast(value, shape):
+    with pytest.raises(ValueError):
+        on_nodes(value, shape)
