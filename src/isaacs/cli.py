@@ -10,7 +10,8 @@ custom one), executes the requested checks and writes into DIR:
     sweep.csv          penalization gaps per level
     verdict.json       per-check numbers and pass flags
     manifest.json      config echo, seed, thread count, package version,
-                       sha256 of every data file, wall clock
+                       sha256 of every data file, seconds per check, wall
+                       clock
 
 Every number is formatted with %.17g, newlines are LF and JSON keys are
 sorted, so two runs with the same config and seed produce byte-identical
@@ -330,15 +331,21 @@ def _write_text(out_dir, filename, text, outputs, quiet):
 
 
 def _field_csv(field):
-    # one joined string per time level keeps 80k short strings from living
-    # at once on a 401 x 201 field
-    lines = ["t,x,value"]
+    # one % format per time level: the template holds every node's x and a
+    # %.17g per value, which is _format_float on finite values; a level with
+    # a nonfinite value is formatted value by value, to keep its quotes.
+    # Formatting the whole field at once would keep 80k short strings alive.
     xs = [_format_float(x) for x in field.nodes.tolist()]
+    template = "\n".join("{t}," + x + ",%.17g" for x in xs)
+    lines = ["t,x,value"]
     for t, row in zip(field.times.tolist(), field.values):
         ts = _format_float(t)
-        lines.append(
-            "\n".join(f"{ts},{x},{_format_float(v)}" for x, v in zip(xs, row.tolist()))
-        )
+        if np.isfinite(row).all():
+            lines.append(template.replace("{t}", ts) % tuple(row.tolist()))
+        else:
+            lines.append(
+                "\n".join(f"{ts},{x},{_format_float(v)}" for x, v in zip(xs, row.tolist()))
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -361,7 +368,12 @@ def _sweep_csv(report):
 
 @dataclasses.dataclass(frozen=True)
 class RunManifest:
-    """Provenance record of one run."""
+    """Provenance record of one run.
+
+    `timings` maps each check run to its seconds, data files included.
+    They differ from run to run, so they are kept here and never in
+    verdict.json.
+    """
 
     version: str
     problem: str
@@ -370,6 +382,7 @@ class RunManifest:
     config: str
     checks: dict
     outputs: dict
+    timings: dict
     wall_clock_s: float
     all_passed: bool
 
@@ -386,8 +399,9 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
     """Execute one named check; returns a flat dict of JSON-safe numbers.
 
     `fields` carries what one check built to later checks of the same run:
-    `dpp` recomposes the value fields `game_value` solved instead of solving
-    them again, and `comparison` and `estimates` share one base lattice.
+    `penalization` takes the lower field `game_value` solved as its
+    reference, `dpp` recomposes both fields instead of solving them again,
+    and `comparison`, `crosscheck` and `estimates` share one base lattice.
     """
     if name == "validate":
         report = validate_problem(spec, seed=seed)
@@ -413,7 +427,7 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             "value_tol": verdict.value_tol,
         }
     if name == "penalization":
-        report = pde.run_penalization_sweep(spec, grid, schedule)
+        report = pde.run_penalization_sweep(spec, grid, schedule, reference=fields.get("lower"))
         _write_text(out_dir, "sweep.csv", _sweep_csv(report), outputs, quiet)
         worst = max(
             report.monotone_violation_above,
@@ -448,7 +462,9 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             "max_k_minus_violation": report.max_k_minus_violation,
         }
     if name == "crosscheck":
-        report = games.fixed_control_crosscheck(spec, grid, spec.control_pair())
+        report = games.fixed_control_crosscheck(
+            spec, grid, spec.control_pair(), base=_base_lattice(spec, grid, fields)
+        )
         return {
             "passed": bool(report.passed),
             "max_diff": report.max_diff,
@@ -521,14 +537,17 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
         raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}")
     outputs = {}
     results = {}
+    timings = {}
     fields = {}
     for name in ordered:
+        check_started = time.monotonic()
         try:
             results[name] = _run_check(
                 name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             )
         except Exception as exc:  # a failed stage must not lose earlier output
             results[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
+        timings[name] = time.monotonic() - check_started
         if not quiet:
             print(f"check {name}: {'pass' if results[name]['passed'] else 'FAIL'}")
         _write_text(out_dir, "verdict.json", _format_json(results) + "\n", outputs, quiet=True)
@@ -542,6 +561,7 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
         config=config.to_ini(),
         checks=results,
         outputs=dict(outputs),
+        timings=timings,
         wall_clock_s=time.monotonic() - started,
         all_passed=all_passed,
     )

@@ -263,6 +263,28 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
     )
 
 
+def base_lattice(spec, grid, controls, lattice=None):
+    """The lattice of the pair `controls` on `grid` from t = 0: `lattice`
+    when it is already built, after checking that it is that lattice, and a
+    new build otherwise."""
+    controls = spec.control_pair(controls)
+    if lattice is None:
+        return build_lattice(spec, 0.0, grid, controls)
+    if (
+        lattice.controls != controls
+        or lattice.counts[0] != grid.nx
+        or lattice.dx != grid.dx
+        or lattice.origin != grid.x_min
+        or not np.array_equal(lattice.times, grid.dt * np.arange(grid.nt + 1))
+    ):
+        raise ValueError(
+            f"lattice of pair {lattice.controls!r} with {lattice.n_steps} steps and"
+            f" {lattice.counts[0]} nodes from t = {lattice.times[0]:.6g} is not the base"
+            f" lattice of pair {controls!r} on this grid"
+        )
+    return lattice
+
+
 @dataclasses.dataclass(frozen=True)
 class ForwardEstimateReport:
     """Stability of paths under initial-state perturbation, shared noise.

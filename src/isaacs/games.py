@@ -128,7 +128,7 @@ class CrosscheckReport:
     passed: bool
 
 
-def fixed_control_crosscheck(spec, grid, controls, tolerance=None):
+def fixed_control_crosscheck(spec, grid, controls, tolerance=None, base=None):
     """Freeze one control pair and solve the resulting linear problem twice.
 
     The finite-difference march runs on singleton control grids, where both
@@ -136,8 +136,11 @@ def fixed_control_crosscheck(spec, grid, controls, tolerance=None):
     both approximate the same reflected solution through different spatial
     schemes (upwind differences against exact-mean transitions).  Agreement
     is checked at the initial time on the inner half of the domain, out of
-    reach of either boundary treatment at these horizons.  The default tolerance 5 (dx + dt) at the
-    field's own scale matches the schemes' first-order disagreement.
+    reach of either boundary treatment at these horizons.  The default
+    tolerance 5 (dx + dt) at the field's own scale matches the schemes'
+    first-order disagreement.  `base` is the pair's lattice on `grid` from
+    t = 0 when it is already built (as `isaacs run` builds it for its
+    lattice checks); it is built here otherwise.
     """
     u, v = controls
     frozen = dataclasses.replace(
@@ -146,7 +149,7 @@ def fixed_control_crosscheck(spec, grid, controls, tolerance=None):
         controls_ii=ControlGrid(spec.controls_ii.label, (v,)),
     )
     field = pde.solve_isaacs_double_obstacle(frozen, grid, "lower")
-    lattice = forwardsim.build_lattice(spec, 0.0, grid, (u, v))
+    lattice = forwardsim.base_lattice(spec, grid, (u, v), base)
     sol = rbsde.solve_backward(spec, lattice, (u, v))
     y0 = sol.initial_values()
     w0 = field.initial()

@@ -28,7 +28,8 @@ Conventions used across the package:
 Both backward solvers (the lattice recursion in `rbsde` and the
 finite-difference march in `pde`) take the same reflected step,
 `obstacle_step`, under a `Variant` that says which obstacles it penalizes
-and which it clamps to; the grid and penalty-schedule types they share
+and which it clamps to (the march steps its whole stack of rows at once,
+under `Variant.stacked`); the grid and penalty-schedule types they share
 live here as well.
 """
 
@@ -248,6 +249,17 @@ class Variant:
             return cls(clamp_lower, clamp_upper, pen_upper=m)
         return cls(clamp_lower, clamp_upper, pen_lower=m)
 
+    @classmethod
+    def stacked(cls, variants):
+        """One variant for a (rows, nx) stack, row i under variants[i], as
+        `obstacle_step` takes it: a field the variants share stays that one
+        value, and a field they differ in becomes a (rows, 1) column."""
+        fields = []
+        for field in dataclasses.fields(cls):
+            column = [getattr(variant, field.name) for variant in variants]
+            fields.append(column[0] if len(set(column)) == 1 else np.array(column)[:, None])
+        return cls(*fields)
+
     def terminal_row(self, coefficients, t, x, terminal):
         """The terminal row on the nodes x at time t: a copy of `terminal`,
         or the payoff when it is None.  Refuses a row whose shape is not that
@@ -293,19 +305,33 @@ def obstacle_step(base, drive, dt, lo, up, variant):
     exactly and dK- > 0 forces y = up exactly, so for lo < up the discrete
     Skorokhod conditions dK+ * dK- = (y - lo) * dK+ = (up - y) * dK- = 0
     hold as identities in float arithmetic.
+
+    base and drive are one row under a `Variant`, or a (rows, nx) stack
+    under `Variant.stacked`, one variant per row; each row of a stack holds
+    exactly the numbers of its own one-row step.  A zero weight adds no
+    term at all: adding +0.0 would turn a -0.0 drive into +0.0.
     """
-    if variant.pen_upper > 0.0:
-        drive = drive - variant.pen_upper * np.maximum(base - up, 0.0)
-    if variant.pen_lower > 0.0:
-        drive = drive + variant.pen_lower * np.maximum(lo - base, 0.0)
+    m, n = variant.pen_upper, variant.pen_lower
+    drive = _on_rows(m > 0.0, lambda: drive - m * np.maximum(base - up, 0.0), lambda: drive)
+    drive = _on_rows(n > 0.0, lambda: drive + n * np.maximum(lo - base, 0.0), lambda: drive)
     y = base + dt * drive
-    dkp = np.maximum(lo - y, 0.0) if variant.clamp_lower else np.zeros_like(y)
-    dkm = np.maximum(y - up, 0.0) if variant.clamp_upper else np.zeros_like(y)
-    if variant.clamp_lower:
-        y = np.maximum(y, lo)
-    if variant.clamp_upper:
-        y = np.minimum(y, up)
+    dkp = _on_rows(
+        variant.clamp_lower, lambda: np.maximum(lo - y, 0.0), lambda: np.zeros_like(y)
+    )
+    dkm = _on_rows(
+        variant.clamp_upper, lambda: np.maximum(y - up, 0.0), lambda: np.zeros_like(y)
+    )
+    y = _on_rows(variant.clamp_lower, lambda: np.maximum(y, lo), lambda: y)
+    y = _on_rows(variant.clamp_upper, lambda: np.minimum(y, up), lambda: y)
     return y, dkp, dkm
+
+
+def _on_rows(flag, step, rest):
+    """step() on the rows that `flag` marks and rest() on the others; `flag`
+    is one bool, or a (rows, 1) column of them for a stack."""
+    if isinstance(flag, np.ndarray):
+        return np.where(flag, step(), rest())
+    return step() if flag else rest()
 
 
 def shifted_spec(spec, delta, names):

@@ -35,13 +35,16 @@ that number level by level and refuses to run past the margin 0.9
 (`_CFL_MARGIN`), which the two one-row solvers take as `cfl_margin`.
 
 Rows, each a (reduction, variant) pair, are marched side by side as one
-(rows, nx) stack: b, sigma, the stability maxima and the obstacles do not
-depend on W and are evaluated once per level for the whole stack, while
-the driver sees the stacked W and the reduction and `obstacle_step` act
-row by row.  Each row's numbers are bitwise those of its own one-row
-march.  A penalization sweep is one such march of 2L+1 rows (reference,
-then above and below for each of the L levels), and
-`solve_lower_and_upper` marches both reductions together.
+(rows, nx) stack, and each level is a few whole-stack array operations:
+b, sigma, the stability maxima and the obstacles do not depend on W and
+are evaluated once per level, the driver sees the stacked W, the tables of
+every control pair and row are one stacked expression, and one
+`obstacle_step` takes the whole stack under per-row penalty and clamp
+columns.  Each row's numbers are bitwise those of its own one-row march.
+A penalization sweep is one such march of 2L+1 rows (reference, then
+above and below for each of the L levels), or of 2L rows when it is given
+the reference, and `solve_lower_and_upper` marches both reductions
+together.
 """
 
 from __future__ import annotations
@@ -135,30 +138,39 @@ def _hamiltonian_tables(spec, t, x, w_next, dx):
     """Integrand values for every control pair on a stack of rows, plus
     stability maxima.
 
-    w_next has shape (rows, nx).  b and sigma are evaluated once for the
-    whole stack; only the driver sees the stacked W.  Returns (tables of
-    shape (nu, nv, rows, nx), max sigma^2, max |b|, max |sigma|).
+    w_next has shape (rows, nx).  b, sigma and the driver are called once
+    per control pair, b and sigma on the nodes only and the driver on the
+    stacked W; the tables of all pairs and rows are then one stacked
+    expression.  Returns (tables of shape (nu, nv, rows, nx), max sigma^2,
+    max |b|, max |sigma|).
     """
     co = spec.coefficients
     d2, dplus, dminus, dcentral = _derivatives(w_next, dx)
-    nu, nv = len(spec.controls_i), len(spec.controls_ii)
-    tables = np.empty((nu, nv) + w_next.shape)
-    max_s2 = 0.0
-    max_b = 0.0
-    max_smag = 0.0
-    for iu, u in enumerate(spec.controls_i.points):
-        for iv, v in enumerate(spec.controls_ii.points):
-            b = on_nodes(co.b(t, x, u, v), x.shape)
+    bs, sigs, fs = [], [], []
+    for u in spec.controls_i.points:
+        for v in spec.controls_ii.points:
+            bs.append(on_nodes(co.b(t, x, u, v), x.shape))
             sig = sigma_rows(co, t, x, u, v)
-            s2 = sig * sig
-            fval = on_nodes(co.driver(t, x, w_next, dcentral * sig, u, v), w_next.shape)
-            bp = np.maximum(b, 0.0)
-            bm = np.minimum(b, 0.0)
-            tables[iu, iv] = 0.5 * s2 * d2 + bp * dplus + bm * dminus + fval
-            max_s2 = max(max_s2, float(np.max(s2)))
-            max_b = max(max_b, float(np.max(np.abs(b))))
-            max_smag = max(max_smag, float(np.max(np.abs(sig))))
-    return tables, max_s2, max_b, max_smag
+            sigs.append(sig)
+            fs.append(on_nodes(co.driver(t, x, w_next, dcentral * sig, u, v), w_next.shape))
+    pairs = (len(spec.controls_i), len(spec.controls_ii))
+    b = np.array(bs).reshape(pairs + (1,) + x.shape)
+    sig = np.array(sigs).reshape(pairs + (1,) + x.shape)
+    s2 = sig * sig
+    tables = (
+        (0.5 * s2) * d2
+        + np.maximum(b, 0.0) * dplus
+        + np.minimum(b, 0.0) * dminus
+        + np.array(fs).reshape(pairs + w_next.shape)
+    )
+    # a nonfinite b or sigma makes every row's tables nonfinite, and no
+    # caller reads the maxima of nonfinite tables
+    return (
+        tables,
+        max(0.0, float(np.max(s2))),
+        max(0.0, float(np.max(np.abs(b)))),
+        max(0.0, float(np.max(np.abs(sig)))),
+    )
 
 
 def _nonfinite_error(t):
@@ -198,16 +210,40 @@ def cfl_number(spec, grid, penalty=0.0):
     return worst
 
 
+def _live_stack(rows, live):
+    """The rows in `live` as one (rows, nx) stack: their index into the
+    march's values, the stacked variant, the per-row penalty pairs and the
+    per-row reduction."""
+    kinds = [rows[r][0] for r in live]
+    if len(set(kinds)) == 1:
+        reduce = _REDUCTIONS[kinds[0]]
+    else:
+        lower = np.array([[kind == "lower"] for kind in kinds])
+
+        def reduce(tables):
+            return np.where(lower, _REDUCTIONS["lower"](tables), _REDUCTIONS["upper"](tables))
+
+    variants = [rows[r][1] for r in live]
+    penalties = tuple(
+        np.array([getattr(v, name) for v in variants]) for name in ("pen_upper", "pen_lower")
+    )
+    index = slice(None) if len(live) == len(rows) else np.array(live)
+    return index, Variant.stacked(variants), penalties, reduce
+
+
 def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
     """March rows of (kind, variant, label) side by side; one ValueField each.
 
-    The rows share every W-free evaluation of a level: b, sigma, the
-    stability maxima and the obstacles.  The reductions and
-    `model.obstacle_step` are applied row by row, so each row holds exactly
-    the numbers of its own one-row march.  A row stops at its own first
-    failure (terminal row, nonfinite integrand, then stability, checked as
-    in a one-row march); the march raises the failure of the first failing
-    row, as marching the rows one after another would.
+    A level is a few operations on the (rows, nx) stack of the rows still
+    marching: the tables of every control pair and row at once, each row's
+    reduction, and one `model.obstacle_step` under the stacked variants,
+    whose columns are built once per set of marching rows.  b, sigma, the
+    stability maxima and the obstacles are evaluated once per level for the
+    whole stack, and each row holds exactly the numbers of its own one-row
+    march.  A row stops at its own first failure (terminal row, nonfinite
+    integrand, then stability, checked as in a one-row march); the march
+    raises the failure of the first failing row, as marching the rows one
+    after another would.
     """
     for kind, _, _ in rows:
         if kind not in _REDUCTIONS:
@@ -220,44 +256,42 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
     co = spec.coefficients
     mu = co.driver_lipschitz
 
-    values = [np.empty((j_hi + 1, grid.nx)) for _ in rows]
-    worst = [0.0] * len(rows)
+    values = np.empty((len(rows), j_hi + 1, grid.nx))
+    worst = np.zeros(len(rows))
     failures = {}
     for r, (_, variant, _) in enumerate(rows):
         try:
-            values[r][j_hi] = variant.terminal_row(co, j_hi * dt, x, terminal)
+            values[r, j_hi] = variant.terminal_row(co, j_hi * dt, x, terminal)
         except ValueError as exc:
             failures[r] = exc
     live = [r for r in range(len(rows)) if r not in failures]
+    stack = _live_stack(rows, live) if live else None
     for j in range(j_hi - 1, -1, -1):
         if failures and (not live or min(failures) < live[0]):
             break  # no row still marching comes before the first failure
+        index, variant, penalties, reduce = stack
         t = j * dt
-        w_next = np.stack([values[r][j + 1] for r in live])
+        w_next = values[index, j + 1]
         tables, *maxima = _hamiltonian_tables(spec, t, x, w_next, dx)
         finite = np.isfinite(tables).all(axis=(0, 1, 3))  # per row
         lo, up = obstacle_rows(co, t, x)
-        drives = {}
-        marching = []
-        for i, r in enumerate(live):
-            kind, variant, _ = rows[r]
-            if not finite[i]:
-                failures[r] = _nonfinite_error(t)
+        numbers = _stability_number(dt, dx, mu, *maxima, penalties)
+        ok = finite & ~(numbers > cfl_margin)
+        if not ok.all():
+            for i in np.flatnonzero(~ok):
+                failures[live[i]] = (
+                    CflError(float(numbers[i]), t, dt, cfl_margin)
+                    if finite[i]
+                    else _nonfinite_error(t)
+                )
+            live = [r for r, good in zip(live, ok) if good]
+            if not live:
                 continue
-            number = _stability_number(
-                dt, dx, mu, *maxima, (variant.pen_upper, variant.pen_lower)
-            )
-            if number > cfl_margin:
-                failures[r] = CflError(number, t, dt, cfl_margin)
-                continue
-            worst[r] = max(worst[r], number)
-            if kind not in drives:
-                drives[kind] = _REDUCTIONS[kind](tables)
-            values[r][j], _, _ = obstacle_step(
-                w_next[i], drives[kind][i], dt, lo, up, variant
-            )
-            marching.append(r)
-        live = marching
+            index, variant, penalties, reduce = stack = _live_stack(rows, live)
+            tables, w_next, numbers = tables[:, :, ok], w_next[ok], numbers[ok]
+        # fmax, like a running max(), passes over a nan number (nan penalty)
+        worst[index] = np.fmax(worst[index], numbers)
+        values[index, j], _, _ = obstacle_step(w_next, reduce(tables), dt, lo, up, variant)
     if failures:
         raise failures[min(failures)]
 
@@ -268,7 +302,7 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
             times=times,
             nodes=x,
             values=values[r],
-            cfl_number=worst[r],
+            cfl_number=float(worst[r]),
             penalty=(variant.pen_upper, variant.pen_lower),
         )
         for r, (_, variant, label) in enumerate(rows)
@@ -357,10 +391,14 @@ class ConvergenceReport:
         return last / first
 
 
-def run_penalization_sweep(spec, grid, schedule):
+def run_penalization_sweep(spec, grid, schedule, reference=None):
     """March the penalized approximations of the lower-Hamiltonian field
     through a schedule of weights, all levels and the reference side by
     side in one stacked march.
+
+    `reference` is the two-obstacle lower field on this grid when it is
+    already solved (as `games.compute_values` returns it); the march then
+    leaves it out, and the report is bitwise the one that marches it.
 
     Checks, level by level: the approximation from above decreases, the one
     from below increases, both stay on the correct side of the two-obstacle
@@ -369,11 +407,24 @@ def run_penalization_sweep(spec, grid, schedule):
     if not isinstance(schedule, PenalizationSchedule):
         schedule = PenalizationSchedule(tuple(schedule))
     kind = "lower"
-    rows = [_two_barrier_row(kind)]
+    if reference is not None and (
+        reference.label != kind
+        or reference.penalty != (0.0, 0.0)
+        or not np.array_equal(reference.times, grid.time_nodes())
+        or not np.array_equal(reference.nodes, grid.space_nodes())
+    ):
+        raise ValueError(
+            f"field {reference.label!r} with penalty {reference.penalty!r} on"
+            f" {len(reference.times)} levels and {len(reference.nodes)} nodes is not"
+            f" the two-obstacle {kind!r} field on this grid"
+        )
+    rows = [_two_barrier_row(kind)] if reference is None else []
     for m in schedule:
         rows.append(_penalized_row(kind, "one_barrier_lower", m))
         rows.append(_penalized_row(kind, "one_barrier_upper", m))
-    reference, *penalized = _march(spec, grid, rows, None, None, _CFL_MARGIN)
+    penalized = _march(spec, grid, rows, None, None, _CFL_MARGIN)
+    if reference is None:
+        reference, *penalized = penalized
     gap_above = []
     gap_below = []
     two_sided = []

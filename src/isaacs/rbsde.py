@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forwardsim import LatticeError, build_lattice
+from .forwardsim import LatticeError, base_lattice, build_lattice
 from .model import (
     PenalizationSchedule,  # noqa: F401  (re-exported)
     SpaceTimeGrid,
@@ -538,20 +538,7 @@ def apriori_estimate_check(spec, grid, controls, base=None):
     propagates.
     """
     controls = spec.control_pair(controls)
-    if base is None:
-        base = build_lattice(spec, 0.0, grid, controls)
-    elif (
-        base.controls != controls
-        or base.counts[0] != grid.nx
-        or base.dx != grid.dx
-        or base.origin != grid.x_min
-        or not np.array_equal(base.times, grid.dt * np.arange(grid.nt + 1))
-    ):
-        raise ValueError(
-            f"lattice of pair {base.controls!r} with {base.n_steps} steps and"
-            f" {base.counts[0]} nodes from t = {base.times[0]:.6g} is not the base"
-            f" lattice of pair {controls!r} on this grid"
-        )
+    base = base_lattice(spec, grid, controls, base)
     perturbation, stability_factor = 0.1, 2.0
     constants = _estimate_quantities(spec, base, perturbation)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import isaacs
-from isaacs.cli import ConfigError, main, parse_config, run
+from isaacs.cli import ConfigError, _field_csv, _format_float, main, parse_config, run
 
 MINIMAL = """\
 [problem]
@@ -179,9 +179,10 @@ def test_comparison_and_estimates_share_one_base_lattice(tmp_path, monkeypatch):
 
     text = "[problem]\nname = dynkin_heat\n\n[grid]\nx_min = -9\nx_max = 9\nnx = 37\nnt = 40\n"
     config = parse_config(text)
+    checks = ("comparison", "crosscheck", "estimates")
     alone = {
         check: run(config, str(tmp_path / check), checks=(check,), quiet=True).checks[check]
-        for check in ("comparison", "estimates")
+        for check in checks
     }
     built = []
     original = forwardsim.build_lattice
@@ -192,12 +193,60 @@ def test_comparison_and_estimates_share_one_base_lattice(tmp_path, monkeypatch):
 
     monkeypatch.setattr(forwardsim, "build_lattice", counting)
     monkeypatch.setattr(isaacs.rbsde, "build_lattice", counting)
-    both = run(config, str(tmp_path / "both"), checks=("comparison", "estimates"), quiet=True)
+    together = run(config, str(tmp_path / "together"), checks=checks, quiet=True)
     _, grid, _ = config.resolve()
-    # the base lattice once, then the one refined lattice the estimates need
+    # the base lattice once, for the crosscheck too, then the one refined
+    # lattice the estimates need
     assert built.count((0.0, grid)) == 1
     assert len(built) == 2
-    assert both.checks == alone
+    assert together.checks == alone
+
+
+def test_the_manifest_times_every_check_it_ran(tmp_path):
+    config = parse_config(MINIMAL)
+    checks = ("validate", "dpp", "game_value")
+    manifest = run(config, str(tmp_path), checks=checks, quiet=True)
+    assert list(manifest.timings) == list(checks)
+    assert all(isinstance(s, float) and s >= 0.0 for s in manifest.timings.values())
+    with open(tmp_path / "manifest.json") as fh:
+        recorded = json.load(fh)
+    assert set(recorded["timings"]) == set(checks) == set(recorded["checks"])
+    with open(tmp_path / "verdict.json") as fh:
+        assert "timings" not in fh.read()
+
+
+def _per_value_csv(field):
+    lines = ["t,x,value"]
+    for t, row in zip(field.times.tolist(), field.values.tolist()):
+        for x, v in zip(field.nodes.tolist(), row):
+            lines.append(f"{_format_float(t)},{_format_float(x)},{_format_float(v)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_field_csv_is_the_per_value_format():
+    nodes = np.linspace(-1.0, 1.0, 4)
+    times = np.linspace(0.0, 1.0, 5)
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    values = np.array(
+        [
+            [-0.0, 0.0, tiny, -2.2250738585072014e-308 / 3],
+            [1e300, -1e300, 0.1, 1.0 / 3.0],
+            [np.nan, 1.0, -np.inf, np.inf],
+            [-0.0, np.nan, 5e-324, 1e300],
+            [2.0, -3.5, 1e-17, 123456789.125],
+        ]
+    )
+    field = isaacs.ValueField("lower", times, nodes, values, 0.0)
+    text = _field_csv(field)
+    assert text.encode() == _per_value_csv(field).encode()
+    rows = text.splitlines()
+    assert rows[9:13] == [
+        '0.5,-1,"nan"',
+        "0.5,-0.33333333333333337,1",
+        '0.5,0.33333333333333326,"-inf"',
+        '0.5,1,"inf"',
+    ]
+    assert rows[1] == "0,-1,-0"
 
 
 def test_threads_fall_back_to_the_environment(tmp_path, monkeypatch):

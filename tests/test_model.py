@@ -350,6 +350,71 @@ def test_obstacle_step_keeps_the_skorokhod_identities_exact(name, rows):
         assert np.all(y <= up)
 
 
+_STACKED = [
+    ("two_barrier", None),
+    ("one_barrier_lower", 0.0),
+    ("one_barrier_lower", 4.0),
+    ("one_barrier_upper", 0.0),
+    ("one_barrier_upper", 4.0),
+    ("free", (0.0, 0.0)),
+    ("free", (4.0, 0.0)),
+    ("penalized", (3.0, 7.0)),
+    ("plain", None),
+]
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    picks=st.lists(st.sampled_from(range(len(_STACKED))), min_size=1, max_size=6),
+    rows=_step_rows(),
+)
+def test_a_stacked_step_is_bitwise_each_rows_own_step(picks, rows):
+    base, drive, dt, lo, up = rows
+    variants = [Variant.named(*_STACKED[k]) for k in picks]
+    # every row its own base and drive, zeros of both signs among them
+    bases = np.stack([np.roll(base, i) * (-1.0) ** i for i in range(len(picks))])
+    drives = np.stack([np.roll(drive, -i) * (-1.0) ** i for i in range(len(picks))])
+    bases[:, 0] = -0.0
+    drives[:, -1] = -0.0
+    stacked = obstacle_step(bases, drives, dt, lo, up, Variant.stacked(variants))
+    for i, variant in enumerate(variants):
+        alone = obstacle_step(bases[i], drives[i], dt, lo, up, variant)
+        for got, want in zip(stacked, alone):
+            assert got[i].tobytes() == want.tobytes(), (i, variant)
+
+
+def test_a_zero_penalty_keeps_the_sign_of_a_negative_zero_drive():
+    # y = base + dt * drive is -0.0 only if the drive stays -0.0: a zero
+    # weight must add no term, for -0.0 + 0.0 is +0.0
+    lo, up = np.full(3, -1.0), np.full(3, 1.0)
+    zero_weight = [
+        Variant.named("free", (0.0, 0.0)),
+        Variant.named("one_barrier_lower", 0.0),
+        Variant.named("one_barrier_upper", 0.0),
+        Variant.named("two_barrier"),
+    ]
+    weighted = Variant.named("free", (2.0, 3.0))
+    variants = zero_weight + [weighted]
+    base = np.full((len(variants), 3), -0.0)
+    drive = np.full((len(variants), 3), -0.0)
+    stacked, _, _ = obstacle_step(base, drive, 0.1, lo, up, Variant.stacked(variants))
+    for i, variant in enumerate(zero_weight):
+        alone, _, _ = obstacle_step(base[i], drive[i], 0.1, lo, up, variant)
+        assert np.all(np.signbit(alone)) and np.all(np.signbit(stacked[i])), variant
+    # a positive lower weight adds n * max(lo - base, 0) = +0.0 here
+    assert not np.any(np.signbit(stacked[-1]))
+
+
+def test_a_stacked_variant_keeps_shared_fields_and_stacks_the_others():
+    two = Variant.named("two_barrier")
+    assert Variant.stacked([two, two]) == two
+    mixed = Variant.stacked([two, Variant.named("one_barrier_lower", 4.0)])
+    assert mixed.clamp_lower is True
+    assert mixed.clamp_upper.tolist() == [[True], [False]]
+    assert mixed.pen_upper.tolist() == [[0.0], [4.0]]
+    assert mixed.pen_lower == 0.0
+
+
 _ROW = np.linspace(-1.0, 1.0, 5)
 
 

@@ -8,15 +8,19 @@ import math
 import numpy as np
 import pytest
 
-from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec, Variant
+from isaacs import pde
+from isaacs.cli import parse_config
+from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec, Variant, sigma_rows
 from isaacs.pde import (
     CflError,
+    ConvergenceReport,
     SpaceTimeGrid,
     _march,
     cfl_number,
     run_penalization_sweep,
     solve_isaacs_double_obstacle,
     solve_isaacs_penalized,
+    solve_lower_and_upper,
     viscosity_residual,
 )
 from isaacs.problems import BUILTINS, builtin, from_expressions
@@ -213,13 +217,39 @@ _MIXED_ROWS = [
     for name, penalty in (
         ("two_barrier", None),
         ("one_barrier_lower", 0.0),
+        ("one_barrier_lower", 1.0),
         ("one_barrier_lower", 4.0),
         ("one_barrier_upper", 0.0),
+        ("one_barrier_upper", 1.0),
         ("one_barrier_upper", 4.0),
         ("free", (0.0, 0.0)),
+        ("free", (4.0, 0.0)),
         ("free", (3.0, 2.0)),
     )
 ]
+
+# the custom problem of the benchmark's default_checks workload, as INI text
+_BENCHMARK_CUSTOM = """\
+[problem]
+name = custom
+horizon = 0.5
+b = 0.5 * (u + v) * exp(0 - x^2 / 8)
+sigma = 0.8 + 0.2 * abs(u - v)
+driver = 0.5 * (u - v) + 0.1 * min(max(y, 0 - 1), 1)
+terminal = max(0, 1 - abs(x - 1)) - max(0, 1 - abs(x + 1))
+lower = max(0, 1 - abs(x - 1)) - max(0, 1 - abs(x + 1)) - 0.4
+upper = max(0, 1 - abs(x - 1)) - max(0, 1 - abs(x + 1)) + 0.4
+controls_i = -1, 0, 1
+controls_ii = -1, 0, 1
+lipschitz = 1
+driver_lipschitz = 0.1
+
+[grid]
+x_min = -4
+x_max = 4
+nx = 121
+nt = 250
+"""
 
 
 def _y_dependent_custom():
@@ -248,6 +278,8 @@ def _stack_cases():
     yield pytest.param(
         _y_dependent_custom(), SpaceTimeGrid(-4.0, 4.0, 41, 250, 0.5), id="custom"
     )
+    spec, grid, _ = parse_config(_BENCHMARK_CUSTOM).resolve()
+    yield pytest.param(spec, grid, id="benchmark_custom")
 
 
 @pytest.mark.parametrize("spec,grid", _stack_cases())
@@ -258,21 +290,97 @@ def test_stacked_rows_are_bitwise_their_one_row_marches(spec, grid):
         (alone,) = _march(spec, grid, [row], None, t_hi, 0.9)
         assert field.label == alone.label == row[2]
         assert field.penalty == alone.penalty
+        assert (field.values == alone.values).all(), row
         assert field.values.tobytes() == alone.values.tobytes(), row
         assert np.float64(field.cfl_number).tobytes() == np.float64(
             alone.cfl_number
         ).tobytes()
 
 
+@pytest.mark.parametrize("spec,grid", _stack_cases())
+def test_stacked_tables_are_bitwise_the_per_pair_expression(spec, grid):
+    co = spec.coefficients
+    x = grid.space_nodes()
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(3, grid.nx))
+    w[:, ::7] = -0.0
+    t = 0.5 * grid.horizon
+    tables, max_s2, max_b, max_smag = pde._hamiltonian_tables(spec, t, x, w, grid.dx)
+    d2, dplus, dminus, dcentral = pde._derivatives(w, grid.dx)
+    assert tables.shape == (len(spec.controls_i), len(spec.controls_ii)) + w.shape
+    s2s, bs, smags = [], [], []
+    for iu, u in enumerate(spec.controls_i.points):
+        for iv, v in enumerate(spec.controls_ii.points):
+            b = np.broadcast_to(np.asarray(co.b(t, x, u, v), dtype=float), x.shape)
+            sig = sigma_rows(co, t, x, u, v)
+            s2 = sig * sig
+            f = np.broadcast_to(
+                np.asarray(co.driver(t, x, w, dcentral * sig, u, v), dtype=float), w.shape
+            )
+            want = 0.5 * s2 * d2 + np.maximum(b, 0.0) * dplus + np.minimum(b, 0.0) * dminus + f
+            assert tables[iu, iv].tobytes() == want.tobytes(), (u, v)
+            s2s.append(np.max(s2))
+            bs.append(np.max(np.abs(b)))
+            smags.append(np.max(np.abs(sig)))
+    assert (max_s2, max_b, max_smag) == (max(0.0, *s2s), max(0.0, *bs), max(0.0, *smags))
+
+
 def test_stacked_sweep_raises_the_parents_cfl_error():
-    # the above row at m = 64 is the first to fail, on the first level
+    # the above row at m = 64 is the first to fail, on the first level,
+    # whether the sweep marches its reference or is given it
     bp = builtin("bilinear_game")
-    with pytest.raises(CflError) as info:
-        run_penalization_sweep(bp.spec, bp.grid, bp.schedule)
-    assert str(info.value) == (
-        "stability number 1 exceeds margin 0.9 at t=0.984375;"
-        " largest admissible dt is 0.0140625"
-    )
+    lower, _ = solve_lower_and_upper(bp.spec, bp.grid)
+    for reference in (None, lower):
+        with pytest.raises(CflError) as info:
+            run_penalization_sweep(bp.spec, bp.grid, bp.schedule, reference=reference)
+        assert str(info.value) == (
+            "stability number 1 exceeds margin 0.9 at t=0.984375;"
+            " largest admissible dt is 0.0140625"
+        )
+
+
+@pytest.mark.parametrize("name", ["dynkin_heat", "separable_game", "custom"])
+def test_a_sweep_given_its_reference_reports_what_marching_it_reports(name, monkeypatch):
+    if name == "custom":
+        spec, grid, _ = parse_config(_BENCHMARK_CUSTOM).resolve()
+    else:
+        bp = builtin(name)
+        g = bp.grid
+        spec, grid = bp.spec, SpaceTimeGrid(g.x_min, g.x_max, (g.nx - 1) // 2 + 1, g.nt, g.horizon)
+    schedule = (1.0, 4.0, 16.0)
+    lower, _ = solve_lower_and_upper(spec, grid)
+    marched = run_penalization_sweep(spec, grid, schedule)
+    rows = []
+    original = pde._march
+
+    def counting(spec, grid, rows_, *args):
+        rows.append(len(rows_))
+        return original(spec, grid, rows_, *args)
+
+    monkeypatch.setattr(pde, "_march", counting)
+    given_ = run_penalization_sweep(spec, grid, schedule, reference=lower)
+    assert rows == [2 * len(schedule)]
+    assert given_.reference is lower
+    for field in dataclasses.fields(ConvergenceReport):
+        assert repr(getattr(given_, field.name)) == repr(getattr(marched, field.name))
+    for field in ("reference", "final_above", "final_below"):
+        assert getattr(given_, field).values.tobytes() == getattr(marched, field).values.tobytes()
+
+
+def test_a_sweep_refuses_a_reference_that_is_not_its_own():
+    bp = builtin("dynkin_heat")
+    lower, upper = solve_lower_and_upper(bp.spec, DYNKIN_COARSE)
+    other_grid = SpaceTimeGrid(-9.0, 9.0, 101, 200, 1.0)
+    for reference in (
+        upper,
+        solve_isaacs_penalized(bp.spec, DYNKIN_COARSE, "lower", "free", (0.0, 0.0)),
+        dataclasses.replace(lower, penalty=(1.0, 0.0)),
+        dataclasses.replace(lower, times=lower.times[:-1], values=lower.values[:-1]),
+        dataclasses.replace(lower, nodes=lower.nodes + 0.5),
+        solve_lower_and_upper(bp.spec, other_grid)[0],
+    ):
+        with pytest.raises(ValueError, match="is not the two-obstacle 'lower' field"):
+            run_penalization_sweep(bp.spec, DYNKIN_COARSE, (1.0, 4.0), reference=reference)
 
 
 def _climbing_spec():

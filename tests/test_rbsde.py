@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isaacs.forwardsim import build_lattice
+from isaacs.games import fixed_control_crosscheck
 from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec, obstacle_rows, shifted_spec
 from isaacs.pde import SpaceTimeGrid
 from isaacs.problems import builtin, from_expressions
@@ -593,6 +594,8 @@ def test_a_base_lattice_that_does_not_fit_is_refused():
     for base in (other_pair, other_times, other_nodes, late):
         with pytest.raises(ValueError, match="is not the base lattice"):
             apriori_estimate_check(spec, grid, spec.control_pair(), base=base)
+        with pytest.raises(ValueError, match="is not the base lattice"):
+            fixed_control_crosscheck(spec, grid, spec.control_pair(), base=base)
 
 
 # -- the streamed comparison ---------------------------------------------
