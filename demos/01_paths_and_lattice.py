@@ -8,7 +8,7 @@ every backward solve.
 import numpy as np
 
 from isaacs.forwardsim import build_lattice, check_forward_estimates, simulate_paths
-from isaacs.pde import SpaceTimeGrid
+from isaacs.model import SpaceTimeGrid
 from isaacs.problems import builtin
 
 bp = builtin("dynkin_heat")

@@ -8,7 +8,7 @@ and it only pushes where the solution sits exactly on that barrier.
 import numpy as np
 
 from isaacs.forwardsim import build_lattice
-from isaacs.pde import SpaceTimeGrid
+from isaacs.model import SpaceTimeGrid
 from isaacs.problems import builtin
 from isaacs.rbsde import solve_backward
 

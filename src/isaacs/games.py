@@ -142,7 +142,7 @@ def fixed_control_crosscheck(spec, grid, controls, tolerance=None, base=None):
     t = 0 when it is already built (as `isaacs run` builds it for its
     lattice checks); it is built here otherwise.
     """
-    u, v = controls
+    u, v = spec.control_pair(controls)
     frozen = dataclasses.replace(
         spec,
         controls_i=ControlGrid(spec.controls_i.label, (u,)),

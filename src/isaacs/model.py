@@ -8,13 +8,15 @@ with a running driver f(s, x, y, z, u, v), a terminal payoff phi(x) and two
 obstacles lower(t, x) < upper(t, x) that pin the value between them.  Player I
 picks u from a finite grid and maximizes, player II picks v and minimizes.
 
-The two Hamiltonians evaluated here are the pointwise
+The two Hamiltonians are
 
     H_lower(t,x,y,q,X) = max_u min_v { 1/2 sigma^2 X + q b + f(t,x,y,q sigma,u,v) }
     H_upper(t,x,y,q,X) = min_v max_u { same integrand }
 
-H_lower <= H_upper always; equality of the two tables is what makes the game
-have a value, and `isaacs_condition_check` measures the gap by sampling.
+H_lower <= H_upper always; equality of the two is what makes the game have
+a value, and `isaacs_condition_check` measures the gap by sampling.  The
+integrand is written once, in `hamiltonian_tables`, and the reductions in
+`REDUCTIONS`: `pde` reads them on grid rows, this module at single points.
 
 Conventions used across the package:
 
@@ -201,7 +203,6 @@ _VARIANTS = {
     "one_barrier_upper": (False, True, "lower"),
     "two_barrier": (True, True, None),
 }
-_VARIANTS["free"] = _VARIANTS["penalized"]  # the finite-difference spelling
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,7 +211,7 @@ class Variant:
     what weight, and which it clamps to.
 
         plain              no penalty, no clamp
-        penalized, free    penalties (m, n) on (upper, lower), no clamp
+        penalized          penalties (m, n) on (upper, lower), no clamp
         one_barrier_lower  upper penalty m, clamp to the lower obstacle
         one_barrier_upper  lower penalty m, clamp to the upper obstacle
         two_barrier        no penalty, clamp to both
@@ -390,7 +391,7 @@ class IsaacsReport:
     samples: int
     tolerance: float
     satisfied: bool
-    worst: HamiltonianInput | None
+    worst: HamiltonianInput
 
 
 def _at_state(fn, t, x, u, v, name):
@@ -419,17 +420,72 @@ def sigma_rows(coefficients, t, x, u, v):
     )
 
 
-def _integrand(spec, point, u, v):
+def hamiltonian_tables(spec, t, x, y, d2, dplus, dminus, dcentral):
+    """The integrand 1/2 sigma^2 d2 + b+ dplus + b- dminus + f(t, x, y,
+    dcentral sigma, u, v) of every control pair on a stack of rows, plus
+    stability maxima: b and sigma are evaluated on the nodes x, shape (nx,),
+    the driver on y, shape (rows, nx) like the x-derivatives of y.  Returns
+    (tables of shape (nu, nv, rows, nx), max sigma^2, max |b|, max |sigma|).
+    """
     co = spec.coefficients
-    sig = _at_state(co.sigma, point.t, point.x, u, v, "sigma")
-    b = _at_state(co.b, point.t, point.x, u, v, "b")
-    f = float(co.driver(point.t, point.x, point.y, point.gradient * sig, u, v))
-    val = 0.5 * (sig * sig * point.hessian) + point.gradient * b + f
-    if not math.isfinite(val):
+    bs, sigs, fs = [], [], []
+    for u, v in spec.control_pairs():
+        bs.append(on_nodes(co.b(t, x, u, v), x.shape))
+        sig = sigma_rows(co, t, x, u, v)
+        sigs.append(sig)
+        fs.append(on_nodes(co.driver(t, x, y, dcentral * sig, u, v), y.shape))
+    pairs = (len(spec.controls_i), len(spec.controls_ii))
+    b = np.array(bs).reshape(pairs + (1,) + x.shape)
+    sig = np.array(sigs).reshape(pairs + (1,) + x.shape)
+    s2 = sig * sig
+    tables = (
+        (0.5 * s2) * d2
+        + np.maximum(b, 0.0) * dplus
+        + np.minimum(b, 0.0) * dminus
+        + np.array(fs).reshape(pairs + y.shape)
+    )
+    # a nonfinite b or sigma makes every row's tables nonfinite, and no
+    # caller reads the maxima of nonfinite tables
+    return (
+        tables,
+        max(0.0, float(np.max(s2))),
+        max(0.0, float(np.max(np.abs(b)))),
+        max(0.0, float(np.max(np.abs(sig)))),
+    )
+
+
+# the two Hamiltonians as reductions of the tables over the control axes
+REDUCTIONS = {
+    "lower": lambda tables: np.max(np.min(tables, axis=1), axis=0),
+    "upper": lambda tables: np.min(np.max(tables, axis=0), axis=0),
+}
+
+
+def _pointwise(spec, point):
+    """(H_lower, H_upper) at one point from its (nu, nv) integrand table, with
+    d2 = X and every first derivative q; a nonfinite entry is refused,
+    naming its pair."""
+    q = np.array([[point.gradient]])
+    with np.errstate(all="ignore"):  # refused below
+        tables, *_ = hamiltonian_tables(
+            spec, point.t, np.array([point.x]), np.array([[point.y]]),
+            np.array([[point.hessian]]), q, q, q,
+        )
+    table = tables[:, :, 0, 0]
+    if not np.isfinite(table).all():
+        iu, iv = np.argwhere(~np.isfinite(table))[0]
+        u, v = spec.controls_i.points[iu], spec.controls_ii.points[iv]
         raise CoefficientError(
             f"nonfinite integrand at t={point.t}, x={point.x}, controls ({u!r}, {v!r})"
         )
-    return val
+    lower, upper = REDUCTIONS["lower"](table), REDUCTIONS["upper"](table)
+    # the first u whose min over v is the lower value, at its first such v,
+    # and the first v whose max over u is the upper value, at its first such u
+    at_lower = (table == lower) & (np.min(table, axis=1, keepdims=True) == lower)
+    at_upper = (table == upper) & (np.max(table, axis=0, keepdims=True) == upper)
+    pairs = np.argwhere(at_lower)[0], np.argwhere(at_upper.T)[0][::-1]
+    us, vs = spec.controls_i.points, spec.controls_ii.points
+    return [HamiltonianValue(float(table[i, j]), us[i], vs[j]) for i, j in pairs]
 
 
 def hamiltonian_lower(spec, point):
@@ -438,30 +494,12 @@ def hamiltonian_lower(spec, point):
     Returns (value, u, v) with the first optimizing pair in grid order,
     so repeated calls are deterministic.
     """
-    best = None
-    for u in spec.controls_i.points:
-        inner = None
-        for v in spec.controls_ii.points:
-            val = _integrand(spec, point, u, v)
-            if inner is None or val < inner[0]:
-                inner = (val, v)
-        if best is None or inner[0] > best.value:
-            best = HamiltonianValue(inner[0], u, inner[1])
-    return best
+    return _pointwise(spec, point)[0]
 
 
 def hamiltonian_upper(spec, point):
     """min over v of max over u of the Hamiltonian integrand."""
-    best = None
-    for v in spec.controls_ii.points:
-        inner = None
-        for u in spec.controls_i.points:
-            val = _integrand(spec, point, u, v)
-            if inner is None or val > inner[0]:
-                inner = (val, u)
-        if best is None or inner[0] < best.value:
-            best = HamiltonianValue(inner[0], inner[1], v)
-    return best
+    return _pointwise(spec, point)[1]
 
 
 def isaacs_condition_check(spec, samples=64, seed=0, radius=2.0):
@@ -471,6 +509,8 @@ def isaacs_condition_check(spec, samples=64, seed=0, radius=2.0):
     within 1e-9 means the two Hamiltonian tables coincide on the sampled
     set and the game value computations may be expected to agree.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     tolerance = 1e-9
     rng = np.random.default_rng(seed)
     worst = None
@@ -485,7 +525,8 @@ def isaacs_condition_check(spec, samples=64, seed=0, radius=2.0):
             gradient=rng.uniform(-radius, radius),
             hessian=2.0 * a,
         )
-        gap = hamiltonian_upper(spec, point).value - hamiltonian_lower(spec, point).value
+        lower, upper = _pointwise(spec, point)
+        gap = upper.value - lower.value
         total += gap
         if gap > max_gap:
             max_gap = gap
@@ -517,6 +558,8 @@ def validate_problem(spec, samples=200, seed=0):
 
     Sampling is seeded, so the report is deterministic for a given seed.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     co = spec.coefficients
     T = spec.horizon

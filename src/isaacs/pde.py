@@ -38,7 +38,8 @@ Rows, each a (reduction, variant) pair, are marched side by side as one
 (rows, nx) stack, and each level is a few whole-stack array operations:
 b, sigma, the stability maxima and the obstacles do not depend on W and
 are evaluated once per level, the driver sees the stacked W, the tables of
-every control pair and row are one stacked expression, and one
+every control pair and row are one call of `model.hamiltonian_tables`,
+each row reduces them by its `model.REDUCTIONS` entry, and one
 `obstacle_step` takes the whole stack under per-row penalty and clamp
 columns.  Each row's numbers are bitwise those of its own one-row march.
 A penalization sweep is one such march of 2L+1 rows (reference, then
@@ -55,13 +56,12 @@ import math
 import numpy as np
 
 from .model import (
+    REDUCTIONS,
     PenalizationSchedule,
-    SpaceTimeGrid,  # noqa: F401  (re-exported)
     Variant,
+    hamiltonian_tables,
     obstacle_rows,
     obstacle_step,
-    on_nodes,
-    sigma_rows,
 )
 
 _CFL_MARGIN = 0.9
@@ -134,53 +134,8 @@ def _derivatives(w, dx):
     return d2, dplus, dminus, dcentral
 
 
-def _hamiltonian_tables(spec, t, x, w_next, dx):
-    """Integrand values for every control pair on a stack of rows, plus
-    stability maxima.
-
-    w_next has shape (rows, nx).  b, sigma and the driver are called once
-    per control pair, b and sigma on the nodes only and the driver on the
-    stacked W; the tables of all pairs and rows are then one stacked
-    expression.  Returns (tables of shape (nu, nv, rows, nx), max sigma^2,
-    max |b|, max |sigma|).
-    """
-    co = spec.coefficients
-    d2, dplus, dminus, dcentral = _derivatives(w_next, dx)
-    bs, sigs, fs = [], [], []
-    for u in spec.controls_i.points:
-        for v in spec.controls_ii.points:
-            bs.append(on_nodes(co.b(t, x, u, v), x.shape))
-            sig = sigma_rows(co, t, x, u, v)
-            sigs.append(sig)
-            fs.append(on_nodes(co.driver(t, x, w_next, dcentral * sig, u, v), w_next.shape))
-    pairs = (len(spec.controls_i), len(spec.controls_ii))
-    b = np.array(bs).reshape(pairs + (1,) + x.shape)
-    sig = np.array(sigs).reshape(pairs + (1,) + x.shape)
-    s2 = sig * sig
-    tables = (
-        (0.5 * s2) * d2
-        + np.maximum(b, 0.0) * dplus
-        + np.minimum(b, 0.0) * dminus
-        + np.array(fs).reshape(pairs + w_next.shape)
-    )
-    # a nonfinite b or sigma makes every row's tables nonfinite, and no
-    # caller reads the maxima of nonfinite tables
-    return (
-        tables,
-        max(0.0, float(np.max(s2))),
-        max(0.0, float(np.max(np.abs(b)))),
-        max(0.0, float(np.max(np.abs(sig)))),
-    )
-
-
 def _nonfinite_error(t):
     return ValueError(f"nonfinite Hamiltonian integrand at t={t}")
-
-
-_REDUCTIONS = {
-    "lower": lambda tables: np.max(np.min(tables, axis=1), axis=0),
-    "upper": lambda tables: np.min(np.max(tables, axis=0), axis=0),
-}
 
 
 def _stability_number(dt, dx, mu, max_s2, max_b, max_smag, penalties):
@@ -200,10 +155,10 @@ def cfl_number(spec, grid, penalty=0.0):
     """
     x = grid.space_nodes()
     worst = 0.0
-    zeros = np.zeros((1, x.shape[0]))
+    w = np.zeros((1, x.shape[0]))  # W = 0, and so are all its derivatives
     mu = spec.coefficients.driver_lipschitz
     for t in np.linspace(0.0, grid.horizon, 5):
-        tables, *maxima = _hamiltonian_tables(spec, float(t), x, zeros, grid.dx)
+        tables, *maxima = hamiltonian_tables(spec, float(t), x, w, w, w, w, w)
         if not np.isfinite(tables).all():
             raise _nonfinite_error(float(t))
         worst = max(worst, _stability_number(grid.dt, grid.dx, mu, *maxima, (penalty,)))
@@ -216,12 +171,12 @@ def _live_stack(rows, live):
     per-row reduction."""
     kinds = [rows[r][0] for r in live]
     if len(set(kinds)) == 1:
-        reduce = _REDUCTIONS[kinds[0]]
+        reduce = REDUCTIONS[kinds[0]]
     else:
         lower = np.array([[kind == "lower"] for kind in kinds])
 
         def reduce(tables):
-            return np.where(lower, _REDUCTIONS["lower"](tables), _REDUCTIONS["upper"](tables))
+            return np.where(lower, REDUCTIONS["lower"](tables), REDUCTIONS["upper"](tables))
 
     variants = [rows[r][1] for r in live]
     penalties = tuple(
@@ -246,7 +201,7 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
     after another would.
     """
     for kind, _, _ in rows:
-        if kind not in _REDUCTIONS:
+        if kind not in REDUCTIONS:
             raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
     j_hi = grid.nt if t_hi is None else grid.time_level(t_hi)
     if j_hi == 0:
@@ -272,7 +227,7 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
         index, variant, penalties, reduce = stack
         t = j * dt
         w_next = values[index, j + 1]
-        tables, *maxima = _hamiltonian_tables(spec, t, x, w_next, dx)
+        tables, *maxima = hamiltonian_tables(spec, t, x, w_next, *_derivatives(w_next, dx))
         finite = np.isfinite(tables).all(axis=(0, 1, 3))  # per row
         lo, up = obstacle_rows(co, t, x)
         numbers = _stability_number(dt, dx, mu, *maxima, penalties)
@@ -341,7 +296,7 @@ def solve_isaacs_penalized(
     spec,
     grid,
     kind="lower",
-    penalty_kind="free",
+    penalty_kind="penalized",
     penalty=(0.0, 0.0),
     terminal=None,
     t_hi=None,
@@ -353,7 +308,7 @@ def solve_isaacs_penalized(
     argument: one_barrier_lower keeps the lower obstacle hard and penalizes
     the upper one with weight m (approximates the two-obstacle field from
     above as m grows); one_barrier_upper is the mirror image (from below);
-    free drops both clamps and takes a penalty pair (m, n) for (upper,
+    penalized drops both clamps and takes a penalty pair (m, n) for (upper,
     lower).
     """
     row = _penalized_row(kind, penalty_kind, penalty)
@@ -488,7 +443,7 @@ def viscosity_residual(spec, field):
     field's label names the reduction H.  The tolerance 1e-9 / dt admits
     accumulated roundoff but flags any real perturbation.
     """
-    if field.label not in _REDUCTIONS:
+    if field.label not in REDUCTIONS:
         raise ValueError(
             "residual check covers the two-obstacle fields; got label"
             f" {field.label!r}"
@@ -502,13 +457,13 @@ def viscosity_residual(spec, field):
     for j in range(len(field.times) - 1):
         t = float(field.times[j])
         w = field.values[j]
-        w_next = field.values[j + 1]
-        tables, _, _, _ = _hamiltonian_tables(spec, t, x, w_next[None], dx)
+        w_next = field.values[j + 1 : j + 2]  # a stack of one row
+        tables, _, _, _ = hamiltonian_tables(spec, t, x, w_next, *_derivatives(w_next, dx))
         if not np.isfinite(tables).all():
             raise _nonfinite_error(t)
-        h = _REDUCTIONS[field.label](tables)[0]
+        h = REDUCTIONS[field.label](tables)[0]
         lo, up = obstacle_rows(spec.coefficients, t, x)
-        resid = np.maximum(np.minimum(-(w_next - w) / dt - h, w - lo), w - up)
+        resid = np.maximum(np.minimum(-(w_next[0] - w) / dt - h, w - lo), w - up)
         k = int(np.argmax(np.abs(resid)))
         if abs(float(resid[k])) > worst:
             worst = abs(float(resid[k]))

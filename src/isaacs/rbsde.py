@@ -34,7 +34,6 @@ import numpy as np
 
 from .forwardsim import LatticeError, base_lattice, build_lattice
 from .model import (
-    PenalizationSchedule,  # noqa: F401  (re-exported)
     SpaceTimeGrid,
     Variant,
     obstacle_rows,
@@ -349,6 +348,8 @@ def comparison_check(
     checked on every step increment as well: the smaller solution is pushed
     down less at the upper obstacle and up more at the lower one.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     radius, tolerance = 3.0, 1e-10
     rng = np.random.default_rng(seed)
     ca, cb = spec_a.coefficients, spec_b.coefficients

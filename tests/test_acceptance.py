@@ -16,8 +16,7 @@ import pytest
 
 from isaacs import cli, games, pde, problems, rbsde
 from isaacs.forwardsim import build_lattice
-from isaacs.model import isaacs_condition_check
-from isaacs.pde import SpaceTimeGrid
+from isaacs.model import SpaceTimeGrid, isaacs_condition_check
 
 
 def _verdict(label, ok, detail):

@@ -14,8 +14,7 @@ from isaacs.forwardsim import (
     check_forward_estimates,
     simulate_paths,
 )
-from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec
-from isaacs.pde import SpaceTimeGrid
+from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec, SpaceTimeGrid
 from isaacs.problems import builtin
 
 

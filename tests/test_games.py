@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from isaacs import pde
 from isaacs.games import compute_values, dpp_check, fixed_control_crosscheck
-from isaacs.pde import SpaceTimeGrid
+from isaacs.model import SpaceTimeGrid
 from isaacs.problems import builtin
 
 DYNKIN_COARSE = SpaceTimeGrid(-9.0, 9.0, 101, 400, 1.0)
@@ -87,6 +88,26 @@ def test_frozen_controls_reconcile_the_two_solver_families():
     assert report.controls == (0.0, 0.0)
     i0, i1 = report.inner
     assert 0 < i0 < i1 < bp.grid.nx
+
+
+@pytest.mark.parametrize(
+    "controls, message",
+    [
+        ((9.0, 9.0), "control 9.0 is not on grid 'u'"),
+        (9.0, r"controls must be one \(u, v\) pair, got 9.0"),
+    ],
+    ids=["off_the_grid", "not_a_pair"],
+)
+def test_crosscheck_refuses_a_pair_off_the_grids_before_marching(
+    monkeypatch, controls, message
+):
+    def no_march(*args):
+        raise AssertionError("marched before checking the pair")
+
+    monkeypatch.setattr(pde, "_march", no_march)
+    bp = builtin("dynkin_heat")
+    with pytest.raises(ValueError, match=message):
+        fixed_control_crosscheck(bp.spec, bp.grid, controls)
 
 
 def test_crosscheck_tightens_under_refinement():

@@ -29,7 +29,7 @@ from isaacs.model import (
     validate_problem,
 )
 from isaacs.pde import solve_isaacs_penalized
-from isaacs.problems import builtin
+from isaacs.problems import BUILTINS, builtin, from_expressions
 from isaacs.rbsde import solve_backward
 
 
@@ -91,6 +91,164 @@ def test_minimax_inequality_on_random_points():
         lo = hamiltonian_lower(spec, point).value
         up = hamiltonian_upper(spec, point).value
         assert up >= lo - 1e-12
+
+
+def _custom_spec():
+    # the benchmark's custom problem, with a z-dependent driver
+    return from_expressions(
+        horizon=0.5,
+        b="0.5 * (u + v) * exp(0 - x^2 / 8)",
+        sigma="0.8 + 0.2 * abs(u - v)",
+        driver="0.5 * (u - v) + 0.1 * min(max(y, 0 - 1), 1) + 0.05 * exp(0 - y^2) * z",
+        terminal="max(0, 1 - abs(x - 1)) - max(0, 1 - abs(x + 1))",
+        lower="max(0, 1 - abs(x - 1)) - max(0, 1 - abs(x + 1)) - 0.4",
+        upper="max(0, 1 - abs(x - 1)) - max(0, 1 - abs(x + 1)) + 0.4",
+        controls_i=(-1.0, 0.0, 1.0),
+        controls_ii=(-1.0, 0.0, 1.0),
+        lipschitz=1.0,
+        driver_lipschitz=0.2,
+    )
+
+
+_SPECS = {name: (lambda name=name: builtin(name).spec) for name in BUILTINS}
+_SPECS.update(custom=_custom_spec, coupled=_coupled_spec)
+
+
+# The scalar integrand and the nested loops of the pointwise Hamiltonians as
+# written before they read the one stacked table; the package must match
+# them byte for byte.
+def _scalar(fn, *args):
+    return float(np.asarray(fn(*args), dtype=float).reshape(()))
+
+
+def _reference_integrand(spec, point, u, v):
+    co = spec.coefficients
+    sig = _scalar(co.sigma, point.t, point.x, u, v)
+    b = _scalar(co.b, point.t, point.x, u, v)
+    f = float(co.driver(point.t, point.x, point.y, point.gradient * sig, u, v))
+    return 0.5 * (sig * sig * point.hessian) + point.gradient * b + f
+
+
+def _reference_lower(spec, point):
+    best = None
+    for u in spec.controls_i.points:
+        inner = None
+        for v in spec.controls_ii.points:
+            val = _reference_integrand(spec, point, u, v)
+            if inner is None or val < inner[0]:
+                inner = (val, v)
+        if best is None or inner[0] > best[0]:
+            best = (inner[0], u, inner[1])
+    return best
+
+
+def _reference_upper(spec, point):
+    best = None
+    for v in spec.controls_ii.points:
+        inner = None
+        for u in spec.controls_i.points:
+            val = _reference_integrand(spec, point, u, v)
+            if inner is None or val > inner[0]:
+                inner = (val, u)
+        if best is None or inner[0] < best[0]:
+            best = (inner[0], inner[1], v)
+    return best
+
+
+def _same_optimum(got, want):
+    value, u, v = want
+    same_bytes = np.float64(got.value).tobytes() == np.float64(value).tobytes()
+    return same_bytes and (got.u, got.v) == (u, v)
+
+
+@pytest.mark.parametrize("name", sorted(_SPECS))
+def test_pointwise_hamiltonians_and_isaacs_check_are_bitwise_the_scalar_loops(name):
+    spec = _SPECS[name]()
+    for seed in (0, 3, 7):
+        for radius in (2.0, 4.0):
+            report = isaacs_condition_check(spec, seed=seed, radius=radius)
+            rng = np.random.default_rng(seed)
+            worst, max_gap, total = None, -math.inf, 0.0
+            for _ in range(report.samples):
+                a = rng.uniform(-1.0, 1.0)
+                point = HamiltonianInput(
+                    t=rng.uniform(0.0, spec.horizon),
+                    x=rng.uniform(-radius, radius),
+                    y=rng.uniform(-radius, radius),
+                    gradient=rng.uniform(-radius, radius),
+                    hessian=2.0 * a,
+                )
+                lower, upper = _reference_lower(spec, point), _reference_upper(spec, point)
+                assert _same_optimum(hamiltonian_lower(spec, point), lower), point
+                assert _same_optimum(hamiltonian_upper(spec, point), upper), point
+                gap = upper[0] - lower[0]
+                total += gap
+                if gap > max_gap:
+                    worst, max_gap = point, gap
+            assert np.float64(report.max_gap).tobytes() == np.float64(max_gap).tobytes()
+            mean_gap = np.float64(total / report.samples)
+            assert np.float64(report.mean_gap).tobytes() == mean_gap.tobytes()
+            assert report.worst == worst
+
+
+_COORDINATE = st.floats(-4.0, 4.0)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SPECS)),
+    when=st.floats(0.0, 1.0),
+    x=_COORDINATE,
+    y=_COORDINATE,
+    gradient=_COORDINATE,
+    hessian=_COORDINATE,
+)
+def test_pointwise_hamiltonians_match_the_scalar_loops_anywhere(
+    name, when, x, y, gradient, hessian
+):
+    # equal as numbers, not always as bytes: at q = +-0 with b < 0 the table's
+    # b+ q + b- q adds a +0.0 that b q lacks, so an exactly zero value may
+    # come out as +0.0 where the scalar loops gave -0.0
+    spec = _SPECS[name]()
+    point = HamiltonianInput(when * spec.horizon, x, y, gradient, hessian)
+    assert tuple(hamiltonian_lower(spec, point)) == _reference_lower(spec, point)
+    assert tuple(hamiltonian_upper(spec, point)) == _reference_upper(spec, point)
+
+
+@pytest.mark.parametrize("coefficient", ["driver", "sigma"])
+def test_a_nonfinite_integrand_names_its_first_pair_in_grid_order(coefficient):
+    # nonfinite at (0, 1) and (1, -1): (0, 1) comes first with u outermost
+    spec = _coupled_spec()
+    bad = {(0.0, 1.0), (1.0, -1.0)}
+    fn = getattr(spec.coefficients, coefficient)
+
+    def broken(*args):
+        u, v = args[-2:]
+        return math.inf if (u, v) in bad else fn(*args)
+
+    co = dataclasses.replace(spec.coefficients, **{coefficient: broken})
+    spec = dataclasses.replace(spec, coefficients=co)
+    point = _point(hessian=0.0)
+    for check in (
+        lambda: hamiltonian_lower(spec, point),
+        lambda: hamiltonian_upper(spec, point),
+        lambda: isaacs_condition_check(spec, samples=1),
+    ):
+        with pytest.raises(CoefficientError, match=r"controls \(0\.0, 1\.0\)"):
+            check()
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_isaacs_check_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        isaacs_condition_check(_coupled_spec(), samples=samples)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_validation_refuses_fewer_than_one_sample(samples):
+    # with nothing sampled the report would read passed
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        validate_problem(_coupled_spec(), samples=samples)
 
 
 def test_isaacs_check_separates_the_two_games():
@@ -283,7 +441,7 @@ def test_control_grid_and_spec_validation():
     [
         ("plain", None, Variant(False, False, 0.0, 0.0)),
         ("penalized", (2.0, 3.0), Variant(False, False, 2.0, 3.0)),
-        ("free", (2.0, 3.0), Variant(False, False, 2.0, 3.0)),
+        ("penalized", (1.5, 0.25), Variant(False, False, 1.5, 0.25)),
         ("one_barrier_lower", 5.0, Variant(True, False, 5.0, 0.0)),
         ("one_barrier_upper", 5.0, Variant(False, True, 0.0, 5.0)),
         ("two_barrier", None, Variant(True, True, 0.0, 0.0)),
@@ -291,11 +449,6 @@ def test_control_grid_and_spec_validation():
 )
 def test_each_variant_name_maps_to_its_variant(name, penalty, expected):
     assert Variant.named(name, penalty) == expected
-
-
-def test_free_and_penalized_spell_the_same_variant():
-    for pair in ((0.0, 0.0), (1.5, 0.25)):
-        assert Variant.named("free", pair) == Variant.named("penalized", pair)
 
 
 @pytest.mark.parametrize("solver", ["lattice", "grid"])
@@ -312,7 +465,6 @@ def test_unknown_variant_names_are_rejected_by_both_solvers(solver):
 _PENALTIES = {
     "plain": None,
     "penalized": (3.0, 7.0),
-    "free": (7.0, 3.0),
     "one_barrier_lower": 5.0,
     "one_barrier_upper": 5.0,
     "two_barrier": None,
@@ -356,8 +508,8 @@ _STACKED = [
     ("one_barrier_lower", 4.0),
     ("one_barrier_upper", 0.0),
     ("one_barrier_upper", 4.0),
-    ("free", (0.0, 0.0)),
-    ("free", (4.0, 0.0)),
+    ("penalized", (0.0, 0.0)),
+    ("penalized", (4.0, 0.0)),
     ("penalized", (3.0, 7.0)),
     ("plain", None),
 ]
@@ -388,12 +540,12 @@ def test_a_zero_penalty_keeps_the_sign_of_a_negative_zero_drive():
     # weight must add no term, for -0.0 + 0.0 is +0.0
     lo, up = np.full(3, -1.0), np.full(3, 1.0)
     zero_weight = [
-        Variant.named("free", (0.0, 0.0)),
+        Variant.named("penalized", (0.0, 0.0)),
         Variant.named("one_barrier_lower", 0.0),
         Variant.named("one_barrier_upper", 0.0),
         Variant.named("two_barrier"),
     ]
-    weighted = Variant.named("free", (2.0, 3.0))
+    weighted = Variant.named("penalized", (2.0, 3.0))
     variants = zero_weight + [weighted]
     base = np.full((len(variants), 3), -0.0)
     drive = np.full((len(variants), 3), -0.0)

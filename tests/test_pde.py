@@ -10,11 +10,18 @@ import pytest
 
 from isaacs import pde
 from isaacs.cli import parse_config
-from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec, Variant, sigma_rows
+from isaacs.model import (
+    CoefficientSet,
+    ControlGrid,
+    ProblemSpec,
+    SpaceTimeGrid,
+    Variant,
+    hamiltonian_tables,
+    sigma_rows,
+)
 from isaacs.pde import (
     CflError,
     ConvergenceReport,
-    SpaceTimeGrid,
     _march,
     cfl_number,
     run_penalization_sweep,
@@ -98,7 +105,7 @@ def test_free_penalization_with_zero_weights_is_the_unclamped_march():
     spec = _heat_spec(lambda x: np.maximum(0.0, 1.0 - np.abs(np.asarray(x, dtype=float))))
     grid = SpaceTimeGrid(-8.0, 8.0, 201, 250, 0.5)
     clamped = solve_isaacs_double_obstacle(spec, grid, "lower")
-    free = solve_isaacs_penalized(spec, grid, "lower", "free", (0.0, 0.0))
+    free = solve_isaacs_penalized(spec, grid, "lower", "penalized", (0.0, 0.0))
     # obstacles sit far outside the solution's range, so the clamps never act
     assert np.array_equal(clamped.values, free.values)
     assert free.penalty == (0.0, 0.0)
@@ -145,7 +152,7 @@ def test_viscosity_residual_flags_perturbed_fields():
 
 def test_viscosity_residual_needs_a_reduction_label():
     bp = builtin("dynkin_heat")
-    field = solve_isaacs_penalized(bp.spec, DYNKIN_COARSE, "lower", "free", (1.0, 1.0))
+    field = solve_isaacs_penalized(bp.spec, DYNKIN_COARSE, "lower", "penalized", (1.0, 1.0))
     with pytest.raises(ValueError, match="residual check"):
         viscosity_residual(bp.spec, field)
 
@@ -222,9 +229,9 @@ _MIXED_ROWS = [
         ("one_barrier_upper", 0.0),
         ("one_barrier_upper", 1.0),
         ("one_barrier_upper", 4.0),
-        ("free", (0.0, 0.0)),
-        ("free", (4.0, 0.0)),
-        ("free", (3.0, 2.0)),
+        ("penalized", (0.0, 0.0)),
+        ("penalized", (4.0, 0.0)),
+        ("penalized", (3.0, 2.0)),
     )
 ]
 
@@ -305,8 +312,9 @@ def test_stacked_tables_are_bitwise_the_per_pair_expression(spec, grid):
     w = rng.normal(size=(3, grid.nx))
     w[:, ::7] = -0.0
     t = 0.5 * grid.horizon
-    tables, max_s2, max_b, max_smag = pde._hamiltonian_tables(spec, t, x, w, grid.dx)
-    d2, dplus, dminus, dcentral = pde._derivatives(w, grid.dx)
+    derivatives = pde._derivatives(w, grid.dx)
+    tables, max_s2, max_b, max_smag = hamiltonian_tables(spec, t, x, w, *derivatives)
+    d2, dplus, dminus, dcentral = derivatives
     assert tables.shape == (len(spec.controls_i), len(spec.controls_ii)) + w.shape
     s2s, bs, smags = [], [], []
     for iu, u in enumerate(spec.controls_i.points):
@@ -373,7 +381,7 @@ def test_a_sweep_refuses_a_reference_that_is_not_its_own():
     other_grid = SpaceTimeGrid(-9.0, 9.0, 101, 200, 1.0)
     for reference in (
         upper,
-        solve_isaacs_penalized(bp.spec, DYNKIN_COARSE, "lower", "free", (0.0, 0.0)),
+        solve_isaacs_penalized(bp.spec, DYNKIN_COARSE, "lower", "penalized", (0.0, 0.0)),
         dataclasses.replace(lower, penalty=(1.0, 0.0)),
         dataclasses.replace(lower, times=lower.times[:-1], values=lower.values[:-1]),
         dataclasses.replace(lower, nodes=lower.nodes + 0.5),
@@ -417,8 +425,8 @@ def test_stacked_march_raises_the_first_failing_row_in_call_order():
     spec = _climbing_spec()
     grid = SpaceTimeGrid(-1.0, 1.0, 11, 100, 1.0)
     clamped = ("lower", Variant.named("two_barrier"), "clamped")
-    climbs = ("lower", Variant.named("free", (0.0, 0.0)), "climbs")  # nan near t = 0.6
-    unstable = ("lower", Variant.named("free", (200.0, 0.0)), "unstable")  # first level
+    climbs = ("lower", Variant.named("penalized", (0.0, 0.0)), "climbs")  # nan near t = 0.6
+    unstable = ("lower", Variant.named("penalized", (200.0, 0.0)), "unstable")  # first level
     for rows in (
         [clamped, climbs, unstable],
         [clamped, unstable, climbs],

@@ -12,12 +12,18 @@ from hypothesis import strategies as st
 
 from isaacs.forwardsim import build_lattice
 from isaacs.games import fixed_control_crosscheck
-from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec, obstacle_rows, shifted_spec
-from isaacs.pde import SpaceTimeGrid
+from isaacs.model import (
+    CoefficientSet,
+    ControlGrid,
+    PenalizationSchedule,
+    ProblemSpec,
+    SpaceTimeGrid,
+    obstacle_rows,
+    shifted_spec,
+)
 from isaacs.problems import builtin, from_expressions
 from isaacs.rbsde import (
     ComparisonReport,
-    PenalizationSchedule,
     _estimate_quantities,
     _occupation,
     apriori_estimate_check,
@@ -257,6 +263,16 @@ def test_comparison_declines_unordered_data():
     assert not report.passed
     assert "terminal ordering fails" in report.hypothesis_detail
     assert math.isnan(report.max_y_violation)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_comparison_refuses_fewer_than_one_sample(samples):
+    # with no samples drawn the ordering hypotheses would go unchecked and an
+    # unordered pair would read as conclusive
+    spec, lattice = _dynkin_lattice()
+    smaller = shifted_spec(spec, -0.1, ("terminal",))
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        comparison_check(spec, smaller, lattice, CONTROLS, samples=samples)
 
 
 def test_apriori_constants_are_stable_under_refinement():
