@@ -26,11 +26,16 @@ report = check_forward_estimates(spec, n_paths=500, n_steps=32, seed=7)
 print(f"\nforward estimates passed: {report.passed} (slope {report.slope:+.3f})")
 
 # The lattice discretises the same dynamics.  It starts from every node of
-# the initial slice and widens by one node per side per step, so each
-# initial node carries a complete subtree.
-grid = SpaceTimeGrid(-9.0, 9.0, 101, 100, 1.0)
-lattice = build_lattice(spec, 0.0, grid)
-print(f"\nlattice: {lattice.counts[0]} -> {lattice.counts[-1]} nodes over {grid.nt} steps")
+# the initial slice and widens by one node per side per step up to a halo
+# beyond each end of the grid, which a 100-step lattice never reaches; on
+# 400 steps the halo caps the node count.
+for nt in (100, 400):
+    grid = SpaceTimeGrid(-9.0, 9.0, 101, nt, 1.0)
+    lattice = build_lattice(spec, 0.0, grid)
+    print(
+        f"\nlattice: {lattice.counts[0]} -> {lattice.counts[-1]} nodes over {grid.nt} steps,"
+        f" halo {lattice.halo[-1]} nodes, {lattice.clipped_rows} rows clipped at its edge"
+    )
 center, probs = lattice.transition(0)
 print(f"root transition row (down, stay, up): {probs[0]}")
 print(f"rows sum to one: {np.allclose(probs.sum(axis=1), 1.0)}")

@@ -24,8 +24,22 @@ All three probabilities must be nonnegative; q <= 1 caps the time step the
 usual way, and q >= |r| fails exactly when the diffusion is too weak to
 bridge an off-node drift target (for sigma = 0 the drift must land on a
 node).  Node sets widen every step by the reach of the pair's own stencil,
-max |shift| + 1 nodes per side, so that every stored transition row is a
-genuine probability vector; no boundary absorption is ever applied.
+max |shift| + 1 nodes per side, until they fill a halo of K_j nodes beyond
+each end of the grid at step j; every stored transition row is a genuine
+probability vector, and no boundary absorption is ever applied.
+
+The halo comes from a tail bound.  In node units a path from a grid node
+moves by the drift, at most D_j = sum over k < j of max(|nu_k|, |shift_k|)
+(maxima over the step-k nodes), plus a martingale M_j whose steps xi - r
+lie within 1.5 and have variance q - r^2 <= 1.  Freedman's inequality
+bounds P(max_j |M_j| >= h) by 2 exp(-h^2 / (2N + h)) over N steps, which
+is at most ESCAPE_BOUND = 2^-60 once h >= (beta + sqrt(beta^2 + 8 beta
+N)) / 2 with beta = 61 ln 2; the halo is K_j = ceil(D_j + h).  Where a
+row's stencil would leave the capped node set its center is clipped
+inward, a reflecting closure at the halo's edge.  Reaching such a row
+takes |M_j| >= h, so the chain from any grid node at step 0 meets one
+with probability at most ESCAPE_BOUND.  The moment check covers the
+unclipped rows.
 """
 
 from __future__ import annotations
@@ -38,6 +52,10 @@ import numpy as np
 from .model import on_nodes, sigma_rows
 
 _U64 = (1 << 64) - 1
+
+# the most probability with which the chain from a grid node at step 0 ever
+# meets a row clipped at the halo's edge (module docstring)
+ESCAPE_BOUND = 2.0 ** -60
 
 
 class LatticeError(ValueError):
@@ -89,7 +107,7 @@ def _euler(co, u, v, times, dt, x0, dw):
     for k in range(len(times) - 1):
         t = float(times[k])
         x = states[:, k]
-        drift = on_nodes(co.b(t, x, u, v), x.shape)
+        drift = on_nodes(co.b(t, x, u, v), x.shape, "b")
         sig = sigma_rows(co, t, x, u, v)
         states[:, k + 1] = x + drift * dt + sig * dw[:, k]
     if not np.all(np.isfinite(states)):
@@ -129,10 +147,16 @@ class RecombiningLattice:
     runs from times[j] to times[j+1].  Node values at step j are
     origin + (first_index[j] + arange(counts[j])) * dx; step 0 coincides
     with the spatial nodes of the grid the lattice was built from, and the
-    node set widens with j by the pair's reach so every transition row
-    stays a probability vector.  transitions[j] is a pair (center, probs):
-    row i of probs is the (down, stay, up) distribution over next-step
-    local indices center[i] - 1, center[i], center[i] + 1.
+    node set widens with j by the pair's reach up to `halo[j]` nodes beyond
+    each end of the grid.  transitions[j] is a pair (center, probs): row i
+    of probs is the (down, stay, up) distribution over next-step local
+    indices center[i] - 1, center[i], center[i] + 1, a probability vector
+    on every row.
+
+    At the halo's edge `clipped_rows` rows in all have their center clipped
+    inward; the chain from a grid node at step 0 reaches one with
+    probability at most `escape_bound`.  `mean_error` and `var_error` are
+    the worst moment errors over the other rows.
     """
 
     controls: tuple
@@ -144,6 +168,9 @@ class RecombiningLattice:
     transitions: tuple
     mean_error: float
     var_error: float
+    halo: tuple
+    escape_bound: float
+    clipped_rows: int
 
     @property
     def n_steps(self):
@@ -185,9 +212,16 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
     u, v = controls
     co = spec.coefficients
 
+    # the halo K_j = ceil(D_j + h) of the module docstring, D_j being
+    # drift_reach and h tail
+    beta = math.log(2.0 / ESCAPE_BOUND)
+    tail = 0.5 * (beta + math.sqrt(beta * beta + 8.0 * beta * n_steps))
+    drift_reach = 0.0
+    halo = [math.ceil(tail)]
     first_index = [0]
     counts = [grid.nx]
     transitions = []
+    clipped_rows = 0
     worst_mean = 0.0
     worst_var = 0.0
 
@@ -196,7 +230,7 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         lo = first_index[j]
         count = counts[j]
         x = grid.x_min + dx * (lo + np.arange(count))
-        b = on_nodes(co.b(t, x, u, v), x.shape)
+        b = on_nodes(co.b(t, x, u, v), x.shape, "b")
         sig = sigma_rows(co, t, x, u, v)
         s2 = sig * sig
         nu = b * (dt / dx)
@@ -231,18 +265,31 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         np.clip(probs, 0.0, 1.0, out=probs)
         probs[:, 1] = 1.0 - probs[:, 0] - probs[:, 2]
 
-        # exact local consistency, checked not assumed
-        targets = x[:, None] + dx * (shift[:, None] + np.array([-1.0, 0.0, 1.0]))
+        shift_max = int(np.max(np.abs(shift)))
+        drift_reach += max(float(np.max(np.abs(nu))), shift_max)
+        halo.append(math.ceil(drift_reach + tail))
+        reach = shift_max + 1
+        next_lo = max(lo - reach, -halo[-1])
+        next_count = min(lo + count - 1 + reach, grid.nx - 1 + halo[-1]) - next_lo + 1
+        center = np.arange(lo - next_lo, lo - next_lo + count) + shift
+        kept = (center >= 1) & (center <= next_count - 2)
+        if not kept.all():
+            # a reflecting closure at the halo's edge: clipped rows keep
+            # their probabilities and leave the moment check
+            clipped_rows += int(np.count_nonzero(~kept))
+            np.clip(center, 1, next_count - 2, out=center)
+        first_index.append(next_lo)
+        counts.append(next_count)
+        transitions.append((center, probs))
+
+        # exact local consistency of the stored rows, checked not assumed
+        targets = grid.x_min + dx * (next_lo + center[:, None] + np.array([-1.0, 0.0, 1.0]))
         mean = np.einsum("ik,ik->i", probs, targets)
         var = np.einsum("ik,ik->i", probs, (targets - mean[:, None]) ** 2)
-        worst_mean = max(worst_mean, float(np.max(np.abs(mean - (x + b * dt)))))
-        worst_var = max(worst_var, float(np.max(np.abs(var - s2 * dt))))
-
-        reach = int(np.max(np.abs(shift))) + 1
-        first_index.append(lo - reach)
-        counts.append(count + 2 * reach)
-        # the next node set starts `reach` nodes lower
-        transitions.append((np.arange(count) + shift + reach, probs))
+        mean_gap = np.max(np.abs(mean - (x + b * dt)), where=kept, initial=0.0)
+        var_gap = np.max(np.abs(var - s2 * dt), where=kept, initial=0.0)
+        worst_mean = max(worst_mean, float(mean_gap))
+        worst_var = max(worst_var, float(var_gap))
 
     if worst_mean > consistency_tol or worst_var > consistency_tol:
         raise LatticeError(
@@ -260,6 +307,9 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         transitions=tuple(transitions),
         mean_error=worst_mean,
         var_error=worst_var,
+        halo=tuple(halo),
+        escape_bound=ESCAPE_BOUND,
+        clipped_rows=clipped_rows,
     )
 
 

@@ -46,7 +46,8 @@ import numpy as np
 
 
 class CoefficientError(ValueError):
-    """A coefficient callable returned a nonfinite value."""
+    """A coefficient callable returned a nonfinite value or a value of the
+    wrong shape."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -268,7 +269,7 @@ class Variant:
         1e-9, the one terminal tolerance of both backward solvers."""
         tol = 1e-9
         if terminal is None:
-            terminal = on_nodes(coefficients.terminal(x), x.shape)
+            terminal = on_nodes(coefficients.terminal(x), x.shape, "terminal")
         row = np.array(terminal, dtype=float)
         lo, up = obstacle_rows(coefficients, t, x)
         if row.shape != lo.shape:
@@ -280,18 +281,29 @@ class Variant:
         return row
 
 
-def on_nodes(value, shape):
-    """A coefficient's value as a float array of `shape`, broadcast unless it
-    already has that shape; it may be the coefficient's own array, so never
-    write into it."""
+def on_nodes(value, shape, name):
+    """The value of the coefficient `name` as a float array of `shape`,
+    broadcast unless it already has that shape; it may be the coefficient's
+    own array, so never write into it.  Raises CoefficientError when the
+    value does not broadcast to `shape`."""
     row = np.asarray(value, dtype=float)
-    return row if row.shape == shape else np.broadcast_to(row, shape)
+    if row.shape == shape:
+        return row
+    if row.size == 1 == math.prod(shape) and row.ndim <= len(shape):
+        # one value at one node: the view broadcasting would build costs more
+        return row.reshape(shape)
+    try:
+        return np.broadcast_to(row, shape)
+    except ValueError:
+        raise CoefficientError(
+            f"{name} returned shape {row.shape} for nodes of shape {shape}"
+        ) from None
 
 
 def obstacle_rows(coefficients, t, x):
     """The lower and upper obstacles at time t on the nodes x."""
-    lo = on_nodes(coefficients.lower(t, x), x.shape)
-    up = on_nodes(coefficients.upper(t, x), x.shape)
+    lo = on_nodes(coefficients.lower(t, x), x.shape, "lower")
+    up = on_nodes(coefficients.upper(t, x), x.shape, "upper")
     return lo, up
 
 
@@ -430,10 +442,10 @@ def hamiltonian_tables(spec, t, x, y, d2, dplus, dminus, dcentral):
     co = spec.coefficients
     bs, sigs, fs = [], [], []
     for u, v in spec.control_pairs():
-        bs.append(on_nodes(co.b(t, x, u, v), x.shape))
+        bs.append(on_nodes(co.b(t, x, u, v), x.shape, "b"))
         sig = sigma_rows(co, t, x, u, v)
         sigs.append(sig)
-        fs.append(on_nodes(co.driver(t, x, y, dcentral * sig, u, v), y.shape))
+        fs.append(on_nodes(co.driver(t, x, y, dcentral * sig, u, v), y.shape, "driver"))
     pairs = (len(spec.controls_i), len(spec.controls_ii))
     b = np.array(bs).reshape(pairs + (1,) + x.shape)
     sig = np.array(sigs).reshape(pairs + (1,) + x.shape)
@@ -630,7 +642,7 @@ def validate_problem(spec, samples=200, seed=0):
                 f"lower={lo_a} >= upper={up_a}",
             )
 
-        phi_T = float(co.terminal(xa))
+        phi_T = phi_a  # the payoff takes no t
         lo_T = float(co.lower(T, xa))
         up_T = float(co.upper(T, xa))
         if phi_T < lo_T - slack or phi_T > up_T + slack:

@@ -138,7 +138,7 @@ def _reflected_step(co, variant, dt, u, v, step, y_next, lo, up):
     ey = _expectation(y_next, step)
     cov = np.einsum("ik,ik->i", step.probs, y_next[step.around] * step.deviation)
     z = step.sigma * np.where(step.spread, cov / step.var_x, 0.0)
-    fval = on_nodes(co.driver(step.t, step.x, ey, z, u, v), step.x.shape)
+    fval = on_nodes(co.driver(step.t, step.x, ey, z, u, v), step.x.shape, "driver")
     if not (np.isfinite(ey).all() and np.isfinite(fval).all()):
         raise ValueError(f"nonfinite expectation or driver value at t={step.t:.6g}")
     y, dkp, dkm = obstacle_step(ey, fval, dt, lo, up, variant)
@@ -204,8 +204,11 @@ def _walk(specs, lattice, controls, variant, terminal=None, start_step=0, end_st
             own = step
             if co.sigma is not first.sigma:
                 own = step._replace(sigma=sigma_rows(co, t, x, u, v))
-            lo = lo_first if co.lower is first.lower else on_nodes(co.lower(t, x), x.shape)
-            up = up_first if co.upper is first.upper else on_nodes(co.upper(t, x), x.shape)
+            lo, up = lo_first, up_first
+            if co.lower is not first.lower:
+                lo = on_nodes(co.lower(t, x), x.shape, "lower")
+            if co.upper is not first.upper:
+                up = on_nodes(co.upper(t, x), x.shape, "upper")
             levels.append((*_reflected_step(co, variant, dt, u, v, own, y, lo, up), lo, up))
         rows = levels
         yield j, step, rows
@@ -474,7 +477,8 @@ def _estimate_quantities(spec, lattice, perturbation):
         snell_dy = np.maximum((y - y_b) ** 2, _expectation(snell_dy, step))
         term = _expectation(term, step)
 
-        g = np.abs(on_nodes(co.driver(step.t, step.x, 0.0, 0.0, u, v), step.x.shape)) * dt
+        f0 = on_nodes(co.driver(step.t, step.x, 0.0, 0.0, u, v), step.x.shape, "driver")
+        g = np.abs(f0) * dt
         mean = _expectation(drive, step)
         drive_sq = g * g + 2.0 * g * mean + _expectation(drive_sq, step)
         drive = g + mean

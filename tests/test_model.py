@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +325,26 @@ def test_builtin_problems_pass_validation():
         assert report.summary() == "ok (60 samples)"
 
 
+def test_validation_reads_the_payoff_twice_per_sample():
+    # once at each of the two sampled states, plus once at x = 0 for the
+    # growth baseline; the terminal sandwich reuses the first read
+    spec = builtin("dynkin_heat").spec
+    payoff = spec.coefficients.terminal
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return payoff(x)
+
+    counted = dataclasses.replace(
+        spec, coefficients=dataclasses.replace(spec.coefficients, terminal=counting)
+    )
+    samples = 37
+    report = validate_problem(counted, samples=samples, seed=5)
+    assert len(calls) == 2 * samples + 1
+    assert report == validate_problem(spec, samples=samples, seed=5)
+
+
 def test_crossed_obstacles_are_flagged():
     bp = builtin("dynkin_heat")
     co = dataclasses.replace(
@@ -581,10 +602,17 @@ _ROW = np.linspace(-1.0, 1.0, 5)
         (_ROW, (3, 5)),
         (np.array([1, 2, 3])[:, None], (3, 5)),
         (np.outer(np.arange(3.0), _ROW), (3, 5)),
+        # one value at one node takes the reshape path, bitwise the same
+        (0.25, (1,)),
+        (np.float64(-0.0), (1,)),
+        (np.array([1.5]), (1,)),
+        (np.array([[2.5]]), (1, 1)),
+        (np.array(-3.0), (1, 1)),
+        (np.array([7.0]), (1, 1)),
     ],
 )
 def test_on_nodes_is_a_float_broadcast(value, shape):
-    row = on_nodes(value, shape)
+    row = on_nodes(value, shape, "b")
     expected = np.broadcast_to(np.asarray(value, dtype=float), shape)
     assert row.shape == shape and row.dtype == np.float64
     assert np.array_equal(row, expected)
@@ -592,10 +620,45 @@ def test_on_nodes_is_a_float_broadcast(value, shape):
 
 
 def test_on_nodes_returns_a_matching_float_array_itself():
-    assert on_nodes(_ROW, _ROW.shape) is _ROW
+    assert on_nodes(_ROW, _ROW.shape, "b") is _ROW
 
 
-@pytest.mark.parametrize("value, shape", [(np.zeros(3), (5,)), (np.zeros((2, 5)), (3, 5))])
+@pytest.mark.parametrize(
+    "value, shape",
+    [
+        (np.zeros(3), (5,)),
+        (np.zeros((2, 5)), (3, 5)),
+        # np.broadcast_to never drops an axis, not even from one value
+        (np.ones((1, 1, 1)), (1,)),
+        (np.ones((1, 1, 1)), (1, 1)),
+    ],
+)
 def test_on_nodes_refuses_shapes_that_do_not_broadcast(value, shape):
-    with pytest.raises(ValueError):
-        on_nodes(value, shape)
+    message = f"driver returned shape {value.shape} for nodes of shape {shape}"
+    with pytest.raises(CoefficientError, match=f"^{re.escape(message)}$"):
+        on_nodes(value, shape, "driver")
+
+
+def _wrong_shaped_drift():
+    bp = builtin("dynkin_heat")
+    co = dataclasses.replace(bp.spec.coefficients, b=lambda t, x, u, v: np.zeros(3))
+    return dataclasses.replace(bp.spec, coefficients=co)
+
+
+@pytest.mark.parametrize(
+    "call, nodes",
+    [
+        (lambda spec: hamiltonian_lower(spec, _point()), "(1,)"),
+        (lambda spec: hamiltonian_upper(spec, _point()), "(1,)"),
+        (
+            lambda spec: solve_isaacs_penalized(spec, SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)),
+            "(11,)",
+        ),
+        (lambda spec: build_lattice(spec, 0.0, SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)), "(11,)"),
+    ],
+    ids=["hamiltonian_lower", "hamiltonian_upper", "march", "build_lattice"],
+)
+def test_a_wrong_shaped_coefficient_names_both_shapes(call, nodes):
+    message = rf"^b returned shape \(3,\) for nodes of shape {re.escape(nodes)}$"
+    with pytest.raises(CoefficientError, match=message):
+        call(_wrong_shaped_drift())
