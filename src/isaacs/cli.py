@@ -320,33 +320,39 @@ def _format_json(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_text(out_dir, filename, text, outputs, quiet):
+def _write_text(out_dir, filename, chunks, outputs, quiet):
+    """Write the text given as a sequence of string chunks, encoding and
+    hashing it chunk by chunk, so that only one chunk is held as bytes."""
     path = os.path.join(out_dir, filename)
-    data = text.encode("utf-8")
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    outputs[filename] = hashlib.sha256(data).hexdigest()
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    outputs[filename] = digest.hexdigest()
     if not quiet:
         print(f"wrote {path}")
 
 
 def _field_csv(field):
-    # one % format per time level: the template holds every node's x and a
-    # %.17g per value, which is _format_float on finite values; a level with
-    # a nonfinite value is formatted value by value, to keep its quotes.
-    # Formatting the whole field at once would keep 80k short strings alive.
+    """The field's CSV text: the header, then one chunk per time level.
+
+    One % format per level: the template holds every node's x and a %.17g
+    per value, which is _format_float on finite values; a level with a
+    nonfinite value is formatted value by value, to keep its quotes.
+    Formatting the whole field at once would keep 80k short strings alive,
+    and joining the levels would keep the whole text alive.
+    """
     xs = [_format_float(x) for x in field.nodes.tolist()]
-    template = "\n".join("{t}," + x + ",%.17g" for x in xs)
-    lines = ["t,x,value"]
+    template = "\n".join("{t}," + x + ",%.17g" for x in xs) + "\n"
+    yield "t,x,value\n"
     for t, row in zip(field.times.tolist(), field.values):
         ts = _format_float(t)
         if np.isfinite(row).all():
-            lines.append(template.replace("{t}", ts) % tuple(row.tolist()))
+            yield template.replace("{t}", ts) % tuple(row.tolist())
         else:
-            lines.append(
-                "\n".join(f"{ts},{x},{_format_float(v)}" for x, v in zip(xs, row.tolist()))
-            )
-    return "\n".join(lines) + "\n"
+            yield "".join(f"{ts},{x},{_format_float(v)}\n" for x, v in zip(xs, row.tolist()))
 
 
 def _sweep_csv(report):
@@ -370,7 +376,8 @@ def _sweep_csv(report):
 class RunManifest:
     """Provenance record of one run.
 
-    `timings` maps each check run to its seconds, data files included.
+    `timings` maps each check run to its seconds, data files included;
+    the run's one march counts toward the first check that needs it.
     They differ from run to run, so they are kept here and never in
     verdict.json.
     """
@@ -395,14 +402,53 @@ def _base_lattice(spec, grid, fields):
     return fields["lattice"]
 
 
-def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields):
+# the checks whose fields come from the run's one march
+_MARCHED = ("game_value", "penalization", "dpp")
+
+
+def _march_fields(spec, grid, schedule, checks):
+    """The rows that the checks among `_MARCHED` in `checks` need, marched
+    together once: maps each row's name to its ValueField or its failure.
+
+    lower serves every one of these checks, upper `game_value` and `dpp`,
+    sweep_0 .. sweep_{2L-1} `penalization`, and the two dpp heads join at
+    the split level from lower and from upper.
+    """
+    rows = {"lower": pde.two_barrier_row("lower", None)}
+    if "game_value" in checks or "dpp" in checks:
+        rows["upper"] = pde.two_barrier_row("upper", None)
+    if "penalization" in checks:
+        rows.update((f"sweep_{i}", row) for i, row in enumerate(pde.sweep_rows(schedule)))
+    if "dpp" in checks:
+        try:
+            _, split_level = games.dpp_split(grid, None)
+        except ValueError:
+            pass  # dpp raises it again, before it reads a field
+        else:
+            names = list(rows)
+            for kind in ("lower", "upper"):
+                join = (names.index(kind), split_level)
+                rows[f"head_{kind}"] = pde.two_barrier_row(kind, join)
+    return dict(zip(rows, pde.march_rows(spec, grid, list(rows.values()))))
+
+
+def _marched(fields, *names):
+    """The fields of the named rows; raises the first failure among them."""
+    return pde.raise_first_failure([fields[name] for name in names])
+
+
+def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet, fields):
     """Execute one named check; returns a flat dict of JSON-safe numbers.
 
-    `fields` carries what one check built to later checks of the same run:
-    `penalization` takes the lower field `game_value` solved as its
-    reference, `dpp` recomposes both fields instead of solving them again,
-    and `comparison`, `crosscheck` and `estimates` share one base lattice.
+    `fields` carries what one check built to later checks of the same run.
+    The first of `game_value`, `penalization` and `dpp` marches the rows of
+    every one of them in `checks` at once, and each builds its report from
+    its own fields, failing with the first failure among them in its own
+    row order.  `comparison`, `crosscheck` and `estimates` share one base
+    lattice.
     """
+    if name in _MARCHED and "lower" not in fields:
+        fields.update(_march_fields(spec, grid, schedule, checks))
     if name == "validate":
         report = validate_problem(spec, seed=seed)
         return {
@@ -411,10 +457,10 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             "samples": report.samples,
         }
     if name == "game_value":
-        verdict = games.compute_values(spec, grid, seed=seed)
-        fields.update(lower=verdict.lower, upper=verdict.upper)
-        _write_text(out_dir, "values_lower.csv", _field_csv(verdict.lower), outputs, quiet)
-        _write_text(out_dir, "values_upper.csv", _field_csv(verdict.upper), outputs, quiet)
+        lower, upper = _marched(fields, "lower", "upper")
+        verdict = games.value_verdict(spec, grid, lower, upper, seed)
+        _write_text(out_dir, "values_lower.csv", _field_csv(lower), outputs, quiet)
+        _write_text(out_dir, "values_upper.csv", _field_csv(upper), outputs, quiet)
         ok = verdict.order_violation <= 1e-10 and (
             verdict.max_gap <= verdict.value_tol if verdict.isaacs.satisfied else True
         )
@@ -427,8 +473,10 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             "value_tol": verdict.value_tol,
         }
     if name == "penalization":
-        report = pde.run_penalization_sweep(spec, grid, schedule, reference=fields.get("lower"))
-        _write_text(out_dir, "sweep.csv", _sweep_csv(report), outputs, quiet)
+        sweep = [f"sweep_{i}" for i in range(2 * len(schedule))]
+        reference, *penalized = _marched(fields, "lower", *sweep)
+        report = pde.sweep_report(schedule, reference, penalized)
+        _write_text(out_dir, "sweep.csv", [_sweep_csv(report)], outputs, quiet)
         worst = max(
             report.monotone_violation_above,
             report.monotone_violation_below,
@@ -442,8 +490,12 @@ def _run_check(name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             "final_gap": report.two_sided_gap[-1],
         }
     if name == "dpp":
-        lo = games.dpp_check(spec, grid, "lower", full=fields.get("lower"))
-        up = games.dpp_check(spec, grid, "upper", full=fields.get("upper"))
+        split, _ = games.dpp_split(grid, None)
+        lower, head_lower, upper, head_upper = _marched(
+            fields, "lower", "head_lower", "upper", "head_upper"
+        )
+        lo = games.dpp_report("lower", split, lower, head_lower)
+        up = games.dpp_report("upper", split, upper, head_upper)
         return {
             "passed": bool(lo.passed and up.passed),
             "residual_lower": lo.max_residual,
@@ -543,14 +595,14 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
         check_started = time.monotonic()
         try:
             results[name] = _run_check(
-                name, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
+                name, ordered, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             )
         except Exception as exc:  # a failed stage must not lose earlier output
             results[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
         timings[name] = time.monotonic() - check_started
         if not quiet:
             print(f"check {name}: {'pass' if results[name]['passed'] else 'FAIL'}")
-        _write_text(out_dir, "verdict.json", _format_json(results) + "\n", outputs, quiet=True)
+        _write_text(out_dir, "verdict.json", [_format_json(results) + "\n"], outputs, quiet=True)
 
     all_passed = all(r["passed"] for r in results.values())
     manifest = RunManifest(
@@ -568,7 +620,7 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
     _write_text(
         out_dir,
         "manifest.json",
-        _format_json(dataclasses.asdict(manifest)) + "\n",
+        [_format_json(dataclasses.asdict(manifest)) + "\n"],
         outputs={},
         quiet=quiet,
     )

@@ -44,8 +44,14 @@ class GameVerdict:
 
 def compute_values(spec, grid, seed=0):
     """Solve both Hamiltonian reductions, in one stacked march, and compare
-    them."""
+    them as `value_verdict` does."""
     lower, upper = pde.solve_lower_and_upper(spec, grid)
+    return value_verdict(spec, grid, lower, upper, seed)
+
+
+def value_verdict(spec, grid, lower, upper, seed):
+    """The GameVerdict of the lower and upper two-obstacle fields on `grid`,
+    with the Isaacs condition sampled under `seed`."""
     radius = max(abs(grid.x_min), abs(grid.x_max))
     isaacs = isaacs_condition_check(spec, seed=seed, radius=radius)
     max_gap = float(np.max(np.abs(upper.values - lower.values)))
@@ -78,17 +84,26 @@ class DPPReport:
     passed: bool
 
 
-def dpp_check(spec, grid, kind="lower", split=None, full=None):
+def dpp_check(spec, grid, kind="lower", split=None):
     """Freeze an intermediate level and re-solve the head of the interval.
 
     Solving on the whole interval, taking the level at the split time as
     terminal data, and solving again on the head must reproduce the original
     levels: the backward recursion repeats the same arithmetic on the same
-    numbers, so the residual is exactly zero (the check allows 1e-12).
-    `full` is the whole-interval `kind` field when it is already solved on
-    this grid (as `compute_values` returns it); only the head is marched.
+    numbers, so the residual is exactly zero (the check allows 1e-12).  The
+    whole-interval field and the head, which joins it at the split level,
+    are one march; `dpp_report` compares them.
     """
-    tolerance = 1e-12
+    split, split_level = dpp_split(grid, split)
+    rows = [pde.two_barrier_row(kind, None), pde.two_barrier_row(kind, (0, split_level))]
+    full, head = pde.raise_first_failure(pde.march_rows(spec, grid, rows))
+    return dpp_report(kind, split, full, head)
+
+
+def dpp_split(grid, split):
+    """(split time, split level) of a dynamic-programming check: the middle
+    level when `split` is None, else the grid level at time `split`, which
+    must lie strictly inside the horizon."""
     if split is None:
         split_level = grid.nt // 2
         split = split_level * grid.dt
@@ -96,16 +111,14 @@ def dpp_check(spec, grid, kind="lower", split=None, full=None):
         split_level = grid.time_level(split)
     if not 0 < split_level < grid.nt:
         raise ValueError(f"split {split!r} must be strictly inside the horizon")
-    if full is None:
-        full = pde.solve_isaacs_double_obstacle(spec, grid, kind)
-    elif full.label != kind or full.values.shape != (grid.nt + 1, grid.nx):
-        raise ValueError(
-            f"full field {full.label!r} of shape {full.values.shape} is not the"
-            f" whole-interval {kind!r} field on this grid"
-        )
-    head = pde.solve_isaacs_double_obstacle(
-        spec, grid, kind, terminal=full.values[split_level], t_hi=split
-    )
+    return split, split_level
+
+
+def dpp_report(kind, split, full, head):
+    """The DPPReport of the whole-interval `kind` field and the head solved
+    from its level at time `split`."""
+    tolerance = 1e-12
+    split_level = len(head.times) - 1
     residual = float(np.max(np.abs(head.values - full.values[: split_level + 1])))
     return DPPReport(
         kind=kind,

@@ -31,8 +31,9 @@ Both backward solvers (the lattice recursion in `rbsde` and the
 finite-difference march in `pde`) take the same reflected step,
 `obstacle_step`, under a `Variant` that says which obstacles it penalizes
 and which it clamps to (the march steps its whole stack of rows at once,
-under `Variant.stacked`); the grid and penalty-schedule types they share
-live here as well.
+under `Variant.stacked`, through the step's two halves `penalized_step` and
+`obstacle_clamp`, since it keeps no reflection increments); the grid and
+penalty-schedule types they share live here as well.
 """
 
 from __future__ import annotations
@@ -314,29 +315,40 @@ def obstacle_step(base, drive, dt, lo, up, variant):
         dK+ = max(lo - y~, 0),  dK- = max(y~ - up, 0)   (clamped sides only)
         y   = min(max(y~, lo), up)                      (clamped sides only)
 
-    with (m, n) the variant's penalty weights.  dK+ > 0 forces y = lo
-    exactly and dK- > 0 forces y = up exactly, so for lo < up the discrete
-    Skorokhod conditions dK+ * dK- = (y - lo) * dK+ = (up - y) * dK- = 0
-    hold as identities in float arithmetic.
+    with (m, n) the variant's penalty weights: y~ is `penalized_step` and y
+    its `obstacle_clamp`.  dK+ > 0 forces y = lo exactly and dK- > 0 forces
+    y = up exactly, so for lo < up the discrete Skorokhod conditions
+    dK+ * dK- = (y - lo) * dK+ = (up - y) * dK- = 0 hold as identities in
+    float arithmetic.
 
     base and drive are one row under a `Variant`, or a (rows, nx) stack
     under `Variant.stacked`, one variant per row; each row of a stack holds
-    exactly the numbers of its own one-row step.  A zero weight adds no
-    term at all: adding +0.0 would turn a -0.0 drive into +0.0.
+    exactly the numbers of its own one-row step.
     """
-    m, n = variant.pen_upper, variant.pen_lower
-    drive = _on_rows(m > 0.0, lambda: drive - m * np.maximum(base - up, 0.0), lambda: drive)
-    drive = _on_rows(n > 0.0, lambda: drive + n * np.maximum(lo - base, 0.0), lambda: drive)
-    y = base + dt * drive
+    y = penalized_step(base, drive, dt, lo, up, variant)
     dkp = _on_rows(
         variant.clamp_lower, lambda: np.maximum(lo - y, 0.0), lambda: np.zeros_like(y)
     )
     dkm = _on_rows(
         variant.clamp_upper, lambda: np.maximum(y - up, 0.0), lambda: np.zeros_like(y)
     )
+    return obstacle_clamp(y, lo, up, variant), dkp, dkm
+
+
+def penalized_step(base, drive, dt, lo, up, variant):
+    """The step y~ of `obstacle_step`, before the clamp.  A zero weight adds
+    no term at all: adding +0.0 would turn a -0.0 drive into +0.0."""
+    m, n = variant.pen_upper, variant.pen_lower
+    drive = _on_rows(m > 0.0, lambda: drive - m * np.maximum(base - up, 0.0), lambda: drive)
+    drive = _on_rows(n > 0.0, lambda: drive + n * np.maximum(lo - base, 0.0), lambda: drive)
+    return base + dt * drive
+
+
+def obstacle_clamp(y, lo, up, variant):
+    """y clamped to the obstacles the variant keeps hard, as `obstacle_step`
+    clamps y~; the march takes this and `penalized_step` and no dK."""
     y = _on_rows(variant.clamp_lower, lambda: np.maximum(y, lo), lambda: y)
-    y = _on_rows(variant.clamp_upper, lambda: np.minimum(y, up), lambda: y)
-    return y, dkp, dkm
+    return _on_rows(variant.clamp_upper, lambda: np.minimum(y, up), lambda: y)
 
 
 def _on_rows(flag, step, rest):
@@ -406,9 +418,9 @@ class IsaacsReport:
     worst: HamiltonianInput
 
 
-def _at_state(fn, t, x, u, v, name):
-    """fn(t, x, u, v) at one scalar state, read as a float."""
-    raw = np.asarray(fn(t, x, u, v), dtype=float)
+def _scalar(value, name):
+    """The value of the coefficient `name` at one state, read as a float."""
+    raw = np.asarray(value, dtype=float)
     if raw.size != 1:
         raise CoefficientError(f"{name} returned shape {raw.shape} at one state")
     return float(raw.reshape(()))
@@ -591,16 +603,16 @@ def validate_problem(spec, samples=200, seed=0):
         for u, v in pairs:
             base_dyn = max(
                 base_dyn,
-                abs(_at_state(co.b, t, 0.0, u, v, "b"))
-                + abs(_at_state(co.sigma, t, 0.0, u, v, "sigma")),
+                abs(_scalar(co.b(t, 0.0, u, v), "b"))
+                + abs(_scalar(co.sigma(t, 0.0, u, v), "sigma")),
             )
-            base_data = max(base_data, abs(float(co.driver(t, 0.0, 0.0, 0.0, u, v))))
+            base_data = max(base_data, abs(_scalar(co.driver(t, 0.0, 0.0, 0.0, u, v), "driver")))
         base_data = max(
             base_data,
-            abs(float(co.lower(t, 0.0))),
-            abs(float(co.upper(t, 0.0))),
+            abs(_scalar(co.lower(t, 0.0), "lower")),
+            abs(_scalar(co.upper(t, 0.0), "upper")),
         )
-    base_data = max(base_data, abs(float(co.terminal(0.0))))
+    base_data = max(base_data, abs(_scalar(co.terminal(0.0), "terminal")))
     growth_dyn = co.lipschitz + base_dyn
     growth_data = co.lipschitz + base_data
 
@@ -613,18 +625,18 @@ def validate_problem(spec, samples=200, seed=0):
         here = {"t": t, "x": xa, "u": u, "v": v}
 
         try:
-            b_a = _at_state(co.b, t, xa, u, v, "b")
-            b_b = _at_state(co.b, t, xb, u, v, "b")
-            s_a = _at_state(co.sigma, t, xa, u, v, "sigma")
-            s_b = _at_state(co.sigma, t, xb, u, v, "sigma")
-            f_a = float(co.driver(t, xa, y, z, u, v))
-            f_b = float(co.driver(t, xb, y, z, u, v))
-            lo_a = float(co.lower(t, xa))
-            up_a = float(co.upper(t, xa))
-            phi_a = float(co.terminal(xa))
-            phi_b = float(co.terminal(xb))
-            lo_b = float(co.lower(t, xb))
-            up_b = float(co.upper(t, xb))
+            b_a = _scalar(co.b(t, xa, u, v), "b")
+            b_b = _scalar(co.b(t, xb, u, v), "b")
+            s_a = _scalar(co.sigma(t, xa, u, v), "sigma")
+            s_b = _scalar(co.sigma(t, xb, u, v), "sigma")
+            f_a = _scalar(co.driver(t, xa, y, z, u, v), "driver")
+            f_b = _scalar(co.driver(t, xb, y, z, u, v), "driver")
+            lo_a = _scalar(co.lower(t, xa), "lower")
+            up_a = _scalar(co.upper(t, xa), "upper")
+            phi_a = _scalar(co.terminal(xa), "terminal")
+            phi_b = _scalar(co.terminal(xb), "terminal")
+            lo_b = _scalar(co.lower(t, xb), "lower")
+            up_b = _scalar(co.upper(t, xb), "upper")
         except CoefficientError as exc:
             record("nonfinite", here, math.inf, str(exc))
             continue
@@ -643,8 +655,8 @@ def validate_problem(spec, samples=200, seed=0):
             )
 
         phi_T = phi_a  # the payoff takes no t
-        lo_T = float(co.lower(T, xa))
-        up_T = float(co.upper(T, xa))
+        lo_T = _scalar(co.lower(T, xa), "lower")
+        up_T = _scalar(co.upper(T, xa), "upper")
         if phi_T < lo_T - slack or phi_T > up_T + slack:
             record(
                 "terminal_sandwich", here,
@@ -672,7 +684,7 @@ def validate_problem(spec, samples=200, seed=0):
 
         y2 = float(rng.uniform(-radius, radius))
         z2 = float(rng.uniform(-radius, radius))
-        f_y2 = float(co.driver(t, xa, y2, z2, u, v))
+        f_y2 = _scalar(co.driver(t, xa, y2, z2, u, v), "driver")
         dyz = math.hypot(abs(y - y2), abs(z - z2))
         if dyz > 1e-12:
             gap = abs(f_a - f_y2)
@@ -690,7 +702,7 @@ def validate_problem(spec, samples=200, seed=0):
                 "growth_dynamics", here, dyn / scale,
                 f"(|b|+|sigma|)/(1+|x|) = {dyn / scale:.6g} exceeds {growth_dyn:.6g}",
             )
-        f0 = abs(float(co.driver(t, xa, 0.0, 0.0, u, v)))
+        f0 = abs(_scalar(co.driver(t, xa, 0.0, 0.0, u, v), "driver"))
         data = max(f0, abs(phi_a), abs(lo_a), abs(up_a))
         if data > growth_data * scale + slack * (1.0 + growth_data):
             record(

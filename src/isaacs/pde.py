@@ -40,12 +40,21 @@ b, sigma, the stability maxima and the obstacles do not depend on W and
 are evaluated once per level, the driver sees the stacked W, the tables of
 every control pair and row are one call of `model.hamiltonian_tables`,
 each row reduces them by its `model.REDUCTIONS` entry, and one
-`obstacle_step` takes the whole stack under per-row penalty and clamp
-columns.  Each row's numbers are bitwise those of its own one-row march.
-A penalization sweep is one such march of 2L+1 rows (reference, then
-above and below for each of the L levels), or of 2L rows when it is given
-the reference, and `solve_lower_and_upper` marches both reductions
-together.
+`penalized_step` and `obstacle_clamp` take the whole stack under per-row
+penalty and clamp columns; the march computes no reflection increments.
+A row may also join the stack below the horizon, starting from the values
+another row holds at that level, as a terminal override at that level
+would.  Each row's numbers are bitwise those of its own one-row march, and
+each row ends in its field or in its own first failure, so one failing row
+never stops another.
+
+`isaacs run` marches once: the lower and upper fields, the 2L rows of the
+penalization sweep and the two dynamic-programming heads, which join at
+the split level from the lower and the upper row, are one march, and each
+check builds its report from the fields it needs.  A penalization sweep on
+its own is one march of 2L+1 rows (reference, then above and below for
+each of the L levels), and `solve_lower_and_upper` marches both
+reductions together.
 """
 
 from __future__ import annotations
@@ -60,8 +69,9 @@ from .model import (
     PenalizationSchedule,
     Variant,
     hamiltonian_tables,
+    obstacle_clamp,
     obstacle_rows,
-    obstacle_step,
+    penalized_step,
 )
 
 _CFL_MARGIN = 0.9
@@ -187,25 +197,39 @@ def _live_stack(rows, live):
 
 
 def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
-    """March rows of (kind, variant, label) side by side; one ValueField each.
+    """March rows of (kind, variant, label, join) side by side; returns, per
+    row, its ValueField or its own first failure.
 
-    A level is a few operations on the (rows, nx) stack of the rows still
-    marching: the tables of every control pair and row at once, each row's
-    reduction, and one `model.obstacle_step` under the stacked variants,
-    whose columns are built once per set of marching rows.  b, sigma, the
-    stability maxima and the obstacles are evaluated once per level for the
-    whole stack, and each row holds exactly the numbers of its own one-row
-    march.  A row stops at its own first failure (terminal row, nonfinite
-    integrand, then stability, checked as in a one-row march); the march
-    raises the failure of the first failing row, as marching the rows one
-    after another would.
+    A row whose join is None starts at level t_hi (a grid level, default the
+    horizon) from `terminal` (default the payoff).  A row whose join is
+    (source, s) starts at level s, below the source's own start, from the
+    values the source row holds there: it joins the stack once level s is
+    marched, or carries the source's failure if the source failed before
+    reaching s.  Either start goes through `variant.terminal_row`, so a
+    joining row is bitwise the one-row march with `terminal` the source's
+    level s and `t_hi` = s dt, and its field covers levels 0..s.
+
+    A level is a few operations on the (rows, nx) stack of the rows marching
+    then: the tables of every control pair and row at once, each row's
+    reduction, and one `model.penalized_step` and `model.obstacle_clamp`
+    under the stacked variants, whose columns are built once per set of
+    marching rows.  b, sigma, the stability maxima and the obstacles are
+    evaluated once per level for the whole stack, and each row holds exactly
+    the numbers of its own one-row march.  A row stops at its own first
+    failure (start row, nonfinite integrand, then stability, checked as in
+    a one-row march) and the other rows march on: one failing row never
+    stops another.
     """
-    for kind, _, _ in rows:
+    for kind, _, _, _ in rows:
         if kind not in REDUCTIONS:
             raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
     j_hi = grid.nt if t_hi is None else grid.time_level(t_hi)
     if j_hi == 0:
         raise ValueError("t_hi = 0 leaves nothing to solve")
+    starts = [j_hi if join is None else join[1] for _, _, _, join in rows]
+    starting = {}  # level -> the rows that start there
+    for r, start in enumerate(starts):
+        starting.setdefault(start, []).append(r)
     x = grid.space_nodes()
     dx, dt = grid.dx, grid.dt
     co = spec.coefficients
@@ -213,17 +237,25 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
 
     values = np.empty((len(rows), j_hi + 1, grid.nx))
     worst = np.zeros(len(rows))
-    failures = {}
-    for r, (_, variant, _) in enumerate(rows):
-        try:
-            values[r, j_hi] = variant.terminal_row(co, j_hi * dt, x, terminal)
-        except ValueError as exc:
-            failures[r] = exc
-    live = [r for r in range(len(rows)) if r not in failures]
-    stack = _live_stack(rows, live) if live else None
+    results = [None] * len(rows)  # each row's failure, until its field is built
+    live = []
     for j in range(j_hi - 1, -1, -1):
-        if failures and (not live or min(failures) < live[0]):
-            break  # no row still marching comes before the first failure
+        if j + 1 in starting:
+            for r in starting[j + 1]:
+                _, variant, _, join = rows[r]
+                if join is not None and results[join[0]] is not None:
+                    results[r] = results[join[0]]
+                    continue
+                start = terminal if join is None else values[join[0], j + 1]
+                try:
+                    values[r, j + 1] = variant.terminal_row(co, (j + 1) * dt, x, start)
+                except ValueError as exc:
+                    results[r] = exc
+                else:
+                    live = sorted(live + [r])
+            stack = _live_stack(rows, live) if live else None
+        if not live:
+            continue
         index, variant, penalties, reduce = stack
         t = j * dt
         w_next = values[index, j + 1]
@@ -234,7 +266,7 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
         ok = finite & ~(numbers > cfl_margin)
         if not ok.all():
             for i in np.flatnonzero(~ok):
-                failures[live[i]] = (
+                results[live[i]] = (
                     CflError(float(numbers[i]), t, dt, cfl_margin)
                     if finite[i]
                     else _nonfinite_error(t)
@@ -246,26 +278,44 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
             tables, w_next, numbers = tables[:, :, ok], w_next[ok], numbers[ok]
         # fmax, like a running max(), passes over a nan number (nan penalty)
         worst[index] = np.fmax(worst[index], numbers)
-        values[index, j], _, _ = obstacle_step(w_next, reduce(tables), dt, lo, up, variant)
-    if failures:
-        raise failures[min(failures)]
+        step = penalized_step(w_next, reduce(tables), dt, lo, up, variant)
+        values[index, j] = obstacle_clamp(step, lo, up, variant)
 
-    times = grid.time_nodes()[: j_hi + 1]
-    return [
-        ValueField(
-            label=label,
-            times=times,
-            nodes=x,
-            values=values[r],
-            cfl_number=float(worst[r]),
-            penalty=(variant.pen_upper, variant.pen_lower),
-        )
-        for r, (_, variant, label) in enumerate(rows)
-    ]
+    times = grid.time_nodes()
+    for r, (_, variant, label, _) in enumerate(rows):
+        if results[r] is None:
+            results[r] = ValueField(
+                label=label,
+                times=times[: starts[r] + 1],
+                nodes=x,
+                values=values[r, : starts[r] + 1],
+                cfl_number=float(worst[r]),
+                penalty=(variant.pen_upper, variant.pen_lower),
+            )
+    return results
 
 
-def _two_barrier_row(kind):
-    return (kind, Variant.named("two_barrier"), kind)
+def march_rows(spec, grid, rows):
+    """The fields of `rows` from one stacked march over the whole grid, each
+    row's ValueField or its own first failure; see `two_barrier_row` and
+    `sweep_rows` for the rows."""
+    return _march(spec, grid, rows, None, None, _CFL_MARGIN)
+
+
+def raise_first_failure(results):
+    """The results of a march, once none of them is a failure; raises the
+    first failure in row order otherwise, as marching the rows one after
+    another would."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def two_barrier_row(kind, join):
+    """The two-obstacle row of reduction `kind`; `join` is None or the
+    (source row, level) it starts from."""
+    return (kind, Variant.named("two_barrier"), kind, join)
 
 
 def solve_isaacs_double_obstacle(
@@ -277,19 +327,20 @@ def solve_isaacs_double_obstacle(
     time `t_hi` (a grid level, default the horizon); it must sit between the
     obstacles there.  Returns a ValueField over [0, t_hi].
     """
-    return _march(spec, grid, [_two_barrier_row(kind)], terminal, t_hi, cfl_margin)[0]
+    rows = [two_barrier_row(kind, None)]
+    return raise_first_failure(_march(spec, grid, rows, terminal, t_hi, cfl_margin))[0]
 
 
 def solve_lower_and_upper(spec, grid):
     """The lower and upper two-obstacle fields, marched side by side; each
     is bitwise the field `solve_isaacs_double_obstacle` returns for it."""
-    rows = [_two_barrier_row("lower"), _two_barrier_row("upper")]
-    lower, upper = _march(spec, grid, rows, None, None, _CFL_MARGIN)
+    rows = [two_barrier_row("lower", None), two_barrier_row("upper", None)]
+    lower, upper = raise_first_failure(march_rows(spec, grid, rows))
     return lower, upper
 
 
 def _penalized_row(kind, penalty_kind, penalty):
-    return (kind, Variant.named(penalty_kind, penalty), f"{kind}_{penalty_kind}")
+    return (kind, Variant.named(penalty_kind, penalty), f"{kind}_{penalty_kind}", None)
 
 
 def solve_isaacs_penalized(
@@ -311,8 +362,18 @@ def solve_isaacs_penalized(
     penalized drops both clamps and takes a penalty pair (m, n) for (upper,
     lower).
     """
-    row = _penalized_row(kind, penalty_kind, penalty)
-    return _march(spec, grid, [row], terminal, t_hi, cfl_margin)[0]
+    rows = [_penalized_row(kind, penalty_kind, penalty)]
+    return raise_first_failure(_march(spec, grid, rows, terminal, t_hi, cfl_margin))[0]
+
+
+def sweep_rows(schedule):
+    """The 2L penalized rows of a sweep of the lower-Hamiltonian field, the
+    approximation from above and then from below for each level m."""
+    rows = []
+    for m in schedule:
+        rows.append(_penalized_row("lower", "one_barrier_lower", m))
+        rows.append(_penalized_row("lower", "one_barrier_upper", m))
+    return rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -346,40 +407,27 @@ class ConvergenceReport:
         return last / first
 
 
-def run_penalization_sweep(spec, grid, schedule, reference=None):
+def run_penalization_sweep(spec, grid, schedule):
     """March the penalized approximations of the lower-Hamiltonian field
-    through a schedule of weights, all levels and the reference side by
-    side in one stacked march.
+    through a schedule of weights, all levels and the two-obstacle
+    reference side by side in one stacked march, and report them as
+    `sweep_report` does.
+    """
+    if not isinstance(schedule, PenalizationSchedule):
+        schedule = PenalizationSchedule(tuple(schedule))
+    rows = [two_barrier_row("lower", None), *sweep_rows(schedule)]
+    reference, *penalized = raise_first_failure(march_rows(spec, grid, rows))
+    return sweep_report(schedule, reference, penalized)
 
-    `reference` is the two-obstacle lower field on this grid when it is
-    already solved (as `games.compute_values` returns it); the march then
-    leaves it out, and the report is bitwise the one that marches it.
+
+def sweep_report(schedule, reference, penalized):
+    """The sweep's report from the two-obstacle lower field `reference` and
+    the fields of `sweep_rows(schedule)`.
 
     Checks, level by level: the approximation from above decreases, the one
     from below increases, both stay on the correct side of the two-obstacle
     field, and the two-sided gap between them never widens.
     """
-    if not isinstance(schedule, PenalizationSchedule):
-        schedule = PenalizationSchedule(tuple(schedule))
-    kind = "lower"
-    if reference is not None and (
-        reference.label != kind
-        or reference.penalty != (0.0, 0.0)
-        or not np.array_equal(reference.times, grid.time_nodes())
-        or not np.array_equal(reference.nodes, grid.space_nodes())
-    ):
-        raise ValueError(
-            f"field {reference.label!r} with penalty {reference.penalty!r} on"
-            f" {len(reference.times)} levels and {len(reference.nodes)} nodes is not"
-            f" the two-obstacle {kind!r} field on this grid"
-        )
-    rows = [_two_barrier_row(kind)] if reference is None else []
-    for m in schedule:
-        rows.append(_penalized_row(kind, "one_barrier_lower", m))
-        rows.append(_penalized_row(kind, "one_barrier_upper", m))
-    penalized = _march(spec, grid, rows, None, None, _CFL_MARGIN)
-    if reference is None:
-        reference, *penalized = penalized
     gap_above = []
     gap_below = []
     two_sided = []
@@ -404,8 +452,8 @@ def run_penalization_sweep(spec, grid, schedule, reference=None):
         prev_above = above.values
         prev_below = below.values
     return ConvergenceReport(
-        kind=kind,
-        levels=tuple(schedule.levels),
+        kind="lower",
+        levels=tuple(schedule),
         gap_above=tuple(gap_above),
         gap_below=tuple(gap_below),
         two_sided_gap=tuple(two_sided),

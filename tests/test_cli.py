@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,16 @@ import numpy as np
 import pytest
 
 import isaacs
-from isaacs.cli import ConfigError, _field_csv, _format_float, main, parse_config, run
+from isaacs import pde
+from isaacs.cli import (
+    DEFAULT_CHECKS,
+    ConfigError,
+    _field_csv,
+    _format_float,
+    main,
+    parse_config,
+    run,
+)
 
 MINIMAL = """\
 [problem]
@@ -165,13 +175,72 @@ def test_thread_count_is_recorded_but_inert(tmp_path):
     assert a.outputs == b.outputs
 
 
+# bilinear_game on its pinned grid, where the top default penalty breaks the
+# stability margin
+BILINEAR_NT64 = """\
+[problem]
+name = bilinear_game
+
+[grid]
+x_min = -2.0
+x_max = 2.0
+nx = 41
+nt = 64
+"""
+
+_MARCHED = ("game_value", "penalization", "dpp")
+
+
 def test_dpp_after_game_value_reports_what_dpp_alone_reports(tmp_path):
-    # with game_value first, dpp recomposes its fields instead of solving them
+    # the marched checks share one march in every order, and each reports
+    # what it reports alone, its data files included; a row that fails
+    # fails only its own check
+    for label, text in (("custom", CUSTOM), ("bilinear", BILINEAR_NT64)):
+        config = parse_config(text)
+        alone = {
+            check: run(config, str(tmp_path / label / check), checks=(check,), quiet=True)
+            for check in _MARCHED
+        }
+        for order in itertools.permutations(_MARCHED):
+            out = tmp_path / label / "-".join(order)
+            joint = run(config, str(out), checks=order, quiet=True)
+            for check in order:
+                assert joint.checks[check] == alone[check].checks[check], (label, order, check)
+                for name, digest in alone[check].outputs.items():
+                    if name != "verdict.json":
+                        assert joint.outputs[name] == digest, (label, order, name)
+        assert alone["dpp"].checks["dpp"]["residual_lower"] == 0.0
+    assert alone["game_value"].checks["game_value"]["passed"] is True
+    assert alone["dpp"].checks["dpp"]["passed"] is True
+    assert alone["penalization"].checks["penalization"] == {
+        "passed": False,
+        "error": "CflError: stability number 1 exceeds margin 0.9 at t=0.984375;"
+        " largest admissible dt is 0.0140625",
+    }
+
+
+def test_a_run_marches_once_and_a_check_alone_only_its_own_rows(tmp_path, monkeypatch):
     config = parse_config(CUSTOM)
-    both = run(config, str(tmp_path / "a"), checks=("game_value", "dpp"), quiet=True)
-    alone = run(config, str(tmp_path / "b"), checks=("dpp",), quiet=True)
-    assert both.checks["dpp"] == alone.checks["dpp"]
-    assert both.checks["dpp"]["residual_lower"] == 0.0
+    levels = len(config.resolve()[2])
+    marched = []
+    original = pde._march
+
+    def counting(spec, grid, rows, *args):
+        marched.append(len(rows))
+        return original(spec, grid, rows, *args)
+
+    monkeypatch.setattr(pde, "_march", counting)
+    for checks, rows in (
+        (DEFAULT_CHECKS, 2 + 2 * levels + 2),
+        (("dpp",), 4),
+        (("penalization",), 1 + 2 * levels),
+        (("game_value",), 2),
+        (("validate",), None),
+    ):
+        marched.clear()
+        manifest = run(config, str(tmp_path / "-".join(checks)), checks=checks, quiet=True)
+        assert manifest.all_passed
+        assert marched == ([] if rows is None else [rows]), checks
 
 
 def test_comparison_and_estimates_share_one_base_lattice(tmp_path, monkeypatch):
@@ -237,7 +306,7 @@ def test_field_csv_is_the_per_value_format():
         ]
     )
     field = isaacs.ValueField("lower", times, nodes, values, 0.0)
-    text = _field_csv(field)
+    text = "".join(_field_csv(field))
     assert text.encode() == _per_value_csv(field).encode()
     rows = text.splitlines()
     assert rows[9:13] == [

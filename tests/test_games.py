@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from isaacs import pde
-from isaacs.games import compute_values, dpp_check, fixed_control_crosscheck
-from isaacs.model import SpaceTimeGrid
+from isaacs.cli import _march_fields
+from isaacs.games import (
+    compute_values,
+    dpp_check,
+    dpp_report,
+    dpp_split,
+    fixed_control_crosscheck,
+    value_verdict,
+)
+from isaacs.model import PenalizationSchedule, SpaceTimeGrid
 from isaacs.problems import builtin
 
 DYNKIN_COARSE = SpaceTimeGrid(-9.0, 9.0, 101, 400, 1.0)
@@ -68,16 +76,36 @@ def test_dynamic_programming_accepts_any_interior_split():
 
 def test_dynamic_programming_recomposes_an_already_solved_field():
     # compute_values marches both reductions side by side; its fields are
-    # the ones dpp_check would solve, so recomposing them is still exact
+    # the ones dpp_check would solve, so recomposing them from a head solved
+    # on its own, or from the head a run's march joins to them, is exact
     bp = builtin("separable_game")
     grid = SpaceTimeGrid(-6.0, 6.0, 51, 400, 1.0)
+    schedule = PenalizationSchedule((1.0, 4.0))
     verdict = compute_values(bp.spec, grid)
+    fields = _march_fields(bp.spec, grid, schedule, ("game_value", "penalization", "dpp"))
+    split, split_level = dpp_split(grid, None)
+    assert split_level == 200
     for kind, full in (("lower", verdict.lower), ("upper", verdict.upper)):
-        assert dpp_check(bp.spec, grid, kind, full=full) == dpp_check(bp.spec, grid, kind)
-    with pytest.raises(ValueError, match="whole-interval 'upper' field"):
-        dpp_check(bp.spec, grid, "upper", full=verdict.lower)
-    with pytest.raises(ValueError, match="whole-interval 'lower' field"):
-        dpp_check(bp.spec, DYNKIN_COARSE, "lower", full=verdict.lower)
+        alone = dpp_check(bp.spec, grid, kind)
+        head = pde.solve_isaacs_double_obstacle(
+            bp.spec, grid, kind, terminal=full.values[split_level], t_hi=split
+        )
+        assert dpp_report(kind, split, full, head) == alone
+        assert dpp_report(kind, split, fields[kind], fields[f"head_{kind}"]) == alone
+        assert fields[f"head_{kind}"].values.tobytes() == head.values.tobytes()
+    with pytest.raises(ValueError, match="strictly inside"):
+        dpp_split(SpaceTimeGrid(-6.0, 6.0, 51, 1, 1.0), None)
+
+
+def test_a_verdict_from_solved_fields_is_the_one_compute_values_returns():
+    bp = builtin("bilinear_game")
+    lower, upper = pde.solve_lower_and_upper(bp.spec, bp.grid)
+    for seed in (0, 3):
+        marched = compute_values(bp.spec, bp.grid, seed=seed)
+        given = value_verdict(bp.spec, bp.grid, lower, upper, seed)
+        assert repr(given) == repr(marched)
+        assert given.lower.values.tobytes() == marched.lower.values.tobytes()
+        assert given.upper.values.tobytes() == marched.upper.values.tobytes()
 
 
 def test_frozen_controls_reconcile_the_two_solver_families():

@@ -639,26 +639,36 @@ def test_on_nodes_refuses_shapes_that_do_not_broadcast(value, shape):
         on_nodes(value, shape, "driver")
 
 
-def _wrong_shaped_drift():
+def _wrong_shaped(name):
     bp = builtin("dynkin_heat")
-    co = dataclasses.replace(bp.spec.coefficients, b=lambda t, x, u, v: np.zeros(3))
+    co = dataclasses.replace(bp.spec.coefficients, **{name: lambda *args: np.zeros(3)})
     return dataclasses.replace(bp.spec, coefficients=co)
 
 
+_AT_ONE_STATE = ("b", "sigma", "driver", "terminal", "lower", "upper")
+
+
 @pytest.mark.parametrize(
-    "call, nodes",
+    "call, name, where",
     [
-        (lambda spec: hamiltonian_lower(spec, _point()), "(1,)"),
-        (lambda spec: hamiltonian_upper(spec, _point()), "(1,)"),
+        (lambda spec: hamiltonian_lower(spec, _point()), "b", "for nodes of shape (1,)"),
+        (lambda spec: hamiltonian_upper(spec, _point()), "b", "for nodes of shape (1,)"),
         (
             lambda spec: solve_isaacs_penalized(spec, SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)),
-            "(11,)",
+            "b",
+            "for nodes of shape (11,)",
         ),
-        (lambda spec: build_lattice(spec, 0.0, SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)), "(11,)"),
-    ],
-    ids=["hamiltonian_lower", "hamiltonian_upper", "march", "build_lattice"],
+        (
+            lambda spec: build_lattice(spec, 0.0, SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)),
+            "b",
+            "for nodes of shape (11,)",
+        ),
+    ]
+    + [(validate_problem, name, "at one state") for name in _AT_ONE_STATE],
+    ids=["hamiltonian_lower", "hamiltonian_upper", "march", "build_lattice"]
+    + [f"validate_problem_{name}" for name in _AT_ONE_STATE],
 )
-def test_a_wrong_shaped_coefficient_names_both_shapes(call, nodes):
-    message = rf"^b returned shape \(3,\) for nodes of shape {re.escape(nodes)}$"
-    with pytest.raises(CoefficientError, match=message):
-        call(_wrong_shaped_drift())
+def test_a_wrong_shaped_coefficient_names_both_shapes(call, name, where):
+    message = f"{name} returned shape (3,) {where}"
+    with pytest.raises(CoefficientError, match=f"^{re.escape(message)}$"):
+        call(_wrong_shaped(name))

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from isaacs import pde
-from isaacs.cli import parse_config
+from isaacs.cli import _march_fields, parse_config
 from isaacs.model import (
     CoefficientSet,
     ControlGrid,
+    PenalizationSchedule,
     ProblemSpec,
     SpaceTimeGrid,
     Variant,
@@ -24,10 +25,12 @@ from isaacs.pde import (
     ConvergenceReport,
     _march,
     cfl_number,
+    raise_first_failure,
     run_penalization_sweep,
     solve_isaacs_double_obstacle,
     solve_isaacs_penalized,
-    solve_lower_and_upper,
+    sweep_report,
+    two_barrier_row,
     viscosity_residual,
 )
 from isaacs.problems import BUILTINS, builtin, from_expressions
@@ -219,7 +222,7 @@ def test_interpolation_recovers_node_values():
 # -- stacked marches ----------------------------------------------------------
 
 _MIXED_ROWS = [
-    (kind, Variant.named(name, penalty), f"{kind}_{name}")
+    (kind, Variant.named(name, penalty), f"{kind}_{name}", None)
     for kind in ("lower", "upper")
     for name, penalty in (
         ("two_barrier", None),
@@ -289,19 +292,80 @@ def _stack_cases():
     yield pytest.param(spec, grid, id="benchmark_custom")
 
 
+def _assert_same_result(got, want):
+    """Two march results are the same failure, or bitwise the same field."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.label == want.label
+    assert got.penalty == want.penalty
+    assert got.times.tobytes() == want.times.tobytes()
+    assert (got.values == want.values).all(), got.label
+    assert got.values.tobytes() == want.values.tobytes(), got.label
+    assert np.float64(got.cfl_number).tobytes() == np.float64(want.cfl_number).tobytes()
+
+
 @pytest.mark.parametrize("spec,grid", _stack_cases())
 def test_stacked_rows_are_bitwise_their_one_row_marches(spec, grid):
     t_hi = min(grid.nt, 100) * grid.dt  # the last 100 levels before the horizon
     stacked = _march(spec, grid, _MIXED_ROWS, None, t_hi, 0.9)
     for row, field in zip(_MIXED_ROWS, stacked):
         (alone,) = _march(spec, grid, [row], None, t_hi, 0.9)
-        assert field.label == alone.label == row[2]
-        assert field.penalty == alone.penalty
-        assert (field.values == alone.values).all(), row
-        assert field.values.tobytes() == alone.values.tobytes(), row
-        assert np.float64(field.cfl_number).tobytes() == np.float64(
-            alone.cfl_number
-        ).tobytes()
+        assert field.label == row[2]
+        _assert_same_result(field, alone)
+
+
+@pytest.mark.parametrize("spec,grid", _stack_cases())
+def test_a_joining_row_is_bitwise_the_one_row_march_from_its_source(spec, grid):
+    # each source row, and one upper head from a lower source, joined at the
+    # first, the middle and the last level below the horizon
+    sources = [
+        two_barrier_row("lower", None),
+        two_barrier_row("upper", None),
+        _MIXED_ROWS[5],  # lower one_barrier_upper, m = 1
+        _MIXED_ROWS[-1],  # upper penalized (3, 2)
+    ]
+    rows = list(sources)
+    for s in (1, grid.nt // 2, grid.nt - 1):
+        for i, (kind, variant, label, _) in enumerate(sources):
+            rows.append((kind, variant, label, (i, s)))
+        rows.append(("upper", Variant.named("two_barrier"), "upper", (0, s)))
+    results = _march(spec, grid, rows, None, None, 0.9)
+    for row, result in zip(rows[len(sources) :], results[len(sources) :]):
+        source, s = row[3]
+        start = results[source].values[s]
+        (alone,) = _march(spec, grid, [row[:3] + (None,)], start, s * grid.dt, 0.9)
+        _assert_same_result(result, alone)
+        assert len(result.times) == s + 1
+    for row, result in zip(sources, results):
+        _assert_same_result(result, _march(spec, grid, [row], None, None, 0.9)[0])
+
+
+def test_a_joining_row_carries_the_failure_of_a_source_that_failed_above_it():
+    spec = _climbing_spec()
+    grid = SpaceTimeGrid(-1.0, 1.0, 11, 100, 1.0)
+    climbs = ("lower", Variant.named("penalized", (0.0, 0.0)), "climbs", None)
+    unstable = ("lower", Variant.named("penalized", (200.0, 0.0)), "unstable", None)
+    rows = [climbs, unstable]
+    for s in (1, 30, 50, 80, 99):
+        rows += [climbs[:3] + ((0, s),), unstable[:3] + ((1, s),)]
+    results = _march(spec, grid, rows, None, None, 0.9)
+    climbs_failed, unstable_failed = results[:2]
+    assert "nonfinite" in str(climbs_failed)
+    assert isinstance(unstable_failed, CflError)
+    # climbs fails near t = 0.58, unstable on its first level, at t = 0.99;
+    # a head joining below the level where its source failed carries the
+    # source's failure, a head joining above it starts and fails as its
+    # source did, with its own error
+    for row, result in zip(rows[2:], results[2:]):
+        source, s = row[3]
+        if source == 1 or s < 58:
+            assert result is results[source], row
+        else:
+            assert result is not results[source], row
+            assert type(result) is type(results[source])
+            assert str(result) == str(results[source])
 
 
 @pytest.mark.parametrize("spec,grid", _stack_cases())
@@ -333,22 +397,34 @@ def test_stacked_tables_are_bitwise_the_per_pair_expression(spec, grid):
     assert (max_s2, max_b, max_smag) == (max(0.0, *s2s), max(0.0, *bs), max(0.0, *smags))
 
 
+_RUN_CHECKS = ("game_value", "penalization", "dpp")
+
+
 def test_stacked_sweep_raises_the_parents_cfl_error():
     # the above row at m = 64 is the first to fail, on the first level,
-    # whether the sweep marches its reference or is given it
+    # whether the sweep marches alone or with the rows of every marched check
+    # of a run, where the two m = 64 rows fail with their own errors and
+    # every other row completes
     bp = builtin("bilinear_game")
-    lower, _ = solve_lower_and_upper(bp.spec, bp.grid)
-    for reference in (None, lower):
-        with pytest.raises(CflError) as info:
-            run_penalization_sweep(bp.spec, bp.grid, bp.schedule, reference=reference)
-        assert str(info.value) == (
-            "stability number 1 exceeds margin 0.9 at t=0.984375;"
-            " largest admissible dt is 0.0140625"
-        )
+    grid = SpaceTimeGrid(-2.0, 2.0, 41, 64, 1.0)
+    message = (
+        "stability number 1 exceeds margin 0.9 at t=0.984375;"
+        " largest admissible dt is 0.0140625"
+    )
+    with pytest.raises(CflError) as info:
+        run_penalization_sweep(bp.spec, grid, bp.schedule)
+    assert str(info.value) == message
+    fields = _march_fields(bp.spec, grid, bp.schedule, _RUN_CHECKS)
+    failed = {name: str(r) for name, r in fields.items() if isinstance(r, Exception)}
+    last = 2 * len(bp.schedule) - 2
+    assert failed == {f"sweep_{last}": message, f"sweep_{last + 1}": message}
+    assert isinstance(fields[f"sweep_{last}"], CflError)
 
 
 @pytest.mark.parametrize("name", ["dynkin_heat", "separable_game", "custom"])
 def test_a_sweep_given_its_reference_reports_what_marching_it_reports(name, monkeypatch):
+    # the penalization check of a run is given its reference and its rows
+    # from the run's one march, and reports what the sweep marching them does
     if name == "custom":
         spec, grid, _ = parse_config(_BENCHMARK_CUSTOM).resolve()
     else:
@@ -356,7 +432,6 @@ def test_a_sweep_given_its_reference_reports_what_marching_it_reports(name, monk
         g = bp.grid
         spec, grid = bp.spec, SpaceTimeGrid(g.x_min, g.x_max, (g.nx - 1) // 2 + 1, g.nt, g.horizon)
     schedule = (1.0, 4.0, 16.0)
-    lower, _ = solve_lower_and_upper(spec, grid)
     marched = run_penalization_sweep(spec, grid, schedule)
     rows = []
     original = pde._march
@@ -366,29 +441,20 @@ def test_a_sweep_given_its_reference_reports_what_marching_it_reports(name, monk
         return original(spec, grid, rows_, *args)
 
     monkeypatch.setattr(pde, "_march", counting)
-    given_ = run_penalization_sweep(spec, grid, schedule, reference=lower)
-    assert rows == [2 * len(schedule)]
-    assert given_.reference is lower
+    fields = _march_fields(spec, grid, PenalizationSchedule(schedule), _RUN_CHECKS)
+    assert rows == [2 * len(schedule) + 4]
+    reference = fields["lower"]
+    # the reference is the two-obstacle lower field on this grid
+    assert (reference.label, reference.penalty) == ("lower", (0.0, 0.0))
+    assert reference.times.tobytes() == grid.time_nodes().tobytes()
+    assert reference.nodes.tobytes() == grid.space_nodes().tobytes()
+    sweep = [fields[f"sweep_{i}"] for i in range(2 * len(schedule))]
+    given_ = sweep_report(schedule, reference, sweep)
+    assert given_.reference is reference
     for field in dataclasses.fields(ConvergenceReport):
         assert repr(getattr(given_, field.name)) == repr(getattr(marched, field.name))
     for field in ("reference", "final_above", "final_below"):
         assert getattr(given_, field).values.tobytes() == getattr(marched, field).values.tobytes()
-
-
-def test_a_sweep_refuses_a_reference_that_is_not_its_own():
-    bp = builtin("dynkin_heat")
-    lower, upper = solve_lower_and_upper(bp.spec, DYNKIN_COARSE)
-    other_grid = SpaceTimeGrid(-9.0, 9.0, 101, 200, 1.0)
-    for reference in (
-        upper,
-        solve_isaacs_penalized(bp.spec, DYNKIN_COARSE, "lower", "penalized", (0.0, 0.0)),
-        dataclasses.replace(lower, penalty=(1.0, 0.0)),
-        dataclasses.replace(lower, times=lower.times[:-1], values=lower.values[:-1]),
-        dataclasses.replace(lower, nodes=lower.nodes + 0.5),
-        solve_lower_and_upper(bp.spec, other_grid)[0],
-    ):
-        with pytest.raises(ValueError, match="is not the two-obstacle 'lower' field"):
-            run_penalization_sweep(bp.spec, DYNKIN_COARSE, (1.0, 4.0), reference=reference)
 
 
 def _climbing_spec():
@@ -414,19 +480,18 @@ def _climbing_spec():
 def _first_error(spec, grid, rows, terminal=None):
     """The error of the first row whose one-row march fails."""
     for row in rows:
-        try:
-            _march(spec, grid, [row], terminal, None, 0.9)
-        except ValueError as exc:
-            return exc
+        (result,) = _march(spec, grid, [row], terminal, None, 0.9)
+        if isinstance(result, Exception):
+            return result
     return None
 
 
 def test_stacked_march_raises_the_first_failing_row_in_call_order():
     spec = _climbing_spec()
     grid = SpaceTimeGrid(-1.0, 1.0, 11, 100, 1.0)
-    clamped = ("lower", Variant.named("two_barrier"), "clamped")
-    climbs = ("lower", Variant.named("penalized", (0.0, 0.0)), "climbs")  # nan near t = 0.6
-    unstable = ("lower", Variant.named("penalized", (200.0, 0.0)), "unstable")  # first level
+    clamped = ("lower", Variant.named("two_barrier"), "clamped", None)
+    climbs = ("lower", Variant.named("penalized", (0.0, 0.0)), "climbs", None)  # nan near t = 0.6
+    unstable = ("lower", Variant.named("penalized", (200.0, 0.0)), "unstable", None)  # first level
     for rows in (
         [clamped, climbs, unstable],
         [clamped, unstable, climbs],
@@ -434,24 +499,28 @@ def test_stacked_march_raises_the_first_failing_row_in_call_order():
         [climbs, clamped],
     ):
         expected = _first_error(spec, grid, rows)
+        results = _march(spec, grid, rows, None, None, 0.9)
         with pytest.raises(ValueError) as info:
-            _march(spec, grid, rows, None, None, 0.9)
+            raise_first_failure(results)
         assert type(info.value) is type(expected)
         assert str(info.value) == str(expected)
+        # no row stops another: each ends as its own one-row march does
+        for row, result in zip(rows, results):
+            _assert_same_result(result, _march(spec, grid, [row], None, None, 0.9)[0])
     # a later row failing at a later level still wins over the first level's
     # failure of an even later row
     with pytest.raises(ValueError, match="nonfinite Hamiltonian integrand"):
-        _march(spec, grid, [clamped, climbs, unstable], None, None, 0.9)
+        raise_first_failure(_march(spec, grid, [clamped, climbs, unstable], None, None, 0.9))
     # terminal rows fail before any level is marched, row by row
     high = np.full(grid.nx, 0.85)
     rows = [climbs, clamped]
     expected = _first_error(spec, grid, rows, terminal=high)
     assert "nonfinite" in str(expected)
     with pytest.raises(ValueError) as info:
-        _march(spec, grid, rows, high, None, 0.9)
+        raise_first_failure(_march(spec, grid, rows, high, None, 0.9))
     assert str(info.value) == str(expected)
     with pytest.raises(ValueError, match="exceed the upper obstacle"):
-        _march(spec, grid, [clamped, climbs], high, None, 0.9)
+        raise_first_failure(_march(spec, grid, [clamped, climbs], high, None, 0.9))
 
 
 def test_cfl_error_carries_its_numbers():
