@@ -15,7 +15,9 @@ custom one), executes the requested checks and writes into DIR:
 
 Every number is formatted with %.17g, newlines are LF and JSON keys are
 sorted, so two runs with the same config and seed produce byte-identical
-data files.  --threads (or ISAACS_THREADS) is recorded for provenance
+data files.  The two value files are written together, level by level, and
+a row repeated in the other field or from the previous level has its text
+formatted once.  --threads (or ISAACS_THREADS) is recorded for provenance
 only: the solvers are deterministic and single-threaded, and per-path
 noise streams are keyed by path index, so the thread count cannot leak
 into any result.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -285,6 +288,18 @@ def _format_float(v):
     return format(v, ".17g")
 
 
+# JSON's escapes: the short forms where it has one, \u00XX for the other
+# characters below U+0020
+_JSON_ESCAPES = str.maketrans(
+    {chr(c): f"\\u{c:04x}" for c in range(0x20)}
+    | {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
+
+
+def _format_string(text):
+    return '"' + text.translate(_JSON_ESCAPES) + '"'
+
+
 def _format_json(obj, indent=0):
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -292,7 +307,7 @@ def _format_json(obj, indent=0):
         if not obj:
             return "{}"
         parts = [
-            f'{inner}"{key}": {_format_json(obj[key], indent + 1)}'
+            f"{inner}{_format_string(key)}: {_format_json(obj[key], indent + 1)}"
             for key in sorted(obj)
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
@@ -308,51 +323,76 @@ def _format_json(obj, indent=0):
     if isinstance(obj, (float, np.floating)):
         return _format_float(obj)
     if isinstance(obj, str):
-        escaped = (
-            obj.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n")
-            .replace("\t", "\\t")
-        )
-        return f'"{escaped}"'
+        return _format_string(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_text(out_dir, filename, chunks, outputs, quiet):
-    """Write the text given as a sequence of string chunks, encoding and
-    hashing it chunk by chunk, so that only one chunk is held as bytes."""
-    path = os.path.join(out_dir, filename)
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for chunk in chunks:
-            data = chunk.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
-    outputs[filename] = digest.hexdigest()
-    if not quiet:
-        print(f"wrote {path}")
+def _write_text(out_dir, filenames, steps, outputs, quiet):
+    """Write the files `filenames` together: each step holds one string
+    chunk per file.  A chunk is encoded once however many files take it,
+    each file is hashed on its own, and only one step is held as bytes."""
+    paths = [os.path.join(out_dir, name) for name in filenames]
+    digests = [hashlib.sha256() for _ in filenames]
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "wb")) for path in paths]
+        for chunks in steps:
+            encoded = {}
+            for chunk, digest, fh in zip(chunks, digests, handles):
+                data = encoded.get(chunk)
+                if data is None:
+                    data = encoded[chunk] = chunk.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+    for name, path, digest in zip(filenames, paths, digests):
+        outputs[name] = digest.hexdigest()
+        if not quiet:
+            print(f"wrote {path}")
 
 
-def _field_csv(field):
-    """The field's CSV text: the header, then one chunk per time level.
+def _value_csvs(lower, upper):
+    """The text of values_lower.csv and values_upper.csv, written together:
+    the header, then one (lower, upper) pair of chunks per time level.
 
-    One % format per level: the template holds every node's x and a %.17g
-    per value, which is _format_float on finite values; a level with a
-    nonfinite value is formatted value by value, to keep its quotes.
-    Formatting the whole field at once would keep 80k short strings alive,
-    and joining the levels would keep the whole text alive.
+    A row is keyed on its bytes, and a row whose bytes match the other
+    field's row at this level or a row at the previous level reuses that
+    row's text, with only the t column substituted again: under the Isaacs
+    condition the two fields are often bitwise equal, and a stationary
+    field repeats its rows.  Bytes, not values, since -0.0 prints "-0" and
+    NaN equals nothing.  Any other row takes one % format through a
+    template holding every node's x and a %.17g per value, which is
+    _format_float on finite values; a row with a nonfinite value is
+    formatted value by value, to keep its quotes.  The t column goes in
+    last, and no formatted number holds the "{t}" it replaces.  At most two
+    levels' texts are held, never a whole field.
     """
-    xs = [_format_float(x) for x in field.nodes.tolist()]
+    if not all(
+        a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in ((lower.times, upper.times), (lower.nodes, upper.nodes))
+    ):
+        raise ValueError("the lower and upper fields do not share times and nodes")
+    xs = [_format_float(x) for x in lower.nodes.tolist()]
     template = "\n".join("{t}," + x + ",%.17g" for x in xs) + "\n"
-    yield "t,x,value\n"
-    for t, row in zip(field.times.tolist(), field.values):
-        ts = _format_float(t)
+
+    def row_text(row):
         if np.isfinite(row).all():
-            yield template.replace("{t}", ts) % tuple(row.tolist())
-        else:
-            yield "".join(f"{ts},{x},{_format_float(v)}\n" for x, v in zip(xs, row.tolist()))
+            return template % tuple(row.tolist())
+        return "".join(f"{{t}},{x},{_format_float(v)}\n" for x, v in zip(xs, row.tolist()))
+
+    yield "t,x,value\n", "t,x,value\n"
+    previous = {}
+    for t, *rows in zip(lower.times.tolist(), lower.values, upper.values):
+        ts = _format_float(t)
+        texts, chunks = {}, {}
+        keys = [row.tobytes() for row in rows]
+        for key, row in zip(keys, rows):
+            if key not in texts:
+                text = previous.get(key)
+                texts[key] = row_text(row) if text is None else text
+                chunks[key] = texts[key].replace("{t}", ts)
+        previous = texts
+        yield tuple(chunks[key] for key in keys)
 
 
 def _sweep_csv(report):
@@ -459,8 +499,13 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
     if name == "game_value":
         lower, upper = _marched(fields, "lower", "upper")
         verdict = games.value_verdict(spec, grid, lower, upper, seed)
-        _write_text(out_dir, "values_lower.csv", _field_csv(lower), outputs, quiet)
-        _write_text(out_dir, "values_upper.csv", _field_csv(upper), outputs, quiet)
+        _write_text(
+            out_dir,
+            ("values_lower.csv", "values_upper.csv"),
+            _value_csvs(lower, upper),
+            outputs,
+            quiet,
+        )
         ok = verdict.order_violation <= 1e-10 and (
             verdict.max_gap <= verdict.value_tol if verdict.isaacs.satisfied else True
         )
@@ -476,7 +521,7 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
         sweep = [f"sweep_{i}" for i in range(2 * len(schedule))]
         reference, *penalized = _marched(fields, "lower", *sweep)
         report = pde.sweep_report(schedule, reference, penalized)
-        _write_text(out_dir, "sweep.csv", [_sweep_csv(report)], outputs, quiet)
+        _write_text(out_dir, ("sweep.csv",), [(_sweep_csv(report),)], outputs, quiet)
         worst = max(
             report.monotone_violation_above,
             report.monotone_violation_below,
@@ -602,7 +647,9 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
         timings[name] = time.monotonic() - check_started
         if not quiet:
             print(f"check {name}: {'pass' if results[name]['passed'] else 'FAIL'}")
-        _write_text(out_dir, "verdict.json", [_format_json(results) + "\n"], outputs, quiet=True)
+        _write_text(
+            out_dir, ("verdict.json",), [(_format_json(results) + "\n",)], outputs, quiet=True
+        )
 
     all_passed = all(r["passed"] for r in results.values())
     manifest = RunManifest(
@@ -619,8 +666,8 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
     )
     _write_text(
         out_dir,
-        "manifest.json",
-        [_format_json(dataclasses.asdict(manifest)) + "\n"],
+        ("manifest.json",),
+        [(_format_json(dataclasses.asdict(manifest)) + "\n",)],
         outputs={},
         quiet=quiet,
     )

@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from .model import on_nodes, sigma_rows
+from .model import CoefficientError, on_nodes, sigma_rows
 
 _U64 = (1 << 64) - 1
 
@@ -198,9 +198,11 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
     `controls` is that (u, v) pair, which must sit on the control grids of
     `spec`; None picks the first point of each grid.  `grid` supplies x_min,
     dx, dt, nx, nt and the horizon (any object with those attributes
-    works).  t0 must sit on a time level.  Raises LatticeError when some
-    transition probability would be below -1e-12, reporting the worst node
-    and, when shrinking the step helps, the largest admissible dt.
+    works).  t0 must sit on a time level.  Raises CoefficientError when b
+    or sigma is nonfinite at a node, naming the first such node, and
+    LatticeError when some transition probability would be below -1e-12,
+    reporting the worst node and, when shrinking the step helps, the largest
+    admissible dt.
     """
     dt, dx = grid.dt, grid.dx
     s0 = int(round(t0 / dt))
@@ -232,6 +234,13 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         x = grid.x_min + dx * (lo + np.arange(count))
         b = on_nodes(co.b(t, x, u, v), x.shape, "b")
         sig = sigma_rows(co, t, x, u, v)
+        for name, row in (("b", b), ("sigma", sig)):
+            finite = np.isfinite(row)
+            if not finite.all():
+                raise CoefficientError(
+                    f"nonfinite {name} at t={t}, x={x[np.argmin(finite)]},"
+                    f" controls ({u!r}, {v!r})"
+                )
         s2 = sig * sig
         nu = b * (dt / dx)
         shift = np.rint(nu).astype(np.int64)

@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isaacs
 from isaacs import pde
 from isaacs.cli import (
     DEFAULT_CHECKS,
     ConfigError,
-    _field_csv,
     _format_float,
+    _format_json,
+    _value_csvs,
+    _write_text,
     main,
     parse_config,
     run,
@@ -306,7 +313,7 @@ def test_field_csv_is_the_per_value_format():
         ]
     )
     field = isaacs.ValueField("lower", times, nodes, values, 0.0)
-    text = "".join(_field_csv(field))
+    text = "".join(lower for lower, _ in _value_csvs(field, field))
     assert text.encode() == _per_value_csv(field).encode()
     rows = text.splitlines()
     assert rows[9:13] == [
@@ -316,6 +323,100 @@ def test_field_csv_is_the_per_value_format():
         '0.5,1,"inf"',
     ]
     assert rows[1] == "0,-1,-0"
+
+
+_VALUE_FILES = ("values_lower.csv", "values_upper.csv")
+
+# zeros of both signs, NaNs of both signs, infinities, subnormals and the
+# extremes of the finite floats
+_SPECIAL = (
+    0.0,
+    -0.0,
+    np.nan,
+    -np.nan,
+    np.inf,
+    -np.inf,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308 / 3,
+    1.7976931348623157e308,
+    0.1,
+    -1.0 / 3.0,
+    1.0,
+)
+
+
+def _flip_zero_signs(row):
+    """The row with every zero's sign flipped: equal under ==, other bytes."""
+    return [(-v if v == 0.0 else v) for v in row]
+
+
+def _flip_low_bit(array, k):
+    """A copy of `array` whose entry k differs in its last mantissa bit."""
+    bits = np.array(array, dtype=float).view(np.uint64)
+    bits[k] ^= 1
+    return bits.view(float)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_the_value_files_are_written_in_lockstep(data):
+    # rows come from a small pool, so equal rows occur within a level,
+    # across the two files and across consecutive levels; each zero-signed
+    # row comes with its twin of the opposite zero signs
+    nx = data.draw(st.integers(1, 4), label="nx")
+    levels = data.draw(st.integers(1, 6), label="levels")
+    value = st.sampled_from(_SPECIAL) | st.floats(width=64)
+    base = data.draw(st.lists(st.lists(value, min_size=nx, max_size=nx), min_size=1, max_size=3))
+    pool = base + [_flip_zero_signs(row) for row in base]
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=levels, max_size=levels)
+    times = np.array(data.draw(st.lists(value, min_size=levels, max_size=levels)))
+    nodes = np.array(data.draw(st.lists(value, min_size=nx, max_size=nx)))
+    fields = [
+        isaacs.ValueField(label, times, nodes, np.array([pool[i] for i in data.draw(picks)]), 0.0)
+        for label in ("lower", "upper")
+    ]
+    outputs = {}
+    with tempfile.TemporaryDirectory() as out:
+        _write_text(out, _VALUE_FILES, _value_csvs(*fields), outputs, quiet=True)
+        for name, field in zip(_VALUE_FILES, fields):
+            with open(os.path.join(out, name), "rb") as fh:
+                written = fh.read()
+            assert written == _per_value_csv(field).encode(), name
+            assert outputs[name] == hashlib.sha256(written).hexdigest(), name
+    assert set(outputs) == set(_VALUE_FILES)
+
+    lower, upper = fields
+    k = data.draw(st.integers(0, levels - 1), label="k")
+    j = data.draw(st.integers(0, nx - 1), label="j")
+    for other in (
+        dataclasses.replace(upper, times=_flip_low_bit(times, k)),
+        dataclasses.replace(upper, times=times[:-1], values=upper.values[:-1]),
+        dataclasses.replace(upper, nodes=_flip_low_bit(nodes, j)),
+        dataclasses.replace(upper, nodes=nodes[:-1], values=upper.values[:, :-1]),
+    ):
+        with pytest.raises(ValueError, match="times and nodes"):
+            list(_value_csvs(lower, other))
+
+
+def test_json_strings_escape_every_control_character():
+    text = "".join(map(chr, range(0x20))) + '"\\ café ∂x \u2028'
+    assert json.loads(_format_json(text)) == text
+    assert json.loads(_format_json({text: [text]})) == {text: [text]}
+    assert _format_json("\b\f\n\r\t\x0b\x1f") == '"\\b\\f\\n\\r\\t\\u000b\\u001f"'
+    # strings without control characters keep their bytes
+    assert _format_json('a "b" \\ é') == '"a \\"b\\" \\\\ é"'
+
+
+def test_a_control_character_in_an_expression_keeps_the_manifest_json(tmp_path):
+    path = tmp_path / "vt.ini"
+    path.write_text(CUSTOM.replace("b = 0\n", "b = 0\x0b+ 0\n", 1))
+    assert "\x0b" in path.read_text()
+    args = ["run", str(path), "--out", str(tmp_path / "o"), "--check", "validate", "--quiet"]
+    assert main(args) == 0
+    with open(tmp_path / "o" / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert "b = 0\x0b+ 0\n" in manifest["config"]
 
 
 def test_threads_fall_back_to_the_environment(tmp_path, monkeypatch):
@@ -476,3 +577,16 @@ def test_nonfinite_lattice_levels_are_failed_checks(tmp_path, old, new, cause):
         result = manifest.checks[check]
         assert result["passed"] is False
         assert result["error"].startswith("ValueError: ") and cause in result["error"], result
+
+
+def test_a_nonfinite_lattice_coefficient_is_a_failed_check(tmp_path):
+    text = CUSTOM.replace("sigma = 1\n", "sigma = 0/0\n", 1)
+    assert "0/0" in text
+    checks = ("comparison", "crosscheck", "estimates")
+    with np.errstate(all="ignore"):
+        manifest = run(parse_config(text), str(tmp_path), checks=checks, quiet=True)
+    for check in checks:
+        assert manifest.checks[check] == {
+            "passed": False,
+            "error": "CoefficientError: nonfinite sigma at t=0.0, x=-4.0, controls (0.0, 0.0)",
+        }, check

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from isaacs.forwardsim import (
     check_forward_estimates,
     simulate_paths,
 )
-from isaacs.model import CoefficientSet, ControlGrid, ProblemSpec, SpaceTimeGrid
+from isaacs.model import (
+    CoefficientError,
+    CoefficientSet,
+    ControlGrid,
+    ProblemSpec,
+    SpaceTimeGrid,
+)
 from isaacs.problems import builtin
 
 
@@ -195,6 +202,30 @@ def test_too_coarse_time_step_is_refused_with_admissible_dt():
     )
     grid = SpaceTimeGrid(-1.0, 1.0, 21, 4, 1.0)  # q = 4 * 0.25 / 0.01 = 100
     with pytest.raises(LatticeError, match="largest admissible dt"):
+        build_lattice(spec, 0.0, grid)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("sigma", math.nan), ("b", math.nan), ("b", math.inf), ("sigma", math.inf)],
+)
+def test_a_nonfinite_b_or_sigma_is_refused_at_any_level(name, value):
+    # finite on every node until t = 0.5, then nonfinite right of x = 0.3
+    def coefficient(finite, late):
+        def fn(t, x, u, v):
+            x = np.asarray(x, dtype=float)
+            return np.where((t >= 0.5) & (x > 0.3), late, finite)
+
+        return fn
+
+    finite = {"b": 0.0, "sigma": 0.5}
+    spec = _scalar_spec(
+        **{key: coefficient(f, value if key == name else f) for key, f in finite.items()}
+    )
+    grid = SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)
+    x = grid.x_min + grid.dx * 7  # the first node right of 0.3
+    message = f"nonfinite {name} at t=0.5, x={x}, controls (0.0, 0.0)"
+    with pytest.raises(CoefficientError, match=f"^{re.escape(message)}$"):
         build_lattice(spec, 0.0, grid)
 
 
