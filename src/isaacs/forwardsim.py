@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from .model import CoefficientError, on_nodes, sigma_rows
+from .model import on_nodes, require_finite
 
 _U64 = (1 << 64) - 1
 
@@ -101,14 +101,18 @@ def _time_levels(spec, t0, n_paths, n_steps):
 
 def _euler(co, u, v, times, dt, x0, dw):
     """Euler states from x0 driven by the increments dw, shape (n_paths,
-    n_steps + 1)."""
+    n_steps + 1).  A nonfinite b or sigma is refused at the step that meets
+    it, by `model.require_finite`; states that overflow with finite
+    coefficients are refused at the end."""
     states = np.empty((dw.shape[0], len(times)))
     states[:, 0] = x0
     for k in range(len(times) - 1):
         t = float(times[k])
         x = states[:, k]
         drift = on_nodes(co.b(t, x, u, v), x.shape, "b")
-        sig = sigma_rows(co, t, x, u, v)
+        sig = on_nodes(co.sigma(t, x, u, v), x.shape, "sigma")
+        require_finite("b", drift, t, x, [(u, v)])
+        require_finite("sigma", sig, t, x, [(u, v)])
         states[:, k + 1] = x + drift * dt + sig * dw[:, k]
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("nonfinite state encountered during simulation")
@@ -129,8 +133,7 @@ def simulate_paths(
     `controls` is the (u, v) pair held on every path, which must sit on the
     control grids; None picks the first point of each grid.  The
     coefficient callables receive the whole (n_paths,) state array of a
-    time level and must broadcast; sigma may come back in any shape
-    `model.sigma_rows` accepts.
+    time level and must broadcast to it.
     """
     dt, times = _time_levels(spec, t0, n_paths, n_steps)
     u, v = spec.control_pair(controls)
@@ -233,14 +236,9 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         count = counts[j]
         x = grid.x_min + dx * (lo + np.arange(count))
         b = on_nodes(co.b(t, x, u, v), x.shape, "b")
-        sig = sigma_rows(co, t, x, u, v)
-        for name, row in (("b", b), ("sigma", sig)):
-            finite = np.isfinite(row)
-            if not finite.all():
-                raise CoefficientError(
-                    f"nonfinite {name} at t={t}, x={x[np.argmin(finite)]},"
-                    f" controls ({u!r}, {v!r})"
-                )
+        sig = on_nodes(co.sigma(t, x, u, v), x.shape, "sigma")
+        require_finite("b", b, t, x, [controls])
+        require_finite("sigma", sig, t, x, [controls])
         s2 = sig * sig
         nu = b * (dt / dx)
         shift = np.rint(nu).astype(np.int64)

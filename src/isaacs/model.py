@@ -22,8 +22,13 @@ Conventions used across the package:
 
   * one equation: the state x, the Brownian motion B and z are scalars
   * coefficient callables take (t, x, u, v), the driver takes (t, x, y, z, u, v);
-    x and z are floats or numpy arrays and the callables must broadcast
-    elementwise
+    x is a numpy array of states, y and z are floats or arrays like it, and
+    the callables must broadcast elementwise
+  * one shape rule, sigma included: every value a coefficient returns is read
+    through `on_nodes`, which accepts it when it broadcasts to the shape of
+    the states it was evaluated at and refuses it with CoefficientError
+    otherwise; `require_finite` names the first node and pair of a
+    nonfinite b or sigma in every solver
   * `lipschitz` bounds the x-Lipschitz constant of every coefficient,
     `driver_lipschitz` bounds the (y, z)-Lipschitz constant of the driver
 
@@ -301,6 +306,20 @@ def on_nodes(value, shape, name):
         ) from None
 
 
+def require_finite(name, rows, t, x, pairs):
+    """Raises CoefficientError when `rows`, the values of the coefficient
+    `name` on the nodes x at time t for each (u, v) in `pairs` (one row per
+    pair, or one row for one pair), hold a nonfinite entry, naming the first
+    such pair and then its first such node."""
+    finite = np.isfinite(rows).reshape(len(pairs), -1)
+    if not finite.all():
+        k, i = np.argwhere(~finite)[0]
+        u, v = pairs[k]
+        raise CoefficientError(
+            f"nonfinite {name} at t={t}, x={x[i]}, controls ({u!r}, {v!r})"
+        )
+
+
 def obstacle_rows(coefficients, t, x):
     """The lower and upper obstacles at time t on the nodes x."""
     lo = on_nodes(coefficients.lower(t, x), x.shape, "lower")
@@ -418,64 +437,35 @@ class IsaacsReport:
     worst: HamiltonianInput
 
 
-def _scalar(value, name):
-    """The value of the coefficient `name` at one state, read as a float."""
-    raw = np.asarray(value, dtype=float)
-    if raw.size != 1:
-        raise CoefficientError(f"{name} returned shape {raw.shape} at one state")
-    return float(raw.reshape(()))
-
-
-def sigma_rows(coefficients, t, x, u, v):
-    """Evaluate sigma on the scalar states x, shape (count,); returns x.shape.
-
-    Coefficients are written elementwise and may come back as one value
-    shared by every state, shape (), (1,) or (1, 1), or as one value per
-    state, shape (count,), (count, 1) or (count, 1, 1).
-    """
-    x = np.asarray(x, dtype=float)
-    raw = np.asarray(coefficients.sigma(t, x, u, v), dtype=float)
-    if raw.shape in ((), (1,), (1, 1)):
-        return np.broadcast_to(raw.reshape(()), x.shape)
-    if raw.shape in (x.shape, x.shape + (1,), x.shape + (1, 1)):
-        return raw.reshape(x.shape)
-    raise CoefficientError(
-        f"cannot interpret sigma shape {raw.shape} for {x.size} state(s)"
-    )
-
-
 def hamiltonian_tables(spec, t, x, y, d2, dplus, dminus, dcentral):
     """The integrand 1/2 sigma^2 d2 + b+ dplus + b- dminus + f(t, x, y,
     dcentral sigma, u, v) of every control pair on a stack of rows, plus
     stability maxima: b and sigma are evaluated on the nodes x, shape (nx,),
     the driver on y, shape (rows, nx) like the x-derivatives of y.  Returns
     (tables of shape (nu, nv, rows, nx), max sigma^2, max |b|, max |sigma|).
+    A nonfinite b or sigma is refused by `require_finite` before the driver
+    is evaluated.
     """
     co = spec.coefficients
-    bs, sigs, fs = [], [], []
-    for u, v in spec.control_pairs():
-        bs.append(on_nodes(co.b(t, x, u, v), x.shape, "b"))
-        sig = sigma_rows(co, t, x, u, v)
-        sigs.append(sig)
-        fs.append(on_nodes(co.driver(t, x, y, dcentral * sig, u, v), y.shape, "driver"))
-    pairs = (len(spec.controls_i), len(spec.controls_ii))
-    b = np.array(bs).reshape(pairs + (1,) + x.shape)
-    sig = np.array(sigs).reshape(pairs + (1,) + x.shape)
+    pairs = list(spec.control_pairs())
+    b = np.array([on_nodes(co.b(t, x, u, v), x.shape, "b") for u, v in pairs])
+    sig = np.array([on_nodes(co.sigma(t, x, u, v), x.shape, "sigma") for u, v in pairs])
+    require_finite("b", b, t, x, pairs)
+    require_finite("sigma", sig, t, x, pairs)
+    fs = [
+        on_nodes(co.driver(t, x, y, dcentral * s, u, v), y.shape, "driver")
+        for (u, v), s in zip(pairs, sig)
+    ]
+    shape = (len(spec.controls_i), len(spec.controls_ii), 1) + x.shape
+    b, sig = b.reshape(shape), sig.reshape(shape)
     s2 = sig * sig
     tables = (
         (0.5 * s2) * d2
         + np.maximum(b, 0.0) * dplus
         + np.minimum(b, 0.0) * dminus
-        + np.array(fs).reshape(pairs + y.shape)
+        + np.array(fs).reshape(shape[:2] + y.shape)
     )
-    # a nonfinite b or sigma makes every row's tables nonfinite, and no
-    # caller reads the maxima of nonfinite tables
-    return (
-        tables,
-        max(0.0, float(np.max(s2))),
-        max(0.0, float(np.max(np.abs(b)))),
-        max(0.0, float(np.max(np.abs(sig)))),
-    )
+    return tables, float(np.max(s2)), float(np.max(np.abs(b))), float(np.max(np.abs(sig)))
 
 
 # the two Hamiltonians as reductions of the tables over the control axes
@@ -596,26 +586,26 @@ def validate_problem(spec, samples=200, seed=0):
     pairs = list(spec.control_pairs())
 
     # growth baselines at the origin
+    origin = np.zeros(1)
     base_dyn = 0.0
     base_data = 0.0
     times = np.concatenate([rng.uniform(0.0, T, size=7), [0.0, T]])
     for t in times:
         for u, v in pairs:
-            base_dyn = max(
-                base_dyn,
-                abs(_scalar(co.b(t, 0.0, u, v), "b"))
-                + abs(_scalar(co.sigma(t, 0.0, u, v), "sigma")),
-            )
-            base_data = max(base_data, abs(_scalar(co.driver(t, 0.0, 0.0, 0.0, u, v), "driver")))
-        base_data = max(
-            base_data,
-            abs(_scalar(co.lower(t, 0.0), "lower")),
-            abs(_scalar(co.upper(t, 0.0), "upper")),
-        )
-    base_data = max(base_data, abs(_scalar(co.terminal(0.0), "terminal")))
+            (b0,) = on_nodes(co.b(t, origin, u, v), (1,), "b").tolist()
+            (s0,) = on_nodes(co.sigma(t, origin, u, v), (1,), "sigma").tolist()
+            (f0,) = on_nodes(co.driver(t, origin, 0.0, 0.0, u, v), (1,), "driver").tolist()
+            base_dyn = max(base_dyn, abs(b0) + abs(s0))
+            base_data = max(base_data, abs(f0))
+        (lo0,) = on_nodes(co.lower(t, origin), (1,), "lower").tolist()
+        (up0,) = on_nodes(co.upper(t, origin), (1,), "upper").tolist()
+        base_data = max(base_data, abs(lo0), abs(up0))
+    (phi0,) = on_nodes(co.terminal(origin), (1,), "terminal").tolist()
+    base_data = max(base_data, abs(phi0))
     growth_dyn = co.lipschitz + base_dyn
     growth_data = co.lipschitz + base_data
 
+    names = ("b", "sigma", "driver", "terminal", "lower", "upper")
     for u, v in itertools.islice(itertools.cycle(pairs), samples):
         t = float(rng.uniform(0.0, T))
         xa = float(rng.uniform(-radius, radius))
@@ -624,29 +614,25 @@ def validate_problem(spec, samples=200, seed=0):
         z = float(rng.uniform(-radius, radius))
         here = {"t": t, "x": xa, "u": u, "v": v}
 
+        # each coefficient at the two states, in the order of `names`
+        nodes = np.array([xa, xb])
         try:
-            b_a = _scalar(co.b(t, xa, u, v), "b")
-            b_b = _scalar(co.b(t, xb, u, v), "b")
-            s_a = _scalar(co.sigma(t, xa, u, v), "sigma")
-            s_b = _scalar(co.sigma(t, xb, u, v), "sigma")
-            f_a = _scalar(co.driver(t, xa, y, z, u, v), "driver")
-            f_b = _scalar(co.driver(t, xb, y, z, u, v), "driver")
-            lo_a = _scalar(co.lower(t, xa), "lower")
-            up_a = _scalar(co.upper(t, xa), "upper")
-            phi_a = _scalar(co.terminal(xa), "terminal")
-            phi_b = _scalar(co.terminal(xb), "terminal")
-            lo_b = _scalar(co.lower(t, xb), "lower")
-            up_b = _scalar(co.upper(t, xb), "upper")
+            raw = (
+                co.b(t, nodes, u, v),
+                co.sigma(t, nodes, u, v),
+                co.driver(t, nodes, y, z, u, v),
+                co.terminal(nodes),
+                co.lower(t, nodes),
+                co.upper(t, nodes),
+            )
+            values = [on_nodes(value, (2,), name).tolist() for name, value in zip(names, raw)]
         except CoefficientError as exc:
             record("nonfinite", here, math.inf, str(exc))
             continue
-
-        finite_probe = [
-            abs(b_a), abs(s_a), f_a, lo_a, up_a, phi_a, f_b, lo_b, up_b, phi_b,
-        ]
-        if not all(math.isfinite(val) for val in finite_probe):
+        if not np.isfinite(values).all():
             record("nonfinite", here, math.inf, "coefficient returned nan/inf")
             continue
+        (b_a, _), (s_a, _), (f_a, _), (phi_a, _), (lo_a, _), (up_a, _) = values
 
         if up_a - lo_a <= 0.0:
             record(
@@ -654,27 +640,21 @@ def validate_problem(spec, samples=200, seed=0):
                 f"lower={lo_a} >= upper={up_a}",
             )
 
-        phi_T = phi_a  # the payoff takes no t
-        lo_T = _scalar(co.lower(T, xa), "lower")
-        up_T = _scalar(co.upper(T, xa), "upper")
-        if phi_T < lo_T - slack or phi_T > up_T + slack:
+        # the payoff takes no t, so phi_a is its value at the horizon
+        (lo_T,) = on_nodes(co.lower(T, nodes[:1]), (1,), "lower").tolist()
+        (up_T,) = on_nodes(co.upper(T, nodes[:1]), (1,), "upper").tolist()
+        if phi_a < lo_T - slack or phi_a > up_T + slack:
             record(
                 "terminal_sandwich", here,
-                max(lo_T - phi_T, phi_T - up_T),
-                f"phi={phi_T} outside [{lo_T}, {up_T}] at horizon",
+                max(lo_T - phi_a, phi_a - up_T),
+                f"phi={phi_a} outside [{lo_T}, {up_T}] at horizon",
             )
 
         dist = abs(xa - xb)
         if dist > 1e-12:
             budget = co.lipschitz * dist + slack * (1.0 + co.lipschitz)
-            for name, gap in (
-                ("b", abs(b_a - b_b)),
-                ("sigma", abs(s_a - s_b)),
-                ("driver", abs(f_a - f_b)),
-                ("terminal", abs(phi_a - phi_b)),
-                ("lower", abs(lo_a - lo_b)),
-                ("upper", abs(up_a - up_b)),
-            ):
+            for name, (at_a, at_b) in zip(names, values):
+                gap = abs(at_a - at_b)
                 if gap > budget:
                     record(
                         f"lipschitz_{name}", here, gap / dist,
@@ -682,9 +662,14 @@ def validate_problem(spec, samples=200, seed=0):
                         f" declared {co.lipschitz}",
                     )
 
+        # the driver at (y2, z2) and at (0, 0), both at xa
         y2 = float(rng.uniform(-radius, radius))
         z2 = float(rng.uniform(-radius, radius))
-        f_y2 = _scalar(co.driver(t, xa, y2, z2, u, v), "driver")
+        f_y2, f0 = on_nodes(
+            co.driver(t, np.array([xa, xa]), np.array([y2, 0.0]), np.array([z2, 0.0]), u, v),
+            (2,),
+            "driver",
+        ).tolist()
         dyz = math.hypot(abs(y - y2), abs(z - z2))
         if dyz > 1e-12:
             gap = abs(f_a - f_y2)
@@ -702,8 +687,7 @@ def validate_problem(spec, samples=200, seed=0):
                 "growth_dynamics", here, dyn / scale,
                 f"(|b|+|sigma|)/(1+|x|) = {dyn / scale:.6g} exceeds {growth_dyn:.6g}",
             )
-        f0 = abs(_scalar(co.driver(t, xa, 0.0, 0.0, u, v), "driver"))
-        data = max(f0, abs(phi_a), abs(lo_a), abs(up_a))
+        data = max(abs(f0), abs(phi_a), abs(lo_a), abs(up_a))
         if data > growth_data * scale + slack * (1.0 + growth_data):
             record(
                 "growth_data", here, data / scale,

@@ -32,7 +32,7 @@ Monotonicity of the explicit step requires roughly
 
 with mu the (y, z)-Lipschitz constant of the driver.  Every solve tracks
 that number level by level and refuses to run past the margin 0.9
-(`_CFL_MARGIN`), which the two one-row solvers take as `cfl_margin`.
+(`_CFL_MARGIN`), which `solve_isaacs_double_obstacle` takes as `cfl_margin`.
 
 Rows, each a (reduction, variant) pair, are marched side by side as one
 (rows, nx) stack, and each level is a few whole-stack array operations:
@@ -66,6 +66,7 @@ import numpy as np
 
 from .model import (
     REDUCTIONS,
+    CoefficientError,
     PenalizationSchedule,
     Variant,
     hamiltonian_tables,
@@ -218,7 +219,8 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
     the numbers of its own one-row march.  A row stops at its own first
     failure (start row, nonfinite integrand, then stability, checked as in
     a one-row march) and the other rows march on: one failing row never
-    stops another.
+    stops another.  A coefficient that `hamiltonian_tables` refuses at a
+    level is the failure of every row marching there.
     """
     for kind, _, _, _ in rows:
         if kind not in REDUCTIONS:
@@ -259,7 +261,15 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
         index, variant, penalties, reduce = stack
         t = j * dt
         w_next = values[index, j + 1]
-        tables, *maxima = hamiltonian_tables(spec, t, x, w_next, *_derivatives(w_next, dx))
+        try:
+            tables, *maxima = hamiltonian_tables(spec, t, x, w_next, *_derivatives(w_next, dx))
+        except CoefficientError as exc:
+            # a wrong-shaped coefficient or a nonfinite b or sigma: the
+            # tables are one call for the whole stack, so every row fails
+            for r in live:
+                results[r] = exc
+            live = []
+            continue
         finite = np.isfinite(tables).all(axis=(0, 1, 3))  # per row
         lo, up = obstacle_rows(co, t, x)
         numbers = _stability_number(dt, dx, mu, *maxima, penalties)
@@ -349,9 +359,6 @@ def solve_isaacs_penalized(
     kind="lower",
     penalty_kind="penalized",
     penalty=(0.0, 0.0),
-    terminal=None,
-    t_hi=None,
-    cfl_margin=_CFL_MARGIN,
 ):
     """Penalized variants of the double-obstacle solve.
 
@@ -363,7 +370,7 @@ def solve_isaacs_penalized(
     lower).
     """
     rows = [_penalized_row(kind, penalty_kind, penalty)]
-    return raise_first_failure(_march(spec, grid, rows, terminal, t_hi, cfl_margin))[0]
+    return raise_first_failure(march_rows(spec, grid, rows))[0]
 
 
 def sweep_rows(schedule):

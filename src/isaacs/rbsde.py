@@ -40,7 +40,6 @@ from .model import (
     obstacle_step,
     on_nodes,
     shifted_spec,
-    sigma_rows,
 )
 
 
@@ -121,7 +120,7 @@ def _lattice_step(lattice, co, j, u, v):
         deviation=deviation,
         spread=spread,
         var_x=np.where(spread, var_x, 1.0),
-        sigma=sigma_rows(co, t, x, u, v),
+        sigma=on_nodes(co.sigma(t, x, u, v), x.shape, "sigma"),
     )
 
 
@@ -203,7 +202,7 @@ def _walk(specs, lattice, controls, variant, terminal=None, start_step=0, end_st
             co = spec.coefficients
             own = step
             if co.sigma is not first.sigma:
-                own = step._replace(sigma=sigma_rows(co, t, x, u, v))
+                own = step._replace(sigma=on_nodes(co.sigma(t, x, u, v), x.shape, "sigma"))
             lo, up = lo_first, up_first
             if co.lower is not first.lower:
                 lo = on_nodes(co.lower(t, x), x.shape, "lower")
@@ -360,24 +359,31 @@ def comparison_check(
     detail = "ok"
     conclusive = True
     equal_barriers = True
+
+    def both(name, *args):
+        # the coefficient `name` of a and of b at the one state in args
+        return [on_nodes(getattr(co, name)(*args), (1,), name)[0] for co in (ca, cb)]
+
     for u, v in itertools.islice(itertools.cycle(spec_a.control_pairs()), samples):
         t = rng.uniform(0.0, spec_a.horizon)
         x = rng.uniform(-radius, radius)
         y = rng.uniform(-radius, radius)
         z = rng.uniform(-radius, radius)
-        if float(ca.terminal(x)) > float(cb.terminal(x)) + slack:
+        node = np.array([x])
+        ta, tb = both("terminal", node)
+        if ta > tb + slack:
             conclusive, detail = False, f"terminal ordering fails at x={x:.6g}"
             break
-        if float(ca.driver(t, x, y, z, u, v)) > float(cb.driver(t, x, y, z, u, v)) + slack:
+        fa, fb = both("driver", t, node, y, z, u, v)
+        if fa > fb + slack:
             conclusive, detail = False, f"driver ordering fails at (t,x)=({t:.4g},{x:.4g})"
             break
-        if abs(float(ca.b(t, x, u, v)) - float(cb.b(t, x, u, v))) > slack or np.max(
-            np.abs(np.asarray(ca.sigma(t, x, u, v)) - np.asarray(cb.sigma(t, x, u, v)))
-        ) > slack:
+        (ba, bb), (sa, sb) = both("b", t, node, u, v), both("sigma", t, node, u, v)
+        if abs(ba - bb) > slack or abs(sa - sb) > slack:
             conclusive, detail = False, "dynamics differ; solutions share one lattice"
             break
-        dlo = float(ca.lower(t, x)) - float(cb.lower(t, x))
-        dup = float(ca.upper(t, x)) - float(cb.upper(t, x))
+        (la, lb), (ua, ub) = both("lower", t, node), both("upper", t, node)
+        dlo, dup = la - lb, ua - ub
         if dlo > slack or dup > slack:
             conclusive, detail = False, f"obstacle ordering fails at (t,x)=({t:.4g},{x:.4g})"
             break

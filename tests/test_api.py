@@ -20,14 +20,12 @@ PACKAGE = ROOT / "src" / "isaacs"
 CALLERS = (PACKAGE, ROOT / "tests", ROOT / "demos")
 
 # Set by no caller, but bound by name in the benchmark's span tracer
-# (perfbench/tracer.py: `_march_hook` reads cfl_margin, terminal and t_hi,
-# `_lattice_hook` reads consistency_tol); removing them breaks the traced run.
+# (perfbench/tracer.py: `_march_hook` reads cfl_margin, `_lattice_hook`
+# reads consistency_tol) on calls that `isaacs run` makes; removing them
+# breaks the traced run.
 TRACER_BOUND = {
     ("forwardsim", "build_lattice", "consistency_tol"),
     ("pde", "solve_isaacs_double_obstacle", "cfl_margin"),
-    ("pde", "solve_isaacs_penalized", "terminal"),
-    ("pde", "solve_isaacs_penalized", "t_hi"),
-    ("pde", "solve_isaacs_penalized", "cfl_margin"),
 }
 
 

@@ -579,6 +579,25 @@ def test_nonfinite_lattice_levels_are_failed_checks(tmp_path, old, new, cause):
         assert result["error"].startswith("ValueError: ") and cause in result["error"], result
 
 
+def test_a_nonfinite_sigma_is_named_by_the_march_the_lattice_and_the_paths(tmp_path):
+    text = CUSTOM.replace("sigma = 1\n", "sigma = 0/0\n", 1)
+    text = text.replace("nx = 81", "nx = 41").replace("nt = 100", "nt = 20")
+    checks = ("game_value", "comparison", "forward")
+    with np.errstate(all="ignore"):
+        manifest = run(parse_config(text), str(tmp_path), checks=checks, quiet=True)
+    # the march meets it first at its first level, the others at t = 0
+    where = {
+        "game_value": "t=0.47500000000000003, x=-4.0",
+        "comparison": "t=0.0, x=-4.0",
+        "forward": "t=0.0, x=0.0",
+    }
+    for check in checks:
+        assert manifest.checks[check] == {
+            "passed": False,
+            "error": f"CoefficientError: nonfinite sigma at {where[check]}, controls (0.0, 0.0)",
+        }, check
+
+
 def test_a_nonfinite_lattice_coefficient_is_a_failed_check(tmp_path):
     text = CUSTOM.replace("sigma = 1\n", "sigma = 0/0\n", 1)
     assert "0/0" in text

@@ -205,12 +205,16 @@ def test_too_coarse_time_step_is_refused_with_admissible_dt():
         build_lattice(spec, 0.0, grid)
 
 
-@pytest.mark.parametrize(
+_NONFINITE = pytest.mark.parametrize(
     "name, value",
     [("sigma", math.nan), ("b", math.nan), ("b", math.inf), ("sigma", math.inf)],
 )
-def test_a_nonfinite_b_or_sigma_is_refused_at_any_level(name, value):
-    # finite on every node until t = 0.5, then nonfinite right of x = 0.3
+
+
+def _late_spec(name, value):
+    """b = 0 and sigma = 0.5 on every state until t = 0.5, then the
+    coefficient `name` is `value` right of x = 0.3."""
+
     def coefficient(finite, late):
         def fn(t, x, u, v):
             x = np.asarray(x, dtype=float)
@@ -219,14 +223,35 @@ def test_a_nonfinite_b_or_sigma_is_refused_at_any_level(name, value):
         return fn
 
     finite = {"b": 0.0, "sigma": 0.5}
-    spec = _scalar_spec(
+    return _scalar_spec(
         **{key: coefficient(f, value if key == name else f) for key, f in finite.items()}
     )
+
+
+@_NONFINITE
+def test_a_nonfinite_b_or_sigma_is_refused_at_any_level(name, value):
+    spec = _late_spec(name, value)
     grid = SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)
     x = grid.x_min + grid.dx * 7  # the first node right of 0.3
     message = f"nonfinite {name} at t=0.5, x={x}, controls (0.0, 0.0)"
     with pytest.raises(CoefficientError, match=f"^{re.escape(message)}$"):
         build_lattice(spec, 0.0, grid)
+
+
+@_NONFINITE
+def test_euler_paths_name_a_nonfinite_b_or_sigma_at_the_step_that_meets_it(name, value):
+    # the paths up to t = 0.5 are those of the finite coefficients
+    finite = _late_spec(name, {"b": 0.0, "sigma": 0.5}[name])
+    states = simulate_paths(finite, 0.0, 0.0, 64, 10, seed=1).states[:, 5]
+    x = states[states > 0.3][0]  # path order
+    message = f"nonfinite {name} at t=0.5, x={x}, controls (0.0, 0.0)"
+    spec = _late_spec(name, value)
+    for check in (
+        lambda: simulate_paths(spec, 0.0, 0.0, 64, 10, seed=1),
+        lambda: check_forward_estimates(spec, n_paths=64, n_steps=10, seed=1),
+    ):
+        with pytest.raises(CoefficientError, match=f"^{re.escape(message)}$"):
+            check()
 
 
 def test_dense_transition_rows_are_probability_vectors():

@@ -23,7 +23,6 @@ from isaacs.model import (
     SpaceTimeGrid,
     on_nodes,
     shifted_spec,
-    sigma_rows,
 )
 from isaacs.problems import builtin
 from isaacs.rbsde import _estimate_quantities, comparison_check, solve_backward
@@ -44,7 +43,7 @@ def _uncapped_lattice(spec, grid, controls=None):
         lo, count = first_index[j], counts[j]
         x = grid.x_min + dx * (lo + np.arange(count))
         b = on_nodes(co.b(t, x, u, v), x.shape, "b")
-        s2 = sigma_rows(co, t, x, u, v) ** 2
+        s2 = on_nodes(co.sigma(t, x, u, v), x.shape, "sigma") ** 2
         nu = b * (dt / dx)
         shift = np.rint(nu).astype(np.int64)
         resid = nu - shift

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isaacs.forwardsim import build_lattice
+from isaacs.forwardsim import build_lattice, simulate_paths
 from isaacs.model import (
     CoefficientError,
     CoefficientSet,
@@ -26,12 +26,11 @@ from isaacs.model import (
     isaacs_condition_check,
     obstacle_step,
     on_nodes,
-    sigma_rows,
     validate_problem,
 )
-from isaacs.pde import solve_isaacs_penalized
+from isaacs.pde import solve_isaacs_double_obstacle, solve_isaacs_penalized
 from isaacs.problems import BUILTINS, builtin, from_expressions
-from isaacs.rbsde import solve_backward
+from isaacs.rbsde import comparison_check, solve_backward
 
 
 def _point(t=0.3, x=0.7, y=0.2, gradient=1.5, hessian=-2.0):
@@ -325,9 +324,9 @@ def test_builtin_problems_pass_validation():
         assert report.summary() == "ok (60 samples)"
 
 
-def test_validation_reads_the_payoff_twice_per_sample():
-    # once at each of the two sampled states, plus once at x = 0 for the
-    # growth baseline; the terminal sandwich reuses the first read
+def test_validation_reads_the_payoff_once_per_sample():
+    # once at both sampled states together, plus once at x = 0 for the
+    # growth baseline; the terminal sandwich reuses the first state's value
     spec = builtin("dynkin_heat").spec
     payoff = spec.coefficients.terminal
     calls = []
@@ -341,7 +340,7 @@ def test_validation_reads_the_payoff_twice_per_sample():
     )
     samples = 37
     report = validate_problem(counted, samples=samples, seed=5)
-    assert len(calls) == 2 * samples + 1
+    assert len(calls) == samples + 1
     assert report == validate_problem(spec, samples=samples, seed=5)
 
 
@@ -394,6 +393,19 @@ def test_nonfinite_coefficients_are_flagged_not_raised():
     assert any(v.kind == "nonfinite" for v in report.violations)
 
 
+def test_a_coefficient_nonfinite_at_the_second_sampled_state_is_flagged():
+    # the first sample's second state, drawn after the 7 baseline times, t
+    # and the first state
+    xb = np.random.default_rng(0).uniform(-3.0, 3.0, size=10)[9]
+    bp = builtin("constant")
+    co = dataclasses.replace(
+        bp.spec.coefficients,
+        b=lambda t, x, u, v: np.where(np.asarray(x, dtype=float) == xb, np.nan, 0.0),
+    )
+    report = validate_problem(dataclasses.replace(bp.spec, coefficients=co), samples=1)
+    assert [v.kind for v in report.violations] == ["nonfinite"]
+
+
 @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
 def test_grid_bounds_must_be_finite(bound):
     with pytest.raises(ValueError, match="finite"):
@@ -408,36 +420,6 @@ def test_lipschitz_constants_must_be_finite_and_nonnegative(name, value):
     co = builtin("constant").spec.coefficients
     with pytest.raises(ValueError, match="finite"):
         dataclasses.replace(co, **{name: value})
-
-
-def test_sigma_rows_normalizes_every_supported_shape():
-    x = np.array([0.0, 1.0, 2.0])
-    base = builtin("constant").spec.coefficients
-
-    scalar = dataclasses.replace(base, sigma=lambda t, x, u, v: 0.7)
-    rows = sigma_rows(scalar, 0.0, x, 0.0, 0.0)
-    assert rows.shape == (3,) and np.all(rows == 0.7)
-
-    per_node = dataclasses.replace(base, sigma=lambda t, x, u, v: np.asarray(x) * 2.0)
-    rows = sigma_rows(per_node, 0.0, x, 0.0, 0.0)
-    assert np.array_equal(rows, x * 2.0)
-
-    for shape in ((), (1,), (1, 1)):
-        shared = dataclasses.replace(base, sigma=lambda t, x, u, v: np.full(shape, 0.7))
-        rows = sigma_rows(shared, 0.0, x, 0.0, 0.0)
-        assert rows.shape == (3,) and np.all(rows == 0.7), shape
-    for shape in ((3,), (3, 1), (3, 1, 1)):
-        each = dataclasses.replace(base, sigma=lambda t, x, u, v: (x + 1.0).reshape(shape))
-        rows = sigma_rows(each, 0.0, x, 0.0, 0.0)
-        assert np.array_equal(rows, x + 1.0), shape
-
-
-def test_sigma_rows_rejects_ambiguous_shapes():
-    base = builtin("constant").spec.coefficients
-    for shape in ((2, 2, 2), (2,), (3, 2)):
-        bad = dataclasses.replace(base, sigma=lambda t, x, u, v: np.zeros(shape))
-        with pytest.raises(CoefficientError, match="cannot interpret"):
-            sigma_rows(bad, 0.0, np.zeros(3), 0.0, 0.0)
 
 
 def test_control_grid_and_spec_validation():
@@ -664,7 +646,7 @@ _AT_ONE_STATE = ("b", "sigma", "driver", "terminal", "lower", "upper")
             "for nodes of shape (11,)",
         ),
     ]
-    + [(validate_problem, name, "at one state") for name in _AT_ONE_STATE],
+    + [(validate_problem, name, "for nodes of shape (1,)") for name in _AT_ONE_STATE],
     ids=["hamiltonian_lower", "hamiltonian_upper", "march", "build_lattice"]
     + [f"validate_problem_{name}" for name in _AT_ONE_STATE],
 )
@@ -672,3 +654,97 @@ def test_a_wrong_shaped_coefficient_names_both_shapes(call, name, where):
     message = f"{name} returned shape (3,) {where}"
     with pytest.raises(CoefficientError, match=f"^{re.escape(message)}$"):
         call(_wrong_shaped(name))
+
+
+# -- one shape rule ---------------------------------------------------------
+#
+# Every reader of a coefficient accepts a value that broadcasts to the shape
+# of the states it was evaluated at (x, and for the driver x, y and z
+# together), and refuses any other value with the same CoefficientError.
+
+_CONSTANTS = {"b": 0.0, "sigma": 0.5, "driver": 0.0, "terminal": 0.0, "lower": -1.0, "upper": 1.0}
+# the positions of the state arguments of each coefficient, x first
+_STATE_ARGS = {"b": (1,), "sigma": (1,), "driver": (1, 2, 3), "terminal": (0,)}
+_SHAPES = [(), (1,), ("n",), (2,), (1, 1), ("n", 1), ("n", 1, 1)]
+_GRID = SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)
+
+
+def _shaped_spec(shapes, calls):
+    """The constants of `_CONSTANTS`, coefficient `name` returning its
+    constant in shapes[name], with "n" the number of x values it is given;
+    each call appends (name, value shape, state shape) to `calls`."""
+
+    def coefficient(name):
+        states = _STATE_ARGS.get(name, (1,))
+
+        def fn(*args):
+            n = np.size(args[states[0]])
+            shape = tuple(n if d == "n" else d for d in shapes.get(name, ()))
+            calls.append((name, shape, np.broadcast_shapes(*(np.shape(args[i]) for i in states))))
+            return np.full(shape, _CONSTANTS[name])
+
+        return fn
+
+    co = CoefficientSet(
+        **{name: coefficient(name) for name in _CONSTANTS}, lipschitz=1.0, driver_lipschitz=0.0
+    )
+    return ProblemSpec(1.0, co, ControlGrid("u", (0.0,)), ControlGrid("v", (0.0,)))
+
+
+def _fits(shape, states):
+    try:
+        return np.broadcast_shapes(shape, states) == states
+    except ValueError:
+        return False
+
+
+_LATTICE = build_lattice(_shaped_spec({}, []), 0.0, _GRID)
+_READERS = {
+    "march": lambda spec: solve_isaacs_double_obstacle(spec, _GRID),
+    "build_lattice": lambda spec: build_lattice(spec, 0.0, _GRID),
+    "simulate_paths": lambda spec: simulate_paths(spec, 0.0, 0.0, 3, 4, seed=0),
+    "hamiltonian_lower": lambda spec: hamiltonian_lower(spec, _point()),
+    "validate_problem": lambda spec: validate_problem(spec, samples=8),
+    "comparison_check": lambda spec: comparison_check(spec, spec, _LATTICE, None, samples=8),
+}
+
+
+def _assert_the_one_shape_rule(reader, shapes):
+    calls = []
+    try:
+        _READERS[reader](_shaped_spec(shapes, calls))
+    except CoefficientError as exc:
+        refused = str(exc)
+    else:
+        refused = None
+    misfits = [call for call in calls if not _fits(*call[1:])]
+    expected = None
+    if misfits:
+        name, shape, states = misfits[0]
+        expected = f"{name} returned shape {shape} for nodes of shape {states}"
+    assert refused == expected, (reader, shapes)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    reader=st.sampled_from(sorted(_READERS)),
+    shapes=st.fixed_dictionaries({name: st.sampled_from(_SHAPES) for name in _CONSTANTS}),
+)
+def test_every_reader_takes_a_coefficient_by_the_one_shape_rule(reader, shapes):
+    _assert_the_one_shape_rule(reader, shapes)
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=str)
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_sigma_takes_the_one_shape_rule_at_every_reader(reader, shape):
+    # (1, 1), (n, 1) and (n, 1, 1) were once read as one sigma per state
+    _assert_the_one_shape_rule(reader, {"sigma": shape})
+
+
+def test_a_payoff_of_one_value_passes_the_comparison_hypotheses():
+    spec = builtin("constant").spec
+    co = dataclasses.replace(spec.coefficients, terminal=lambda x: np.array([0.5]))
+    spec = dataclasses.replace(spec, coefficients=co)
+    lattice = build_lattice(spec, 0.0, SpaceTimeGrid(-1.0, 1.0, 11, 40, 1.0))
+    report = comparison_check(spec, spec, lattice, None, samples=8)
+    assert report.conclusive and report.passed

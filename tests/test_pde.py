@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,14 +12,16 @@ import pytest
 from isaacs import pde
 from isaacs.cli import _march_fields, parse_config
 from isaacs.model import (
+    CoefficientError,
     CoefficientSet,
     ControlGrid,
+    HamiltonianInput,
     PenalizationSchedule,
     ProblemSpec,
     SpaceTimeGrid,
     Variant,
+    hamiltonian_lower,
     hamiltonian_tables,
-    sigma_rows,
 )
 from isaacs.pde import (
     CflError,
@@ -384,7 +387,7 @@ def test_stacked_tables_are_bitwise_the_per_pair_expression(spec, grid):
     for iu, u in enumerate(spec.controls_i.points):
         for iv, v in enumerate(spec.controls_ii.points):
             b = np.broadcast_to(np.asarray(co.b(t, x, u, v), dtype=float), x.shape)
-            sig = sigma_rows(co, t, x, u, v)
+            sig = np.broadcast_to(np.asarray(co.sigma(t, x, u, v), dtype=float), x.shape)
             s2 = sig * sig
             f = np.broadcast_to(
                 np.asarray(co.driver(t, x, w, dcentral * sig, u, v), dtype=float), w.shape
@@ -538,3 +541,66 @@ def test_cfl_error_carries_its_numbers():
         f"stability number {err.number:.4g} exceeds margin 0.9 at t=0.99;"
         f" largest admissible dt is {err.admissible_dt:.6g}"
     )
+
+
+def _late_nonfinite_spec(name, value):
+    """b = 0 and sigma = 0.5, but the coefficient `name` is `value` at
+    t <= 0.5 right of x = 0.3."""
+
+    def coefficient(finite, late):
+        def fn(t, x, u, v):
+            x = np.asarray(x, dtype=float)
+            return np.where((t <= 0.5) & (x > 0.3), late, finite)
+
+        return fn
+
+    finite = {"b": 0.0, "sigma": 0.5}
+    co = CoefficientSet(
+        **{key: coefficient(f, value if key == name else f) for key, f in finite.items()},
+        driver=lambda t, x, y, z, u, v: 0.0 * np.asarray(x, dtype=float),
+        terminal=lambda x: 0.0 * np.asarray(x, dtype=float),
+        lower=lambda t, x: -1.0 + 0.0 * np.asarray(x, dtype=float),
+        upper=lambda t, x: 1.0 + 0.0 * np.asarray(x, dtype=float),
+        lipschitz=1.0,
+        driver_lipschitz=0.0,
+    )
+    return ProblemSpec(1.0, co, ControlGrid("u", (0.0,)), ControlGrid("v", (0.0,)))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("sigma", math.nan), ("b", math.nan), ("b", math.inf), ("sigma", math.inf)],
+)
+def test_every_backward_reader_names_a_nonfinite_b_or_sigma(name, value):
+    spec = _late_nonfinite_spec(name, value)
+    grid = SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)
+
+    def message(t, x=grid.space_nodes()[7]):  # the first node right of 0.3
+        text = f"nonfinite {name} at t={t}, x={x}, controls (0.0, 0.0)"
+        return f"^{re.escape(text)}$"
+
+    # the march meets it at t = 0.5, where every row marching fails with it;
+    # a row that failed above keeps its own failure, and a head joining
+    # below carries its source's
+    unstable = ("lower", Variant.named("one_barrier_lower", 10.0), "unstable", None)
+    rows = [
+        two_barrier_row("lower", None),
+        two_barrier_row("upper", None),
+        unstable,
+        two_barrier_row("lower", (1, 3)),
+    ]
+    lower, upper, unstable_failed, head = _march(spec, grid, rows, None, None, 0.9)
+    assert isinstance(unstable_failed, CflError) and unstable_failed.t == 0.9
+    assert isinstance(lower, CoefficientError) and re.match(message(0.5), str(lower))
+    assert upper is lower and head is lower
+    with pytest.raises(CoefficientError, match=message(0.5)):
+        solve_isaacs_double_obstacle(spec, grid, "upper")
+    # these read from t = 0 up
+    with pytest.raises(CoefficientError, match=message(0.0)):
+        cfl_number(spec, grid)
+    finite = _late_nonfinite_spec(name, {"b": 0.0, "sigma": 0.5}[name])
+    field = solve_isaacs_double_obstacle(finite, grid)
+    with pytest.raises(CoefficientError, match=message(0.0)):
+        viscosity_residual(spec, field)
+    with pytest.raises(CoefficientError, match=message(0.3, 0.7)):
+        hamiltonian_lower(spec, HamiltonianInput(0.3, 0.7, 0.2, 1.5, -2.0))
