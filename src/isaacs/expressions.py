@@ -13,7 +13,9 @@ functions min, max, abs, exp.  min and max take two or more arguments,
 abs and exp exactly one.  The exponent of '^' must be a nonnegative
 integer literal.  Parentheses, calls and unary minus may nest at most
 MAX_DEPTH levels deep.  Everything evaluates through numpy, so feeding
-arrays for any variable broadcasts elementwise.
+arrays for any variable broadcasts elementwise, and under
+`np.errstate(all="ignore")`: an overflow or an invalid operation gives an
+inf or a nan, and no warning.
 
 There is deliberately no eval() anywhere: expressions come from config
 files and must not reach the Python interpreter.
@@ -82,7 +84,10 @@ class Expression:
             raise ExpressionError(
                 f"expression {self.text!r} needs values for {sorted(missing)}"
             )
-        return self._root(env)
+        # an overflow or 0/0 is a nonfinite value, which the solvers and
+        # checks refuse naming the coefficient, not a numpy warning
+        with np.errstate(all="ignore"):
+            return self._root(env)
 
     def __repr__(self):
         return f"Expression({self.text!r})"

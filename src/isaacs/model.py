@@ -16,18 +16,25 @@ The two Hamiltonians are
 H_lower <= H_upper always; equality of the two is what makes the game have
 a value, and `isaacs_condition_check` measures the gap by sampling.  The
 integrand is written once, in `hamiltonian_tables`, and the reductions in
-`REDUCTIONS`: `pde` reads them on grid rows, this module at single points.
+`REDUCTIONS`: `pde` reads them on grid rows, this module at single points
+and on the samples of `isaacs_condition_check`, all at once.
 
 Conventions used across the package:
 
   * one equation: the state x, the Brownian motion B and z are scalars
   * coefficient callables take (t, x, u, v), the driver takes (t, x, y, z, u, v);
-    x is a numpy array of states, y and z are floats or arrays like it, and
-    the callables must broadcast elementwise
+    x is a numpy array of states, and t, u, v, y and z are floats or arrays
+    that broadcast against it; the callables must broadcast elementwise in
+    every argument, t, u and v as well as x, y and z: `hamiltonian_tables`
+    passes all the control pairs at once as columns of u and v, and the
+    sampled checks pass one t per state (and one u and v, with more than one
+    pair)
   * one shape rule, sigma included: every value a coefficient returns is read
     through `on_nodes`, which accepts it when it broadcasts to the shape of
     the states it was evaluated at and refuses it with CoefficientError
-    otherwise; `require_finite` names the first node and pair of a
+    otherwise; given P > 1 control pairs as columns, a value with one more
+    axis than the states, of length P, is one value per pair, each read by
+    that rule; `require_finite` names the first node and pair of a
     nonfinite b or sigma in every solver
   * `lipschitz` bounds the x-Lipschitz constant of every coefficient,
     `driver_lipschitz` bounds the (y, z)-Lipschitz constant of the driver
@@ -46,6 +53,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,8 +75,11 @@ class ControlGrid:
         if len(self.points) == 0:
             raise ValueError(f"control grid {self.label!r} is empty")
         for p in self.points:
-            vals = p if isinstance(p, tuple) else (p,)
-            if not all(math.isfinite(float(c)) for c in vals):
+            if not isinstance(p, numbers.Real):
+                raise ValueError(
+                    f"control grid {self.label!r} has point {p!r}, not a real number"
+                )
+            if not math.isfinite(p):
                 raise ValueError(
                     f"control grid {self.label!r} has nonfinite point {p!r}"
                 )
@@ -308,13 +319,15 @@ def on_nodes(value, shape, name):
 
 def require_finite(name, rows, t, x, pairs):
     """Raises CoefficientError when `rows`, the values of the coefficient
-    `name` on the nodes x at time t for each (u, v) in `pairs` (one row per
-    pair, or one row for one pair), hold a nonfinite entry, naming the first
-    such pair and then its first such node."""
+    `name` on the nodes x at time t (one time, or one per node) for each
+    (u, v) in `pairs` (one row per pair), hold a nonfinite entry, naming the
+    first such pair and then its first such node and its t."""
     finite = np.isfinite(rows).reshape(len(pairs), -1)
     if not finite.all():
         k, i = np.argwhere(~finite)[0]
         u, v = pairs[k]
+        if np.ndim(t):  # t at each node
+            t = np.broadcast_to(t, x.shape)[i]
         raise CoefficientError(
             f"nonfinite {name} at t={t}, x={x[i]}, controls ({u!r}, {v!r})"
         )
@@ -445,17 +458,28 @@ def hamiltonian_tables(spec, t, x, y, d2, dplus, dminus, dcentral):
     (tables of shape (nu, nv, rows, nx), max sigma^2, max |b|, max |sigma|).
     A nonfinite b or sigma is refused by `require_finite` before the driver
     is evaluated.
+
+    Each coefficient is one call for all the pairs: with more than one pair,
+    u and v are pair columns, shape (P, 1) for b and sigma and (P, 1, 1) for
+    the driver, whose z is then (P, rows, nx), and `_per_pair` reads the
+    values; with one pair they are the two points themselves.
     """
     co = spec.coefficients
     pairs = list(spec.control_pairs())
-    b = np.array([on_nodes(co.b(t, x, u, v), x.shape, "b") for u, v in pairs])
-    sig = np.array([on_nodes(co.sigma(t, x, u, v), x.shape, "sigma") for u, v in pairs])
+    count = len(pairs)
+    if count == 1:
+        ((u, v),) = pairs
+    else:
+        u, v = (np.array(points, dtype=float)[:, None] for points in zip(*pairs))
+    b = _per_pair(co.b(t, x, u, v), count, x.shape, "b")
+    sig = _per_pair(co.sigma(t, x, u, v), count, x.shape, "sigma")
     require_finite("b", b, t, x, pairs)
     require_finite("sigma", sig, t, x, pairs)
-    fs = [
-        on_nodes(co.driver(t, x, y, dcentral * s, u, v), y.shape, "driver")
-        for (u, v), s in zip(pairs, sig)
-    ]
+    if count == 1:
+        f = co.driver(t, x, y, dcentral * sig[0], u, v)
+    else:
+        f = co.driver(t, x, y, dcentral * sig[:, None], u[:, None], v[:, None])
+    f = _per_pair(f, count, y.shape, "driver")
     shape = (len(spec.controls_i), len(spec.controls_ii), 1) + x.shape
     b, sig = b.reshape(shape), sig.reshape(shape)
     s2 = sig * sig
@@ -463,9 +487,26 @@ def hamiltonian_tables(spec, t, x, y, d2, dplus, dminus, dcentral):
         (0.5 * s2) * d2
         + np.maximum(b, 0.0) * dplus
         + np.minimum(b, 0.0) * dminus
-        + np.array(fs).reshape(shape[:2] + y.shape)
+        + f.reshape(shape[:2] + y.shape)
     )
     return tables, float(np.max(s2)), float(np.max(np.abs(b))), float(np.max(np.abs(sig)))
+
+
+def _per_pair(value, count, shape, name):
+    """The value of the coefficient `name` at `count` control pairs on nodes
+    of `shape`, as a (count,) + shape array.  A value with one more axis than
+    the nodes, of length count (and count > 1), holds one row per pair, each
+    read by the one shape rule of `on_nodes`; any other value is read by
+    `on_nodes` and holds for every pair."""
+    row = np.asarray(value, dtype=float)
+    if count > 1 and row.ndim == len(shape) + 1 and row.shape[0] == count:
+        try:
+            return np.broadcast_to(row, (count,) + shape)
+        except ValueError:
+            raise CoefficientError(
+                f"{name} returned shape {row.shape[1:]} for nodes of shape {shape}"
+            ) from None
+    return np.broadcast_to(on_nodes(row, shape, name), (count,) + shape)
 
 
 # the two Hamiltonians as reductions of the tables over the control axes
@@ -521,26 +562,43 @@ def isaacs_condition_check(spec, samples=64, seed=0, radius=2.0):
 
     The gap is nonnegative up to roundoff by the minimax inequality; a gap
     within 1e-9 means the two Hamiltonian tables coincide on the sampled
-    set and the game value computations may be expected to agree.
+    set and the game value computations may be expected to agree.  All the
+    samples are one table; a refused or nonfinite entry is named as one
+    point at a time names it: the first sample in draw order, then its
+    first pair.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     tolerance = 1e-9
     rng = np.random.default_rng(seed)
+    lows = (-1.0, 0.0, -radius, -radius, -radius)
+    highs = (1.0, spec.horizon, radius, radius, radius)
+    # sample by sample, as many scalar draws would give them
+    a, t, x, y, q = np.ascontiguousarray(rng.uniform(lows, highs, size=(samples, 5)).T)
+    hessian = 2.0 * a
+    points = [
+        HamiltonianInput(*point)
+        for point in zip(t.tolist(), x.tolist(), y.tolist(), q.tolist(), hessian.tolist())
+    ]
+    try:
+        with np.errstate(all="ignore"):  # refused below
+            tables, *_ = hamiltonian_tables(
+                spec, t, x, y[None], hessian[None], q[None], q[None], q[None]
+            )
+        if not np.isfinite(tables).all():
+            raise CoefficientError("nonfinite integrand")
+    except CoefficientError:
+        # the first sample in draw order, then its first pair, names it
+        for point in points:
+            _pointwise(spec, point)
+        raise
+    lower = REDUCTIONS["lower"](tables)[0].tolist()
+    upper = REDUCTIONS["upper"](tables)[0].tolist()
     worst = None
     max_gap = -math.inf
     total = 0.0
-    for _ in range(samples):
-        a = rng.uniform(-1.0, 1.0)
-        point = HamiltonianInput(
-            t=rng.uniform(0.0, spec.horizon),
-            x=rng.uniform(-radius, radius),
-            y=rng.uniform(-radius, radius),
-            gradient=rng.uniform(-radius, radius),
-            hessian=2.0 * a,
-        )
-        lower, upper = _pointwise(spec, point)
-        gap = upper.value - lower.value
+    for point, low, up in zip(points, lower, upper):
+        gap = up - low
         total += gap
         if gap > max_gap:
             max_gap = gap
@@ -571,6 +629,8 @@ def validate_problem(spec, samples=200, seed=0):
         Lipschitz constant plus the sampled values at x = 0
 
     Sampling is seeded, so the report is deterministic for a given seed.
+    Each coefficient is read once for all the samples; a read that the shape
+    rule refuses is one nonfinite violation, at the first sample.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
@@ -605,31 +665,53 @@ def validate_problem(spec, samples=200, seed=0):
     growth_dyn = co.lipschitz + base_dyn
     growth_data = co.lipschitz + base_data
 
-    names = ("b", "sigma", "driver", "terminal", "lower", "upper")
-    for u, v in itertools.islice(itertools.cycle(pairs), samples):
-        t = float(rng.uniform(0.0, T))
-        xa = float(rng.uniform(-radius, radius))
-        xb = float(rng.uniform(-radius, radius))
-        y = float(rng.uniform(-radius, radius))
-        z = float(rng.uniform(-radius, radius))
-        here = {"t": t, "x": xa, "u": u, "v": v}
+    # seven draws per sample, one sample after another: t, the states xa and
+    # xb, the driver's (y, z) and its second point (y2, z2)
+    lows, highs = (0.0,) + (-radius,) * 6, (T,) + (radius,) * 6
+    draws = rng.uniform(lows, highs, size=(samples, 7))
+    ts, xas, xbs, ys, zs, y2s, z2s = np.ascontiguousarray(draws.T)
+    cycled = list(itertools.islice(itertools.cycle(pairs), samples))
+    if len(pairs) == 1:
+        ((us, vs),) = pairs
+    else:
+        us, vs = (np.tile(np.array(points, dtype=float), 2) for points in zip(*cycled))
 
-        # each coefficient at the two states, in the order of `names`
-        nodes = np.array([xa, xb])
-        try:
-            raw = (
-                co.b(t, nodes, u, v),
-                co.sigma(t, nodes, u, v),
-                co.driver(t, nodes, y, z, u, v),
-                co.terminal(nodes),
-                co.lower(t, nodes),
-                co.upper(t, nodes),
-            )
-            values = [on_nodes(value, (2,), name).tolist() for name, value in zip(names, raw)]
-        except CoefficientError as exc:
-            record("nonfinite", here, math.inf, str(exc))
-            continue
-        if not np.isfinite(values).all():
+    # every coefficient once, on the flat nodes [xa..., xb...] with t, u and
+    # v at each node; the obstacles at the horizon once on [xa...], and the
+    # driver at (y2, z2) and at (0, 0) once on [xa..., xa...]
+    names = ("b", "sigma", "driver", "terminal", "lower", "upper")
+    t_nodes, nodes = np.tile(ts, 2), np.concatenate([xas, xbs])
+    try:
+        raw = (
+            co.b(t_nodes, nodes, us, vs),
+            co.sigma(t_nodes, nodes, us, vs),
+            co.driver(t_nodes, nodes, np.tile(ys, 2), np.tile(zs, 2), us, vs),
+            co.terminal(nodes),
+            co.lower(t_nodes, nodes),
+            co.upper(t_nodes, nodes),
+        )
+        both = np.array([on_nodes(value, nodes.shape, name) for name, value in zip(names, raw)])
+        lower_T = on_nodes(co.lower(T, xas), xas.shape, "lower").tolist()
+        upper_T = on_nodes(co.upper(T, xas), xas.shape, "upper").tolist()
+        zeros = np.zeros(samples)
+        second = np.tile(xas, 2), np.concatenate([y2s, zeros]), np.concatenate([z2s, zeros])
+        f_yz = on_nodes(co.driver(t_nodes, *second, us, vs), nodes.shape, "driver")
+    except CoefficientError as exc:
+        # the samples share one read, so it fails at the first of them
+        t, xa = draws[0, :2].tolist()
+        u, v = pairs[0]
+        record("nonfinite", {"t": t, "x": xa, "u": u, "v": v}, math.inf, str(exc))
+        return ValidationReport(False, tuple(violations), samples, seed)
+    # per sample, each coefficient at its two states, in the order of `names`
+    both = both.reshape(len(names), 2, samples)
+    finite = np.isfinite(both).all(axis=(0, 1)).tolist()
+    per_sample = zip(
+        cycled, finite, both.transpose(2, 0, 1).tolist(), draws.tolist(),
+        lower_T, upper_T, f_yz[:samples].tolist(), f_yz[samples:].tolist(),
+    )
+    for (u, v), ok, values, (t, xa, xb, y, z, y2, z2), lo_T, up_T, f_y2, f0 in per_sample:
+        here = {"t": t, "x": xa, "u": u, "v": v}
+        if not ok:
             record("nonfinite", here, math.inf, "coefficient returned nan/inf")
             continue
         (b_a, _), (s_a, _), (f_a, _), (phi_a, _), (lo_a, _), (up_a, _) = values
@@ -641,8 +723,6 @@ def validate_problem(spec, samples=200, seed=0):
             )
 
         # the payoff takes no t, so phi_a is its value at the horizon
-        (lo_T,) = on_nodes(co.lower(T, nodes[:1]), (1,), "lower").tolist()
-        (up_T,) = on_nodes(co.upper(T, nodes[:1]), (1,), "upper").tolist()
         if phi_a < lo_T - slack or phi_a > up_T + slack:
             record(
                 "terminal_sandwich", here,
@@ -663,13 +743,6 @@ def validate_problem(spec, samples=200, seed=0):
                     )
 
         # the driver at (y2, z2) and at (0, 0), both at xa
-        y2 = float(rng.uniform(-radius, radius))
-        z2 = float(rng.uniform(-radius, radius))
-        f_y2, f0 = on_nodes(
-            co.driver(t, np.array([xa, xa]), np.array([y2, 0.0]), np.array([z2, 0.0]), u, v),
-            (2,),
-            "driver",
-        ).tolist()
         dyz = math.hypot(abs(y - y2), abs(z - z2))
         if dyz > 1e-12:
             gap = abs(f_a - f_y2)

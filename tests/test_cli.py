@@ -511,6 +511,33 @@ def test_module_entry_point_reports_the_exit_status(tmp_path):
     assert "unknown problem" in proc.stderr
 
 
+def test_an_overflowing_expression_fails_its_checks_without_a_warning(tmp_path):
+    # 1e308 * x overflows to inf at |x| > 1.8: the checks name b, and numpy
+    # prints nothing
+    text = CUSTOM.replace("b = 0\n", "b = 1e308 * x\n", 1)
+    text = text.replace("nx = 81", "nx = 21").replace("nt = 100", "nt = 20")
+    config = tmp_path / "overflow.ini"
+    config.write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isaacs.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "isaacs.cli", "run", str(config), "--out", str(out), "--quiet"]
+        + ["--check", "validate", "--check", "game_value"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr, proc.stderr
+    with open(out / "verdict.json") as fh:
+        checks = json.load(fh)
+    assert checks["game_value"]["error"].startswith("CoefficientError: nonfinite b at t=")
+    assert checks["validate"]["passed"] is False
+
+
 def test_a_negative_seed_is_a_config_error(tmp_path, capsys):
     with pytest.raises(ConfigError, match="seed"):
         parse_config(MINIMAL + "\n[run]\nseed = -1\n")

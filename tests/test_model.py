@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isaacs import pde
 from isaacs.forwardsim import build_lattice, simulate_paths
 from isaacs.model import (
     CoefficientError,
@@ -22,6 +23,7 @@ from isaacs.model import (
     Variant,
     Violation,
     hamiltonian_lower,
+    hamiltonian_tables,
     hamiltonian_upper,
     isaacs_condition_check,
     obstacle_step,
@@ -215,19 +217,122 @@ def test_pointwise_hamiltonians_match_the_scalar_loops_anywhere(
     assert tuple(hamiltonian_upper(spec, point)) == _reference_upper(spec, point)
 
 
-@pytest.mark.parametrize("coefficient", ["driver", "sigma"])
-def test_a_nonfinite_integrand_names_its_first_pair_in_grid_order(coefficient):
-    # nonfinite at (0, 1) and (1, -1): (0, 1) comes first with u outermost
+def _at(u, v, u0, v0):
+    return (u == u0) & (v == v0)
+
+
+def _broken_at(coefficient, bad):
+    """`_coupled_spec` with `coefficient` inf wherever bad(x, u, v) holds,
+    elementwise like every coefficient."""
     spec = _coupled_spec()
-    bad = {(0.0, 1.0), (1.0, -1.0)}
     fn = getattr(spec.coefficients, coefficient)
 
     def broken(*args):
-        u, v = args[-2:]
-        return math.inf if (u, v) in bad else fn(*args)
+        x, u, v = args[1], args[-2], args[-1]
+        return np.where(bad(x, u, v), math.inf, fn(*args))
 
     co = dataclasses.replace(spec.coefficients, **{coefficient: broken})
-    spec = dataclasses.replace(spec, coefficients=co)
+    return dataclasses.replace(spec, coefficients=co)
+
+
+# -- one call per coefficient for every control pair -------------------------
+
+_BENCHMARK_CUSTOM = dict(
+    b="0.5 * (u + v) * exp(0 - x^2 / 8)",
+    sigma="0.8 + 0.2 * abs(u - v)",
+    driver="0.5 * (u - v) + 0.1 * min(max(y, 0 - 1), 1)",
+)
+_EXPRESSIONS = {
+    "b": ("0", "u", "u * v - x", "t * x - v", "max(u, v) * x", _BENCHMARK_CUSTOM["b"]),
+    "sigma": ("1", "0.5 + 0 * u", "1 + 0.1 * x * u", "exp(0 - t) * (1 + v^2)",
+              _BENCHMARK_CUSTOM["sigma"]),
+    "driver": ("0", "u * v", "x * u + y * v", "t * y - v * z", "0.05 * exp(0 - y^2) * z + u",
+               _BENCHMARK_CUSTOM["driver"]),
+}
+
+
+def _expression_spec(b, sigma, driver, controls_i, controls_ii):
+    tent = "max(0, 1 - abs(x - 1)) - max(0, 1 - abs(x + 1))"
+    return from_expressions(
+        horizon=0.5, b=b, sigma=sigma, driver=driver, terminal=tent,
+        lower=f"{tent} - 0.4", upper=f"{tent} + 0.4",
+        controls_i=controls_i, controls_ii=controls_ii, lipschitz=1.0, driver_lipschitz=0.1,
+    )
+
+
+_SPECS["benchmark_custom"] = lambda: _expression_spec(
+    **_BENCHMARK_CUSTOM, controls_i=(-1.0, 0.0, 1.0), controls_ii=(-1.0, 0.0, 1.0)
+)
+_CONTROLS = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3)
+
+
+@st.composite
+def _table_specs(draw):
+    """A spec of `_SPECS`, or an expression spec with 1-3 points per grid."""
+    name = draw(st.sampled_from(sorted(_SPECS) + ["expressions"]))
+    if name != "expressions":
+        return _SPECS[name]()
+    picks = {role: draw(st.sampled_from(texts)) for role, texts in _EXPRESSIONS.items()}
+    return _expression_spec(**picks, controls_i=draw(_CONTROLS), controls_ii=draw(_CONTROLS))
+
+
+def _per_pair_tables(spec, t, x, y, d2, dplus, dminus, dcentral):
+    """`hamiltonian_tables` as one call of each coefficient per pair."""
+    co = spec.coefficients
+    tables, s2s, bs, sigs = [], [], [], []
+    for u, v in spec.control_pairs():
+        b = np.broadcast_to(np.asarray(co.b(t, x, u, v), dtype=float), x.shape)
+        sig = np.broadcast_to(np.asarray(co.sigma(t, x, u, v), dtype=float), x.shape)
+        f = np.broadcast_to(
+            np.asarray(co.driver(t, x, y, dcentral * sig, u, v), dtype=float), y.shape
+        )
+        s2 = sig * sig
+        tables.append(
+            (0.5 * s2) * d2 + np.maximum(b, 0.0) * dplus + np.minimum(b, 0.0) * dminus + f
+        )
+        s2s.append(np.max(s2))
+        bs.append(np.max(np.abs(b)))
+        sigs.append(np.max(np.abs(sig)))
+    shape = (len(spec.controls_i), len(spec.controls_ii)) + y.shape
+    return np.array(tables).reshape(shape), float(max(s2s)), float(max(bs)), float(max(sigs))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    spec=_table_specs(),
+    when=st.floats(0.0, 1.0),
+    rows=st.integers(1, 3),
+    nx=st.integers(3, 41),
+    seed=st.integers(0, 2**16),
+)
+def test_tables_are_bitwise_one_call_per_pair(spec, when, rows, nx, seed):
+    grid = SpaceTimeGrid(-4.0, 4.0, nx, 10, spec.horizon)
+    x = grid.space_nodes()
+    w = np.random.default_rng(seed).normal(size=(rows, nx))
+    w[:, ::5] = -0.0
+    args = (spec, when * spec.horizon, x, w, *pde._derivatives(w, grid.dx))
+    got, want = hamiltonian_tables(*args), _per_pair_tables(*args)
+    assert got[0].tobytes() == want[0].tobytes()
+    for got_max, want_max in zip(got[1:], want[1:]):
+        assert np.float64(got_max).tobytes() == np.float64(want_max).tobytes()
+
+
+def test_a_march_level_and_the_isaacs_check_call_each_coefficient_once():
+    calls = []
+    spec = _counting(_SPECS["benchmark_custom"](), calls)
+    grid = SpaceTimeGrid(-4.0, 4.0, 41, 40, spec.horizon)
+    solve_isaacs_double_obstacle(spec, grid)
+    for name in ("b", "sigma", "driver"):
+        assert calls.count(name) == grid.nt, name
+    calls.clear()
+    isaacs_condition_check(spec, samples=64)
+    assert sorted(calls) == ["b", "driver", "sigma"]
+
+
+@pytest.mark.parametrize("coefficient", ["driver", "sigma"])
+def test_a_nonfinite_integrand_names_its_first_pair_in_grid_order(coefficient):
+    # nonfinite at (0, 1) and (1, -1): (0, 1) comes first with u outermost
+    spec = _broken_at(coefficient, lambda x, u, v: _at(u, v, 0.0, 1.0) | _at(u, v, 1.0, -1.0))
     point = _point(hessian=0.0)
     for check in (
         lambda: hamiltonian_lower(spec, point),
@@ -236,6 +341,33 @@ def test_a_nonfinite_integrand_names_its_first_pair_in_grid_order(coefficient):
     ):
         with pytest.raises(CoefficientError, match=r"controls \(0\.0, 1\.0\)"):
             check()
+
+
+@pytest.mark.parametrize("coefficient", ["driver", "sigma"])
+def test_a_nonfinite_integrand_names_its_first_sample_then_its_first_pair(coefficient):
+    # (1, -1) is bad at every sample and (0, 1), an earlier pair, at every
+    # sample but the first: the first sample in draw order is named, at
+    # (1, -1), though (0, 1) is bad at the second sample
+    a, t, x = np.random.default_rng(0).uniform(
+        (-1.0, 0.0, -2.0), (1.0, 1.0, 2.0), size=(1, 3)
+    )[0]
+    spec = _broken_at(
+        coefficient, lambda xs, u, v: _at(u, v, 0.0, 1.0) & (xs != x) | _at(u, v, 1.0, -1.0)
+    )
+    name = "integrand" if coefficient == "driver" else coefficient
+    message = f"nonfinite {name} at t={t}, x={x}, controls (1.0, -1.0)"
+    for samples in (1, 2, 16):
+        with pytest.raises(CoefficientError, match=f"^{re.escape(message)}$"):
+            isaacs_condition_check(spec, samples=samples)
+
+
+def test_a_nonfinite_sigma_at_one_t_per_node_names_that_nodes_t():
+    spec = _broken_at("sigma", lambda x, u, v: (x > 0.0) & _at(u, v, 1.0, 1.0))
+    t, x = np.array([0.1, 0.2, 0.3]), np.array([-1.0, 0.5, 2.0])
+    w = np.zeros((1, 3))
+    message = "nonfinite sigma at t=0.2, x=0.5, controls (1.0, 1.0)"
+    with pytest.raises(CoefficientError, match=f"^{re.escape(message)}$"):
+        hamiltonian_tables(spec, t, x, w, w, w, w, w)
 
 
 @pytest.mark.parametrize("samples", [0, -1])
@@ -324,24 +456,44 @@ def test_builtin_problems_pass_validation():
         assert report.summary() == "ok (60 samples)"
 
 
-def test_validation_reads_the_payoff_once_per_sample():
-    # once at both sampled states together, plus once at x = 0 for the
-    # growth baseline; the terminal sandwich reuses the first state's value
+def _counting(spec, calls):
+    """`spec` with each coefficient appending its name to `calls` when called."""
+    co = spec.coefficients
+
+    def counted(name):
+        fn = getattr(co, name)
+
+        def coefficient(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return coefficient
+
+    names = ("b", "sigma", "driver", "terminal", "lower", "upper")
+    counted_co = dataclasses.replace(co, **{name: counted(name) for name in names})
+    return dataclasses.replace(spec, coefficients=counted_co)
+
+
+def test_validation_reads_the_payoff_twice_at_any_sample_count():
+    # once at x = 0 for the growth baseline, once at all the sampled states
+    # together; the terminal sandwich reuses the first states' values
     spec = builtin("dynkin_heat").spec
-    payoff = spec.coefficients.terminal
-    calls = []
+    for samples in (1, 37):
+        calls = []
+        report = validate_problem(_counting(spec, calls), samples=samples, seed=5)
+        assert calls.count("terminal") == 2
+        assert report == validate_problem(spec, samples=samples, seed=5)
 
-    def counting(x):
-        calls.append(x)
-        return payoff(x)
 
-    counted = dataclasses.replace(
-        spec, coefficients=dataclasses.replace(spec.coefficients, terminal=counting)
-    )
-    samples = 37
-    report = validate_problem(counted, samples=samples, seed=5)
-    assert len(calls) == samples + 1
-    assert report == validate_problem(spec, samples=samples, seed=5)
+@pytest.mark.parametrize("name", sorted(_SPECS))
+def test_validation_calls_no_coefficient_more_often_with_more_samples(name):
+    spec = _SPECS[name]()
+    counts = []
+    for samples in (1, 8, 200):
+        calls = []
+        validate_problem(_counting(spec, calls), samples=samples, seed=2)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_crossed_obstacles_are_flagged():
@@ -420,6 +572,13 @@ def test_lipschitz_constants_must_be_finite_and_nonnegative(name, value):
     co = builtin("constant").spec.coefficients
     with pytest.raises(ValueError, match="finite"):
         dataclasses.replace(co, **{name: value})
+
+
+@pytest.mark.parametrize("point", [(0.0, 1.0), (0.5,), "1", None, 1j, np.zeros(1)], ids=repr)
+def test_a_control_grid_refuses_a_point_that_is_not_a_real_number(point):
+    message = f"control grid 'u' has point {point!r}, not a real number"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ControlGrid("u", (0.0, point))
 
 
 def test_control_grid_and_spec_validation():
