@@ -27,8 +27,9 @@ print(f"\nforward estimates passed: {report.passed} (slope {report.slope:+.3f})"
 
 # The lattice discretises the same dynamics.  It starts from every node of
 # the initial slice and widens by one node per side per step up to a halo
-# beyond each end of the grid, which a 100-step lattice never reaches; on
-# 400 steps the halo caps the node count.
+# beyond each end of the grid.  The halo grows with the variance the chain
+# has built up, more slowly than the lattice widens: a 100-step lattice
+# never reaches it, and on 400 steps it caps the node count.
 for nt in (100, 400):
     grid = SpaceTimeGrid(-9.0, 9.0, 101, nt, 1.0)
     lattice = build_lattice(spec, 0.0, grid)

@@ -31,15 +31,31 @@ probability vector, and no boundary absorption is ever applied.
 The halo comes from a tail bound.  In node units a path from a grid node
 moves by the drift, at most D_j = sum over k < j of max(|nu_k|, |shift_k|)
 (maxima over the step-k nodes), plus a martingale M_j whose steps xi - r
-lie within 1.5 and have variance q - r^2 <= 1.  Freedman's inequality
-bounds P(max_j |M_j| >= h) by 2 exp(-h^2 / (2N + h)) over N steps, which
-is at most ESCAPE_BOUND = 2^-60 once h >= (beta + sqrt(beta^2 + 8 beta
-N)) / 2 with beta = 61 ln 2; the halo is K_j = ceil(D_j + h).  Where a
-row's stencil would leave the capped node set its center is clipped
-inward, a reflecting closure at the halo's edge.  Reaching such a row
-takes |M_j| >= h, so the chain from any grid node at step 0 meets one
-with probability at most ESCAPE_BOUND.  The moment check covers the
-unclipped rows.
+lie within 1.5 and have conditional variance q - r^2 = sigma^2 dt / dx^2,
+at most V_k, its largest value over the step-k nodes.  Up to step j the
+variance built up is at most W_j = V_0 + ... + V_{j-1}, and the
+Bernstein form of Freedman's inequality (Ann. Probab. 3, 1975) bounds
+P(|M_j| >= h) by 2 exp(-h^2 / (2 W_j + h)).  Over N steps let beta =
+ln(2N / ESCAPE_BOUND), ESCAPE_BOUND = 2^-60, and
+
+    h_j = (beta + sqrt(beta^2 + 8 beta W_j)) / 2,   K_j = ceil(D_j + h_j),
+
+the smallest h with 2 exp(-h^2 / (2 W_j + h)) <= ESCAPE_BOUND / N; the
+halo at step j is K_j nodes, ceil(beta) at step 0, and it never shrinks
+because D_j and W_j never decrease.  Where a row's stencil would leave the
+capped node set its center is clipped inward, a reflecting closure at the
+halo's edge.  At step j a path sits at most D_j + |M_j| nodes beyond the
+grid, and its row's center at most max |shift_j| further, so the row is
+clipped only if D_{j+1} + |M_j| >= K_{j+1}, which takes |M_j| >= h_{j+1}.
+M_j has built up at most W_j <= W_{j+1}, so that has probability at most
+ESCAPE_BOUND / N, and by the union bound over the N steps the chain from
+any grid node at step 0 meets a clipped row with probability at most
+ESCAPE_BOUND.  The moment check covers the unclipped rows.
+
+A stored transition is 20 bytes a node: the int32 center and the float64
+down and up probabilities.  The stay probability is rebuilt on reading as
+1 - down - up, the expression the builder assigns it, so every row a
+solver reads is bitwise the row that was built.
 """
 
 from __future__ import annotations
@@ -83,9 +99,14 @@ class ForwardTrajectoryBatch:
 def _path_increments(seed, n_paths, n_steps, dt):
     out = np.empty((n_paths, n_steps))
     root = math.sqrt(dt)
+    # one stream object, put back for each path p to the state a new
+    # Philox(key=(seed, p)) starts in: counter 0 and an empty buffer
+    bits = np.random.Philox(key=np.array([seed & _U64, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
     for p in range(n_paths):
-        bits = np.random.Philox(key=np.array([seed & _U64, p], dtype=np.uint64))
-        gen = np.random.Generator(bits)
+        fresh["state"]["key"][1] = p
+        bits.state = fresh
         out[p] = gen.standard_normal(n_steps) * root
     return out
 
@@ -151,10 +172,10 @@ class RecombiningLattice:
     origin + (first_index[j] + arange(counts[j])) * dx; step 0 coincides
     with the spatial nodes of the grid the lattice was built from, and the
     node set widens with j by the pair's reach up to `halo[j]` nodes beyond
-    each end of the grid.  transitions[j] is a pair (center, probs): row i
-    of probs is the (down, stay, up) distribution over next-step local
-    indices center[i] - 1, center[i], center[i] + 1, a probability vector
-    on every row.
+    each end of the grid, K_j of the module docstring, which grows with the
+    variance the chain has built up by step j.  transitions[j] is the
+    triple (center, p_down, p_up) of one int32 and two float64 columns, 20
+    bytes a node; `transition(j)` reads it as (center, probs).
 
     At the halo's edge `clipped_rows` rows in all have their center clipped
     inward; the chain from a grid node at step 0 reaches one with
@@ -184,10 +205,15 @@ class RecombiningLattice:
         return self.origin + self.dx * (lo + np.arange(self.counts[step]))
 
     def transition(self, step):
-        return self.transitions[step]
+        """(center, probs) of step `step`: row i of probs is the (down, stay,
+        up) distribution over next-step local indices center[i] - 1,
+        center[i], center[i] + 1, a probability vector on every row."""
+        center, p_down, p_up = self.transitions[step]
+        probs = np.stack([p_down, 1.0 - p_down - p_up, p_up], axis=1)
+        return center.astype(np.intp), probs
 
     def dense_transition(self, step):
-        center, probs = self.transitions[step]
+        center, probs = self.transition(step)
         mat = np.zeros((self.counts[step], self.counts[step + 1]))
         rows = np.arange(self.counts[step])
         for off, col in ((-1, 0), (0, 1), (1, 2)):
@@ -217,12 +243,11 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
     u, v = controls
     co = spec.coefficients
 
-    # the halo K_j = ceil(D_j + h) of the module docstring, D_j being
-    # drift_reach and h tail
-    beta = math.log(2.0 / ESCAPE_BOUND)
-    tail = 0.5 * (beta + math.sqrt(beta * beta + 8.0 * beta * n_steps))
-    drift_reach = 0.0
-    halo = [math.ceil(tail)]
+    # the halo K_j = ceil(D_j + h_j) of the module docstring, D_j being
+    # drift_reach and W_j variance
+    beta = math.log(2.0 * n_steps / ESCAPE_BOUND)
+    drift_reach = variance = 0.0
+    halo = [math.ceil(beta)]
     first_index = [0]
     counts = [grid.nx]
     transitions = []
@@ -243,7 +268,8 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         nu = b * (dt / dx)
         shift = np.rint(nu).astype(np.int64)
         resid = nu - shift
-        q = s2 * dt / (dx * dx) + resid ** 2
+        diffusion = s2 * dt / (dx * dx)
+        q = diffusion + resid ** 2
         p_up = 0.5 * (q + resid)
         p_down = 0.5 * (q - resid)
         p_stay = 1.0 - p_up - p_down
@@ -274,6 +300,8 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
 
         shift_max = int(np.max(np.abs(shift)))
         drift_reach += max(float(np.max(np.abs(nu))), shift_max)
+        variance += float(np.max(diffusion))
+        tail = 0.5 * (beta + math.sqrt(beta * beta + 8.0 * beta * variance))
         halo.append(math.ceil(drift_reach + tail))
         reach = shift_max + 1
         next_lo = max(lo - reach, -halo[-1])
@@ -287,7 +315,6 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
             np.clip(center, 1, next_count - 2, out=center)
         first_index.append(next_lo)
         counts.append(next_count)
-        transitions.append((center, probs))
 
         # exact local consistency of the stored rows, checked not assumed
         targets = grid.x_min + dx * (next_lo + center[:, None] + np.array([-1.0, 0.0, 1.0]))
@@ -297,6 +324,7 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         var_gap = np.max(np.abs(var - s2 * dt), where=kept, initial=0.0)
         worst_mean = max(worst_mean, float(mean_gap))
         worst_var = max(worst_var, float(var_gap))
+        transitions.append((center.astype(np.int32), probs[:, 0].copy(), probs[:, 2].copy()))
 
     if worst_mean > consistency_tol or worst_var > consistency_tol:
         raise LatticeError(

@@ -163,8 +163,7 @@ def fixed_control_crosscheck(spec, grid, controls, tolerance=None, base=None):
     )
     field = pde.solve_isaacs_double_obstacle(frozen, grid, "lower")
     lattice = forwardsim.base_lattice(spec, grid, (u, v), base)
-    sol = rbsde.solve_backward(spec, lattice, (u, v))
-    y0 = sol.initial_values()
+    y0 = rbsde.backward_semigroup(spec, lattice, (u, v), 0, lattice.n_steps, None)
     w0 = field.initial()
     i0, i1 = grid.nx // 4, grid.nx - grid.nx // 4
     max_diff = float(np.max(np.abs(y0[i0:i1] - w0[i0:i1])))

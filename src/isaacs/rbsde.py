@@ -302,9 +302,11 @@ def solve_backward(
 def backward_semigroup(spec, lattice, controls, start_step, end_step, values):
     """Evolve terminal `values` at end_step back to start_step.
 
-    `values` must already sit between the obstacles at end_step; this is the
-    one-slab evolution whose concatenation property the dynamic programming
-    checks exercise.  Returns the array of values on the start_step nodes.
+    `values` must already sit between the obstacles at end_step; None
+    evolves the payoff, as `solve_backward` does in two-barrier mode.  This
+    is the one-slab evolution whose concatenation property the dynamic
+    programming checks exercise, and it stores no levels.  Returns the array
+    of values on the start_step nodes.
     """
     variant = Variant.named("two_barrier")
     for _, _, rows in _walk([spec], lattice, controls, variant, values, start_step, end_step):
@@ -331,6 +333,75 @@ class ComparisonReport:
     passed: bool
 
 
+def _ordering_failures(ca, cb, t, x, y, z, u, v):
+    """Yield, one hypothesis at a time, where the terminal, driver, dynamics
+    and obstacle orderings of `comparison_check` fail at the states (t, x, y,
+    z) under the pairs (u, v), then where the obstacles differ at all; each
+    a boolean array over the samples x, every other argument one value or
+    one per sample."""
+    slack = 1e-12
+
+    def both(name, *args):
+        return [on_nodes(getattr(co, name)(*args), x.shape, name) for co in (ca, cb)]
+
+    ta, tb = both("terminal", x)
+    yield ta > tb + slack
+    fa, fb = both("driver", t, x, y, z, u, v)
+    yield fa > fb + slack
+    (ba, bb), (sa, sb) = both("b", t, x, u, v), both("sigma", t, x, u, v)
+    yield (np.abs(ba - bb) > slack) | (np.abs(sa - sb) > slack)
+    (la, lb), (ua, ub) = both("lower", t, x), both("upper", t, x)
+    dlo, dup = la - lb, ua - ub
+    yield (dlo > slack) | (dup > slack)
+    yield (np.abs(dlo) > slack) | (np.abs(dup) > slack)
+
+
+def _ordering_hypotheses(ca, cb, pairs, draws):
+    """(conclusive, detail, equal_barriers) of the hypotheses of
+    `comparison_check` at the sampled states `draws`, rows (t, x, y, z),
+    under the control pairs cycled through.  Each coefficient is read once
+    for all the samples, and the first failure in sample order, then in
+    hypothesis order, is named.  When that read raises, the samples are read
+    one at a time up to the first failure, so a read that only a later
+    sample refuses is never made; if that raises too, the first error
+    stands."""
+
+    def detail(kind, t, x):
+        return (
+            f"terminal ordering fails at x={x:.6g}",
+            f"driver ordering fails at (t,x)=({t:.4g},{x:.4g})",
+            "dynamics differ; solutions share one lattice",
+            f"obstacle ordering fails at (t,x)=({t:.4g},{x:.4g})",
+        )[kind]
+
+    cycled = list(itertools.islice(itertools.cycle(pairs), len(draws)))
+    if len(pairs) == 1:
+        ((us, vs),) = pairs
+    else:
+        us, vs = (np.array(points, dtype=float) for points in zip(*cycled))
+    try:
+        *fails, unequal = _ordering_failures(ca, cb, *np.ascontiguousarray(draws.T), us, vs)
+    except Exception as exc:
+        try:
+            equal_barriers = True
+            for (u, v), (t, x, y, z) in zip(cycled, draws.tolist()):
+                checks = _ordering_failures(ca, cb, t, np.array([x]), y, z, u, v)
+                for kind, fail in enumerate(itertools.islice(checks, 4)):
+                    if fail[0]:
+                        return False, detail(kind, t, x), False
+                if next(checks)[0]:
+                    equal_barriers = False
+            return True, "ok", equal_barriers
+        except Exception:
+            raise exc from None
+    failing = np.array(fails)
+    first = int(np.argmax(failing.any(axis=0)))
+    kind = int(np.argmax(failing[:, first]))
+    if failing[kind, first]:
+        return False, detail(kind, *draws[first, :2].tolist()), False
+    return True, "ok", not unequal.any()
+
+
 def comparison_check(
     spec_a,
     spec_b,
@@ -354,41 +425,12 @@ def comparison_check(
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     radius, tolerance = 3.0, 1e-10
     rng = np.random.default_rng(seed)
-    ca, cb = spec_a.coefficients, spec_b.coefficients
-    slack = 1e-12
-    detail = "ok"
-    conclusive = True
-    equal_barriers = True
-
-    def both(name, *args):
-        # the coefficient `name` of a and of b at the one state in args
-        return [on_nodes(getattr(co, name)(*args), (1,), name)[0] for co in (ca, cb)]
-
-    for u, v in itertools.islice(itertools.cycle(spec_a.control_pairs()), samples):
-        t = rng.uniform(0.0, spec_a.horizon)
-        x = rng.uniform(-radius, radius)
-        y = rng.uniform(-radius, radius)
-        z = rng.uniform(-radius, radius)
-        node = np.array([x])
-        ta, tb = both("terminal", node)
-        if ta > tb + slack:
-            conclusive, detail = False, f"terminal ordering fails at x={x:.6g}"
-            break
-        fa, fb = both("driver", t, node, y, z, u, v)
-        if fa > fb + slack:
-            conclusive, detail = False, f"driver ordering fails at (t,x)=({t:.4g},{x:.4g})"
-            break
-        (ba, bb), (sa, sb) = both("b", t, node, u, v), both("sigma", t, node, u, v)
-        if abs(ba - bb) > slack or abs(sa - sb) > slack:
-            conclusive, detail = False, "dynamics differ; solutions share one lattice"
-            break
-        (la, lb), (ua, ub) = both("lower", t, node), both("upper", t, node)
-        dlo, dup = la - lb, ua - ub
-        if dlo > slack or dup > slack:
-            conclusive, detail = False, f"obstacle ordering fails at (t,x)=({t:.4g},{x:.4g})"
-            break
-        if abs(dlo) > slack or abs(dup) > slack:
-            equal_barriers = False
+    # four draws per sample, one sample after another: t, x, y and z
+    lows, highs = (0.0, -radius, -radius, -radius), (spec_a.horizon, radius, radius, radius)
+    draws = rng.uniform(lows, highs, size=(samples, 4))
+    conclusive, detail, equal_barriers = _ordering_hypotheses(
+        spec_a.coefficients, spec_b.coefficients, list(spec_a.control_pairs()), draws
+    )
 
     if not conclusive:
         return ComparisonReport(

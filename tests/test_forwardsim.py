@@ -11,6 +11,7 @@ import pytest
 
 from isaacs.forwardsim import (
     LatticeError,
+    _path_increments,
     build_lattice,
     check_forward_estimates,
     simulate_paths,
@@ -88,6 +89,21 @@ def test_noise_streams_are_keyed_by_path_index():
     assert np.array_equal(small.states, large.states[:10])
     other = simulate_paths(spec, 0.0, 0.0, n_paths=10, n_steps=16, seed=6)
     assert not np.array_equal(small.states, other.states)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2 ** 64 - 1, 2 ** 70 + 3, -7])
+def test_one_stream_object_draws_what_a_new_stream_per_path_draws(seed):
+    # the reference: Philox(key=(seed, p)) built afresh for every path p
+    root = math.sqrt(1 / 64)
+    for n_paths, n_steps in ((1, 1), (3, 5), (40, 64), (7, 1000)):
+        want = np.array([
+            np.random.Generator(
+                np.random.Philox(key=np.array([seed & (2 ** 64 - 1), p], dtype=np.uint64))
+            ).standard_normal(n_steps) * root
+            for p in range(n_paths)
+        ]).reshape(n_paths, n_steps)
+        got = _path_increments(seed, n_paths, n_steps, 1 / 64)
+        assert got.tobytes() == want.tobytes(), (n_paths, n_steps)
 
 
 def test_simulation_rejects_bad_windows():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from isaacs import pde
 from isaacs.cli import _march_fields
+from isaacs.forwardsim import build_lattice
 from isaacs.games import (
+    CrosscheckReport,
     compute_values,
     dpp_check,
     dpp_report,
@@ -15,8 +19,9 @@ from isaacs.games import (
     fixed_control_crosscheck,
     value_verdict,
 )
-from isaacs.model import PenalizationSchedule, SpaceTimeGrid
-from isaacs.problems import builtin
+from isaacs.model import ControlGrid, PenalizationSchedule, SpaceTimeGrid
+from isaacs.problems import BUILTINS, builtin
+from isaacs.rbsde import solve_backward
 
 DYNKIN_COARSE = SpaceTimeGrid(-9.0, 9.0, 101, 400, 1.0)
 
@@ -116,6 +121,28 @@ def test_frozen_controls_reconcile_the_two_solver_families():
     assert report.controls == (0.0, 0.0)
     i0, i1 = report.inner
     assert 0 < i0 < i1 < bp.grid.nx
+
+
+# transport has sigma = 0 and an off-node drift, so no lattice of it exists
+@pytest.mark.parametrize("name", [name for name in BUILTINS if name != "transport"])
+def test_the_crosscheck_reads_the_root_row_a_full_solve_stores(name):
+    # the reference: the same report from `solve_backward`'s stored levels
+    bp = builtin(name)
+    report = fixed_control_crosscheck(bp.spec, bp.grid, None)
+    (u, v) = bp.spec.control_pair()
+    frozen = dataclasses.replace(
+        bp.spec,
+        controls_i=ControlGrid(bp.spec.controls_i.label, (u,)),
+        controls_ii=ControlGrid(bp.spec.controls_ii.label, (v,)),
+    )
+    w0 = pde.solve_isaacs_double_obstacle(frozen, bp.grid, "lower").initial()
+    lattice = build_lattice(bp.spec, 0.0, bp.grid)
+    y0 = solve_backward(bp.spec, lattice, (u, v)).y[0]
+    i0, i1 = bp.grid.nx // 4, bp.grid.nx - bp.grid.nx // 4
+    max_diff = float(np.max(np.abs(y0[i0:i1] - w0[i0:i1])))
+    tolerance = 5.0 * (bp.grid.dx + bp.grid.dt) * max(1.0, float(np.max(w0) - np.min(w0)))
+    want = CrosscheckReport((u, v), max_diff, tolerance, (i0, i1), max_diff <= tolerance)
+    assert repr(report) == repr(want)
 
 
 @pytest.mark.parametrize(

@@ -55,7 +55,8 @@ def _uncapped_lattice(spec, grid, controls=None):
         reach = int(np.max(np.abs(shift))) + 1
         first_index.append(lo - reach)
         counts.append(count + 2 * reach)
-        transitions.append((np.arange(count) + shift + reach, probs))
+        center = np.arange(count) + shift + reach
+        transitions.append((center.astype(np.int32), probs[:, 0].copy(), probs[:, 2].copy()))
     return RecombiningLattice(
         controls=controls,
         times=times,
@@ -143,22 +144,42 @@ def _flat_spec(b, sigma):
     )
 
 
+def _assert_each_halo_is_the_smallest_whole_one(lattice, spec, grid):
+    """halo[j] = ceil(D_j + h_j) of the `forwardsim` docstring, with the
+    drift reach D_j and the variance W_j recomputed here from the constant
+    b and sigma of a flat spec."""
+    n = grid.nt
+    beta = math.log(2.0 * n / ESCAPE_BOUND)
+    co, (u, v) = spec.coefficients, lattice.controls
+    reach = variance = 0.0
+    for j, halo in enumerate(lattice.halo):
+        gap = halo - reach  # the whole halo less the drift reach
+        assert 2.0 * math.exp(-(gap ** 2) / (2.0 * variance + gap)) <= ESCAPE_BOUND / n
+        # one node less would not meet the bound
+        assert gap - 1.0 <= 0.0 or (gap - 1.0) ** 2 / (2.0 * variance + gap - 1.0) < beta
+        if j < n:
+            x = lattice.node_values(j)[:1]
+            nu = float(co.b(0.0, x, u, v)[0]) * (grid.dt / grid.dx)
+            sigma = float(co.sigma(0.0, x, u, v)[0])
+            reach += max(abs(nu), abs(round(nu)))
+            variance += sigma * sigma * grid.dt / (grid.dx * grid.dx)
+
+
 def test_counts_stop_growing_at_the_halo_and_clipped_rows_stay_probabilities():
     grid = SpaceTimeGrid(-1.0, 1.0, 21, 200, 1.0)  # dx = 0.1, dt = 1/200
     spec = _flat_spec(0.0, math.sqrt(0.5 * grid.dx ** 2 / grid.dt))
     lattice = build_lattice(spec, 0.0, grid)
     n = grid.nt
-    beta = math.log(2.0 / ESCAPE_BOUND)
-    halo = lattice.halo[0]
-    # the smallest whole halo with 2 exp(-h^2 / (2N + h)) <= the escape bound
-    assert 2.0 * math.exp(-(halo ** 2) / (2 * n + halo)) <= ESCAPE_BOUND
-    assert (halo - 1) ** 2 / (2 * n + halo - 1) < beta
     assert lattice.escape_bound == ESCAPE_BOUND == 2.0 ** -60
-    # without drift the halo never moves, and the lattice widens by one
-    # node a side until it reaches the halo
-    assert halo < n and lattice.halo == (halo,) * (n + 1)
-    assert lattice.counts == tuple(21 + 2 * min(j, halo) for j in range(n + 1))
-    assert lattice.first_index == tuple(-min(j, halo) for j in range(n + 1))
+    # without drift the halo grows with the variance alone, from
+    # ceil(ln(2N / ESCAPE_BOUND)) at step 0
+    _assert_each_halo_is_the_smallest_whole_one(lattice, spec, grid)
+    assert lattice.halo[0] == math.ceil(math.log(2.0 * n / ESCAPE_BOUND))
+    # the lattice widens by one node a side until it reaches the halo,
+    # which it does well before the last step
+    assert lattice.halo[-1] < n
+    assert lattice.counts == tuple(21 + 2 * min(j, lattice.halo[j]) for j in range(n + 1))
+    assert lattice.first_index == tuple(-min(j, lattice.halo[j]) for j in range(n + 1))
     # each level that keeps its width clips its two edge rows inward
     still = sum(lattice.counts[j + 1] == lattice.counts[j] for j in range(n))
     assert lattice.clipped_rows == 2 * still > 0
@@ -169,6 +190,55 @@ def test_counts_stop_growing_at_the_halo_and_clipped_rows_stay_probabilities():
         center, probs = lattice.transition(j)
         assert np.all(probs >= 0.0) and np.allclose(probs.sum(axis=1), 1.0, atol=1e-15)
         assert center.min() >= 1 and center.max() <= lattice.counts[j + 1] - 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    shift=st.integers(-2, 2),
+    residual=st.floats(-0.5, 0.5),
+    share=st.floats(0.01, 0.99),
+    nx=st.integers(3, 21),
+    nt=st.integers(1, 300),
+)
+def test_every_halo_meets_its_own_levels_bound(shift, residual, share, nx, nt):
+    # b dt / dx = shift + residual and sigma^2 dt / dx^2 = diffusion, inside
+    # the range where every probability is positive: at its ends a rounded
+    # stay probability 1 - down - up can come out at -2e-16
+    low, high = abs(residual) * (1.0 - abs(residual)), 1.0 - residual ** 2
+    diffusion = low + share * (high - low)
+    grid = SpaceTimeGrid(-1.0, 1.0, nx, nt, 1.0)
+    spec = _flat_spec(
+        (shift + residual) * grid.dx / grid.dt, math.sqrt(diffusion) * grid.dx / math.sqrt(grid.dt)
+    )
+    lattice = build_lattice(spec, 0.0, grid)
+    assert len(lattice.halo) == nt + 1
+    _assert_each_halo_is_the_smallest_whole_one(lattice, spec, grid)
+    for j in range(nt):
+        center, probs = lattice.transition(j)
+        assert center.dtype == np.intp and probs.shape == (lattice.counts[j], 3)
+        assert np.all(probs >= 0.0) and np.allclose(probs.sum(axis=1), 1.0, atol=1e-15)
+        assert center.min() >= 1 and center.max() <= lattice.counts[j + 1] - 2
+
+
+@pytest.mark.parametrize("name, grid", _CASES)
+def test_a_row_read_back_is_bitwise_the_row_built(name, grid):
+    # the builder's rows, (down, stay, up) with the stay probability
+    # assigned 1 - down - up after the clip, recomputed here
+    bp = builtin(name)
+    grid = grid or bp.grid
+    lattice = build_lattice(bp.spec, 0.0, grid)
+    co, (u, v) = bp.spec.coefficients, lattice.controls
+    for j in range(grid.nt):
+        t, x = float(lattice.times[j]), lattice.node_values(j)
+        nu = on_nodes(co.b(t, x, u, v), x.shape, "b") * (grid.dt / grid.dx)
+        resid = nu - np.rint(nu)
+        s2 = on_nodes(co.sigma(t, x, u, v), x.shape, "sigma") ** 2
+        q = s2 * grid.dt / (grid.dx * grid.dx) + resid ** 2
+        built = np.stack([0.5 * (q - resid), 1.0 - q, 0.5 * (q + resid)], axis=1)
+        np.clip(built, 0.0, 1.0, out=built)
+        built[:, 1] = 1.0 - built[:, 0] - built[:, 2]
+        center, probs = lattice.transition(j)
+        assert center.dtype == np.intp and probs.tobytes() == built.tobytes(), j
 
 
 @pytest.mark.parametrize("name, grid", _CASES)
@@ -183,12 +253,16 @@ def test_every_level_sits_inside_its_halo(name, grid):
     assert lattice.mean_error <= 1e-10 and lattice.var_error <= 1e-10
 
 
-def test_the_refined_estimate_lattice_holds_under_1_75_million_nodes():
+def test_the_estimate_lattices_hold_their_node_ceilings_at_20_bytes_a_node():
     bp = builtin("dynkin_heat")
     grid = bp.grid
     fine = SpaceTimeGrid(grid.x_min, grid.x_max, 2 * grid.nx - 1, 4 * grid.nt, grid.horizon)
-    assert sum(build_lattice(bp.spec, 0.0, grid).counts) <= 205_000  # 241,001 uncapped
-    assert sum(build_lattice(bp.spec, 0.0, fine).counts) <= 1_750_000  # 3,203,601 uncapped
+    for g, ceiling in ((grid, 181_000), (fine, 1_410_000)):  # 241,001 and 3,203,601 uncapped
+        lattice = build_lattice(bp.spec, 0.0, g)
+        assert sum(lattice.counts) <= ceiling
+        # an int32 center and the float64 down and up probabilities per node
+        stored = sum(a.nbytes for arrays in lattice.transitions for a in arrays)
+        assert stored == 20 * sum(lattice.counts[:-1])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)

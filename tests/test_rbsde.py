@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from isaacs.model import (
     ProblemSpec,
     SpaceTimeGrid,
     obstacle_rows,
+    on_nodes,
     shifted_spec,
 )
 from isaacs.problems import builtin, from_expressions
@@ -195,8 +197,10 @@ def test_recomposition_through_an_intermediate_step_is_exact():
 
 def test_solution_is_a_function_of_time_and_state_only():
     # restarting on a fresh lattice at t = 1/2 reproduces the tail of the
-    # full solve bitwise wherever the node sets overlap; dyadic dt keeps
-    # every time level exactly representable so the arithmetic is identical
+    # full solve bitwise wherever the node sets overlap, aligned by
+    # first_index since either lattice may be capped at its halo; dyadic dt
+    # keeps every time level exactly representable so the arithmetic is
+    # identical
     bp = builtin("dynkin_heat")
     grid = SpaceTimeGrid(-9.0, 9.0, 101, 128, 1.0)
     big = build_lattice(bp.spec, 0.0, grid)
@@ -205,7 +209,8 @@ def test_solution_is_a_function_of_time_and_state_only():
     sol_sub = solve_backward(bp.spec, sub, CONTROLS, mode="two_barrier")
     assert sub.n_steps == 64
     for j in (0, 32, 64):
-        inner = sol_big.y[64 + j][64 : 64 + sub.counts[j]]
+        offset = sub.first_index[j] - big.first_index[64 + j]
+        inner = sol_big.y[64 + j][offset : offset + sub.counts[j]]
         assert np.array_equal(inner, sol_sub.y[j])
 
 
@@ -689,6 +694,127 @@ def test_streamed_comparison_equals_the_solve_composition_bitwise(case):
         slab = solve_backward(spec, lattice, pair, terminal=full.y[20], start_step=5, end_step=20)
         head = backward_semigroup(spec, lattice, pair, 5, 20, full.y[20])
         assert np.array_equal(head, slab.y[0]), pair
+
+
+# -- the sampled ordering hypotheses ---------------------------------------
+
+
+def _reference_hypotheses(spec_a, spec_b, samples):
+    """(conclusive, detail, equal_barriers) of the ordering hypotheses of
+    `comparison_check`, read one sample at a time and drawn one scalar at a
+    time, stopping at the first failure."""
+    rng = np.random.default_rng(0)
+    ca, cb = spec_a.coefficients, spec_b.coefficients
+    radius, slack = 3.0, 1e-12
+    equal_barriers = True
+
+    def both(name, *args):
+        return [on_nodes(getattr(co, name)(*args), (1,), name)[0] for co in (ca, cb)]
+
+    for u, v in itertools.islice(itertools.cycle(spec_a.control_pairs()), samples):
+        t = rng.uniform(0.0, spec_a.horizon)
+        x = rng.uniform(-radius, radius)
+        y = rng.uniform(-radius, radius)
+        z = rng.uniform(-radius, radius)
+        node = np.array([x])
+        ta, tb = both("terminal", node)
+        if ta > tb + slack:
+            return False, f"terminal ordering fails at x={x:.6g}", False
+        fa, fb = both("driver", t, node, y, z, u, v)
+        if fa > fb + slack:
+            return False, f"driver ordering fails at (t,x)=({t:.4g},{x:.4g})", False
+        (ba, bb), (sa, sb) = both("b", t, node, u, v), both("sigma", t, node, u, v)
+        if abs(ba - bb) > slack or abs(sa - sb) > slack:
+            return False, "dynamics differ; solutions share one lattice", False
+        (la, lb), (ua, ub) = both("lower", t, node), both("upper", t, node)
+        if la - lb > slack or ua - ub > slack:
+            return False, f"obstacle ordering fails at (t,x)=({t:.4g},{x:.4g})", False
+        if abs(la - lb) > slack or abs(ua - ub) > slack:
+            equal_barriers = False
+    return True, "ok", equal_barriers
+
+
+def _replaced(spec, **coefficients):
+    return dataclasses.replace(
+        spec, coefficients=dataclasses.replace(spec.coefficients, **coefficients)
+    )
+
+
+def _beyond(x, edge):
+    """0.1 where x > edge (edge > 0) or x < edge (edge < 0), else 0."""
+    x = np.asarray(x, dtype=float)
+    return 0.1 * (x * np.sign(edge) > abs(edge))
+
+
+def _failing(spec, hypothesis, edge=2.5):
+    """`spec` made to break one ordering hypothesis on part of the box only,
+    so that some samples pass it before one fails."""
+    co = spec.coefficients
+    if hypothesis == "terminal":
+        return _replaced(spec, terminal=lambda x: co.terminal(x) - _beyond(x, edge))
+    if hypothesis == "driver":
+        return _replaced(
+            spec, driver=lambda t, x, y, z, u, v: co.driver(t, x, y, z, u, v) - _beyond(x, edge)
+        )
+    if hypothesis == "dynamics":
+        return _replaced(spec, b=lambda t, x, u, v: co.b(t, x, u, v) + _beyond(x, edge))
+    return _replaced(spec, lower=lambda t, x: co.lower(t, x) - _beyond(x, edge))
+
+
+def _scalar_time_b(spec):
+    """`spec` with a drift that takes one t only, as a Python float; the
+    backward walk never reads b, only the hypotheses and the lattice do."""
+    co = spec.coefficients
+    return _replaced(spec, b=lambda t, x, u, v: co.b(float(t), x, u, v))
+
+
+def _hypothesis_cases():
+    cases = dict(_ESTIMATE_CASES)
+    cases["constant"] = (builtin("constant").spec, SpaceTimeGrid(-6.0, 6.0, 41, 40, 1.0))
+    for name, (spec, grid) in sorted(cases.items()):
+        lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
+        others = {
+            "equal": lifted,
+            "widened": shifted_spec(spec, 0.05, ("terminal", "driver", "upper")),
+            "scalar_time_b": _scalar_time_b(lifted),
+            # the driver fails at an earlier sample than the terminal does
+            "driver_first": _failing(_failing(spec, "terminal", -2.5), "driver"),
+        }
+        for hypothesis in ("terminal", "driver", "dynamics", "obstacle"):
+            others[hypothesis] = _failing(spec, hypothesis)
+        for other_name, other in others.items():
+            yield pytest.param(spec, grid, other, id=f"{name}-{other_name}")
+
+
+@pytest.mark.parametrize("spec, grid, other", _hypothesis_cases())
+def test_sampled_hypotheses_are_those_of_the_sample_loop(spec, grid, other):
+    lattice = build_lattice(spec, 0.0, grid)
+    for samples in (1, 64, 200):
+        conclusive, detail, equal = _reference_hypotheses(spec, other, samples)
+        got = comparison_check(spec, other, lattice, None, samples=samples)
+        if conclusive:
+            want = _reference_comparison(spec, other, lattice, "two_barrier", None, equal)
+        else:
+            nan = math.nan
+            want = ComparisonReport(False, detail, False, nan, nan, nan, 1e-10, False)
+        assert repr(got) == repr(want), samples
+
+
+def test_a_read_that_the_first_failing_sample_spares_is_never_made():
+    spec, lattice = _dynkin_lattice()
+
+    def driver(t, x, y, z, u, v):
+        raise RuntimeError("driver read")
+
+    # the terminal ordering fails at every sample, so the sample loop stops
+    # before the driver, and only its verdict counts
+    broken = _replaced(shifted_spec(spec, -0.1, ("terminal",)), driver=driver)
+    report = comparison_check(spec, broken, lattice, CONTROLS)
+    assert not report.conclusive
+    assert report.hypothesis_detail.startswith("terminal ordering fails at x=")
+    # with the terminal ordering holding, the driver is read and raises
+    with pytest.raises(RuntimeError, match="driver read"):
+        comparison_check(spec, _replaced(spec, driver=driver), lattice, CONTROLS)
 
 
 # -- nonfinite levels ------------------------------------------------------
