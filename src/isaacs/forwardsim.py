@@ -53,9 +53,11 @@ any grid node at step 0 meets a clipped row with probability at most
 ESCAPE_BOUND.  The moment check covers the unclipped rows.
 
 A stored transition is 20 bytes a node: the int32 center and the float64
-down and up probabilities.  The stay probability is rebuilt on reading as
-1 - down - up, the expression the builder assigns it, so every row a
-solver reads is bitwise the row that was built.
+down and up probabilities.  The builder caps up at 1 - down, so that a
+down + up rounded past 1 leaves stay at 0 rather than at -2e-16, and the
+stay probability is rebuilt on reading as 1 - down - up, the expression
+the builder assigns it, so every row a solver reads is bitwise the row
+that was built.
 """
 
 from __future__ import annotations
@@ -296,6 +298,8 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
                 + "".join("; " + h for h in hints)
             )
         np.clip(probs, 0.0, 1.0, out=probs)
+        # up gives way where down + up rounds past 1, so stay is never negative
+        np.minimum(probs[:, 2], 1.0 - probs[:, 0], out=probs[:, 2])
         probs[:, 1] = 1.0 - probs[:, 0] - probs[:, 2]
 
         shift_max = int(np.max(np.abs(shift)))

@@ -333,73 +333,47 @@ class ComparisonReport:
     passed: bool
 
 
-def _ordering_failures(ca, cb, t, x, y, z, u, v):
-    """Yield, one hypothesis at a time, where the terminal, driver, dynamics
-    and obstacle orderings of `comparison_check` fail at the states (t, x, y,
-    z) under the pairs (u, v), then where the obstacles differ at all; each
-    a boolean array over the samples x, every other argument one value or
-    one per sample."""
-    slack = 1e-12
-
-    def both(name, *args):
-        return [on_nodes(getattr(co, name)(*args), x.shape, name) for co in (ca, cb)]
-
-    ta, tb = both("terminal", x)
-    yield ta > tb + slack
-    fa, fb = both("driver", t, x, y, z, u, v)
-    yield fa > fb + slack
-    (ba, bb), (sa, sb) = both("b", t, x, u, v), both("sigma", t, x, u, v)
-    yield (np.abs(ba - bb) > slack) | (np.abs(sa - sb) > slack)
-    (la, lb), (ua, ub) = both("lower", t, x), both("upper", t, x)
-    dlo, dup = la - lb, ua - ub
-    yield (dlo > slack) | (dup > slack)
-    yield (np.abs(dlo) > slack) | (np.abs(dup) > slack)
-
-
 def _ordering_hypotheses(ca, cb, pairs, draws):
     """(conclusive, detail, equal_barriers) of the hypotheses of
     `comparison_check` at the sampled states `draws`, rows (t, x, y, z),
     under the control pairs cycled through.  Each coefficient is read once
     for all the samples, and the first failure in sample order, then in
-    hypothesis order, is named.  When that read raises, the samples are read
-    one at a time up to the first failure, so a read that only a later
-    sample refuses is never made; if that raises too, the first error
-    stands."""
-
-    def detail(kind, t, x):
-        return (
-            f"terminal ordering fails at x={x:.6g}",
-            f"driver ordering fails at (t,x)=({t:.4g},{x:.4g})",
-            "dynamics differ; solutions share one lattice",
-            f"obstacle ordering fails at (t,x)=({t:.4g},{x:.4g})",
-        )[kind]
-
-    cycled = list(itertools.islice(itertools.cycle(pairs), len(draws)))
+    hypothesis order, is named."""
+    slack = 1e-12
+    t, x, y, z = np.ascontiguousarray(draws.T)
     if len(pairs) == 1:
-        ((us, vs),) = pairs
+        ((u, v),) = pairs
     else:
-        us, vs = (np.array(points, dtype=float) for points in zip(*cycled))
-    try:
-        *fails, unequal = _ordering_failures(ca, cb, *np.ascontiguousarray(draws.T), us, vs)
-    except Exception as exc:
-        try:
-            equal_barriers = True
-            for (u, v), (t, x, y, z) in zip(cycled, draws.tolist()):
-                checks = _ordering_failures(ca, cb, t, np.array([x]), y, z, u, v)
-                for kind, fail in enumerate(itertools.islice(checks, 4)):
-                    if fail[0]:
-                        return False, detail(kind, t, x), False
-                if next(checks)[0]:
-                    equal_barriers = False
-            return True, "ok", equal_barriers
-        except Exception:
-            raise exc from None
-    failing = np.array(fails)
+        cycled = itertools.islice(itertools.cycle(pairs), len(draws))
+        u, v = (np.array(points, dtype=float) for points in zip(*cycled))
+
+    def both(name, *args):
+        return [on_nodes(getattr(co, name)(*args), x.shape, name) for co in (ca, cb)]
+
+    ta, tb = both("terminal", x)
+    fa, fb = both("driver", t, x, y, z, u, v)
+    (ba, bb), (sa, sb) = both("b", t, x, u, v), both("sigma", t, x, u, v)
+    (la, lb), (ua, ub) = both("lower", t, x), both("upper", t, x)
+    dlo, dup = la - lb, ua - ub
+    failing = np.array(
+        [
+            ta > tb + slack,
+            fa > fb + slack,
+            (np.abs(ba - bb) > slack) | (np.abs(sa - sb) > slack),
+            (dlo > slack) | (dup > slack),
+        ]
+    )
     first = int(np.argmax(failing.any(axis=0)))
     kind = int(np.argmax(failing[:, first]))
-    if failing[kind, first]:
-        return False, detail(kind, *draws[first, :2].tolist()), False
-    return True, "ok", not unequal.any()
+    if not failing[kind, first]:
+        return True, "ok", not ((np.abs(dlo) > slack) | (np.abs(dup) > slack)).any()
+    t, x = draws[first, :2].tolist()
+    return False, (
+        f"terminal ordering fails at x={x:.6g}",
+        f"driver ordering fails at (t,x)=({t:.4g},{x:.4g})",
+        "dynamics differ; solutions share one lattice",
+        f"obstacle ordering fails at (t,x)=({t:.4g},{x:.4g})",
+    )[kind], False
 
 
 def comparison_check(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from isaacs.forwardsim import build_lattice
 from isaacs.games import fixed_control_crosscheck
 from isaacs.model import (
+    CoefficientError,
     CoefficientSet,
     ControlGrid,
     PenalizationSchedule,
@@ -761,13 +762,6 @@ def _failing(spec, hypothesis, edge=2.5):
     return _replaced(spec, lower=lambda t, x: co.lower(t, x) - _beyond(x, edge))
 
 
-def _scalar_time_b(spec):
-    """`spec` with a drift that takes one t only, as a Python float; the
-    backward walk never reads b, only the hypotheses and the lattice do."""
-    co = spec.coefficients
-    return _replaced(spec, b=lambda t, x, u, v: co.b(float(t), x, u, v))
-
-
 def _hypothesis_cases():
     cases = dict(_ESTIMATE_CASES)
     cases["constant"] = (builtin("constant").spec, SpaceTimeGrid(-6.0, 6.0, 41, 40, 1.0))
@@ -776,7 +770,6 @@ def _hypothesis_cases():
         others = {
             "equal": lifted,
             "widened": shifted_spec(spec, 0.05, ("terminal", "driver", "upper")),
-            "scalar_time_b": _scalar_time_b(lifted),
             # the driver fails at an earlier sample than the terminal does
             "driver_first": _failing(_failing(spec, "terminal", -2.5), "driver"),
         }
@@ -800,21 +793,21 @@ def test_sampled_hypotheses_are_those_of_the_sample_loop(spec, grid, other):
         assert repr(got) == repr(want), samples
 
 
-def test_a_read_that_the_first_failing_sample_spares_is_never_made():
+def test_the_hypotheses_read_each_coefficient_once_over_all_samples():
     spec, lattice = _dynkin_lattice()
 
-    def driver(t, x, y, z, u, v):
-        raise RuntimeError("driver read")
+    def fixed(size):
+        # a terminal of `size` values whatever the nodes, above spec's
+        return _replaced(spec, terminal=lambda x: np.full(size, 10.0))
 
-    # the terminal ordering fails at every sample, so the sample loop stops
-    # before the driver, and only its verdict counts
-    broken = _replaced(shifted_spec(spec, -0.1, ("terminal",)), driver=driver)
-    report = comparison_check(spec, broken, lattice, CONTROLS)
+    # the read covers the 64 samples at once, so 64 values pass its shape
+    # rule and the terminal ordering fails at the first sample
+    report = comparison_check(fixed(64), spec, lattice, CONTROLS, samples=64)
     assert not report.conclusive
     assert report.hypothesis_detail.startswith("terminal ordering fails at x=")
-    # with the terminal ordering holding, the driver is read and raises
-    with pytest.raises(RuntimeError, match="driver read"):
-        comparison_check(spec, _replaced(spec, driver=driver), lattice, CONTROLS)
+    refusal = r"terminal returned shape \(63,\) for nodes of shape \(64,\)"
+    with pytest.raises(CoefficientError, match=refusal):
+        comparison_check(fixed(63), spec, lattice, CONTROLS, samples=64)
 
 
 # -- nonfinite levels ------------------------------------------------------
