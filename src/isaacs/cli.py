@@ -137,7 +137,8 @@ class ExperimentConfig:
         """Canonical INI text; parse_config round-trips it exactly."""
         lines = ["[problem]", f"name = {self.problem}"]
         if self.custom is not None:
-            lines.extend(f"{k} = {v}" for k, v in self.custom)
+            # a continuation line is indented, a blank one included
+            lines.extend(f"{k} = {v}".replace("\n", "\n    ") for k, v in self.custom)
         if self.grid is not None:
             x_min, x_max, nx, nt = self.grid
             lines.extend(
@@ -169,6 +170,17 @@ def _parse_floats(text):
         return tuple(float(p) for p in items)
     except ValueError:
         raise ConfigError(f"bad number in list {text!r}")
+
+
+def _check_list(checks):
+    """`checks` as a tuple, once it names at least one check and only known ones."""
+    checks = tuple(checks)
+    bad = [c for c in checks if c not in CHECKS]
+    if bad:
+        raise ConfigError(f"unknown check(s) {', '.join(bad)}; available: {', '.join(CHECKS)}")
+    if not checks:
+        raise ConfigError("checks list is empty")
+    return checks
 
 
 def parse_config(text):
@@ -246,16 +258,7 @@ def parse_config(text):
     threads = None
     if "run" in cp:
         if "checks" in cp["run"]:
-            checks = tuple(
-                p.strip() for p in cp["run"]["checks"].split(",") if p.strip()
-            )
-            bad = [c for c in checks if c not in CHECKS]
-            if bad:
-                raise ConfigError(
-                    f"unknown check(s) {', '.join(bad)}; available: {', '.join(CHECKS)}"
-                )
-            if not checks:
-                raise ConfigError("checks list is empty")
+            checks = _check_list(p.strip() for p in cp["run"]["checks"].split(",") if p.strip())
         if "seed" in cp["run"]:
             try:
                 seed = int(cp["run"]["seed"])
@@ -434,61 +437,61 @@ class RunManifest:
     all_passed: bool
 
 
-def _base_lattice(spec, grid, fields):
-    """The lattice of the first control pair on `grid` from t = 0, built on
-    first use and kept in `fields`."""
-    if "lattice" not in fields:
-        fields["lattice"] = forwardsim.build_lattice(spec, 0.0, grid)
-    return fields["lattice"]
-
-
-# the checks whose fields come from the run's one march
-_MARCHED = ("game_value", "penalization", "dpp")
+def _rows(check, grid, schedule):
+    """The march rows `check` reads, by name, in the order its report reads
+    them; {} for a check that marches nothing.  A dpp head names its join as
+    (source row, split level), and dpp raises on a grid with no inner level.
+    """
+    lower = {"lower": pde.two_barrier_row("lower", None)}
+    if check == "game_value":
+        return lower | {"upper": pde.two_barrier_row("upper", None)}
+    if check == "penalization":
+        return lower | {f"sweep_{i}": row for i, row in enumerate(pde.sweep_rows(schedule))}
+    if check == "dpp":
+        _, level = games.dpp_split(grid, None)
+        return {
+            name: pde.two_barrier_row(kind, join)
+            for kind in ("lower", "upper")
+            for name, join in ((kind, None), (f"head_{kind}", (kind, level)))
+        }
+    return {}
 
 
 def _march_fields(spec, grid, schedule, checks):
-    """The rows that the checks among `_MARCHED` in `checks` need, marched
-    together once: maps each row's name to its ValueField or its failure.
-
-    lower serves every one of these checks, upper `game_value` and `dpp`,
-    sweep_0 .. sweep_{2L-1} `penalization`, and the two dpp heads join at
-    the split level from lower and from upper.
+    """The rows that `checks` read, marched together once and stacked in
+    order of first use, each join's source row name turned into its stack
+    index: maps each row's name to its ValueField or its failure.  A check
+    whose rows cannot be named adds none; it raises that error itself when
+    it runs.
     """
-    rows = {"lower": pde.two_barrier_row("lower", None)}
-    if "game_value" in checks or "dpp" in checks:
-        rows["upper"] = pde.two_barrier_row("upper", None)
-    if "penalization" in checks:
-        rows.update((f"sweep_{i}", row) for i, row in enumerate(pde.sweep_rows(schedule)))
-    if "dpp" in checks:
-        try:
-            _, split_level = games.dpp_split(grid, None)
-        except ValueError:
-            pass  # dpp raises it again, before it reads a field
-        else:
-            names = list(rows)
-            for kind in ("lower", "upper"):
-                join = (names.index(kind), split_level)
-                rows[f"head_{kind}"] = pde.two_barrier_row(kind, join)
-    return dict(zip(rows, pde.march_rows(spec, grid, list(rows.values()))))
-
-
-def _marched(fields, *names):
-    """The fields of the named rows; raises the first failure among them."""
-    return pde.raise_first_failure([fields[name] for name in names])
+    rows = {}
+    for check in checks:
+        with contextlib.suppress(ValueError):
+            rows.update(_rows(check, grid, schedule))
+    names = list(rows)
+    stack = [
+        (kind, variant, label, join and (names.index(join[0]), join[1]))
+        for kind, variant, label, join in rows.values()
+    ]
+    return dict(zip(names, pde.march_rows(spec, grid, stack)))
 
 
 def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet, fields):
     """Execute one named check; returns a flat dict of JSON-safe numbers.
 
     `fields` carries what one check built to later checks of the same run.
-    The first of `game_value`, `penalization` and `dpp` marches the rows of
-    every one of them in `checks` at once, and each builds its report from
+    The first check that reads march rows marches the rows of every check
+    in `checks` at once (see `_rows`), and each check builds its report from
     its own fields, failing with the first failure among them in its own
     row order.  `comparison`, `crosscheck` and `estimates` share one base
-    lattice.
+    lattice: the first control pair on `grid` from t = 0.
     """
-    if name in _MARCHED and "lower" not in fields:
+    rows = _rows(name, grid, schedule)
+    if not rows.keys() <= fields.keys():
         fields.update(_march_fields(spec, grid, schedule, checks))
+    marched = pde.raise_first_failure([fields[row] for row in rows])
+    if name in ("comparison", "crosscheck", "estimates") and "lattice" not in fields:
+        fields["lattice"] = forwardsim.build_lattice(spec, 0.0, grid)
     if name == "validate":
         report = validate_problem(spec, seed=seed)
         return {
@@ -497,7 +500,7 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
             "samples": report.samples,
         }
     if name == "game_value":
-        lower, upper = _marched(fields, "lower", "upper")
+        lower, upper = marched
         verdict = games.value_verdict(spec, grid, lower, upper, seed)
         _write_text(
             out_dir,
@@ -518,8 +521,7 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
             "value_tol": verdict.value_tol,
         }
     if name == "penalization":
-        sweep = [f"sweep_{i}" for i in range(2 * len(schedule))]
-        reference, *penalized = _marched(fields, "lower", *sweep)
+        reference, *penalized = marched
         report = pde.sweep_report(schedule, reference, penalized)
         _write_text(out_dir, ("sweep.csv",), [(_sweep_csv(report),)], outputs, quiet)
         worst = max(
@@ -536,11 +538,10 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
         }
     if name == "dpp":
         split, _ = games.dpp_split(grid, None)
-        lower, head_lower, upper, head_upper = _marched(
-            fields, "lower", "head_lower", "upper", "head_upper"
+        lo, up = (
+            games.dpp_report(full.label, split, full, head)
+            for full, head in (marched[:2], marched[2:])
         )
-        lo = games.dpp_report("lower", split, lower, head_lower)
-        up = games.dpp_report("upper", split, upper, head_upper)
         return {
             "passed": bool(lo.passed and up.passed),
             "residual_lower": lo.max_residual,
@@ -548,7 +549,7 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
             "split_time": lo.split_time,
         }
     if name == "comparison":
-        lattice = _base_lattice(spec, grid, fields)
+        lattice = fields["lattice"]
         lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
         report = rbsde.comparison_check(spec, lifted, lattice, lattice.controls, seed=seed)
         return {
@@ -560,7 +561,7 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
         }
     if name == "crosscheck":
         report = games.fixed_control_crosscheck(
-            spec, grid, spec.control_pair(), base=_base_lattice(spec, grid, fields)
+            spec, grid, spec.control_pair(), base=fields["lattice"]
         )
         return {
             "passed": bool(report.passed),
@@ -569,7 +570,7 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
         }
     if name == "estimates":
         report = rbsde.apriori_estimate_check(
-            spec, grid, spec.control_pair(), base=_base_lattice(spec, grid, fields)
+            spec, grid, spec.control_pair(), base=fields["lattice"]
         )
         out = {"passed": bool(report.passed), "refinement": report.refinement}
         for key, val in report.constants.items():
@@ -577,14 +578,13 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
         for key, val in report.ratios.items():
             out[f"ratio_{key}"] = val
         return out
-    if name == "forward":
-        report = forwardsim.check_forward_estimates(spec, seed=seed)
-        return {
-            "passed": bool(report.passed),
-            "slope": report.slope,
-            "terminal_ratios": list(report.terminal_ratios),
-        }
-    raise ConfigError(f"unknown check {name!r}")
+    # the one check left, forward
+    report = forwardsim.check_forward_estimates(spec, seed=seed)
+    return {
+        "passed": bool(report.passed),
+        "slope": report.slope,
+        "terminal_ratios": list(report.terminal_ratios),
+    }
 
 
 def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
@@ -612,14 +612,7 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
             threads = 1
     if threads < 1:
         raise ConfigError(f"thread count must be positive, got {threads}")
-    if checks is None:
-        checks = config.checks
-    ordered = []
-    for c in checks:
-        if c not in CHECKS:
-            raise ConfigError(f"unknown check {c!r}; available: {', '.join(CHECKS)}")
-        if c not in ordered:
-            ordered.append(c)
+    ordered = list(dict.fromkeys(_check_list(config.checks if checks is None else checks)))
 
     try:
         spec, grid, schedule = config.resolve()

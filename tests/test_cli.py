@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
-import itertools
 import json
 import os
 import subprocess
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import isaacs
 from isaacs import pde
 from isaacs.cli import (
+    CHECKS,
     DEFAULT_CHECKS,
     ConfigError,
     _format_float,
@@ -86,10 +87,19 @@ def test_custom_config_resolves_expressions():
     )
 
 
-def test_config_round_trips_through_ini_text():
-    for text in (MINIMAL, CUSTOM):
+def test_config_round_trips_through_ini_text(tmp_path):
+    # a value may go on over indented lines, a blank one among them
+    continued = CUSTOM.replace("sigma = 1\n", "sigma = 1\n    + 0\n")
+    blank = CUSTOM.replace("sigma = 1\n", "sigma = 1\n\n    + 0\n")
+    for text in (MINIMAL, CUSTOM, continued, blank):
         config = parse_config(text)
         assert parse_config(config.to_ini()) == config
+    assert dict(parse_config(continued).custom)["sigma"] == "1\n+ 0"
+    config = parse_config(blank)
+    assert dict(config.custom)["sigma"] == "1\n\n+ 0"
+    assert run(config, str(tmp_path), checks=("validate",), quiet=True).all_passed
+    with open(tmp_path / "manifest.json") as fh:
+        assert parse_config(json.load(fh)["config"]) == config
 
 
 def test_explicit_grid_and_levels_override_the_pinned_ones():
@@ -182,48 +192,91 @@ def test_thread_count_is_recorded_but_inert(tmp_path):
     assert a.outputs == b.outputs
 
 
-# bilinear_game on its pinned grid, where the top default penalty breaks the
-# stability margin
-BILINEAR_NT64 = """\
-[problem]
-name = bilinear_game
-
-[grid]
-x_min = -2.0
-x_max = 2.0
-nx = 41
-nt = 64
-"""
-
-_MARCHED = ("game_value", "penalization", "dpp")
+# small grids holding every way a check can go: custom with a schedule that
+# fits its grid, bilinear_game, whose top default penalty breaks the
+# stability margin, and transport, whose lattice is infeasible
+_SMALL = {
+    "custom": CUSTOM.replace("nx = 81", "nx = 25").replace("nt = 100", "nt = 40")
+    + "\n[penalization]\nlevels = 1, 4, 16\n",
+    "bilinear": "[problem]\nname = bilinear_game\n\n[grid]\n"
+    "x_min = -2.0\nx_max = 2.0\nnx = 21\nnt = 32\n",
+    "transport": "[problem]\nname = transport\n\n[grid]\nx_min = -3\nx_max = 3\nnx = 25\nnt = 40\n",
+}
 
 
-def test_dpp_after_game_value_reports_what_dpp_alone_reports(tmp_path):
-    # the marched checks share one march in every order, and each reports
-    # what it reports alone, its data files included; a row that fails
-    # fails only its own check
-    for label, text in (("custom", CUSTOM), ("bilinear", BILINEAR_NT64)):
-        config = parse_config(text)
-        alone = {
-            check: run(config, str(tmp_path / label / check), checks=(check,), quiet=True)
-            for check in _MARCHED
-        }
-        for order in itertools.permutations(_MARCHED):
-            out = tmp_path / label / "-".join(order)
-            joint = run(config, str(out), checks=order, quiet=True)
-            for check in order:
-                assert joint.checks[check] == alone[check].checks[check], (label, order, check)
-                for name, digest in alone[check].outputs.items():
-                    if name != "verdict.json":
-                        assert joint.outputs[name] == digest, (label, order, name)
-        assert alone["dpp"].checks["dpp"]["residual_lower"] == 0.0
-    assert alone["game_value"].checks["game_value"]["passed"] is True
-    assert alone["dpp"].checks["dpp"]["passed"] is True
-    assert alone["penalization"].checks["penalization"] == {
+@functools.cache
+def _alone(label, check):
+    """The verdict entry and data-file digests of `check` run alone."""
+    with tempfile.TemporaryDirectory() as out:
+        manifest = run(parse_config(_SMALL[label]), out, checks=(check,), quiet=True)
+    files = {name: d for name, d in manifest.outputs.items() if name != "verdict.json"}
+    return manifest.checks[check], files
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    label=st.sampled_from(sorted(_SMALL)),
+    checks=st.lists(st.sampled_from(CHECKS), min_size=1, max_size=10),
+)
+def test_every_check_reports_in_any_company_what_it_reports_alone(label, checks):
+    # the checks share one march and one base lattice in every subset and
+    # order, repeats included, and each reports what it reports alone, its
+    # data files included; a row or a lattice that fails fails only its own
+    # checks
+    assert _alone("custom", "penalization")[0]["passed"] is True
+    # bilinear_game's lower and upper values differ, so a head joined to the
+    # wrong row would show
+    assert _alone("bilinear", "game_value")[0]["max_gap"] > 0.0
+    assert _alone("bilinear", "dpp")[0]["passed"] is True
+    assert _alone("bilinear", "penalization")[0] == {
         "passed": False,
-        "error": "CflError: stability number 1 exceeds margin 0.9 at t=0.984375;"
-        " largest admissible dt is 0.0140625",
+        "error": "CflError: stability number 1 exceeds margin 0.9 at t=0.96875;"
+        " largest admissible dt is 0.028125",
     }
+    assert _alone("transport", "comparison")[0]["error"].startswith("LatticeError")
+    with tempfile.TemporaryDirectory() as out:
+        joint = run(parse_config(_SMALL[label]), out, checks=checks, quiet=True)
+    assert list(joint.checks) == list(dict.fromkeys(checks))
+    for check in checks:
+        entry, files = _alone(label, check)
+        assert joint.checks[check] == entry, check
+        for name, digest in files.items():
+            assert joint.outputs[name] == digest, (check, name)
+
+
+def test_dpp_on_a_grid_with_no_inner_level_fails_alone_and_in_company(tmp_path, monkeypatch):
+    # nt = 1 has no level strictly inside the horizon, so dpp names no rows:
+    # it marches nothing alone, the others march their rows without its
+    # heads, and each check reports what it reports alone
+    text = CUSTOM.replace("nx = 81", "nx = 9").replace("nt = 100", "nt = 1")
+    config = parse_config(text + "\n[penalization]\nlevels = 0.5\n")
+    alone = {
+        check: run(config, str(tmp_path / check), checks=(check,), quiet=True).checks[check]
+        for check in ("game_value", "penalization")
+    }
+    assert all(entry["passed"] for entry in alone.values())
+    marched = []
+    original = pde._march
+
+    def counting(spec, grid, rows, *args):
+        marched.append(len(rows))
+        return original(spec, grid, rows, *args)
+
+    monkeypatch.setattr(pde, "_march", counting)
+    for checks, rows in (
+        (("dpp",), []),
+        (("dpp", "game_value"), [2]),
+        (("penalization", "dpp"), [3]),
+        (("game_value", "dpp", "penalization"), [4]),
+    ):
+        marched.clear()
+        joint = run(config, str(tmp_path / "-".join(checks)), checks=checks, quiet=True)
+        assert marched == rows, checks
+        assert joint.checks.pop("dpp") == {
+            "passed": False,
+            "error": "ValueError: split 0.0 must be strictly inside the horizon",
+        }
+        assert joint.checks == {check: alone[check] for check in joint.checks}
 
 
 def test_a_run_marches_once_and_a_check_alone_only_its_own_rows(tmp_path, monkeypatch):
@@ -433,6 +486,10 @@ def test_run_rejects_unknown_checks_and_bad_threads(tmp_path):
     config = parse_config(MINIMAL)
     with pytest.raises(ConfigError, match="unknown check"):
         run(config, str(tmp_path), checks=("warp",), quiet=True)
+    with pytest.raises(ConfigError, match="checks list is empty"):
+        run(config, str(tmp_path), checks=(), quiet=True)
+    with pytest.raises(ConfigError, match="checks list is empty"):
+        run(dataclasses.replace(config, checks=()), str(tmp_path), quiet=True)
     with pytest.raises(ConfigError, match="positive"):
         run(config, str(tmp_path), threads=0, quiet=True)
 
