@@ -57,7 +57,12 @@ down and up probabilities.  The builder caps up at 1 - down, so that a
 down + up rounded past 1 leaves stay at 0 rather than at -2e-16, and the
 stay probability is rebuilt on reading as 1 - down - up, the expression
 the builder assigns it, so every row a solver reads is bitwise the row
-that was built.
+that was built.  A level with the node set of the level before and of the
+level after, and with the b and sigma bytes of the level before, would
+rebuild the row before bit for bit, so it shares that triple object
+instead: a lattice stores 20 bytes a node of its distinct levels only.
+With b and sigma free of t, every level inside a run of one node set
+shares.
 """
 
 from __future__ import annotations
@@ -177,7 +182,10 @@ class RecombiningLattice:
     each end of the grid, K_j of the module docstring, which grows with the
     variance the chain has built up by step j.  transitions[j] is the
     triple (center, p_down, p_up) of one int32 and two float64 columns, 20
-    bytes a node; `transition(j)` reads it as (center, probs).
+    bytes a node; `transition(j)` reads it as (center, probs).  It is the
+    object transitions[j - 1] when steps j - 1, j and j + 1 hold one node
+    set and b and sigma have the same bytes at steps j - 1 and j, so the
+    lattice stores 20 bytes a node of each distinct step.
 
     At the halo's edge `clipped_rows` rows in all have their center clipped
     inward; the chain from a grid node at step 0 reaches one with
@@ -211,7 +219,10 @@ class RecombiningLattice:
         up) distribution over next-step local indices center[i] - 1,
         center[i], center[i] + 1, a probability vector on every row."""
         center, p_down, p_up = self.transitions[step]
-        probs = np.stack([p_down, 1.0 - p_down - p_up, p_up], axis=1)
+        probs = np.empty((len(center), 3))
+        probs[:, 0] = p_down
+        probs[:, 1] = 1.0 - p_down - p_up
+        probs[:, 2] = p_up
         return center.astype(np.intp), probs
 
     def dense_transition(self, step):
@@ -257,6 +268,7 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
     worst_mean = 0.0
     worst_var = 0.0
 
+    last_key = None
     for j in range(n_steps):
         t = float(times[j])
         lo = first_index[j]
@@ -264,61 +276,78 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         x = grid.x_min + dx * (lo + np.arange(count))
         b = on_nodes(co.b(t, x, u, v), x.shape, "b")
         sig = on_nodes(co.sigma(t, x, u, v), x.shape, "sigma")
-        require_finite("b", b, t, x, [controls])
-        require_finite("sigma", sig, t, x, [controls])
-        s2 = sig * sig
-        nu = b * (dt / dx)
-        shift = np.rint(nu).astype(np.int64)
-        resid = nu - shift
-        diffusion = s2 * dt / (dx * dx)
-        q = diffusion + resid ** 2
-        p_up = 0.5 * (q + resid)
-        p_down = 0.5 * (q - resid)
-        p_stay = 1.0 - p_up - p_down
-        probs = np.stack([p_down, p_stay, p_up], axis=1)
-        low = float(probs.min())
-        if low < -1e-12:
-            i = int(np.unravel_index(np.argmin(probs), probs.shape)[0])
-            hints = []
-            if q[i] > 1.0:
-                dt_max = (1.0 - resid[i] ** 2) * dx * dx / s2[i]
-                hints.append(f"largest admissible dt is {dt_max:.6g}")
-            if q[i] < abs(resid[i]):
-                if s2[i] == 0.0:
-                    hints.append(
-                        "sigma vanishes here, so b*dt/dx must be an integer"
-                    )
-                else:
-                    hints.append(
-                        f"need sigma^2*dt/dx^2 >= {abs(resid[i]) * (1 - abs(resid[i])):.6g}"
-                    )
-            raise LatticeError(
-                f"negative transition probability {low:.3e} at node"
-                f" x={x[i]:.6g}, t={t:.6g}, controls ({u!r}, {v!r})"
-                + "".join("; " + h for h in hints)
-            )
-        np.clip(probs, 0.0, 1.0, out=probs)
-        # up gives way where down + up rounds past 1, so stay is never negative
-        np.minimum(probs[:, 2], 1.0 - probs[:, 0], out=probs[:, 2])
-        probs[:, 1] = 1.0 - probs[:, 0] - probs[:, 2]
+        # a level with the node set and the b and sigma bytes (so -0.0 is
+        # not 0.0) of the level before has that level's probabilities and
+        # maxima, still in hand, and passed its finiteness and sign checks
+        key = (lo, count, b.tobytes(), sig.tobytes())
+        repeat = key == last_key
+        last_key = key
+        if not repeat:
+            require_finite("b", b, t, x, [controls])
+            require_finite("sigma", sig, t, x, [controls])
+            s2 = sig * sig
+            nu = b * (dt / dx)
+            shift = np.rint(nu).astype(np.int64)
+            resid = nu - shift
+            diffusion = s2 * dt / (dx * dx)
+            q = diffusion + resid ** 2
+            p_up = 0.5 * (q + resid)
+            p_down = 0.5 * (q - resid)
+            p_stay = 1.0 - p_up - p_down
+            probs = np.stack([p_down, p_stay, p_up], axis=1)
+            low = float(probs.min())
+            if low < -1e-12:
+                i = int(np.unravel_index(np.argmin(probs), probs.shape)[0])
+                hints = []
+                if q[i] > 1.0:
+                    dt_max = (1.0 - resid[i] ** 2) * dx * dx / s2[i]
+                    hints.append(f"largest admissible dt is {dt_max:.6g}")
+                if q[i] < abs(resid[i]):
+                    if s2[i] == 0.0:
+                        hints.append(
+                            "sigma vanishes here, so b*dt/dx must be an integer"
+                        )
+                    else:
+                        hints.append(
+                            f"need sigma^2*dt/dx^2 >= {abs(resid[i]) * (1 - abs(resid[i])):.6g}"
+                        )
+                raise LatticeError(
+                    f"negative transition probability {low:.3e} at node"
+                    f" x={x[i]:.6g}, t={t:.6g}, controls ({u!r}, {v!r})"
+                    + "".join("; " + h for h in hints)
+                )
+            np.clip(probs, 0.0, 1.0, out=probs)
+            # up gives way where down + up rounds past 1, so stay is never negative
+            np.minimum(probs[:, 2], 1.0 - probs[:, 0], out=probs[:, 2])
+            probs[:, 1] = 1.0 - probs[:, 0] - probs[:, 2]
+            shift_max = int(np.max(np.abs(shift)))
+            nu_max = float(np.max(np.abs(nu)))
+            diffusion_max = float(np.max(diffusion))
 
-        shift_max = int(np.max(np.abs(shift)))
-        drift_reach += max(float(np.max(np.abs(nu))), shift_max)
-        variance += float(np.max(diffusion))
+        drift_reach += max(nu_max, shift_max)
+        variance += diffusion_max
         tail = 0.5 * (beta + math.sqrt(beta * beta + 8.0 * beta * variance))
         halo.append(math.ceil(drift_reach + tail))
         reach = shift_max + 1
         next_lo = max(lo - reach, -halo[-1])
         next_count = min(lo + count - 1 + reach, grid.nx - 1 + halo[-1]) - next_lo + 1
-        center = np.arange(lo - next_lo, lo - next_lo + count) + shift
-        kept = (center >= 1) & (center <= next_count - 2)
-        if not kept.all():
-            # a reflecting closure at the halo's edge: clipped rows keep
-            # their probabilities and leave the moment check
-            clipped_rows += int(np.count_nonzero(~kept))
-            np.clip(center, 1, next_count - 2, out=center)
         first_index.append(next_lo)
         counts.append(next_count)
+        if repeat and (next_lo, next_count) == (lo, count):
+            # levels j - 1, j and j + 1 hold one node set, so row j is row
+            # j - 1, clipped and checked as it was
+            transitions.append(transitions[-1])
+            clipped_rows += clipped
+            continue
+
+        center = np.arange(lo - next_lo, lo - next_lo + count) + shift
+        kept = (center >= 1) & (center <= next_count - 2)
+        clipped = int(np.count_nonzero(~kept))
+        if clipped:
+            # a reflecting closure at the halo's edge: clipped rows keep
+            # their probabilities and leave the moment check
+            clipped_rows += clipped
+            np.clip(center, 1, next_count - 2, out=center)
 
         # exact local consistency of the stored rows, checked not assumed
         targets = grid.x_min + dx * (next_lo + center[:, None] + np.array([-1.0, 0.0, 1.0]))

@@ -99,10 +99,22 @@ class _Step(NamedTuple):
     sigma: np.ndarray
 
 
-def _lattice_step(lattice, co, j, u, v):
+def _lattice_step(lattice, co, j, u, v, after=None):
+    """The `_Step` of level j.  `after` is that of level j + 1, if known:
+    when transitions[j] is the object transitions[j + 1] and levels j, j + 1
+    and j + 2 hold one node set, every field but t and sigma is bitwise
+    that of `after`, so only those two are made."""
+    t = float(lattice.times[j])
+    if (
+        after is not None
+        and lattice.transitions[j] is lattice.transitions[j + 1]
+        and lattice.first_index[j] == lattice.first_index[j + 1] == lattice.first_index[j + 2]
+        and lattice.counts[j] == lattice.counts[j + 1] == lattice.counts[j + 2]
+    ):
+        x = after.x
+        return after._replace(t=t, sigma=on_nodes(co.sigma(t, x, u, v), x.shape, "sigma"))
     center, probs = lattice.transition(j)
     x = lattice.node_values(j)
-    t = float(lattice.times[j])
     around = center[:, None] + (-1, 0, 1)
     targets = lattice.node_values(j + 1)[around]
     mean_x = np.einsum("ik,ik->i", probs, targets)
@@ -150,7 +162,10 @@ def _walk(specs, lattice, controls, variant, terminal=None, start_step=0, end_st
     Yields (end_step, None, rows) for the terminal level, then (j, step,
     rows) for each level j down to start_step, where rows[i] = (y, z, dK+,
     dK-, lo, up) of specs[i] on the step-j nodes.  The lattice-only `_Step`
-    is built once per level; a spec whose sigma, lower or upper is the
+    is built once per level, and where the lattice shares level j + 1's
+    transition with level j on one node set (`_lattice_step`) it is level
+    j + 1's with t and sigma made anew; sigma and the obstacles are
+    evaluated at every level.  A spec whose sigma, lower or upper is the
     first spec's callable reuses the first spec's row of it.  Refusals: the
     step range; for each spec in turn the contraction budget, the pair
     against the lattice's, and a terminal row (`terminal`, or the payoff
@@ -193,8 +208,9 @@ def _walk(specs, lattice, controls, variant, terminal=None, start_step=0, end_st
 
     u, v = pair
     first = specs[0].coefficients
+    step = None
     for j in range(end_step - 1, start_step - 1, -1):
-        step = _lattice_step(lattice, first, j, u, v)
+        step = _lattice_step(lattice, first, j, u, v, step)
         t, x = step.t, step.x
         lo_first, up_first = obstacle_rows(first, t, x)
         levels = []

@@ -4,10 +4,17 @@ The reference is `_uncapped_lattice`, the builder as it was before the
 halo: every level widens by the pair's reach, so the node set grows with
 the square of the step count.  On the builtin problems the capped lattice
 must reproduce what the solvers read at the root bit for bit.
+
+A level that repeats the node set and the b and sigma bytes of its
+neighbours shares their stored row object.  Its rows are held to the rows
+the level makes on its own, and every walk over shared levels to the same
+walk over a copy of the lattice whose levels share nothing.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isaacs.forwardsim import ESCAPE_BOUND, RecombiningLattice, build_lattice
+from isaacs.forwardsim import ESCAPE_BOUND, LatticeError, RecombiningLattice, build_lattice
 from isaacs.model import (
     CoefficientSet,
     ControlGrid,
@@ -24,8 +31,13 @@ from isaacs.model import (
     on_nodes,
     shifted_spec,
 )
-from isaacs.problems import builtin
-from isaacs.rbsde import _estimate_quantities, comparison_check, solve_backward
+from isaacs.problems import BUILTINS, builtin
+from isaacs.rbsde import (
+    _estimate_quantities,
+    backward_semigroup,
+    comparison_check,
+    solve_backward,
+)
 
 
 def _uncapped_lattice(spec, grid, controls=None):
@@ -222,27 +234,37 @@ def test_every_halo_meets_its_own_levels_bound(shift, residual, share, nx, nt):
         assert center.min() >= 1 and center.max() <= lattice.counts[j + 1] - 2
 
 
+def _own_row(spec, lattice, grid, j):
+    """(center, probs) of level j as the builder makes them from that
+    level's own b and sigma and the node sets of levels j and j + 1:
+    (down, stay, up) with up capped at 1 - down and the stay probability
+    assigned 1 - down - up after the clip, and the center clipped inward."""
+    co, (u, v) = spec.coefficients, lattice.controls
+    t, x = float(lattice.times[j]), lattice.node_values(j)
+    nu = on_nodes(co.b(t, x, u, v), x.shape, "b") * (grid.dt / grid.dx)
+    shift = np.rint(nu).astype(np.int64)
+    resid = nu - shift
+    s2 = on_nodes(co.sigma(t, x, u, v), x.shape, "sigma") ** 2
+    q = s2 * grid.dt / (grid.dx * grid.dx) + resid ** 2
+    probs = np.stack([0.5 * (q - resid), 1.0 - q, 0.5 * (q + resid)], axis=1)
+    np.clip(probs, 0.0, 1.0, out=probs)
+    np.minimum(probs[:, 2], 1.0 - probs[:, 0], out=probs[:, 2])
+    probs[:, 1] = 1.0 - probs[:, 0] - probs[:, 2]
+    offset = lattice.first_index[j] - lattice.first_index[j + 1]
+    center = np.clip(offset + np.arange(lattice.counts[j]) + shift, 1, lattice.counts[j + 1] - 2)
+    return center, probs
+
+
 @pytest.mark.parametrize("name, grid", _CASES)
 def test_a_row_read_back_is_bitwise_the_row_built(name, grid):
-    # the builder's rows, (down, stay, up) with up capped at 1 - down and
-    # the stay probability assigned 1 - down - up after the clip,
-    # recomputed here
     bp = builtin(name)
     grid = grid or bp.grid
     lattice = build_lattice(bp.spec, 0.0, grid)
-    co, (u, v) = bp.spec.coefficients, lattice.controls
     for j in range(grid.nt):
-        t, x = float(lattice.times[j]), lattice.node_values(j)
-        nu = on_nodes(co.b(t, x, u, v), x.shape, "b") * (grid.dt / grid.dx)
-        resid = nu - np.rint(nu)
-        s2 = on_nodes(co.sigma(t, x, u, v), x.shape, "sigma") ** 2
-        q = s2 * grid.dt / (grid.dx * grid.dx) + resid ** 2
-        built = np.stack([0.5 * (q - resid), 1.0 - q, 0.5 * (q + resid)], axis=1)
-        np.clip(built, 0.0, 1.0, out=built)
-        np.minimum(built[:, 2], 1.0 - built[:, 0], out=built[:, 2])
-        built[:, 1] = 1.0 - built[:, 0] - built[:, 2]
         center, probs = lattice.transition(j)
-        assert center.dtype == np.intp and probs.tobytes() == built.tobytes(), j
+        own_center, own_probs = _own_row(bp.spec, lattice, grid, j)
+        assert center.dtype == np.intp and np.array_equal(center, own_center), j
+        assert probs.tobytes() == own_probs.tobytes(), j
 
 
 @pytest.mark.parametrize("name, grid", _CASES)
@@ -292,3 +314,240 @@ def test_the_halo_moves_the_root_values_by_at_most_the_escape_bound(shift, resid
     osc = float(values.max() - values.min())
     rounding = 8.0 * float(np.spacing(np.max(np.abs(values))))
     assert np.max(np.abs(ours.y[0] - ref.y[0])) <= ESCAPE_BOUND * osc + rounding
+
+
+# transport's sigma vanishes where its drift target is off the nodes, so it
+# has no lattice
+_LATTICE_BUILTINS = [name for name in BUILTINS if name != "transport"]
+
+
+def _refined(spec, grid):
+    """The refined grid of `apriori_estimate_check` and its lattice: dx/2
+    and dt/2, or dt/4 where the dt/2 lattice is infeasible."""
+    for factor in (2, 4):
+        nx, nt = 2 * grid.nx - 1, factor * grid.nt
+        fine = SpaceTimeGrid(grid.x_min, grid.x_max, nx, nt, grid.horizon)
+        try:
+            return fine, build_lattice(spec, 0.0, fine)
+        except LatticeError:
+            continue
+    raise AssertionError("no refined lattice")
+
+
+def _assert_shares_exactly_where_rows_repeat(spec, grid, lattice, time_free):
+    """Every stored row is bitwise the row its own level makes; a level
+    shares the triple of the level before only when levels j - 1, j and
+    j + 1 hold one node set, and, with b and sigma free of t, always then;
+    an object is shared by one run of adjacent levels only."""
+    for j in range(lattice.n_steps):
+        center, probs = lattice.transition(j)
+        own_center, own_probs = _own_row(spec, lattice, grid, j)
+        assert np.array_equal(center, own_center) and probs.tobytes() == own_probs.tobytes(), j
+    nodes = list(zip(lattice.first_index, lattice.counts))
+    for j in range(1, lattice.n_steps):
+        one_set = nodes[j - 1] == nodes[j] == nodes[j + 1]
+        shared = lattice.transitions[j] is lattice.transitions[j - 1]
+        assert shared == one_set if time_free else not shared or one_set, j
+    runs = [key for key, _ in itertools.groupby(id(triple) for triple in lattice.transitions)]
+    assert len(runs) == len(set(runs))
+
+
+@pytest.mark.parametrize("refined", (False, True))
+@pytest.mark.parametrize("name", _LATTICE_BUILTINS)
+def test_builtin_lattices_share_rows_exactly_where_they_repeat(name, refined):
+    bp = builtin(name)
+    if refined:
+        grid, lattice = _refined(bp.spec, bp.grid)
+    else:
+        grid, lattice = bp.grid, build_lattice(bp.spec, 0.0, bp.grid)
+    # no builtin's b or sigma depends on t
+    _assert_shares_exactly_where_rows_repeat(bp.spec, grid, lattice, time_free=True)
+
+
+def _unit_spec(grid, nu, diffusion, timed=None):
+    """`_flat_spec` with b dt / dx = nu and sigma^2 dt / dx^2 = diffusion;
+    `timed` names the one of b and sigma that grows with t, nu by 0.005 t
+    or sigma by the factor 1 + 0.1 t, or is None."""
+    spec = _flat_spec(nu * grid.dx / grid.dt, math.sqrt(diffusion) * grid.dx / math.sqrt(grid.dt))
+    co = spec.coefficients
+    if timed == "b":
+        co = dataclasses.replace(
+            co, b=lambda t, x, u, v: spec.coefficients.b(t, x, u, v) + 0.005 * t * grid.dx / grid.dt
+        )
+    elif timed == "sigma":
+        co = dataclasses.replace(
+            co, sigma=lambda t, x, u, v: spec.coefficients.sigma(t, x, u, v) * (1.0 + 0.1 * t)
+        )
+    return dataclasses.replace(spec, coefficients=co)
+
+
+# a residual of at most 0.05 and sigma^2 dt / dx^2 in [0.1, 0.2] keep every
+# probability nonnegative with either coefficient growing with t as well;
+# without a shift the halo grows by less than a node a step, so the node
+# set, once it fills the halo, repeats between the steps of the halo
+_UNIT_SPECS = dict(
+    shift=st.integers(-1, 1),
+    residual=st.floats(-0.05, 0.05),
+    diffusion=st.floats(0.1, 0.2),
+    nx=st.integers(3, 21),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(**_UNIT_SPECS, nt=st.integers(1, 300), timed=st.sampled_from((None, "b", "sigma")))
+def test_flat_lattices_share_rows_exactly_where_they_repeat(
+    shift, residual, diffusion, nx, nt, timed
+):
+    grid = SpaceTimeGrid(-1.0, 1.0, nx, nt, 1.0)
+    spec = _unit_spec(grid, shift + residual, diffusion, timed)
+    lattice = build_lattice(spec, 0.0, grid)
+    _assert_shares_exactly_where_rows_repeat(spec, grid, lattice, time_free=timed is None)
+    if timed:
+        assert len({id(triple) for triple in lattice.transitions}) == nt
+
+
+def test_minus_zero_and_zero_are_different_bytes():
+    # b is -0.0 at odd levels and 0.0 at even ones: the same rows as b = 0,
+    # but no two adjacent levels have the same b bytes
+    grid = SpaceTimeGrid(-1.0, 1.0, 21, 200, 1.0)
+    zero = _unit_spec(grid, 0.0, 0.5)
+    signed = dataclasses.replace(
+        zero,
+        coefficients=dataclasses.replace(
+            zero.coefficients,
+            b=lambda t, x, u, v: np.full_like(x, -0.0 if round(t * grid.nt) % 2 else 0.0),
+        ),
+    )
+    plain, alternating = build_lattice(zero, 0.0, grid), build_lattice(signed, 0.0, grid)
+    assert len({id(triple) for triple in plain.transitions}) < grid.nt
+    assert len({id(triple) for triple in alternating.transitions}) == grid.nt
+    assert (alternating.first_index, alternating.counts, alternating.halo) == (
+        plain.first_index,
+        plain.counts,
+        plain.halo,
+    )
+    for j in range(grid.nt):
+        assert _bits(alternating.transitions[j]) == _bits(plain.transitions[j]), j
+
+
+def test_the_refined_dynkin_heat_lattice_stores_each_distinct_level_once():
+    bp = builtin("dynkin_heat")
+    fine, lattice = _refined(bp.spec, bp.grid)
+    assert fine.nt == 4 * bp.grid.nt
+    distinct = {id(triple): triple for triple in lattice.transitions}.values()
+    # 1,401,269 nodes over 1600 levels, 28 MB of rows were each stored
+    assert sum(a.nbytes for triple in distinct for a in triple) <= 20 * 460_000
+
+
+def _unshared(lattice):
+    """A copy of `lattice` whose levels share no objects."""
+    return dataclasses.replace(
+        lattice,
+        transitions=tuple(tuple(a.copy() for a in triple) for triple in lattice.transitions),
+    )
+
+
+def _solution_bits(solution):
+    rows = solution.y + solution.z + solution.dk_plus + solution.dk_minus + solution.occupation
+    sums = (solution.k_plus_mean, solution.k_minus_mean, solution.times)
+    flat = (solution.flatness_lower, solution.flatness_upper, solution.exclusion_max)
+    return _bits(rows) + _bits(sums) + [flat, solution.root_index]
+
+
+def _moving(spec):
+    """`spec` with sigma, the driver and both obstacles moving with t: a
+    walk that took t or sigma of one level for those of the next would
+    show."""
+    co = spec.coefficients
+    return dataclasses.replace(
+        spec,
+        coefficients=dataclasses.replace(
+            co,
+            sigma=lambda t, x, u, v: np.asarray(co.sigma(t, x, u, v)) * (1.0 + 0.1 * t),
+            driver=lambda t, x, y, z, u, v: np.asarray(co.driver(t, x, y, z, u, v)) + 0.1 * t,
+            lower=lambda t, x: np.asarray(co.lower(t, x)) - 0.01 * t,
+            upper=lambda t, x: np.asarray(co.upper(t, x)) + 0.01 * t,
+        ),
+    )
+
+
+def _assert_the_walk_reads_shared_levels_as_unshared_ones(spec, lattice):
+    """Every solve of `spec`, moving with t, on `lattice` is bitwise the
+    same solve on the copy of `lattice` whose levels share nothing."""
+    spec, copy = _moving(spec), _unshared(lattice)
+    n = lattice.n_steps
+    ranges = [(0, None)] + ([(n // 3, n - n // 4)] if n // 3 < n - n // 4 else [])
+    for mode, penalty in (
+        ("two_barrier", None),
+        ("one_barrier_lower", 4.0),
+        ("penalized", (4.0, 4.0)),
+    ):
+        for start, end in ranges:
+            ours, ref = (
+                solve_backward(spec, lat, lat.controls, mode, penalty, None, start, end)
+                for lat in (lattice, copy)
+            )
+            assert _solution_bits(ours) == _solution_bits(ref), (mode, start, end)
+    for start, end in ranges:
+        end = n if end is None else end
+        ours, ref = (
+            backward_semigroup(spec, lat, lat.controls, start, end, None) for lat in (lattice, copy)
+        )
+        assert ours.tobytes() == ref.tobytes(), (start, end)
+    lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
+    ours = comparison_check(spec, lifted, lattice, lattice.controls, samples=16)
+    assert ours.conclusive and ours == comparison_check(spec, lifted, copy, copy.controls, samples=16)
+    assert _estimate_quantities(spec, lattice, 0.1) == _estimate_quantities(spec, copy, 0.1)
+
+
+@pytest.mark.parametrize("name, grid", _CASES)
+def test_a_walk_on_shared_levels_is_bitwise_the_walk_on_unshared_ones(name, grid):
+    bp = builtin(name)
+    lattice = build_lattice(bp.spec, 0.0, grid or bp.grid)
+    assert any(a is b for a, b in zip(lattice.transitions, lattice.transitions[1:]))
+    _assert_the_walk_reads_shared_levels_as_unshared_ones(bp.spec, lattice)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(**{**_UNIT_SPECS, "shift": st.just(0)}, nt=st.integers(60, 200))
+def test_a_flat_walk_on_shared_levels_is_bitwise_the_walk_on_unshared_ones(
+    shift, residual, diffusion, nx, nt
+):
+    grid = SpaceTimeGrid(-1.0, 1.0, nx, nt, 1.0)
+    spec = _unit_spec(grid, shift + residual, diffusion)
+    lattice = build_lattice(spec, 0.0, grid)
+    assert any(a is b for a, b in zip(lattice.transitions, lattice.transitions[1:]))
+    _assert_the_walk_reads_shared_levels_as_unshared_ones(spec, lattice)
+
+
+def test_a_walk_reuses_a_step_only_on_one_node_set():
+    # the node set moves one node to the right every third level, and
+    # levels 0 to 6 share one triple and levels 7 to 11 another: level j
+    # may take the step of level j + 1 only if it shares its triple and
+    # levels j, j + 1 and j + 2 hold one node set (j = 0, 3 and 9)
+    n, nt = 9, 12
+    center = np.clip(np.arange(n), 1, n - 2).astype(np.int32)
+    first = (center, np.full(n, 0.25), np.full(n, 0.3))
+    then = (center, np.full(n, 0.2), np.full(n, 0.1))
+    spec = _flat_spec(0.0, 1.0)
+    lattice = RecombiningLattice(
+        controls=(0.0, 0.0),
+        times=np.arange(nt + 1) / nt,
+        dx=0.25,
+        origin=-1.0,
+        first_index=tuple(k // 3 for k in range(nt + 1)),
+        counts=(n,) * (nt + 1),
+        transitions=(first,) * 7 + (then,) * 5,
+        mean_error=0.0,
+        var_error=0.0,
+        halo=(),
+        escape_bound=0.0,
+        clipped_rows=0,
+    )
+    _assert_the_walk_reads_shared_levels_as_unshared_ones(spec, lattice)
+    # a walk of one level has no step to reuse
+    values = None
+    for j in range(nt - 1, -1, -1):
+        values = backward_semigroup(spec, lattice, lattice.controls, j, j + 1, values)
+    whole = backward_semigroup(spec, lattice, lattice.controls, 0, nt, None)
+    assert whole.tobytes() == values.tobytes()
