@@ -462,7 +462,9 @@ def _march_fields(spec, grid, schedule, checks):
     order of first use, each join's source row name turned into its stack
     index: maps each row's name to its ValueField or its failure.  A check
     whose rows cannot be named adds none; it raises that error itself when
-    it runs.
+    it runs.  With penalization among `checks` the sweep's rows below its
+    top level map to None, as their fields are not stored, and "sweep" maps
+    to the `pde.SweepStatistics` the march fed level by level.
     """
     rows = {}
     for check in checks:
@@ -473,7 +475,11 @@ def _march_fields(spec, grid, schedule, checks):
         (kind, variant, label, join and (names.index(join[0]), join[1]))
         for kind, variant, label, join in rows.values()
     ]
-    return dict(zip(names, pde.march_rows(spec, grid, stack)))
+    if "penalization" not in checks:
+        return dict(zip(names, pde.march_rows(spec, grid, stack)))
+    sweep = [names.index(name) for name in _rows("penalization", grid, schedule)]
+    results, statistics = pde.march_sweep(spec, grid, stack, schedule, sweep)
+    return dict(zip(names, results), sweep=statistics)
 
 
 def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet, fields):
@@ -522,7 +528,7 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
         }
     if name == "penalization":
         reference, *penalized = marched
-        report = pde.sweep_report(schedule, reference, penalized)
+        report = fields["sweep"].report(reference, penalized[-2], penalized[-1])
         _write_text(out_dir, ("sweep.csv",), [(_sweep_csv(report),)], outputs, quiet)
         worst = max(
             report.monotone_violation_above,

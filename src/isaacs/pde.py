@@ -55,12 +55,22 @@ check builds its report from the fields it needs.  A penalization sweep on
 its own is one march of 2L+1 rows (reference, then above and below for
 each of the L levels), and `solve_lower_and_upper` marches both
 reductions together.
+
+The march holds one level of every row and stores whole fields only for
+the rows someone reads whole.  Every statistic of a sweep is a maximum of
+differences between rows at one level and node, so `SweepStatistics`
+takes them level by level as the march goes and a sweep stores three
+fields, the reference and the top level m from above and from below:
+O(rows x nx) memory plus three fields, whatever L is.  In `isaacs run`
+the stored fields are those three, the upper field and the two heads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import mmap
 
 import numpy as np
 
@@ -197,9 +207,23 @@ def _live_stack(rows, live):
     return index, Variant.stacked(variants), penalties, reduce
 
 
-def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
+# a private map, so that a forked process writes to its own copy, as it
+# would of a heap array; Windows has neither fork nor the flags
+_PRIVATE = {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _mapped_levels(n, nx):
+    """An (n, nx) array in an anonymous memory map of its own.  The system
+    takes the pages back once the last view of it is dropped, where the C
+    heap would keep a freed block of a few MB resident for reuse."""
+    mapped = mmap.mmap(-1, max(n * nx * 8, 1), **_PRIVATE)
+    return np.frombuffer(mapped, count=n * nx).reshape(n, nx)
+
+
+def _march(spec, grid, rows, terminal, t_hi, cfl_margin, keep=None, reader=None):
     """March rows of (kind, variant, label, join) side by side; returns, per
-    row, its ValueField or its own first failure.
+    row, its ValueField, its own first failure, or None for a row that
+    marched to the end but whose field was not stored.
 
     A row whose join is None starts at level t_hi (a grid level, default the
     horizon) from `terminal` (default the payoff).  A row whose join is
@@ -209,6 +233,14 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
     reaching s.  Either start goes through `variant.terminal_row`, so a
     joining row is bitwise the one-row march with `terminal` the source's
     level s and `t_hi` = s dt, and its field covers levels 0..s.
+
+    The march holds one (rows, nx) level of every row, as `rbsde._walk`
+    does, and stores whole fields only for the rows in `keep` (default
+    every row), in one block mapped for the march.  A `reader` (a
+    SweepStatistics) names the rows it reads in `reader.rows`: every level
+    at which all of them are marching, from the first such level down to
+    0, goes to `reader.feed` as the (rows, nx) level, so a statistic of
+    whole fields is taken level by level without storing them.
 
     A level is a few operations on the (rows, nx) stack of the rows marching
     then: the tables of every control pair and row at once, each row's
@@ -237,68 +269,79 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin):
     co = spec.coefficients
     mu = co.driver_lipschitz
 
-    values = np.empty((len(rows), j_hi + 1, grid.nx))
+    level = np.empty((len(rows), grid.nx))  # the level each marching row holds
+    # the levels of the stored rows: one mapped block, a view per row
+    kept = [r for r in range(len(rows)) if keep is None or r in keep]
+    ends = list(itertools.accumulate(starts[r] + 1 for r in kept))
+    stored = _mapped_levels(ends[-1] if kept else 0, grid.nx)
+    fields = {r: stored[end - starts[r] - 1 : end] for r, end in zip(kept, ends)}
     worst = np.zeros(len(rows))
     results = [None] * len(rows)  # each row's failure, until its field is built
     live = []
-    for j in range(j_hi - 1, -1, -1):
-        if j + 1 in starting:
-            for r in starting[j + 1]:
+    for j in range(j_hi, -1, -1):
+        if j < j_hi and live:
+            index, variant, penalties, reduce = stack
+            t = j * dt
+            w_next = level[index]
+            try:
+                tables, *maxima = hamiltonian_tables(spec, t, x, w_next, *_derivatives(w_next, dx))
+            except CoefficientError as exc:
+                # a wrong-shaped coefficient or a nonfinite b or sigma: the
+                # tables are one call for the whole stack, so every row fails
+                for r in live:
+                    results[r] = exc
+                live = []
+            else:
+                finite = np.isfinite(tables).all(axis=(0, 1, 3))  # per row
+                lo, up = obstacle_rows(co, t, x)
+                numbers = _stability_number(dt, dx, mu, *maxima, penalties)
+                ok = finite & ~(numbers > cfl_margin)
+                if not ok.all():
+                    for i in np.flatnonzero(~ok):
+                        results[live[i]] = (
+                            CflError(float(numbers[i]), t, dt, cfl_margin)
+                            if finite[i]
+                            else _nonfinite_error(t)
+                        )
+                    live = [r for r, good in zip(live, ok) if good]
+                    if live:
+                        index, variant, penalties, reduce = stack = _live_stack(rows, live)
+                        tables, w_next, numbers = tables[:, :, ok], w_next[ok], numbers[ok]
+                if live:
+                    # fmax, like a running max(), passes over a nan number (nan penalty)
+                    worst[index] = np.fmax(worst[index], numbers)
+                    step = penalized_step(w_next, reduce(tables), dt, lo, up, variant)
+                    level[index] = obstacle_clamp(step, lo, up, variant)
+        if j in starting:
+            for r in starting[j]:
                 _, variant, _, join = rows[r]
                 if join is not None and results[join[0]] is not None:
                     results[r] = results[join[0]]
                     continue
-                start = terminal if join is None else values[join[0], j + 1]
+                start = terminal if join is None else level[join[0]]
                 try:
-                    values[r, j + 1] = variant.terminal_row(co, (j + 1) * dt, x, start)
+                    level[r] = variant.terminal_row(co, j * dt, x, start)
                 except ValueError as exc:
                     results[r] = exc
                 else:
                     live = sorted(live + [r])
             stack = _live_stack(rows, live) if live else None
-        if not live:
-            continue
-        index, variant, penalties, reduce = stack
-        t = j * dt
-        w_next = values[index, j + 1]
-        try:
-            tables, *maxima = hamiltonian_tables(spec, t, x, w_next, *_derivatives(w_next, dx))
-        except CoefficientError as exc:
-            # a wrong-shaped coefficient or a nonfinite b or sigma: the
-            # tables are one call for the whole stack, so every row fails
-            for r in live:
-                results[r] = exc
-            live = []
-            continue
-        finite = np.isfinite(tables).all(axis=(0, 1, 3))  # per row
-        lo, up = obstacle_rows(co, t, x)
-        numbers = _stability_number(dt, dx, mu, *maxima, penalties)
-        ok = finite & ~(numbers > cfl_margin)
-        if not ok.all():
-            for i in np.flatnonzero(~ok):
-                results[live[i]] = (
-                    CflError(float(numbers[i]), t, dt, cfl_margin)
-                    if finite[i]
-                    else _nonfinite_error(t)
-                )
-            live = [r for r, good in zip(live, ok) if good]
-            if not live:
-                continue
-            index, variant, penalties, reduce = stack = _live_stack(rows, live)
-            tables, w_next, numbers = tables[:, :, ok], w_next[ok], numbers[ok]
-        # fmax, like a running max(), passes over a nan number (nan penalty)
-        worst[index] = np.fmax(worst[index], numbers)
-        step = penalized_step(w_next, reduce(tables), dt, lo, up, variant)
-        values[index, j] = obstacle_clamp(step, lo, up, variant)
+        for r in live:
+            if r in fields:
+                fields[r][j] = level[r]
+        if reader is not None and all(
+            starts[r] >= j and results[r] is None for r in reader.rows
+        ):
+            reader.feed(level)
 
     times = grid.time_nodes()
     for r, (_, variant, label, _) in enumerate(rows):
-        if results[r] is None:
+        if results[r] is None and r in fields:
             results[r] = ValueField(
                 label=label,
                 times=times[: starts[r] + 1],
                 nodes=x,
-                values=values[r, : starts[r] + 1],
+                values=fields[r],
                 cfl_number=float(worst[r]),
                 penalty=(variant.pen_upper, variant.pen_lower),
             )
@@ -390,7 +433,9 @@ class ConvergenceReport:
     For each level m the sweep solves the approximation from above (lower
     obstacle hard, upper penalized) and from below (mirror image).  All
     violations are worst-case over nodes, levels and sweep stages; a healthy
-    sweep has them at roundoff while the two-sided gap shrinks.
+    sweep has them at roundoff while the two-sided gap shrinks.  Of the 2L + 1
+    fields a sweep marches it keeps three: the reference and the two at the
+    top level m.
     """
 
     kind: str
@@ -414,64 +459,112 @@ class ConvergenceReport:
         return last / first
 
 
+class SweepStatistics:
+    """The maxima a sweep reports, taken one time level at a time.
+
+    `rows` are the indices, in the levels fed, of the reference and of the
+    `sweep_rows` rows in that order.  `feed` takes one (rows, nx) level and
+    folds, node by node, running maxima over the levels fed: per level m of
+    the schedule |above - reference|, |below - reference|, above - below,
+    reference - above and below - reference, and per pair of adjacent
+    levels the rise of above and the fall of below.  `report` takes each
+    maximum over the nodes and makes the ConvergenceReport of them.  The
+    running maxima are O(L x nx).
+    """
+
+    def __init__(self, schedule, rows):
+        self.levels = tuple(schedule)
+        n = len(self.levels)
+        self.rows = list(rows)
+        ref, above, below = [0] * n, list(range(1, 2 * n, 2)), list(range(2, 2 * n + 1, 2))
+        # the rows of each difference, in the order listed above
+        at = np.array(self.rows)
+        self._minuend = at[above + below + above + ref + below + above[1:] + below[:-1]]
+        self._subtrahend = at[ref + ref + below + above + ref + above[:-1] + below[1:]]
+        self._maxima = None
+
+    def feed(self, level):
+        differences = level[self._minuend] - level[self._subtrahend]
+        gaps = differences[: 2 * len(self.levels)]
+        np.abs(gaps, out=gaps)
+        if self._maxima is None:
+            self._maxima = differences
+        else:
+            # maximum, like np.max over a whole field, passes a nan on
+            np.maximum(self._maxima, differences, out=self._maxima)
+
+    def report(self, reference, final_above, final_below):
+        n = len(self.levels)
+        # + 0.0 turns -0.0 into 0.0: every difference is +0.0 at the horizon,
+        # where all rows hold the payoff, so a zero maximum over the whole
+        # field is 0.0, in whatever order its zeros of either sign are met
+        maxima = (self._maxima.max(axis=1) + 0.0).tolist()
+        gap_above, gap_below, two_sided, from_above, from_below = (
+            maxima[k * n : (k + 1) * n] for k in range(5)
+        )
+        # each worst case as a running max() over the levels m in order
+        sandwich = [v for pair in zip(from_above, from_below) for v in pair]
+        diagonal = [b - a for a, b in zip(two_sided, two_sided[1:])]
+        return ConvergenceReport(
+            kind="lower",
+            levels=self.levels,
+            gap_above=tuple(gap_above),
+            gap_below=tuple(gap_below),
+            two_sided_gap=tuple(two_sided),
+            monotone_violation_above=max([-math.inf, *maxima[5 * n : 6 * n - 1]]),
+            monotone_violation_below=max([-math.inf, *maxima[6 * n - 1 :]]),
+            sandwich_violation=max([-math.inf, *sandwich]),
+            diagonal_violation=max([-math.inf, *diagonal]),
+            reference=reference,
+            final_above=final_above,
+            final_below=final_below,
+        )
+
+
+def march_sweep(spec, grid, rows, schedule, sweep):
+    """`march_rows` for a stack that holds a penalization sweep: `sweep`
+    lists the indices in `rows` of its two-obstacle lower reference and of
+    its `sweep_rows(schedule)` rows, in that order.
+
+    Returns the results, with None for the sweep's rows below the top level
+    m, whose fields are not stored, and the SweepStatistics fed every level
+    of the sweep.
+    """
+    statistics = SweepStatistics(schedule, sweep)
+    inner = set(statistics.rows[1:-2])
+    keep = [r for r in range(len(rows)) if r not in inner]
+    results = _march(spec, grid, rows, None, None, _CFL_MARGIN, keep, statistics)
+    return results, statistics
+
+
 def run_penalization_sweep(spec, grid, schedule):
     """March the penalized approximations of the lower-Hamiltonian field
     through a schedule of weights, all levels and the two-obstacle
     reference side by side in one stacked march, and report them as
-    `sweep_report` does.
+    `sweep_report` does; the statistics are taken level by level as the
+    march goes, and only the report's three fields are stored.
     """
     if not isinstance(schedule, PenalizationSchedule):
         schedule = PenalizationSchedule(tuple(schedule))
     rows = [two_barrier_row("lower", None), *sweep_rows(schedule)]
-    reference, *penalized = raise_first_failure(march_rows(spec, grid, rows))
-    return sweep_report(schedule, reference, penalized)
+    results, statistics = march_sweep(spec, grid, rows, schedule, range(len(rows)))
+    reference, *penalized = raise_first_failure(results)
+    return statistics.report(reference, penalized[-2], penalized[-1])
 
 
 def sweep_report(schedule, reference, penalized):
     """The sweep's report from the two-obstacle lower field `reference` and
-    the fields of `sweep_rows(schedule)`.
+    the fields of `sweep_rows(schedule)`, fed to SweepStatistics level by
+    level from the horizon down, as the march feeds it.
 
     Checks, level by level: the approximation from above decreases, the one
     from below increases, both stay on the correct side of the two-obstacle
     field, and the two-sided gap between them never widens.
     """
-    gap_above = []
-    gap_below = []
-    two_sided = []
-    mono_above = -math.inf
-    mono_below = -math.inf
-    sandwich = -math.inf
-    diagonal = -math.inf
-    prev_above = prev_below = None
-    for above, below in zip(penalized[::2], penalized[1::2]):
-        gap_above.append(float(np.max(np.abs(above.values - reference.values))))
-        gap_below.append(float(np.max(np.abs(below.values - reference.values))))
-        two_sided.append(float(np.max(above.values - below.values)))
-        sandwich = max(
-            sandwich,
-            float(np.max(reference.values - above.values)),
-            float(np.max(below.values - reference.values)),
-        )
-        if prev_above is not None:
-            mono_above = max(mono_above, float(np.max(above.values - prev_above)))
-            mono_below = max(mono_below, float(np.max(prev_below - below.values)))
-            diagonal = max(diagonal, two_sided[-1] - two_sided[-2])
-        prev_above = above.values
-        prev_below = below.values
-    return ConvergenceReport(
-        kind="lower",
-        levels=tuple(schedule),
-        gap_above=tuple(gap_above),
-        gap_below=tuple(gap_below),
-        two_sided_gap=tuple(two_sided),
-        monotone_violation_above=mono_above,
-        monotone_violation_below=mono_below,
-        sandwich_violation=sandwich,
-        diagonal_violation=diagonal,
-        reference=reference,
-        final_above=penalized[-2],
-        final_below=penalized[-1],
-    )
+    statistics = SweepStatistics(schedule, range(len(penalized) + 1))
+    for j in range(len(reference.times) - 1, -1, -1):
+        statistics.feed(np.stack([reference.values[j], *(f.values[j] for f in penalized)]))
+    return statistics.report(reference, penalized[-2], penalized[-1])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -5,12 +5,15 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isaacs import pde
-from isaacs.cli import _march_fields, parse_config
+from isaacs.cli import DEFAULT_CHECKS, _march_fields, parse_config
 from isaacs.model import (
     CoefficientError,
     CoefficientSet,
@@ -28,11 +31,13 @@ from isaacs.pde import (
     ConvergenceReport,
     _march,
     cfl_number,
+    march_rows,
     raise_first_failure,
     run_penalization_sweep,
     solve_isaacs_double_obstacle,
     solve_isaacs_penalized,
     sweep_report,
+    sweep_rows,
     two_barrier_row,
     viscosity_residual,
 )
@@ -451,13 +456,245 @@ def test_a_sweep_given_its_reference_reports_what_marching_it_reports(name, monk
     assert (reference.label, reference.penalty) == ("lower", (0.0, 0.0))
     assert reference.times.tobytes() == grid.time_nodes().tobytes()
     assert reference.nodes.tobytes() == grid.space_nodes().tobytes()
-    sweep = [fields[f"sweep_{i}"] for i in range(2 * len(schedule))]
-    given_ = sweep_report(schedule, reference, sweep)
+    # the run stores the sweep's top level only; the rows below it went to
+    # the statistics level by level
+    last = 2 * len(schedule) - 2
+    assert all(fields[f"sweep_{i}"] is None for i in range(last))
+    final = fields[f"sweep_{last}"], fields[f"sweep_{last + 1}"]
+    given_ = fields["sweep"].report(reference, *final)
     assert given_.reference is reference
-    for field in dataclasses.fields(ConvergenceReport):
-        assert repr(getattr(given_, field.name)) == repr(getattr(marched, field.name))
-    for field in ("reference", "final_above", "final_below"):
-        assert getattr(given_, field).values.tobytes() == getattr(marched, field).values.tobytes()
+    stored = march_rows(spec, grid, [two_barrier_row("lower", None), *sweep_rows(schedule)])
+    # the numbers, level by level, are those of one np.max per difference of
+    # whole fields; separable_game's obstacles never bind, the others' do
+    whole = _whole_field_maxima(stored[0], stored[1:])
+    assert {name: getattr(marched, name) for name in whole} == whole
+    assert (min(marched.gap_above + marched.gap_below) > 0.0) == (name != "separable_game")
+    for report in (given_, sweep_report(schedule, stored[0], stored[1:])):
+        for field in dataclasses.fields(ConvergenceReport):
+            assert repr(getattr(report, field.name)) == repr(getattr(marched, field.name))
+        for field in ("reference", "final_above", "final_below"):
+            got, want = getattr(report, field), getattr(marched, field)
+            assert got.values.tobytes() == want.values.tobytes()
+
+
+def _whole_field_maxima(reference, penalized):
+    """The sweep's gaps and violations taken over whole stored fields at
+    once, as one np.max per difference of fields."""
+    ref = reference.values
+    above, below = [f.values for f in penalized[::2]], [f.values for f in penalized[1::2]]
+    two_sided = [float(np.max(a - b)) for a, b in zip(above, below)]
+    return {
+        "gap_above": tuple(float(np.max(np.abs(a - ref))) for a in above),
+        "gap_below": tuple(float(np.max(np.abs(b - ref))) for b in below),
+        "two_sided_gap": tuple(two_sided),
+        "monotone_violation_above": max(
+            [-math.inf, *(float(np.max(a - p)) for p, a in zip(above, above[1:]))]
+        ),
+        "monotone_violation_below": max(
+            [-math.inf, *(float(np.max(p - b)) for p, b in zip(below, below[1:]))]
+        ),
+        "sandwich_violation": max(
+            [-math.inf]
+            + [float(np.max(d)) for a, b in zip(above, below) for d in (ref - a, b - ref)]
+        ),
+        "diagonal_violation": max(
+            [-math.inf, *(b - a for a, b in zip(two_sided, two_sided[1:]))]
+        ),
+    }
+
+
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_sweep_report_takes_whole_field_maxima_of_any_fields(with_nan):
+    # small integers tie often, so differences hold zeros of both signs; a
+    # nan reaches every number whose differences it enters, as in one
+    # np.max over whole fields
+    rng = np.random.default_rng(7)
+    values = rng.integers(-2, 3, size=(7, 6, 9)).astype(float)
+    values[(values == 0.0) & (rng.random(values.shape) < 0.5)] = -0.0
+    if with_nan:
+        values[3, 2, 4] = math.nan  # the approximation from above at m = 2
+    times, nodes = np.linspace(0.0, 1.0, 6), np.linspace(-1.0, 1.0, 9)
+    reference, *penalized = (pde.ValueField("lower", times, nodes, v, 0.0) for v in values)
+    report = sweep_report((1.0, 2.0, 4.0), reference, penalized)
+    for name, want in _whole_field_maxima(reference, penalized).items():
+        got = getattr(report, name)
+        assert np.array_equal(got, want, equal_nan=True), name
+    assert math.isnan(report.gap_above[1]) == with_nan
+
+
+def _sweep_three_ways(spec, grid, schedule):
+    """The sweep's report or first failure as `run_penalization_sweep`
+    streams it, as the march of a run streams it, and as `sweep_report`
+    reads it from the 2L + 1 fields `march_rows` stores."""
+
+    def run():
+        fields = _march_fields(spec, grid, schedule, _RUN_CHECKS)
+        rows = ["lower", *(f"sweep_{i}" for i in range(2 * len(schedule)))]
+        reference, *sweep = raise_first_failure([fields[row] for row in rows])
+        return fields["sweep"].report(reference, sweep[-2], sweep[-1])
+
+    def stored():
+        rows = [two_barrier_row("lower", None), *sweep_rows(schedule)]
+        reference, *sweep = raise_first_failure(march_rows(spec, grid, rows))
+        whole = _whole_field_maxima(reference, sweep)
+        report = sweep_report(schedule, reference, sweep)
+        # level by level the same numbers as over whole fields
+        assert {name: getattr(report, name) for name in whole} == whole
+        return report
+
+    outcomes = []
+    for solve in (lambda: run_penalization_sweep(spec, grid, schedule), run, stored):
+        try:
+            outcomes.append(solve())
+        except ValueError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _assert_same_sweep(got, want):
+    """Two sweep outcomes are the same failure, or reports with the same
+    numbers to the bit, the sign of zero included, and the same fields."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.levels == want.levels
+    for name in (
+        "gap_above",
+        "gap_below",
+        "two_sided_gap",
+        "monotone_violation_above",
+        "monotone_violation_below",
+        "sandwich_violation",
+        "diagonal_violation",
+    ):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a == b, name
+        assert np.array(a).tobytes() == np.array(b).tobytes(), name
+    for name in ("reference", "final_above", "final_below"):
+        _assert_same_result(getattr(got, name), getattr(want, name))
+
+
+def _signed_zero_spec():
+    """Zero payoff, driver and drift under a lower obstacle of -0.0: the
+    approximation from above, held on that obstacle, and the one from below
+    hold zeros of opposite signs, so above - below has zero maxima of both
+    signs."""
+
+    def zero(t, x, *_):
+        return np.zeros(np.shape(x))
+
+    co = CoefficientSet(
+        b=zero,
+        sigma=lambda t, x, u, v: np.full(np.shape(x), 0.5),
+        driver=lambda t, x, y, z, u, v: np.zeros(np.shape(y)),
+        terminal=lambda x: np.zeros(np.shape(x)),
+        lower=lambda t, x: np.full(np.shape(x), -0.0),
+        upper=lambda t, x: np.ones(np.shape(x)),
+        lipschitz=1.0,
+        driver_lipschitz=0.0,
+    )
+    return ProblemSpec(0.5, co, ControlGrid("u", (0.0,)), ControlGrid("v", (0.0,)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_a_streamed_sweep_is_bitwise_the_sweep_of_stored_fields(data):
+    name = data.draw(st.sampled_from((*BUILTINS, "signed_zero")))
+    if name == "signed_zero":
+        spec, (x_min, x_max, horizon) = _signed_zero_spec(), (-2.0, 2.0, 0.5)
+    else:
+        bp = builtin(name)
+        spec, (x_min, x_max, horizon) = bp.spec, (bp.grid.x_min, bp.grid.x_max, bp.grid.horizon)
+    grid = SpaceTimeGrid(
+        x_min, x_max, data.draw(st.integers(5, 41)), data.draw(st.integers(1, 80)), horizon
+    )
+    levels = data.draw(
+        st.lists(
+            st.sampled_from((0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0)),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    schedule = PenalizationSchedule(tuple(sorted(levels)))
+    sweep, run, stored = _sweep_three_ways(spec, grid, schedule)
+    _assert_same_sweep(sweep, stored)
+    _assert_same_sweep(run, stored)
+
+
+def test_a_streamed_sweep_fails_on_bilinear_games_pinned_grid():
+    # the top penalty breaks the stability margin on the first level, with
+    # one message whether the sweep is streamed or read from stored fields
+    bp = builtin("bilinear_game")
+    assert bp.grid == SpaceTimeGrid(-2.0, 2.0, 41, 64, 1.0)
+    outcomes = _sweep_three_ways(bp.spec, bp.grid, bp.schedule)
+    for outcome in outcomes:
+        assert isinstance(outcome, CflError)
+        assert str(outcome) == (
+            "stability number 1 exceeds margin 0.9 at t=0.984375;"
+            " largest admissible dt is 0.0140625"
+        )
+
+
+def test_a_zero_sweep_statistic_is_positive_zero():
+    # above - below holds zeros of both signs; every difference is +0.0 at
+    # the horizon, so each zero maximum is 0.0, on a small grid as on a
+    # large one
+    for nx, nt in ((5, 20), (41, 80)):
+        report = run_penalization_sweep(
+            _signed_zero_spec(), SpaceTimeGrid(-2.0, 2.0, nx, nt, 0.5), (1.0, 2.0, 4.0)
+        )
+        numbers = [
+            *report.gap_above,
+            *report.gap_below,
+            *report.two_sided_gap,
+            report.monotone_violation_above,
+            report.monotone_violation_below,
+            report.sandwich_violation,
+            report.diagonal_violation,
+        ]
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in numbers), numbers
+
+
+def _mapped_bytes(fields):
+    """Bytes of the blocks behind the stored fields that numpy did not
+    allocate itself (the march's memory map), which tracemalloc cannot see."""
+    blocks = {}
+    for field in fields.values():
+        if isinstance(field, pde.ValueField):
+            root = field.values
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            if root.base is not None:
+                blocks[id(root)] = root.nbytes
+    return sum(blocks.values())
+
+
+def _run_march_peak(spec, grid, schedule):
+    """Peak bytes of the default-check march of a run: what tracemalloc
+    traces plus the memory map of the stored fields."""
+    tracemalloc.start()
+    try:
+        fields = _march_fields(spec, grid, schedule, DEFAULT_CHECKS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak + _mapped_bytes(fields)
+
+
+def test_a_run_march_holds_under_six_fields_whatever_the_schedule():
+    # the run stores lower, upper, the sweep's top level from above and from
+    # below and the two dpp heads of half the levels each: five fields, and
+    # the 2L - 2 sweep rows below the top level only one level at a time
+    bp = builtin("dynkin_heat")
+    grid = bp.grid
+    assert (grid.nx, grid.nt, len(bp.schedule)) == (201, 400, 7)
+    field = (grid.nt + 1) * grid.nx * 8
+    default = _run_march_peak(bp.spec, grid, bp.schedule)
+    assert default < 6 * field
+    longer = PenalizationSchedule(tuple(4.0 * k for k in range(1, 17)))
+    assert abs(_run_march_peak(bp.spec, grid, longer) - default) < field
 
 
 def _climbing_spec():
