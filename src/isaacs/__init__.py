@@ -59,7 +59,6 @@ from .pde import (
     run_penalization_sweep,
     solve_isaacs_double_obstacle,
     solve_isaacs_penalized,
-    solve_lower_and_upper,
     viscosity_residual,
 )
 from .games import GameVerdict, compute_values, dpp_check, fixed_control_crosscheck

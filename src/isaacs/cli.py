@@ -264,8 +264,7 @@ def parse_config(text):
                 seed = int(cp["run"]["seed"])
             except ValueError:
                 raise ConfigError(f"seed must be an integer, got {cp['run']['seed']!r}")
-            if seed < 0:
-                raise ConfigError(f"seed must be nonnegative, got {seed}")
+            _check_seed(seed)
         if "threads" in cp["run"]:
             try:
                 threads = int(cp["run"]["threads"])
@@ -282,6 +281,15 @@ def parse_config(text):
         seed=seed,
         threads=threads,
     )
+
+
+def _check_seed(seed):
+    # the forward check keys its path noise by 64 bits of the seed, so a
+    # larger seed would alias a smaller one
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    if seed >= 2**64:
+        raise ConfigError(f"seed must be below 2**64, got {seed}")
 
 
 def _format_float(v):
@@ -462,9 +470,9 @@ def _march_fields(spec, grid, schedule, checks):
     order of first use, each join's source row name turned into its stack
     index: maps each row's name to its ValueField or its failure.  A check
     whose rows cannot be named adds none; it raises that error itself when
-    it runs.  With penalization among `checks` the sweep's rows below its
-    top level map to None, as their fields are not stored, and "sweep" maps
-    to the `pde.SweepStatistics` the march fed level by level.
+    it runs.  With penalization among `checks`, "sweep" maps to the
+    `pde.SweepStatistics` the march fed level by level, and each sweep row
+    that did not fail maps to None, as its field is not stored.
     """
     rows = {}
     for check in checks:
@@ -475,11 +483,11 @@ def _march_fields(spec, grid, schedule, checks):
         (kind, variant, label, join and (names.index(join[0]), join[1]))
         for kind, variant, label, join in rows.values()
     ]
-    if "penalization" not in checks:
-        return dict(zip(names, pde.march_rows(spec, grid, stack)))
-    sweep = [names.index(name) for name in _rows("penalization", grid, schedule)]
-    results, statistics = pde.march_sweep(spec, grid, stack, schedule, sweep)
-    return dict(zip(names, results), sweep=statistics)
+    readers = {}
+    if "penalization" in checks:
+        read = [names.index(name) for name in _rows("penalization", grid, schedule)]
+        readers["sweep"] = pde.SweepStatistics(schedule, read)
+    return dict(zip(names, pde.march_rows(spec, grid, stack, readers.get("sweep")))) | readers
 
 
 def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet, fields):
@@ -527,8 +535,7 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
             "value_tol": verdict.value_tol,
         }
     if name == "penalization":
-        reference, *penalized = marched
-        report = fields["sweep"].report(reference, penalized[-2], penalized[-1])
+        report = fields["sweep"].report()
         _write_text(out_dir, ("sweep.csv",), [(_sweep_csv(report),)], outputs, quiet)
         worst = max(
             report.monotone_violation_above,
@@ -603,8 +610,7 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
     started = time.monotonic()
     if seed is None:
         seed = config.seed
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    _check_seed(seed)
     if threads is None:
         threads = config.threads
     if threads is None:

@@ -118,6 +118,12 @@ def _path_increments(seed, n_paths, n_steps, dt):
     return out
 
 
+def _require_seed(seed):
+    # the noise is keyed by 64 bits of the seed: another seed would alias one
+    if not 0 <= seed <= _U64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _time_levels(spec, t0, n_paths, n_steps):
     if not (0.0 <= t0 < spec.horizon):
         raise ValueError(f"t0 = {t0} outside [0, {spec.horizon})")
@@ -161,8 +167,9 @@ def simulate_paths(
     `controls` is the (u, v) pair held on every path, which must sit on the
     control grids; None picks the first point of each grid.  The
     coefficient callables receive the whole (n_paths,) state array of a
-    time level and must broadcast to it.
+    time level and must broadcast to it.  `seed` must lie in [0, 2**64).
     """
+    _require_seed(seed)
     dt, times = _time_levels(spec, t0, n_paths, n_steps)
     u, v = spec.control_pair(controls)
     dw = _path_increments(seed, n_paths, n_steps, dt)
@@ -224,14 +231,6 @@ class RecombiningLattice:
         probs[:, 1] = 1.0 - p_down - p_up
         probs[:, 2] = p_up
         return center.astype(np.intp), probs
-
-    def dense_transition(self, step):
-        center, probs = self.transition(step)
-        mat = np.zeros((self.counts[step], self.counts[step + 1]))
-        rows = np.arange(self.counts[step])
-        for off, col in ((-1, 0), (0, 1), (1, 2)):
-            mat[rows, center + off] = probs[:, col]
-        return mat
 
 
 def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
@@ -438,8 +437,9 @@ def check_forward_estimates(
     the ratio isolates the flow's Lipschitz dependence on the start point;
     each start's paths are those `simulate_paths` returns for it.  Passes
     when ratios are finite and their log-log slope against the offset is
-    within 0.2 of 0.
+    within 0.2 of 0.  `seed` must lie in [0, 2**64).
     """
+    _require_seed(seed)
     slope_tolerance = 0.2
     offsets = np.asarray(offsets, dtype=float)
     sup_ratios = np.empty_like(offsets)

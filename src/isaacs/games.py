@@ -43,9 +43,10 @@ class GameVerdict:
 
 
 def compute_values(spec, grid, seed=0):
-    """Solve both Hamiltonian reductions, in one stacked march, and compare
-    them as `value_verdict` does."""
-    lower, upper = pde.solve_lower_and_upper(spec, grid)
+    """Solve both Hamiltonian reductions, two rows of one stacked march, and
+    compare them as `value_verdict` does."""
+    rows = [pde.two_barrier_row(kind, None) for kind in ("lower", "upper")]
+    lower, upper = pde.raise_first_failure(pde.march_rows(spec, grid, rows))
     return value_verdict(spec, grid, lower, upper, seed)
 
 

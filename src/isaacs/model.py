@@ -433,12 +433,6 @@ class ValidationReport:
     samples: int
     seed: int
 
-    def summary(self):
-        if self.passed:
-            return f"ok ({self.samples} samples)"
-        kinds = sorted({v.kind for v in self.violations})
-        return f"{len(self.violations)} violation(s): {', '.join(kinds)}"
-
 
 @dataclasses.dataclass(frozen=True)
 class IsaacsReport:

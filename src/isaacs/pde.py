@@ -51,18 +51,15 @@ never stops another.
 `isaacs run` marches once: the lower and upper fields, the 2L rows of the
 penalization sweep and the two dynamic-programming heads, which join at
 the split level from the lower and the upper row, are one march, and each
-check builds its report from the fields it needs.  A penalization sweep on
-its own is one march of 2L+1 rows (reference, then above and below for
-each of the L levels), and `solve_lower_and_upper` marches both
-reductions together.
+check builds its report from the fields it needs.
 
-The march holds one level of every row and stores whole fields only for
-the rows someone reads whole.  Every statistic of a sweep is a maximum of
+The march holds one level of every row and stores whole fields for every
+row but those a reader streams.  Every statistic of a sweep is a maximum of
 differences between rows at one level and node, so `SweepStatistics`
-takes them level by level as the march goes and a sweep stores three
-fields, the reference and the top level m from above and from below:
-O(rows x nx) memory plus three fields, whatever L is.  In `isaacs run`
-the stored fields are those three, the upper field and the two heads.
+takes them level by level as the march goes and streams the 2L penalized
+rows: a sweep of 2L+1 rows (the reference, then above and below for each
+level m) stores the reference field only, whatever L is.  `isaacs run`
+stores the lower and upper fields and the two heads.
 """
 
 from __future__ import annotations
@@ -125,22 +122,6 @@ class ValueField:
 
     def initial(self):
         return self.values[0]
-
-    def interpolate(self, t, x):
-        """Bilinear interpolation, for plotting and spot checks."""
-        tt = np.clip(t, self.times[0], self.times[-1])
-        xx = np.clip(x, self.nodes[0], self.nodes[-1])
-        dt = self.times[1] - self.times[0]
-        dx = self.nodes[1] - self.nodes[0]
-        jt = min(int((tt - self.times[0]) / dt), len(self.times) - 2)
-        jx = min(int((xx - self.nodes[0]) / dx), len(self.nodes) - 2)
-        at = (tt - self.times[jt]) / dt
-        ax = (xx - self.nodes[jx]) / dx
-        v = self.values
-        return float(
-            (1 - at) * ((1 - ax) * v[jt, jx] + ax * v[jt, jx + 1])
-            + at * ((1 - ax) * v[jt + 1, jx] + ax * v[jt + 1, jx + 1])
-        )
 
 
 def _derivatives(w, dx):
@@ -220,7 +201,7 @@ def _mapped_levels(n, nx):
     return np.frombuffer(mapped, count=n * nx).reshape(n, nx)
 
 
-def _march(spec, grid, rows, terminal, t_hi, cfl_margin, keep=None, reader=None):
+def _march(spec, grid, rows, terminal, t_hi, cfl_margin, reader=None):
     """March rows of (kind, variant, label, join) side by side; returns, per
     row, its ValueField, its own first failure, or None for a row that
     marched to the end but whose field was not stored.
@@ -235,12 +216,12 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin, keep=None, reader=None)
     level s and `t_hi` = s dt, and its field covers levels 0..s.
 
     The march holds one (rows, nx) level of every row, as `rbsde._walk`
-    does, and stores whole fields only for the rows in `keep` (default
-    every row), in one block mapped for the march.  A `reader` (a
-    SweepStatistics) names the rows it reads in `reader.rows`: every level
-    at which all of them are marching, from the first such level down to
-    0, goes to `reader.feed` as the (rows, nx) level, so a statistic of
-    whole fields is taken level by level without storing them.
+    does, and stores the field of every row not in `reader.streamed`, in one
+    block mapped for the march.  A `reader` (a SweepStatistics) names the
+    rows it reads in `reader.rows`: every level at which all of them are
+    marching, from the first such level down to 0, goes to `reader.feed` as
+    the (rows, nx) level, so a statistic of whole fields is taken level by
+    level without storing them.
 
     A level is a few operations on the (rows, nx) stack of the rows marching
     then: the tables of every control pair and row at once, each row's
@@ -271,7 +252,7 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin, keep=None, reader=None)
 
     level = np.empty((len(rows), grid.nx))  # the level each marching row holds
     # the levels of the stored rows: one mapped block, a view per row
-    kept = [r for r in range(len(rows)) if keep is None or r in keep]
+    kept = [r for r in range(len(rows)) if reader is None or r not in reader.streamed]
     ends = list(itertools.accumulate(starts[r] + 1 for r in kept))
     stored = _mapped_levels(ends[-1] if kept else 0, grid.nx)
     fields = {r: stored[end - starts[r] - 1 : end] for r, end in zip(kept, ends)}
@@ -348,11 +329,12 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin, keep=None, reader=None)
     return results
 
 
-def march_rows(spec, grid, rows):
+def march_rows(spec, grid, rows, reader=None):
     """The fields of `rows` from one stacked march over the whole grid, each
     row's ValueField or its own first failure; see `two_barrier_row` and
-    `sweep_rows` for the rows."""
-    return _march(spec, grid, rows, None, None, _CFL_MARGIN)
+    `sweep_rows` for the rows.  A `reader` is fed as `_march` feeds it, and
+    a row it streams ends in None, unless it failed."""
+    return _march(spec, grid, rows, None, None, _CFL_MARGIN, reader)
 
 
 def raise_first_failure(results):
@@ -382,14 +364,6 @@ def solve_isaacs_double_obstacle(
     """
     rows = [two_barrier_row(kind, None)]
     return raise_first_failure(_march(spec, grid, rows, terminal, t_hi, cfl_margin))[0]
-
-
-def solve_lower_and_upper(spec, grid):
-    """The lower and upper two-obstacle fields, marched side by side; each
-    is bitwise the field `solve_isaacs_double_obstacle` returns for it."""
-    rows = [two_barrier_row("lower", None), two_barrier_row("upper", None)]
-    lower, upper = raise_first_failure(march_rows(spec, grid, rows))
-    return lower, upper
 
 
 def _penalized_row(kind, penalty_kind, penalty):
@@ -433,9 +407,8 @@ class ConvergenceReport:
     For each level m the sweep solves the approximation from above (lower
     obstacle hard, upper penalized) and from below (mirror image).  All
     violations are worst-case over nodes, levels and sweep stages; a healthy
-    sweep has them at roundoff while the two-sided gap shrinks.  Of the 2L + 1
-    fields a sweep marches it keeps three: the reference and the two at the
-    top level m.
+    sweep has them at roundoff while the two-sided gap shrinks.  The report
+    holds these numbers only, no field.
     """
 
     kind: str
@@ -447,9 +420,6 @@ class ConvergenceReport:
     monotone_violation_below: float
     sandwich_violation: float
     diagonal_violation: float
-    reference: ValueField
-    final_above: ValueField
-    final_below: ValueField
 
     @property
     def gap_ratio(self):
@@ -463,19 +433,21 @@ class SweepStatistics:
     """The maxima a sweep reports, taken one time level at a time.
 
     `rows` are the indices, in the levels fed, of the reference and of the
-    `sweep_rows` rows in that order.  `feed` takes one (rows, nx) level and
-    folds, node by node, running maxima over the levels fed: per level m of
-    the schedule |above - reference|, |below - reference|, above - below,
-    reference - above and below - reference, and per pair of adjacent
-    levels the rise of above and the fall of below.  `report` takes each
-    maximum over the nodes and makes the ConvergenceReport of them.  The
-    running maxima are O(L x nx).
+    `sweep_rows` rows in that order, and `streamed` the penalized ones,
+    whose fields the march does not store.  `feed` takes one (rows, nx)
+    level and folds, node by node, running maxima over the levels fed: per
+    level m of the schedule |above - reference|, |below - reference|,
+    above - below, reference - above and below - reference, and per pair of
+    adjacent levels the rise of above and the fall of below.  `report`
+    takes each maximum over the nodes and makes the ConvergenceReport of
+    them.  The running maxima are O(L x nx).
     """
 
     def __init__(self, schedule, rows):
         self.levels = tuple(schedule)
         n = len(self.levels)
         self.rows = list(rows)
+        self.streamed = set(self.rows[1:])
         ref, above, below = [0] * n, list(range(1, 2 * n, 2)), list(range(2, 2 * n + 1, 2))
         # the rows of each difference, in the order listed above
         at = np.array(self.rows)
@@ -493,7 +465,7 @@ class SweepStatistics:
             # maximum, like np.max over a whole field, passes a nan on
             np.maximum(self._maxima, differences, out=self._maxima)
 
-    def report(self, reference, final_above, final_below):
+    def report(self):
         n = len(self.levels)
         # + 0.0 turns -0.0 into 0.0: every difference is +0.0 at the horizon,
         # where all rows hold the payoff, so a zero maximum over the whole
@@ -515,26 +487,7 @@ class SweepStatistics:
             monotone_violation_below=max([-math.inf, *maxima[6 * n - 1 :]]),
             sandwich_violation=max([-math.inf, *sandwich]),
             diagonal_violation=max([-math.inf, *diagonal]),
-            reference=reference,
-            final_above=final_above,
-            final_below=final_below,
         )
-
-
-def march_sweep(spec, grid, rows, schedule, sweep):
-    """`march_rows` for a stack that holds a penalization sweep: `sweep`
-    lists the indices in `rows` of its two-obstacle lower reference and of
-    its `sweep_rows(schedule)` rows, in that order.
-
-    Returns the results, with None for the sweep's rows below the top level
-    m, whose fields are not stored, and the SweepStatistics fed every level
-    of the sweep.
-    """
-    statistics = SweepStatistics(schedule, sweep)
-    inner = set(statistics.rows[1:-2])
-    keep = [r for r in range(len(rows)) if r not in inner]
-    results = _march(spec, grid, rows, None, None, _CFL_MARGIN, keep, statistics)
-    return results, statistics
 
 
 def run_penalization_sweep(spec, grid, schedule):
@@ -542,14 +495,14 @@ def run_penalization_sweep(spec, grid, schedule):
     through a schedule of weights, all levels and the two-obstacle
     reference side by side in one stacked march, and report them as
     `sweep_report` does; the statistics are taken level by level as the
-    march goes, and only the report's three fields are stored.
+    march goes, and of the 2L + 1 fields only the reference is stored.
     """
     if not isinstance(schedule, PenalizationSchedule):
         schedule = PenalizationSchedule(tuple(schedule))
     rows = [two_barrier_row("lower", None), *sweep_rows(schedule)]
-    results, statistics = march_sweep(spec, grid, rows, schedule, range(len(rows)))
-    reference, *penalized = raise_first_failure(results)
-    return statistics.report(reference, penalized[-2], penalized[-1])
+    statistics = SweepStatistics(schedule, range(len(rows)))
+    raise_first_failure(march_rows(spec, grid, rows, statistics))
+    return statistics.report()
 
 
 def sweep_report(schedule, reference, penalized):
@@ -564,7 +517,7 @@ def sweep_report(schedule, reference, penalized):
     statistics = SweepStatistics(schedule, range(len(penalized) + 1))
     for j in range(len(reference.times) - 1, -1, -1):
         statistics.feed(np.stack([reference.values[j], *(f.values[j] for f in penalized)]))
-    return statistics.report(reference, penalized[-2], penalized[-1])
+    return statistics.report()
 
 
 @dataclasses.dataclass(frozen=True)

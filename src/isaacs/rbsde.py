@@ -77,9 +77,6 @@ class RBSDESolution:
     flatness_upper: float
     exclusion_max: float
 
-    def initial_values(self):
-        return self.y[0]
-
 
 class _Step(NamedTuple):
     """What one backward step from level j+1 to level j reads that does not

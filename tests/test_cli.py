@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isaacs
@@ -608,6 +611,89 @@ def test_a_negative_seed_is_a_config_error(tmp_path, capsys):
     args = ["run", str(good), "--out", str(tmp_path / "b"), "--seed", "-1", "--quiet"]
     assert main(args) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_a_seed_of_2_to_the_64_or_more_is_a_config_error(tmp_path, capsys):
+    # the path noise is keyed by 64 bits of the seed, so 2**64 would write
+    # the forward entry of seed 0; the largest 64-bit seed runs
+    big = 2 ** 64
+    message = f"^seed must be below 2\\*\\*64, got {big}$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(MINIMAL + f"\n[run]\nseed = {big}\n")
+    with pytest.raises(ConfigError, match=message):
+        run(parse_config(MINIMAL), str(tmp_path / "r"), seed=big, quiet=True)
+    path = tmp_path / "forward.ini"
+    path.write_text(MINIMAL + "\n[run]\nchecks = validate, forward\n")
+    args = ["run", str(path), "--quiet", "--out"]
+    assert main([*args, str(tmp_path / "a"), "--seed", str(big)]) == 2
+    assert f"seed must be below 2**64, got {big}" in capsys.readouterr().err
+    assert main([*args, str(tmp_path / "b"), "--seed", str(big - 1)]) == 0
+
+
+def _run_in_process(config, out):
+    """main() on `config` writing to `out`: its exit code and stderr, and
+    the warnings raised while it ran."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["run", config, "--out", out, "--quiet"])
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+def _data_files(out):
+    """Every file a run wrote but the manifest, which holds timings, by name."""
+    if not os.path.isdir(out):
+        return {}
+    data = {}
+    for name in sorted(os.listdir(out)):
+        if name != "manifest.json":
+            with open(os.path.join(out, name), "rb") as fh:
+                data[name] = fh.read()
+    return data
+
+
+_SEEDS, _THREADS = (0, 1, 2 ** 64 - 1, 2 ** 64, -1, 10 ** 30), (-1, 0, 1, 4)
+
+
+# each value is drawn from the accepted ones half the time, so that most
+# examples reach a run and not only the refusal of their [run] section
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    seed=st.sampled_from(_SEEDS[:3]) | st.sampled_from(_SEEDS),
+    threads=st.sampled_from(_THREADS[2:]) | st.sampled_from(_THREADS),
+    checks=st.lists(st.sampled_from(CHECKS), min_size=1, unique=True),
+    nx=st.integers(3, 11),
+    nt=st.integers(1, 20),
+)
+@example(seed=10 ** 30, threads=1, checks=["forward"], nx=5, nt=4)
+def test_any_run_section_exits_0_1_or_2_and_reruns_to_the_same_bytes(
+    seed, threads, checks, nx, nt
+):
+    text = (
+        "[problem]\nname = dynkin_heat\n\n"
+        f"[grid]\nx_min = -9.0\nx_max = 9.0\nnx = {nx}\nnt = {nt}\n\n"
+        f"[run]\nchecks = {', '.join(checks)}\nseed = {seed}\nthreads = {threads}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.ini")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        outcomes = []
+        for out in (os.path.join(tmp, "a"), os.path.join(tmp, "b")):
+            code, err, caught = _run_in_process(config, out)
+            assert code in (0, 1, 2), code
+            assert "Traceback" not in err and "Warning" not in err, err
+            assert caught == [], caught
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                for name in ("verdict.json", "manifest.json"):
+                    with open(os.path.join(out, name), encoding="utf-8") as fh:
+                        json.load(fh)
+            outcomes.append((code, err, _data_files(out)))
+        assert outcomes[0] == outcomes[1]
+    # a seed outside [0, 2**64) and a thread count below 1 are refused
+    assert (outcomes[0][0] == 2) == (not 0 <= seed < 2 ** 64 or threads < 1)
 
 
 def test_an_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys):

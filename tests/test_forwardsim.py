@@ -106,6 +106,24 @@ def test_one_stream_object_draws_what_a_new_stream_per_path_draws(seed):
         assert got.tobytes() == want.tobytes(), (n_paths, n_steps)
 
 
+def test_a_seed_outside_64_bits_is_refused():
+    # the noise is keyed by 64 bits of the seed, so a seed outside [0, 2**64)
+    # would draw the paths of another: -1 those of 2**64 - 1, 2**64 those of 0
+    spec = _scalar_spec(
+        b=lambda t, x, u, v: 0.0 * np.asarray(x, dtype=float),
+        sigma=lambda t, x, u, v: 1.0 + 0.0 * np.asarray(x, dtype=float),
+    )
+    for seed in (-1, 2 ** 64, 10 ** 30):
+        message = f"^seed must be in \\[0, 2\\*\\*64\\), got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            simulate_paths(spec, 0.0, 0.0, n_paths=2, n_steps=2, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            check_forward_estimates(spec, n_paths=2, n_steps=2, seed=seed)
+    largest = simulate_paths(spec, 0.0, 0.0, n_paths=2, n_steps=2, seed=2 ** 64 - 1)
+    smallest = simulate_paths(spec, 0.0, 0.0, n_paths=2, n_steps=2, seed=0)
+    assert not np.array_equal(largest.states, smallest.states)
+
+
 def test_simulation_rejects_bad_windows():
     spec = _scalar_spec(
         b=lambda t, x, u, v: 0.0 * np.asarray(x, dtype=float),
@@ -268,16 +286,6 @@ def test_euler_paths_name_a_nonfinite_b_or_sigma_at_the_step_that_meets_it(name,
     ):
         with pytest.raises(CoefficientError, match=f"^{re.escape(message)}$"):
             check()
-
-
-def test_dense_transition_rows_are_probability_vectors():
-    bp = builtin("dynkin_heat")
-    grid = SpaceTimeGrid(-9.0, 9.0, 101, 100, 1.0)
-    lattice = build_lattice(bp.spec, 0.0, grid)
-    mat = lattice.dense_transition(3)
-    assert mat.shape == (lattice.counts[3], lattice.counts[4])
-    assert np.all(mat >= 0.0)
-    assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_forward_estimates_match_the_contracting_flow():

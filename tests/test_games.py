@@ -104,7 +104,9 @@ def test_dynamic_programming_recomposes_an_already_solved_field():
 
 def test_a_verdict_from_solved_fields_is_the_one_compute_values_returns():
     bp = builtin("bilinear_game")
-    lower, upper = pde.solve_lower_and_upper(bp.spec, bp.grid)
+    lower, upper = (
+        pde.solve_isaacs_double_obstacle(bp.spec, bp.grid, kind) for kind in ("lower", "upper")
+    )
     for seed in (0, 3):
         marched = compute_values(bp.spec, bp.grid, seed=seed)
         given = value_verdict(bp.spec, bp.grid, lower, upper, seed)

@@ -131,8 +131,6 @@ def test_penalization_sweep_is_monotone_and_contracting():
     assert report.diagonal_violation <= 1e-9
     assert report.two_sided_gap[-1] < report.two_sided_gap[0]
     assert 0.0 <= report.gap_ratio < 1.0
-    assert report.final_above.penalty == (64.0, 0.0)
-    assert report.final_below.penalty == (0.0, 64.0)
 
 
 def test_gap_ratio_degenerates_gracefully():
@@ -218,13 +216,6 @@ def test_grid_validation_and_time_levels():
     assert grid.time_level(1.0) == 10
     with pytest.raises(ValueError, match="not a grid time level"):
         grid.time_level(0.05)
-
-
-def test_interpolation_recovers_node_values():
-    bp = builtin("constant")
-    field = solve_isaacs_double_obstacle(bp.spec, bp.grid, "lower")
-    assert field.interpolate(0.5, 0.0) == 0.5
-    assert field.interpolate(0.123, 1.771) == pytest.approx(0.5, abs=1e-12)
 
 
 # -- stacked marches ----------------------------------------------------------
@@ -431,8 +422,9 @@ def test_stacked_sweep_raises_the_parents_cfl_error():
 
 @pytest.mark.parametrize("name", ["dynkin_heat", "separable_game", "custom"])
 def test_a_sweep_given_its_reference_reports_what_marching_it_reports(name, monkeypatch):
-    # the penalization check of a run is given its reference and its rows
-    # from the run's one march, and reports what the sweep marching them does
+    # the penalization check of a run reads the statistics that the run's
+    # one march fed from its reference and its rows, and reports what the
+    # sweep marching them alone does
     if name == "custom":
         spec, grid, _ = parse_config(_BENCHMARK_CUSTOM).resolve()
     else:
@@ -456,13 +448,10 @@ def test_a_sweep_given_its_reference_reports_what_marching_it_reports(name, monk
     assert (reference.label, reference.penalty) == ("lower", (0.0, 0.0))
     assert reference.times.tobytes() == grid.time_nodes().tobytes()
     assert reference.nodes.tobytes() == grid.space_nodes().tobytes()
-    # the run stores the sweep's top level only; the rows below it went to
-    # the statistics level by level
-    last = 2 * len(schedule) - 2
-    assert all(fields[f"sweep_{i}"] is None for i in range(last))
-    final = fields[f"sweep_{last}"], fields[f"sweep_{last + 1}"]
-    given_ = fields["sweep"].report(reference, *final)
-    assert given_.reference is reference
+    # the run stores none of the sweep's rows; every level of them went to
+    # the statistics
+    assert all(fields[f"sweep_{i}"] is None for i in range(2 * len(schedule)))
+    given_ = fields["sweep"].report()
     stored = march_rows(spec, grid, [two_barrier_row("lower", None), *sweep_rows(schedule)])
     # the numbers, level by level, are those of one np.max per difference of
     # whole fields; separable_game's obstacles never bind, the others' do
@@ -472,9 +461,6 @@ def test_a_sweep_given_its_reference_reports_what_marching_it_reports(name, monk
     for report in (given_, sweep_report(schedule, stored[0], stored[1:])):
         for field in dataclasses.fields(ConvergenceReport):
             assert repr(getattr(report, field.name)) == repr(getattr(marched, field.name))
-        for field in ("reference", "final_above", "final_below"):
-            got, want = getattr(report, field), getattr(marched, field)
-            assert got.values.tobytes() == want.values.tobytes()
 
 
 def _whole_field_maxima(reference, penalized):
@@ -530,8 +516,8 @@ def _sweep_three_ways(spec, grid, schedule):
     def run():
         fields = _march_fields(spec, grid, schedule, _RUN_CHECKS)
         rows = ["lower", *(f"sweep_{i}" for i in range(2 * len(schedule)))]
-        reference, *sweep = raise_first_failure([fields[row] for row in rows])
-        return fields["sweep"].report(reference, sweep[-2], sweep[-1])
+        raise_first_failure([fields[row] for row in rows])
+        return fields["sweep"].report()
 
     def stored():
         rows = [two_barrier_row("lower", None), *sweep_rows(schedule)]
@@ -553,7 +539,7 @@ def _sweep_three_ways(spec, grid, schedule):
 
 def _assert_same_sweep(got, want):
     """Two sweep outcomes are the same failure, or reports with the same
-    numbers to the bit, the sign of zero included, and the same fields."""
+    numbers to the bit, the sign of zero included."""
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
         return
@@ -571,8 +557,6 @@ def _assert_same_sweep(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a == b, name
         assert np.array(a).tobytes() == np.array(b).tobytes(), name
-    for name in ("reference", "final_above", "final_below"):
-        _assert_same_result(getattr(got, name), getattr(want, name))
 
 
 def _signed_zero_spec():
@@ -683,18 +667,25 @@ def _run_march_peak(spec, grid, schedule):
     return peak + _mapped_bytes(fields)
 
 
-def test_a_run_march_holds_under_six_fields_whatever_the_schedule():
-    # the run stores lower, upper, the sweep's top level from above and from
-    # below and the two dpp heads of half the levels each: five fields, and
-    # the 2L - 2 sweep rows below the top level only one level at a time
+def test_a_run_march_holds_under_four_fields_whatever_the_schedule():
+    # the run stores lower, upper and the two dpp heads of half the levels
+    # each: three fields, and the sweep's 2L penalized rows only one level
+    # at a time
     bp = builtin("dynkin_heat")
     grid = bp.grid
     assert (grid.nx, grid.nt, len(bp.schedule)) == (201, 400, 7)
     field = (grid.nt + 1) * grid.nx * 8
     default = _run_march_peak(bp.spec, grid, bp.schedule)
-    assert default < 6 * field
+    assert default < 4 * field
     longer = PenalizationSchedule(tuple(4.0 * k for k in range(1, 17)))
     assert abs(_run_march_peak(bp.spec, grid, longer) - default) < field
+    # the sweep's reader streams every penalized row: each ends in None,
+    # and only the reference in its field
+    rows = [two_barrier_row("lower", None), *sweep_rows(bp.schedule)]
+    statistics = pde.SweepStatistics(bp.schedule, range(len(rows)))
+    reference, *streamed = march_rows(bp.spec, DYNKIN_COARSE, rows, statistics)
+    assert isinstance(reference, pde.ValueField)
+    assert streamed == [None] * (2 * len(bp.schedule))
 
 
 def _climbing_spec():
