@@ -16,7 +16,7 @@ bp = builtin("dynkin_heat")
 grid = SpaceTimeGrid(-9.0, 9.0, 101, 100, 1.0)
 lattice = build_lattice(bp.spec, 0.0, grid)
 
-sol = solve_backward(bp.spec, lattice, (0.0, 0.0), mode="two_barrier")
+sol = solve_backward(bp.spec, lattice, mode="two_barrier")
 mid = len(sol.y[0]) // 2
 print(f"value at x = 0: {sol.y[0][mid]:+.6f}")
 print(f"mean lower push over [0,T]: {sol.k_plus_mean[-1]:.6f}")

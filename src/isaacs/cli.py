@@ -562,9 +562,8 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
             "split_time": lo.split_time,
         }
     if name == "comparison":
-        lattice = fields["lattice"]
         lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
-        report = rbsde.comparison_check(spec, lifted, lattice, lattice.controls, seed=seed)
+        report = rbsde.comparison_check(spec, lifted, fields["lattice"], seed=seed)
         return {
             "passed": bool(report.passed),
             "conclusive": bool(report.conclusive),
@@ -573,18 +572,14 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
             "max_k_minus_violation": report.max_k_minus_violation,
         }
     if name == "crosscheck":
-        report = games.fixed_control_crosscheck(
-            spec, grid, spec.control_pair(), base=fields["lattice"]
-        )
+        report = games.fixed_control_crosscheck(spec, fields["lattice"])
         return {
             "passed": bool(report.passed),
             "max_diff": report.max_diff,
             "tolerance": report.tolerance,
         }
     if name == "estimates":
-        report = rbsde.apriori_estimate_check(
-            spec, grid, spec.control_pair(), base=fields["lattice"]
-        )
+        report = rbsde.apriori_estimate_check(spec, fields["lattice"])
         out = {"passed": bool(report.passed), "refinement": report.refinement}
         for key, val in report.constants.items():
             out[f"constant_{key}"] = val

@@ -80,9 +80,15 @@ _U64 = (1 << 64) - 1
 # meets a row clipped at the halo's edge (module docstring)
 ESCAPE_BOUND = 2.0 ** -60
 
+# the most nodes a level may hold: a drift that would carry the next level
+# past it is refused before the level is built
+MAX_LEVEL_NODES = 2 ** 20
+
 
 class LatticeError(ValueError):
-    """Lattice transition probabilities cannot be made nonnegative."""
+    """A lattice cannot be built: a transition probability would be
+    negative, a level would pass MAX_LEVEL_NODES nodes, or the moments
+    degraded."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,18 +187,19 @@ def simulate_paths(
 class RecombiningLattice:
     """Trinomial chain of one control pair over the time levels of a grid.
 
-    `controls` is the (u, v) pair whose dynamics the chain follows.  Step j
-    runs from times[j] to times[j+1].  Node values at step j are
-    origin + (first_index[j] + arange(counts[j])) * dx; step 0 coincides
-    with the spatial nodes of the grid the lattice was built from, and the
-    node set widens with j by the pair's reach up to `halo[j]` nodes beyond
-    each end of the grid, K_j of the module docstring, which grows with the
-    variance the chain has built up by step j.  transitions[j] is the
-    triple (center, p_down, p_up) of one int32 and two float64 columns, 20
-    bytes a node; `transition(j)` reads it as (center, probs).  It is the
-    object transitions[j - 1] when steps j - 1, j and j + 1 hold one node
-    set and b and sigma have the same bytes at steps j - 1 and j, so the
-    lattice stores 20 bytes a node of each distinct step.
+    `controls` is the (u, v) pair whose dynamics the chain follows and
+    `grid` the grid it was built on, all a reader needs.  Step j runs from
+    times[j] to times[j+1].  Node values at step j are grid.x_min +
+    (first_index[j] + arange(counts[j])) * grid.dx; step 0 is the grid's
+    nodes, and the node set widens with j by the pair's reach up to
+    `halo[j]` nodes beyond each end of the grid, K_j of the module
+    docstring, which grows with the variance the chain has built up by step
+    j.  transitions[j] is the triple (center, p_down, p_up) of one int32 and
+    two float64 columns, 20 bytes a node; `transition(j)` reads it as
+    (center, probs).  It is the object transitions[j - 1] when steps j - 1,
+    j and j + 1 hold one node set and b and sigma have the same bytes at
+    steps j - 1 and j, so the lattice stores 20 bytes a node of each
+    distinct step.
 
     At the halo's edge `clipped_rows` rows in all have their center clipped
     inward; the chain from a grid node at step 0 reaches one with
@@ -201,9 +208,8 @@ class RecombiningLattice:
     """
 
     controls: tuple
+    grid: object
     times: np.ndarray
-    dx: float
-    origin: float
     first_index: tuple
     counts: tuple
     transitions: tuple
@@ -219,7 +225,7 @@ class RecombiningLattice:
 
     def node_values(self, step):
         lo = self.first_index[step]
-        return self.origin + self.dx * (lo + np.arange(self.counts[step]))
+        return self.grid.x_min + self.grid.dx * (lo + np.arange(self.counts[step]))
 
     def transition(self, step):
         """(center, probs) of step `step`: row i of probs is the (down, stay,
@@ -239,11 +245,12 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
     `controls` is that (u, v) pair, which must sit on the control grids of
     `spec`; None picks the first point of each grid.  `grid` supplies x_min,
     dx, dt, nx, nt and the horizon (any object with those attributes
-    works).  t0 must sit on a time level.  Raises CoefficientError when b
-    or sigma is nonfinite at a node, naming the first such node, and
-    LatticeError when some transition probability would be below -1e-12,
-    reporting the worst node and, when shrinking the step helps, the largest
-    admissible dt.
+    works), and the lattice keeps both.  t0 must sit on a time level.
+    Raises CoefficientError when b or sigma is nonfinite at a node, naming
+    the first such node, and LatticeError when the drift would carry a
+    level past MAX_LEVEL_NODES nodes or some transition probability would
+    be below -1e-12, reporting the worst node and, when shrinking the step
+    helps, the largest admissible dt.
     """
     dt, dx = grid.dt, grid.dx
     s0 = int(round(t0 / dt))
@@ -284,11 +291,20 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         if not repeat:
             require_finite("b", b, t, x, [controls])
             require_finite("sigma", sig, t, x, [controls])
-            s2 = sig * sig
-            nu = b * (dt / dx)
+            with np.errstate(over="ignore"):  # an infinite nu or s2 is refused below
+                s2 = sig * sig
+                nu = b * (dt / dx)
+                diffusion = s2 * dt / (dx * dx)
+            nu_max = float(np.max(np.abs(nu)))
+            # the next level holds at most count + 2 (max |shift| + 1) nodes
+            if not count + 2.0 * (np.rint(nu_max) + 1.0) <= MAX_LEVEL_NODES:
+                raise LatticeError(
+                    f"a level of {count} nodes and a drift of up to {nu_max:.6g} nodes a step"
+                    f" at t={t:.6g}, controls ({u!r}, {v!r}), would make the next level"
+                    f" pass {MAX_LEVEL_NODES} nodes"
+                )
             shift = np.rint(nu).astype(np.int64)
             resid = nu - shift
-            diffusion = s2 * dt / (dx * dx)
             q = diffusion + resid ** 2
             p_up = 0.5 * (q + resid)
             p_down = 0.5 * (q - resid)
@@ -320,7 +336,6 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
             np.minimum(probs[:, 2], 1.0 - probs[:, 0], out=probs[:, 2])
             probs[:, 1] = 1.0 - probs[:, 0] - probs[:, 2]
             shift_max = int(np.max(np.abs(shift)))
-            nu_max = float(np.max(np.abs(nu)))
             diffusion_max = float(np.max(diffusion))
 
         drift_reach += max(nu_max, shift_max)
@@ -366,9 +381,8 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
 
     return RecombiningLattice(
         controls=controls,
+        grid=grid,
         times=times,
-        dx=dx,
-        origin=grid.x_min,
         first_index=tuple(first_index),
         counts=tuple(counts),
         transitions=tuple(transitions),
@@ -378,28 +392,6 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         escape_bound=ESCAPE_BOUND,
         clipped_rows=clipped_rows,
     )
-
-
-def base_lattice(spec, grid, controls, lattice=None):
-    """The lattice of the pair `controls` on `grid` from t = 0: `lattice`
-    when it is already built, after checking that it is that lattice, and a
-    new build otherwise."""
-    controls = spec.control_pair(controls)
-    if lattice is None:
-        return build_lattice(spec, 0.0, grid, controls)
-    if (
-        lattice.controls != controls
-        or lattice.counts[0] != grid.nx
-        or lattice.dx != grid.dx
-        or lattice.origin != grid.x_min
-        or not np.array_equal(lattice.times, grid.dt * np.arange(grid.nt + 1))
-    ):
-        raise ValueError(
-            f"lattice of pair {lattice.controls!r} with {lattice.n_steps} steps and"
-            f" {lattice.counts[0]} nodes from t = {lattice.times[0]:.6g} is not the base"
-            f" lattice of pair {controls!r} on this grid"
-        )
-    return lattice
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,7 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from . import forwardsim, pde, rbsde
+from . import pde, rbsde
 from .model import ControlGrid, isaacs_condition_check
 
 
@@ -142,8 +142,9 @@ class CrosscheckReport:
     passed: bool
 
 
-def fixed_control_crosscheck(spec, grid, controls, tolerance=None, base=None):
-    """Freeze one control pair and solve the resulting linear problem twice.
+def fixed_control_crosscheck(spec, lattice, tolerance=None):
+    """Freeze the lattice's control pair and solve the resulting linear
+    problem twice.
 
     The finite-difference march runs on singleton control grids, where both
     reductions collapse, and the lattice recursion on the pair's chain:
@@ -152,19 +153,19 @@ def fixed_control_crosscheck(spec, grid, controls, tolerance=None, base=None):
     is checked at the initial time on the inner half of the domain, out of
     reach of either boundary treatment at these horizons.  The default
     tolerance 5 (dx + dt) at the field's own scale matches the schemes'
-    first-order disagreement.  `base` is the pair's lattice on `grid` from
-    t = 0 when it is already built (as `isaacs run` builds it for its
-    lattice checks); it is built here otherwise.
+    first-order disagreement.  `lattice` must start at t = 0
+    (`rbsde.require_base`); the march runs on its grid.
     """
-    u, v = spec.control_pair(controls)
+    rbsde.require_base(lattice)
+    grid = lattice.grid
+    u, v = spec.control_pair(lattice.controls)
     frozen = dataclasses.replace(
         spec,
         controls_i=ControlGrid(spec.controls_i.label, (u,)),
         controls_ii=ControlGrid(spec.controls_ii.label, (v,)),
     )
     field = pde.solve_isaacs_double_obstacle(frozen, grid, "lower")
-    lattice = forwardsim.base_lattice(spec, grid, (u, v), base)
-    y0 = rbsde.backward_semigroup(spec, lattice, (u, v), 0, lattice.n_steps, None)
+    y0 = rbsde.backward_semigroup(spec, lattice, 0, lattice.n_steps, None)
     w0 = field.initial()
     i0, i1 = grid.nx // 4, grid.nx - grid.nx // 4
     max_diff = float(np.max(np.abs(y0[i0:i1] - w0[i0:i1])))
@@ -172,7 +173,7 @@ def fixed_control_crosscheck(spec, grid, controls, tolerance=None, base=None):
         spread = float(np.max(w0) - np.min(w0))
         tolerance = 5.0 * (grid.dx + grid.dt) * max(1.0, spread)
     return CrosscheckReport(
-        controls=(u, v),
+        controls=lattice.controls,
         max_diff=max_diff,
         tolerance=tolerance,
         inner=(i0, i1),

@@ -282,8 +282,9 @@ class Variant:
     def terminal_row(self, coefficients, t, x, terminal):
         """The terminal row on the nodes x at time t: a copy of `terminal`,
         or the payoff when it is None.  Refuses a row whose shape is not that
-        of x, or that leaves an obstacle this variant clamps to by more than
-        1e-9, the one terminal tolerance of both backward solvers."""
+        of x, that leaves an obstacle this variant clamps to by more than
+        1e-9, the one terminal tolerance of both backward solvers, or that is
+        nonfinite."""
         tol = 1e-9
         if terminal is None:
             terminal = on_nodes(coefficients.terminal(x), x.shape, "terminal")
@@ -295,6 +296,8 @@ class Variant:
             raise ValueError(f"terminal values dip below the lower obstacle at t={t:.6g}")
         if self.clamp_upper and np.any(row > up + tol):
             raise ValueError(f"terminal values exceed the upper obstacle at t={t:.6g}")
+        if not np.isfinite(row).all():
+            raise ValueError(f"nonfinite terminal values at t={t:.6g}")
         return row
 
 

@@ -265,7 +265,10 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin, reader=None):
             t = j * dt
             w_next = level[index]
             try:
-                tables, *maxima = hamiltonian_tables(spec, t, x, w_next, *_derivatives(w_next, dx))
+                with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                    tables, *maxima = hamiltonian_tables(
+                        spec, t, x, w_next, *_derivatives(w_next, dx)
+                    )
             except CoefficientError as exc:
                 # a wrong-shaped coefficient or a nonfinite b or sigma: the
                 # tables are one call for the whole stack, so every row fails
@@ -434,7 +437,8 @@ class SweepStatistics:
 
     `rows` are the indices, in the levels fed, of the reference and of the
     `sweep_rows` rows in that order, and `streamed` the penalized ones,
-    whose fields the march does not store.  `feed` takes one (rows, nx)
+    whose fields the march does not store (a caller that reads the
+    reference nowhere else adds its row too).  `feed` takes one (rows, nx)
     level and folds, node by node, running maxima over the levels fed: per
     level m of the schedule |above - reference|, |below - reference|,
     above - below, reference - above and below - reference, and per pair of
@@ -495,12 +499,14 @@ def run_penalization_sweep(spec, grid, schedule):
     through a schedule of weights, all levels and the two-obstacle
     reference side by side in one stacked march, and report them as
     `sweep_report` does; the statistics are taken level by level as the
-    march goes, and of the 2L + 1 fields only the reference is stored.
+    march goes, and none of the 2L + 1 fields is stored.
     """
     if not isinstance(schedule, PenalizationSchedule):
         schedule = PenalizationSchedule(tuple(schedule))
     rows = [two_barrier_row("lower", None), *sweep_rows(schedule)]
     statistics = SweepStatistics(schedule, range(len(rows)))
+    # only the statistics read the reference here
+    statistics.streamed.add(0)
     raise_first_failure(march_rows(spec, grid, rows, statistics))
     return statistics.report()
 

@@ -40,7 +40,7 @@ def test_constant_problem_is_exact_and_fast():
         field = pde.solve_isaacs_double_obstacle(bp.spec, bp.grid, kind)
         worst = max(worst, float(np.max(np.abs(field.values - 0.5))))
     lattice = build_lattice(bp.spec, 0.0, bp.grid)
-    sol = rbsde.solve_backward(bp.spec, lattice, (0.0, 0.0), mode="two_barrier")
+    sol = rbsde.solve_backward(bp.spec, lattice, mode="two_barrier")
     worst = max(worst, max(float(np.max(np.abs(y - 0.5))) for y in sol.y))
     k_mass = max(
         float(np.max(sol.k_plus_mean)),
@@ -98,11 +98,10 @@ def test_penalized_fields_bracket_and_bound_the_reference(dynkin_sweep):
 
 def test_lattice_and_grid_solvers_agree_under_frozen_controls():
     bp = problems.builtin("dynkin_heat")
-    base = games.fixed_control_crosscheck(bp.spec, bp.grid, (0.0, 0.0))
-    fine = games.fixed_control_crosscheck(
-        bp.spec,
-        SpaceTimeGrid(-9.0, 9.0, (bp.grid.nx - 1) * 2 + 1, bp.grid.nt * 4, 1.0),
-        (0.0, 0.0),
+    fine_grid = SpaceTimeGrid(-9.0, 9.0, (bp.grid.nx - 1) * 2 + 1, bp.grid.nt * 4, 1.0)
+    base, fine = (
+        games.fixed_control_crosscheck(bp.spec, build_lattice(bp.spec, 0.0, grid))
+        for grid in (bp.grid, fine_grid)
     )
     ok = base.passed and fine.passed and fine.max_diff < base.max_diff
     _verdict(
@@ -167,9 +166,7 @@ def test_randomized_monotone_data_keeps_solutions_ordered():
         bigger = dataclasses.replace(
             bp.spec, coefficients=dataclasses.replace(co, **changes)
         )
-        report = rbsde.comparison_check(
-            bp.spec, bigger, lattice, (0.0, 0.0), samples=16, seed=trial
-        )
+        report = rbsde.comparison_check(bp.spec, bigger, lattice, samples=16, seed=trial)
         assert report.conclusive, report.hypothesis_detail
         worst_y = max(worst_y, report.max_y_violation)
         if report.equal_barriers:
@@ -196,8 +193,7 @@ def test_reflection_increments_are_complementary_and_flat():
     worst = 0.0
     nodes_checked = 0
     for spec, lattice in cases:
-        controls = next(iter(spec.control_pairs()))
-        sol = rbsde.solve_backward(spec, lattice, controls, mode="two_barrier")
+        sol = rbsde.solve_backward(spec, lattice, mode="two_barrier")
         co = spec.coefficients
         for j in range(len(sol.y) - 1):
             x = lattice.node_values(j)

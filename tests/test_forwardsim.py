@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from isaacs import forwardsim
 from isaacs.forwardsim import (
     LatticeError,
     _path_increments,
@@ -237,6 +238,35 @@ def test_too_coarse_time_step_is_refused_with_admissible_dt():
     grid = SpaceTimeGrid(-1.0, 1.0, 21, 4, 1.0)  # q = 4 * 0.25 / 0.01 = 100
     with pytest.raises(LatticeError, match="largest admissible dt"):
         build_lattice(spec, 0.0, grid)
+
+
+def test_no_level_passes_the_node_cap_and_a_refusal_names_the_level(monkeypatch):
+    monkeypatch.setattr(forwardsim, "MAX_LEVEL_NODES", 64)
+    grid = SpaceTimeGrid(-1.0, 1.0, 21, 8, 1.0)  # dt/dx = 1.25, sigma^2 dt/dx^2 = 0.5
+    built = refused = 0
+    for drift in np.linspace(0.0, 20.0, 81):
+        spec = _scalar_spec(
+            b=lambda t, x, u, v, c=drift: c + 0.0 * np.asarray(x, dtype=float),
+            sigma=lambda t, x, u, v: 0.2 + 0.0 * np.asarray(x, dtype=float),
+        )
+        try:
+            lattice = build_lattice(spec, 0.0, grid)
+        except LatticeError as exc:
+            # the level it names was built, so it too keeps under the cap
+            named = re.match(r"a level of (\d+) nodes and a drift of up to", str(exc))
+            assert named and int(named.group(1)) <= 64, exc
+            refused += 1
+        else:
+            assert max(lattice.counts) <= 64
+            built += 1
+    assert built and refused
+    # a grid as wide as the cap leaves no room for the next level's edge
+    still = _scalar_spec(
+        b=lambda t, x, u, v: 0.0 * np.asarray(x, dtype=float),
+        sigma=lambda t, x, u, v: 0.0 * np.asarray(x, dtype=float),
+    )
+    with pytest.raises(LatticeError, match="a level of 64 nodes and a drift of up to 0 nodes"):
+        build_lattice(still, 0.0, SpaceTimeGrid(-1.0, 1.0, 64, 8, 1.0))
 
 
 _NONFINITE = pytest.mark.parametrize(

@@ -117,7 +117,7 @@ def test_a_verdict_from_solved_fields_is_the_one_compute_values_returns():
 
 def test_frozen_controls_reconcile_the_two_solver_families():
     bp = builtin("dynkin_heat")
-    report = fixed_control_crosscheck(bp.spec, bp.grid, (0.0, 0.0))
+    report = fixed_control_crosscheck(bp.spec, build_lattice(bp.spec, 0.0, bp.grid))
     assert report.passed
     assert report.max_diff < report.tolerance
     assert report.controls == (0.0, 0.0)
@@ -130,7 +130,8 @@ def test_frozen_controls_reconcile_the_two_solver_families():
 def test_the_crosscheck_reads_the_root_row_a_full_solve_stores(name):
     # the reference: the same report from `solve_backward`'s stored levels
     bp = builtin(name)
-    report = fixed_control_crosscheck(bp.spec, bp.grid, None)
+    lattice = build_lattice(bp.spec, 0.0, bp.grid)
+    report = fixed_control_crosscheck(bp.spec, lattice)
     (u, v) = bp.spec.control_pair()
     frozen = dataclasses.replace(
         bp.spec,
@@ -138,8 +139,7 @@ def test_the_crosscheck_reads_the_root_row_a_full_solve_stores(name):
         controls_ii=ControlGrid(bp.spec.controls_ii.label, (v,)),
     )
     w0 = pde.solve_isaacs_double_obstacle(frozen, bp.grid, "lower").initial()
-    lattice = build_lattice(bp.spec, 0.0, bp.grid)
-    y0 = solve_backward(bp.spec, lattice, (u, v)).y[0]
+    y0 = solve_backward(bp.spec, lattice).y[0]
     i0, i1 = bp.grid.nx // 4, bp.grid.nx - bp.grid.nx // 4
     max_diff = float(np.max(np.abs(y0[i0:i1] - w0[i0:i1])))
     tolerance = 5.0 * (bp.grid.dx + bp.grid.dt) * max(1.0, float(np.max(w0) - np.min(w0)))
@@ -163,22 +163,27 @@ def test_crosscheck_refuses_a_pair_off_the_grids_before_marching(
 
     monkeypatch.setattr(pde, "_march", no_march)
     bp = builtin("dynkin_heat")
+    # dynkin_heat's b and sigma read neither control, so its chain is the
+    # chain of any pair; only the pair the lattice records differs
+    lattice = dataclasses.replace(build_lattice(bp.spec, 0.0, bp.grid), controls=controls)
     with pytest.raises(ValueError, match=message):
-        fixed_control_crosscheck(bp.spec, bp.grid, controls)
+        fixed_control_crosscheck(bp.spec, lattice)
 
 
 def test_crosscheck_tightens_under_refinement():
     bp = builtin("dynkin_heat")
-    base = fixed_control_crosscheck(bp.spec, bp.grid, (0.0, 0.0))
-    fine = fixed_control_crosscheck(
-        bp.spec, SpaceTimeGrid(-9.0, 9.0, 401, 1600, 1.0), (0.0, 0.0)
+    fine_grid = SpaceTimeGrid(-9.0, 9.0, 401, 1600, 1.0)
+    base, fine = (
+        fixed_control_crosscheck(bp.spec, build_lattice(bp.spec, 0.0, grid))
+        for grid in (bp.grid, fine_grid)
     )
     assert fine.max_diff < base.max_diff
 
 
 def test_crosscheck_respects_an_explicit_tolerance():
     bp = builtin("dynkin_heat")
-    report = fixed_control_crosscheck(bp.spec, bp.grid, (0.0, 0.0), tolerance=1e-15)
+    lattice = build_lattice(bp.spec, 0.0, bp.grid)
+    report = fixed_control_crosscheck(bp.spec, lattice, tolerance=1e-15)
     assert not report.passed
 
 

@@ -72,9 +72,8 @@ def _uncapped_lattice(spec, grid, controls=None):
         transitions.append((center.astype(np.int32), probs[:, 0].copy(), probs[:, 2].copy()))
     return RecombiningLattice(
         controls=controls,
+        grid=grid,
         times=times,
-        dx=dx,
-        origin=grid.x_min,
         first_index=tuple(first_index),
         counts=tuple(counts),
         transitions=tuple(transitions),
@@ -122,15 +121,15 @@ def test_the_root_level_is_bitwise_that_of_the_uncapped_lattice(name, grid):
         ("one_barrier_lower", 4.0),
         ("penalized", (4.0, 4.0)),
     ):
-        ours = solve_backward(spec, capped, capped.controls, mode=mode, penalty=penalty)
-        ref = solve_backward(spec, uncapped, uncapped.controls, mode=mode, penalty=penalty)
+        ours = solve_backward(spec, capped, mode=mode, penalty=penalty)
+        ref = solve_backward(spec, uncapped, mode=mode, penalty=penalty)
         level = (ours.y[0], ours.z[0], ours.dk_plus[0], ours.dk_minus[0])
         expected = (ref.y[0], ref.z[0], ref.dk_plus[0], ref.dk_minus[0])
         assert _bits(level) == _bits(expected), mode
 
     lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
-    ours = comparison_check(spec, lifted, capped, capped.controls, samples=16)
-    ref = comparison_check(spec, lifted, uncapped, uncapped.controls, samples=16)
+    ours = comparison_check(spec, lifted, capped, samples=16)
+    ref = comparison_check(spec, lifted, uncapped, samples=16)
     assert ours == ref
 
     assert _estimate_quantities(spec, capped, 0.1) == _estimate_quantities(spec, uncapped, 0.1)
@@ -308,8 +307,8 @@ def test_the_halo_moves_the_root_values_by_at_most_the_escape_bound(shift, resid
     capped = build_lattice(spec, 0.0, grid)
     uncapped = _uncapped_lattice(spec, grid)
     assert capped.clipped_rows > 0
-    ours = solve_backward(spec, capped, capped.controls)
-    ref = solve_backward(spec, uncapped, uncapped.controls)
+    ours = solve_backward(spec, capped)
+    ref = solve_backward(spec, uncapped)
     values = np.concatenate(ref.y + ours.y)
     osc = float(values.max() - values.min())
     rounding = 8.0 * float(np.spacing(np.max(np.abs(values))))
@@ -484,19 +483,19 @@ def _assert_the_walk_reads_shared_levels_as_unshared_ones(spec, lattice):
     ):
         for start, end in ranges:
             ours, ref = (
-                solve_backward(spec, lat, lat.controls, mode, penalty, None, start, end)
+                solve_backward(spec, lat, mode, penalty, None, start, end)
                 for lat in (lattice, copy)
             )
             assert _solution_bits(ours) == _solution_bits(ref), (mode, start, end)
     for start, end in ranges:
         end = n if end is None else end
         ours, ref = (
-            backward_semigroup(spec, lat, lat.controls, start, end, None) for lat in (lattice, copy)
+            backward_semigroup(spec, lat, start, end, None) for lat in (lattice, copy)
         )
         assert ours.tobytes() == ref.tobytes(), (start, end)
     lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
-    ours = comparison_check(spec, lifted, lattice, lattice.controls, samples=16)
-    assert ours.conclusive and ours == comparison_check(spec, lifted, copy, copy.controls, samples=16)
+    ours = comparison_check(spec, lifted, lattice, samples=16)
+    assert ours.conclusive and ours == comparison_check(spec, lifted, copy, samples=16)
     assert _estimate_quantities(spec, lattice, 0.1) == _estimate_quantities(spec, copy, 0.1)
 
 
@@ -532,9 +531,8 @@ def test_a_walk_reuses_a_step_only_on_one_node_set():
     spec = _flat_spec(0.0, 1.0)
     lattice = RecombiningLattice(
         controls=(0.0, 0.0),
+        grid=SpaceTimeGrid(-1.0, 1.0, n, nt, 1.0),
         times=np.arange(nt + 1) / nt,
-        dx=0.25,
-        origin=-1.0,
         first_index=tuple(k // 3 for k in range(nt + 1)),
         counts=(n,) * (nt + 1),
         transitions=(first,) * 7 + (then,) * 5,
@@ -548,6 +546,6 @@ def test_a_walk_reuses_a_step_only_on_one_node_set():
     # a walk of one level has no step to reuse
     values = None
     for j in range(nt - 1, -1, -1):
-        values = backward_semigroup(spec, lattice, lattice.controls, j, j + 1, values)
-    whole = backward_semigroup(spec, lattice, lattice.controls, 0, nt, None)
+        values = backward_semigroup(spec, lattice, j, j + 1, values)
+    whole = backward_semigroup(spec, lattice, 0, nt, None)
     assert whole.tobytes() == values.tobytes()

@@ -619,7 +619,7 @@ def test_unknown_variant_names_are_rejected_by_both_solvers(solver):
     grid = SpaceTimeGrid(-1.0, 1.0, 5, 10, 1.0)
     with pytest.raises(ValueError, match="unknown mode"):
         if solver == "lattice":
-            solve_backward(spec, build_lattice(spec, 0.0, grid), (0.0, 0.0), mode="sideways")
+            solve_backward(spec, build_lattice(spec, 0.0, grid), mode="sideways")
         else:
             solve_isaacs_penalized(spec, grid, penalty_kind="sideways")
 
@@ -864,7 +864,7 @@ _READERS = {
     "simulate_paths": lambda spec: simulate_paths(spec, 0.0, 0.0, 3, 4, seed=0),
     "hamiltonian_lower": lambda spec: hamiltonian_lower(spec, _point()),
     "validate_problem": lambda spec: validate_problem(spec, samples=8),
-    "comparison_check": lambda spec: comparison_check(spec, spec, _LATTICE, None, samples=8),
+    "comparison_check": lambda spec: comparison_check(spec, spec, _LATTICE, samples=8),
 }
 
 
@@ -905,5 +905,5 @@ def test_a_payoff_of_one_value_passes_the_comparison_hypotheses():
     co = dataclasses.replace(spec.coefficients, terminal=lambda x: np.array([0.5]))
     spec = dataclasses.replace(spec, coefficients=co)
     lattice = build_lattice(spec, 0.0, SpaceTimeGrid(-1.0, 1.0, 11, 40, 1.0))
-    report = comparison_check(spec, spec, lattice, None, samples=8)
+    report = comparison_check(spec, spec, lattice, samples=8)
     assert report.conclusive and report.passed

@@ -621,6 +621,24 @@ def test_a_streamed_sweep_fails_on_bilinear_games_pinned_grid():
         )
 
 
+def test_the_library_sweep_stores_no_field(monkeypatch):
+    # the statistics read every row of the sweep level by level, the
+    # reference too, so the march maps no level of any field
+    bp = builtin("dynkin_heat")
+    *_, stored = _sweep_three_ways(bp.spec, bp.grid, bp.schedule)
+    sizes = []
+    original = pde._mapped_levels
+
+    def recording(n, nx):
+        sizes.append((n, nx))
+        return original(n, nx)
+
+    monkeypatch.setattr(pde, "_mapped_levels", recording)
+    report = run_penalization_sweep(bp.spec, bp.grid, bp.schedule)
+    assert sizes == [(0, bp.grid.nx)]
+    _assert_same_sweep(report, stored)
+
+
 def test_a_zero_sweep_statistic_is_positive_zero():
     # above - below holds zeros of both signs; every difference is +0.0 at
     # the horizon, so each zero maximum is 0.0, on a small grid as on a

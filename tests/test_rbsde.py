@@ -86,7 +86,7 @@ def _float_ramp_recursion(nt):
 
 def test_ramp_oracle_value_and_reflection():
     spec, lattice = _ramp_spec(), _ramp_lattice()
-    sol = solve_backward(spec, lattice, CONTROLS, mode="two_barrier")
+    sol = solve_backward(spec, lattice, mode="two_barrier")
     levels, pushes = _float_ramp_recursion(100)
 
     assert float(sol.y[0][sol.root_index]) == -0.1
@@ -104,7 +104,7 @@ def test_ramp_oracle_value_and_reflection():
 
 
 def test_cumulative_reflection_means_are_monotone_from_zero():
-    sol = solve_backward(_ramp_spec(), _ramp_lattice(), CONTROLS, mode="two_barrier")
+    sol = solve_backward(_ramp_spec(), _ramp_lattice(), mode="two_barrier")
     assert sol.k_plus_mean[0] == 0.0 and sol.k_minus_mean[0] == 0.0
     assert np.all(np.diff(sol.k_plus_mean) >= 0.0)
     assert np.all(np.diff(sol.k_minus_mean) >= 0.0)
@@ -112,8 +112,8 @@ def test_cumulative_reflection_means_are_monotone_from_zero():
 
 def test_zero_penalty_equals_plain_bitwise():
     spec, lattice = _ramp_spec(), _ramp_lattice()
-    plain = solve_backward(spec, lattice, CONTROLS, mode="plain")
-    pen = solve_backward(spec, lattice, CONTROLS, mode="penalized", penalty=(0.0, 0.0))
+    plain = solve_backward(spec, lattice, mode="plain")
+    pen = solve_backward(spec, lattice, mode="penalized", penalty=(0.0, 0.0))
     assert all(np.array_equal(a, b) for a, b in zip(plain.y, pen.y))
     assert float(plain.y[0][plain.root_index]) == pytest.approx(-1.0, abs=1e-12)
     assert all(np.all(dk == 0.0) for dk in plain.dk_plus)
@@ -127,7 +127,7 @@ def _dynkin_lattice():
 
 def test_two_barrier_solution_stays_sandwiched():
     spec, lattice = _dynkin_lattice()
-    sol = solve_backward(spec, lattice, CONTROLS, mode="two_barrier")
+    sol = solve_backward(spec, lattice, mode="two_barrier")
     co = spec.coefficients
     for j in range(len(sol.y)):
         x = lattice.node_values(j)
@@ -140,7 +140,7 @@ def test_reflection_increments_are_flat_and_mutually_exclusive():
     # the clamp construction makes the complementarity products exact zeros,
     # not merely small: a raised node sits bitwise on the obstacle
     spec, lattice = _dynkin_lattice()
-    sol = solve_backward(spec, lattice, CONTROLS, mode="two_barrier")
+    sol = solve_backward(spec, lattice, mode="two_barrier")
     co = spec.coefficients
     assert sum(float(np.sum(dk)) for dk in sol.dk_plus) > 0.0
     assert sum(float(np.sum(dk)) for dk in sol.dk_minus) > 0.0
@@ -158,7 +158,7 @@ def test_reflection_increments_are_flat_and_mutually_exclusive():
 
 def test_occupation_law_stays_a_probability_vector():
     spec, lattice = _dynkin_lattice()
-    sol = solve_backward(spec, lattice, CONTROLS, mode="two_barrier")
+    sol = solve_backward(spec, lattice, mode="two_barrier")
     for w in sol.occupation:
         assert np.all(w >= 0.0)
         assert abs(float(np.sum(w)) - 1.0) < 1e-12
@@ -166,15 +166,15 @@ def test_occupation_law_stays_a_probability_vector():
 
 def test_one_barrier_approximations_squeeze_the_reflected_solution():
     spec, lattice = _dynkin_lattice()
-    ref = solve_backward(spec, lattice, CONTROLS, mode="two_barrier")
+    ref = solve_backward(spec, lattice, mode="two_barrier")
     tol = 1e-9
     prev_above = prev_below = None
     for m in (4.0, 16.0, 64.0):
         above = solve_backward(
-            spec, lattice, CONTROLS, mode="one_barrier_lower", penalty=m
+            spec, lattice, mode="one_barrier_lower", penalty=m
         )
         below = solve_backward(
-            spec, lattice, CONTROLS, mode="one_barrier_upper", penalty=m
+            spec, lattice, mode="one_barrier_upper", penalty=m
         )
         for j in range(len(ref.y)):
             assert np.all(above.y[j] >= ref.y[j] - tol)
@@ -191,8 +191,8 @@ def test_one_barrier_approximations_squeeze_the_reflected_solution():
 
 def test_recomposition_through_an_intermediate_step_is_exact():
     spec, lattice = _dynkin_lattice()
-    full = solve_backward(spec, lattice, CONTROLS, mode="two_barrier")
-    head = backward_semigroup(spec, lattice, CONTROLS, 0, 50, full.y[50])
+    full = solve_backward(spec, lattice, mode="two_barrier")
+    head = backward_semigroup(spec, lattice, 0, 50, full.y[50])
     assert np.array_equal(head, full.y[0])
 
 
@@ -206,8 +206,8 @@ def test_solution_is_a_function_of_time_and_state_only():
     grid = SpaceTimeGrid(-9.0, 9.0, 101, 128, 1.0)
     big = build_lattice(bp.spec, 0.0, grid)
     sub = build_lattice(bp.spec, 0.5, grid)
-    sol_big = solve_backward(bp.spec, big, CONTROLS, mode="two_barrier")
-    sol_sub = solve_backward(bp.spec, sub, CONTROLS, mode="two_barrier")
+    sol_big = solve_backward(bp.spec, big, mode="two_barrier")
+    sol_sub = solve_backward(bp.spec, sub, mode="two_barrier")
     assert sub.n_steps == 64
     for j in (0, 32, 64):
         offset = sub.first_index[j] - big.first_index[64 + j]
@@ -229,7 +229,7 @@ def test_comparison_orders_solutions_and_reflections():
             + 0.1,
         ),
     )
-    report = comparison_check(spec, bigger, lattice, CONTROLS, samples=32)
+    report = comparison_check(spec, bigger, lattice, samples=32)
     assert report.conclusive and report.equal_barriers
     assert report.max_y_violation <= 1e-10
     assert report.max_k_plus_violation <= 1e-10
@@ -247,7 +247,7 @@ def test_comparison_with_widened_barriers_skips_reflection_orderings():
             upper=lambda t, x, _f=co.upper: np.asarray(_f(t, x), dtype=float) + 0.2,
         ),
     )
-    report = comparison_check(spec, wider, lattice, CONTROLS, samples=32)
+    report = comparison_check(spec, wider, lattice, samples=32)
     assert report.conclusive and not report.equal_barriers
     assert report.max_y_violation <= 1e-10
     assert report.max_k_plus_violation == -math.inf
@@ -264,7 +264,7 @@ def test_comparison_declines_unordered_data():
             terminal=lambda x, _f=co.terminal: np.asarray(_f(x), dtype=float) - 0.1,
         ),
     )
-    report = comparison_check(spec, smaller, lattice, CONTROLS, samples=32)
+    report = comparison_check(spec, smaller, lattice, samples=32)
     assert not report.conclusive
     assert not report.passed
     assert "terminal ordering fails" in report.hypothesis_detail
@@ -278,13 +278,13 @@ def test_comparison_refuses_fewer_than_one_sample(samples):
     spec, lattice = _dynkin_lattice()
     smaller = shifted_spec(spec, -0.1, ("terminal",))
     with pytest.raises(ValueError, match="samples must be at least 1"):
-        comparison_check(spec, smaller, lattice, CONTROLS, samples=samples)
+        comparison_check(spec, smaller, lattice, samples=samples)
 
 
 def test_apriori_constants_are_stable_under_refinement():
     bp = builtin("dynkin_heat")
     grid = SpaceTimeGrid(-9.0, 9.0, 101, 100, 1.0)
-    report = apriori_estimate_check(bp.spec, grid, CONTROLS)
+    report = apriori_estimate_check(bp.spec, build_lattice(bp.spec, 0.0, grid, CONTROLS))
     assert set(report.constants) == {"size", "state_lipschitz", "perturbation"}
     for name, value in report.constants.items():
         assert math.isfinite(value) and value > 0.0, name
@@ -310,8 +310,9 @@ def test_refinement_fallback_is_for_infeasible_lattices_only():
         return co.b(t, x, u, v)
 
     spec = dataclasses.replace(bp.spec, coefficients=dataclasses.replace(co, b=b))
+    base = build_lattice(spec, 0.0, grid, CONTROLS)
     with pytest.raises(RuntimeError, match="coefficient failed"):
-        apriori_estimate_check(spec, grid, CONTROLS)
+        apriori_estimate_check(spec, base)
     assert broken == [0.5 / grid.nt]
 
 
@@ -329,31 +330,20 @@ def test_penalization_schedule_validation():
 def test_explicit_step_contraction_precondition():
     spec, lattice = _ramp_spec(), _ramp_lattice()
     with pytest.raises(ValueError, match="not contracting"):
-        solve_backward(
-            spec, lattice, CONTROLS, mode="penalized", penalty=(150.0, 0.0)
-        )
+        solve_backward(spec, lattice, mode="penalized", penalty=(150.0, 0.0))
 
 
 def test_control_and_step_range_validation():
     spec, lattice = _ramp_spec(), _ramp_lattice()
+    # the chain of (1, 0), a pair off the ramp's u grid
+    wide = dataclasses.replace(spec, controls_i=ControlGrid("u", (0.0, 1.0)))
+    other = build_lattice(wide, 0.0, SpaceTimeGrid(-1.0, 1.0, 5, 100, 1.0), (1.0, 0.0))
     with pytest.raises(ValueError, match="not on grid"):
-        solve_backward(spec, lattice, (0.5, 0.0))
-    with pytest.raises(ValueError, match=r"one \(u, v\) pair"):
-        solve_backward(spec, lattice, [(0.0, 0.0)] * 3)
+        solve_backward(spec, other)
     with pytest.raises(ValueError, match="bad step range"):
-        solve_backward(spec, lattice, CONTROLS, start_step=50, end_step=50)
+        solve_backward(spec, lattice, start_step=50, end_step=50)
     with pytest.raises(ValueError, match="unknown mode"):
-        solve_backward(spec, lattice, CONTROLS, mode="sideways")
-
-
-def test_a_pair_other_than_the_lattices_is_refused():
-    # (1, 0) sits on the grids, but the lattice is the chain of (0, 0)
-    spec = dataclasses.replace(_ramp_spec(), controls_i=ControlGrid("u", (0.0, 1.0)))
-    lattice = build_lattice(spec, 0.0, SpaceTimeGrid(-1.0, 1.0, 5, 100, 1.0))
-    with pytest.raises(ValueError, match=r"\(1\.0, 0\.0\).*\(0\.0, 0\.0\)"):
-        solve_backward(spec, lattice, (1.0, 0.0))
-    with pytest.raises(ValueError, match=r"\(1\.0, 0\.0\).*\(0\.0, 0\.0\)"):
-        comparison_check(spec, spec, lattice, (1.0, 0.0), samples=4)
+        solve_backward(spec, lattice, mode="sideways")
 
 
 _SMALL_GRIDS = {
@@ -393,7 +383,7 @@ def test_comparison_holds_on_generated_ordered_data(case, mode, d_term, d_drive,
     )
     lattice = build_lattice(spec, 0.0, _SMALL_GRIDS[name], pair)
     penalty = 4.0 if mode.startswith("one_barrier") else None
-    report = comparison_check(spec, bigger, lattice, pair, mode=mode, penalty=penalty, samples=16)
+    report = comparison_check(spec, bigger, lattice, mode=mode, penalty=penalty, samples=16)
     assert report.conclusive, report.hypothesis_detail
     assert report.passed, report
 
@@ -402,11 +392,11 @@ def test_terminal_override_is_validated():
     spec, lattice = _ramp_spec(), _ramp_lattice()
     n_end = lattice.counts[lattice.n_steps]
     with pytest.raises(ValueError, match="shape"):
-        solve_backward(spec, lattice, CONTROLS, terminal=np.zeros(3))
+        solve_backward(spec, lattice, terminal=np.zeros(3))
     with pytest.raises(ValueError, match="below the lower obstacle"):
-        solve_backward(spec, lattice, CONTROLS, terminal=np.full(n_end, -5.0))
+        solve_backward(spec, lattice, terminal=np.full(n_end, -5.0))
     with pytest.raises(ValueError, match="exceed the upper obstacle"):
-        solve_backward(spec, lattice, CONTROLS, terminal=np.full(n_end, 5.0))
+        solve_backward(spec, lattice, terminal=np.full(n_end, 5.0))
 
 
 def test_default_payoff_outside_a_clamped_obstacle_is_refused():
@@ -417,20 +407,20 @@ def test_default_payoff_outside_a_clamped_obstacle_is_refused():
     spec = dataclasses.replace(spec, coefficients=co)
     lattice = build_lattice(spec, 0.0, SpaceTimeGrid(-1.0, 1.0, 5, 100, 1.0))
     with pytest.raises(ValueError, match="exceed the upper obstacle"):
-        solve_backward(spec, lattice, CONTROLS, mode="two_barrier")
+        solve_backward(spec, lattice, mode="two_barrier")
     with pytest.raises(ValueError, match="exceed the upper obstacle"):
-        solve_backward(spec, lattice, CONTROLS, mode="one_barrier_upper", penalty=1.0)
-    solve_backward(spec, lattice, CONTROLS, mode="one_barrier_lower", penalty=1.0)
+        solve_backward(spec, lattice, mode="one_barrier_upper", penalty=1.0)
+    solve_backward(spec, lattice, mode="one_barrier_lower", penalty=1.0)
 
 
 def test_penalty_mode_argument_validation():
     spec, lattice = _ramp_spec(), _ramp_lattice()
     with pytest.raises(ValueError, match="takes no penalty"):
-        solve_backward(spec, lattice, CONTROLS, mode="two_barrier", penalty=3.0)
+        solve_backward(spec, lattice, mode="two_barrier", penalty=3.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        solve_backward(spec, lattice, CONTROLS, mode="one_barrier_lower", penalty=-1.0)
+        solve_backward(spec, lattice, mode="one_barrier_lower", penalty=-1.0)
     with pytest.raises(ValueError, match="penalty pair"):
-        solve_backward(spec, lattice, CONTROLS, mode="penalized", penalty=5.0)
+        solve_backward(spec, lattice, mode="penalized", penalty=5.0)
 
 
 # -- the a-priori estimate walk ------------------------------------------
@@ -443,7 +433,7 @@ def _reference_estimate_quantities(spec, lattice, perturbation):
     `rbsde._estimate_quantities` must reproduce these numbers bitwise."""
     co = spec.coefficients
     n_steps = lattice.n_steps
-    u, v = controls = lattice.controls
+    u, v = lattice.controls
     dt = float(lattice.times[1] - lattice.times[0])
     root = lattice.counts[0] // 2
     zeros = np.zeros(lattice.counts[n_steps])
@@ -481,7 +471,7 @@ def _reference_estimate_quantities(spec, lattice, perturbation):
         f0 = co.driver(float(lattice.times[j]), x, 0.0, 0.0, u, v)
         return np.abs(np.broadcast_to(np.asarray(f0, float), x.shape)) * dt
 
-    sol = solve_backward(spec, lattice, controls, mode="two_barrier")
+    sol = solve_backward(spec, lattice, mode="two_barrier")
     lhs_size = snell(lambda j: sol.y[j] ** 2)
     phi = np.asarray(co.terminal(lattice.node_values(n_steps)), float)
     term_sq, _ = moments(phi ** 2 + zeros, lambda j: 0.0)
@@ -491,12 +481,12 @@ def _reference_estimate_quantities(spec, lattice, perturbation):
     rhs_size = term_sq + drive_sq + snell_lo + snell_up
     const_size = lhs_size / rhs_size if rhs_size > 0 else math.inf
 
-    quot = float(np.max(np.abs(np.diff(sol.y[0])))) / lattice.dx
+    quot = float(np.max(np.abs(np.diff(sol.y[0])))) / lattice.grid.dx
     const_state = quot / max(co.lipschitz, 1e-30)
 
     eps = perturbation
     spec_b = shifted_spec(spec, eps, ("terminal", "driver", "upper"))
-    sol_b = solve_backward(spec_b, lattice, controls, mode="two_barrier")
+    sol_b = solve_backward(spec_b, lattice, mode="two_barrier")
     lhs_dy = snell(lambda j: (sol.y[j] - sol_b.y[j]) ** 2)
     lhs_dz, _ = moments(zeros, lambda j: (sol.z[j] - sol_b.z[j]) ** 2 * dt)
     _, lhs_dk = moments(
@@ -561,14 +551,14 @@ def test_estimate_walk_refuses_what_solve_backward_refuses():
         spec, coefficients=dataclasses.replace(spec.coefficients, terminal=lambda x: 2.0 + 0.0 * x)
     )
     with pytest.raises(ValueError, match="exceed the upper obstacle"):
-        solve_backward(high, lattice, CONTROLS)
+        solve_backward(high, lattice)
     with pytest.raises(ValueError, match="exceed the upper obstacle"):
         _estimate_quantities(high, lattice, 0.1)
     steep = dataclasses.replace(
         spec, coefficients=dataclasses.replace(spec.coefficients, driver_lipschitz=150.0)
     )
     with pytest.raises(ValueError, match="not contracting"):
-        solve_backward(steep, lattice, CONTROLS)
+        solve_backward(steep, lattice)
     with pytest.raises(ValueError, match="not contracting"):
         _estimate_quantities(steep, lattice, 0.1)
 
@@ -597,27 +587,50 @@ def test_occupation_rows_equal_the_add_at_accumulation(steps):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def test_a_given_base_lattice_reports_what_a_built_one_reports():
-    spec, grid = _ESTIMATE_CASES["drifting"]
-    built = apriori_estimate_check(spec, grid, CONTROLS)
-    given_ = apriori_estimate_check(
-        spec, grid, CONTROLS, base=build_lattice(spec, 0.0, grid, CONTROLS)
-    )
-    assert given_ == built
-
-
-def test_a_base_lattice_that_does_not_fit_is_refused():
+def _lattice_of_the_second_pair():
+    """separable_game on a small grid and the chain of (1, 0), which is not
+    the pair of the first points of its control grids."""
     spec = builtin("separable_game").spec
-    grid = SpaceTimeGrid(-6.0, 6.0, 41, 40, 1.0)
-    other_pair = build_lattice(spec, 0.0, grid, (0.0, 0.0))
-    other_times = build_lattice(spec, 0.0, SpaceTimeGrid(-6.0, 6.0, 41, 80, 1.0))
-    other_nodes = build_lattice(spec, 0.0, SpaceTimeGrid(-6.0, 6.0, 21, 40, 1.0))
-    late = build_lattice(spec, 0.5, grid)
-    for base in (other_pair, other_times, other_nodes, late):
-        with pytest.raises(ValueError, match="is not the base lattice"):
-            apriori_estimate_check(spec, grid, spec.control_pair(), base=base)
-        with pytest.raises(ValueError, match="is not the base lattice"):
-            fixed_control_crosscheck(spec, grid, spec.control_pair(), base=base)
+    assert spec.control_pair() != (1.0, 0.0)
+    return spec, build_lattice(spec, 0.0, SpaceTimeGrid(-6.0, 6.0, 41, 40, 1.0), (1.0, 0.0))
+
+
+def test_every_reader_on_a_non_first_pair_lattice_reports_that_pair():
+    spec, lattice = _lattice_of_the_second_pair()
+    assert solve_backward(spec, lattice).controls == (1.0, 0.0)
+    assert fixed_control_crosscheck(spec, lattice).controls == (1.0, 0.0)
+    lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
+    report = comparison_check(spec, lifted, lattice, samples=16)
+    assert report.conclusive and report.passed, report
+    assert apriori_estimate_check(spec, lattice).passed
+
+
+def test_a_lattice_not_from_t0_is_refused_by_both_checks_alike():
+    spec = builtin("separable_game").spec
+    late = build_lattice(spec, 0.5, SpaceTimeGrid(-6.0, 6.0, 41, 40, 1.0))
+    messages = []
+    for check in (apriori_estimate_check, fixed_control_crosscheck):
+        with pytest.raises(ValueError, match="must start at t = 0, not at t = 0.5") as caught:
+            check(spec, late)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def test_every_reader_refuses_a_lattice_pair_off_the_control_grids():
+    spec, lattice = _lattice_of_the_second_pair()
+    # the same problem with u = 1 taken off its grid
+    narrow = dataclasses.replace(spec, controls_i=ControlGrid("u", (0.0,)))
+    lifted = shifted_spec(narrow, 0.05, ("terminal", "driver"))
+    readers = {
+        "solve_backward": lambda: solve_backward(narrow, lattice),
+        "backward_semigroup": lambda: backward_semigroup(narrow, lattice, 0, 10, None),
+        "comparison_check": lambda: comparison_check(narrow, lifted, lattice, samples=16),
+        "apriori_estimate_check": lambda: apriori_estimate_check(narrow, lattice),
+        "fixed_control_crosscheck": lambda: fixed_control_crosscheck(narrow, lattice),
+    }
+    for name, read in readers.items():
+        with pytest.raises(ValueError, match="not on grid"):
+            read()
 
 
 # -- the streamed comparison ---------------------------------------------
@@ -627,9 +640,8 @@ def _reference_comparison(spec_a, spec_b, lattice, mode, penalty, equal_barriers
     """`comparison_check`'s report on ordered data, composed from two whole
     `solve_backward` calls and maxima over their stored levels.  The
     streamed comparison must reproduce it bitwise."""
-    controls = lattice.controls
-    sol_a = solve_backward(spec_a, lattice, controls, mode=mode, penalty=penalty)
-    sol_b = solve_backward(spec_b, lattice, controls, mode=mode, penalty=penalty)
+    sol_a = solve_backward(spec_a, lattice, mode=mode, penalty=penalty)
+    sol_b = solve_backward(spec_b, lattice, mode=mode, penalty=penalty)
     y_viol = max(float(np.max(ya - yb)) for ya, yb in zip(sol_a.y, sol_b.y))
     if equal_barriers and mode == "two_barrier":
         km_viol = max(float(np.max(da - db)) for da, db in zip(sol_a.dk_minus, sol_b.dk_minus))
@@ -686,14 +698,14 @@ def test_streamed_comparison_equals_the_solve_composition_bitwise(case):
         lattice = build_lattice(spec, 0.0, grid, pair)
         for mode, penalty in _COMPARISON_MODES:
             for name, (other, equal) in others.items():
-                got = comparison_check(spec, other, lattice, pair, mode=mode, penalty=penalty)
+                got = comparison_check(spec, other, lattice, mode=mode, penalty=penalty)
                 want = _reference_comparison(spec, other, lattice, mode, penalty, equal)
                 # repr tells -0.0 from 0.0, which == does not
                 assert repr(got) == repr(want), (pair, mode, name)
 
-        full = solve_backward(spec, lattice, pair)
-        slab = solve_backward(spec, lattice, pair, terminal=full.y[20], start_step=5, end_step=20)
-        head = backward_semigroup(spec, lattice, pair, 5, 20, full.y[20])
+        full = solve_backward(spec, lattice)
+        slab = solve_backward(spec, lattice, terminal=full.y[20], start_step=5, end_step=20)
+        head = backward_semigroup(spec, lattice, 5, 20, full.y[20])
         assert np.array_equal(head, slab.y[0]), pair
 
 
@@ -784,7 +796,7 @@ def test_sampled_hypotheses_are_those_of_the_sample_loop(spec, grid, other):
     lattice = build_lattice(spec, 0.0, grid)
     for samples in (1, 64, 200):
         conclusive, detail, equal = _reference_hypotheses(spec, other, samples)
-        got = comparison_check(spec, other, lattice, None, samples=samples)
+        got = comparison_check(spec, other, lattice, samples=samples)
         if conclusive:
             want = _reference_comparison(spec, other, lattice, "two_barrier", None, equal)
         else:
@@ -802,12 +814,12 @@ def test_the_hypotheses_read_each_coefficient_once_over_all_samples():
 
     # the read covers the 64 samples at once, so 64 values pass its shape
     # rule and the terminal ordering fails at the first sample
-    report = comparison_check(fixed(64), spec, lattice, CONTROLS, samples=64)
+    report = comparison_check(fixed(64), spec, lattice, samples=64)
     assert not report.conclusive
     assert report.hypothesis_detail.startswith("terminal ordering fails at x=")
     refusal = r"terminal returned shape \(63,\) for nodes of shape \(64,\)"
     with pytest.raises(CoefficientError, match=refusal):
-        comparison_check(fixed(63), spec, lattice, CONTROLS, samples=64)
+        comparison_check(fixed(63), spec, lattice, samples=64)
 
 
 # -- nonfinite levels ------------------------------------------------------
@@ -850,9 +862,9 @@ def test_the_walk_refuses_nonfinite_levels(mode, overrides):
     lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="nonfinite .* at t="):
-            solve_backward(spec, lattice, CONTROLS, mode=mode)
+            solve_backward(spec, lattice, mode=mode)
         with pytest.raises(ValueError, match="nonfinite .* at t="):
-            comparison_check(spec, lifted, lattice, CONTROLS, mode=mode)
+            comparison_check(spec, lifted, lattice, mode=mode)
         # the estimates solve with both barriers, where an infinite payoff
         # already exceeds the upper obstacle
         with pytest.raises(ValueError):
