@@ -33,6 +33,7 @@ import configparser
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import math
 import os
 import sys
@@ -60,19 +61,7 @@ CHECKS = (
 )
 DEFAULT_CHECKS = ("validate", "game_value", "penalization", "dpp")
 
-_CUSTOM_KEYS = (
-    "horizon",
-    "b",
-    "sigma",
-    "driver",
-    "terminal",
-    "lower",
-    "upper",
-    "controls_i",
-    "controls_ii",
-    "lipschitz",
-    "driver_lipschitz",
-)
+_CUSTOM_KEYS = tuple(inspect.signature(problems.from_expressions).parameters)
 _SECTION_KEYS = {
     "problem": {"name", *_CUSTOM_KEYS},
     "grid": {"x_min", "x_max", "nx", "nt"},
@@ -102,19 +91,9 @@ class ExperimentConfig:
         """Materialize (spec, grid, schedule) from the declaration."""
         if self.problem == "custom":
             fields = dict(self.custom)
-            spec = problems.from_expressions(
-                horizon=float(fields["horizon"]),
-                b=fields["b"],
-                sigma=fields["sigma"],
-                driver=fields["driver"],
-                terminal=fields["terminal"],
-                lower=fields["lower"],
-                upper=fields["upper"],
-                controls_i=_parse_floats(fields["controls_i"]),
-                controls_ii=_parse_floats(fields["controls_ii"]),
-                lipschitz=float(fields["lipschitz"]),
-                driver_lipschitz=float(fields["driver_lipschitz"]),
-            )
+            for key in ("controls_i", "controls_ii"):
+                fields[key] = _parse_floats(fields[key])
+            spec = problems.from_expressions(**fields)
             default_grid = None
             schedule = problems.DEFAULT_SCHEDULE
         else:

@@ -159,6 +159,12 @@ class SpaceTimeGrid:
             raise ValueError("x_max must exceed x_min")
         if self.nx < 3:
             raise ValueError("need at least 3 space nodes for the stencil")
+        # the schemes divide by dx^2, so it must be a positive finite float
+        if not 0.0 < self.dx * self.dx < math.inf:
+            raise ValueError(
+                f"x_min = {self.x_min!r} and x_max = {self.x_max!r} over {self.nx} nodes"
+                f" give a dx whose square leaves the float range"
+            )
         if self.nt < 1:
             raise ValueError("need at least one time step")
         if not (self.horizon > 0 and math.isfinite(self.horizon)):

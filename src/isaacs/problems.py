@@ -6,7 +6,14 @@ lattice is deliberately infeasible, a diffusion squeezed between obstacles
 so both reflections act, a game with an irreducible Hamiltonian gap, and a
 separable game whose two reductions coincide bitwise.  The pinned grids
 keep every solve inside the explicit schemes' stability regions with room
-for the largest default penalty weight.
+for the largest default penalty weight, except bilinear_game's: its
+dt = 1/64 meets the top weight 64 at a stability number of 1.0, above the
+march's margin 0.9, so its penalization sweep fails with a CflError.
+
+A problem is declared once.  Each factory returns its ProblemSpec and its
+pinned grid, and every spec, a custom one from `from_expressions`
+included, is built by `_spec` from the CoefficientSet fields and the two
+control grids; a coefficient that is one number everywhere is `_flat`.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ class BuiltinProblem:
     spec: ProblemSpec
     grid: SpaceTimeGrid
     schedule: PenalizationSchedule
-    note: str
 
 
 DEFAULT_SCHEDULE = PenalizationSchedule((1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
@@ -42,8 +48,19 @@ def _tent(y):
     return np.maximum(0.0, 1.0 - np.abs(y))
 
 
-def _const(value):
-    return lambda t, x: np.full_like(np.asarray(x, dtype=float), value)
+def _flat(value):
+    """A coefficient equal to `value` everywhere, whatever its arguments."""
+    return lambda t, x, *_: np.full_like(np.asarray(x, dtype=float), value)
+
+
+def _spec(horizon, controls_i, controls_ii, **coefficients):
+    """The game on control grids u and v, from its CoefficientSet fields."""
+    return ProblemSpec(
+        horizon=float(horizon),
+        coefficients=CoefficientSet(**coefficients),
+        controls_i=ControlGrid("u", tuple(float(p) for p in controls_i)),
+        controls_ii=ControlGrid("v", tuple(float(p) for p in controls_ii)),
+    )
 
 
 def constant():
@@ -53,29 +70,20 @@ def constant():
     at all times and both reflection processes stay identically zero.
     """
     c = 0.5
-    co = CoefficientSet(
-        b=lambda t, x, u, v: np.zeros_like(np.asarray(x, dtype=float)),
-        sigma=lambda t, x, u, v: np.ones_like(np.asarray(x, dtype=float)),
-        driver=lambda t, x, y, z, u, v: np.zeros_like(np.asarray(x, dtype=float)),
+    spec = _spec(
+        1.0,
+        (0.0,),
+        (0.0,),
+        b=_flat(0.0),
+        sigma=_flat(1.0),
+        driver=_flat(0.0),
         terminal=lambda x: np.full_like(np.asarray(x, dtype=float), c),
-        lower=_const(c - 1.0),
-        upper=_const(c + 1.0),
+        lower=_flat(c - 1.0),
+        upper=_flat(c + 1.0),
         lipschitz=0.0,
         driver_lipschitz=0.0,
     )
-    spec = ProblemSpec(
-        horizon=1.0,
-        coefficients=co,
-        controls_i=ControlGrid("u", (0.0,)),
-        controls_ii=ControlGrid("v", (0.0,)),
-    )
-    return BuiltinProblem(
-        name="constant",
-        spec=spec,
-        grid=SpaceTimeGrid(-6.0, 6.0, 201, 400, 1.0),
-        schedule=DEFAULT_SCHEDULE,
-        note=f"exact value {c} at every node; reflections vanish",
-    )
+    return spec, SpaceTimeGrid(-6.0, 6.0, 201, 400, 1.0)
 
 
 def transport():
@@ -87,30 +95,20 @@ def transport():
     degenerate-transport paths of the finite-difference scheme and the
     lattice feasibility errors.
     """
-    s = 1.0
-    co = CoefficientSet(
-        b=lambda t, x, u, v: np.full_like(np.asarray(x, dtype=float), s),
-        sigma=lambda t, x, u, v: np.zeros_like(np.asarray(x, dtype=float)),
-        driver=lambda t, x, y, z, u, v: np.zeros_like(np.asarray(x, dtype=float)),
+    spec = _spec(
+        1.0,
+        (0.0,),
+        (0.0,),
+        b=_flat(1.0),
+        sigma=_flat(0.0),
+        driver=_flat(0.0),
         terminal=lambda x: _tent(np.asarray(x, dtype=float)),
-        lower=_const(-10.0),
-        upper=_const(10.0),
+        lower=_flat(-10.0),
+        upper=_flat(10.0),
         lipschitz=1.0,
         driver_lipschitz=0.0,
     )
-    spec = ProblemSpec(
-        horizon=1.0,
-        coefficients=co,
-        controls_i=ControlGrid("u", (0.0,)),
-        controls_ii=ControlGrid("v", (0.0,)),
-    )
-    return BuiltinProblem(
-        name="transport",
-        spec=spec,
-        grid=SpaceTimeGrid(-5.0, 5.0, 201, 400, 1.0),
-        schedule=DEFAULT_SCHEDULE,
-        note=f"exact value tent(x + (1 - t) * {s}); no lattice on the default grid",
-    )
+    return spec, SpaceTimeGrid(-5.0, 5.0, 201, 400, 1.0)
 
 
 def dynkin_heat():
@@ -124,36 +122,25 @@ def dynkin_heat():
     penalized approximations on the correct side of the reflected field
     node by node, not just in the limit.
     """
-    sig = math.sqrt(2.0)
-    drift = 0.3
 
     def payoff(x):
         x = np.asarray(x, dtype=float)
         return _tent(x - 1.5) - _tent(x + 1.5)
 
-    co = CoefficientSet(
-        b=lambda t, x, u, v: np.full_like(np.asarray(x, dtype=float), drift),
-        sigma=lambda t, x, u, v: np.full_like(np.asarray(x, dtype=float), sig),
-        driver=lambda t, x, y, z, u, v: np.zeros_like(np.asarray(x, dtype=float)),
+    spec = _spec(
+        1.0,
+        (0.0,),
+        (0.0,),
+        b=_flat(0.3),
+        sigma=_flat(math.sqrt(2.0)),
+        driver=_flat(0.0),
         terminal=payoff,
         lower=lambda t, x: payoff(x) - 0.5,
         upper=lambda t, x: payoff(x) + 0.5,
         lipschitz=1.0,
         driver_lipschitz=0.0,
     )
-    spec = ProblemSpec(
-        horizon=1.0,
-        coefficients=co,
-        controls_i=ControlGrid("u", (0.0,)),
-        controls_ii=ControlGrid("v", (0.0,)),
-    )
-    return BuiltinProblem(
-        name="dynkin_heat",
-        spec=spec,
-        grid=SpaceTimeGrid(-9.0, 9.0, 201, 400, 1.0),
-        schedule=DEFAULT_SCHEDULE,
-        note="both obstacles active; reference problem for sweeps and crosschecks",
-    )
+    return spec, SpaceTimeGrid(-9.0, 9.0, 201, 400, 1.0)
 
 
 def bilinear_game():
@@ -163,29 +150,20 @@ def bilinear_game():
     Hamiltonians differ by exactly 2 everywhere and the game has no value:
     the reductions integrate to -(T - t) and +(T - t).
     """
-    co = CoefficientSet(
-        b=lambda t, x, u, v: np.zeros_like(np.asarray(x, dtype=float)),
-        sigma=lambda t, x, u, v: np.zeros_like(np.asarray(x, dtype=float)),
+    spec = _spec(
+        1.0,
+        (-1.0, 1.0),
+        (-1.0, 1.0),
+        b=_flat(0.0),
+        sigma=_flat(0.0),
         driver=lambda t, x, y, z, u, v: u * v + np.zeros_like(np.asarray(x, dtype=float)),
         terminal=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        lower=_const(-2.0),
-        upper=_const(2.0),
+        lower=_flat(-2.0),
+        upper=_flat(2.0),
         lipschitz=0.0,
         driver_lipschitz=0.0,
     )
-    spec = ProblemSpec(
-        horizon=1.0,
-        coefficients=co,
-        controls_i=ControlGrid("u", (-1.0, 1.0)),
-        controls_ii=ControlGrid("v", (-1.0, 1.0)),
-    )
-    return BuiltinProblem(
-        name="bilinear_game",
-        spec=spec,
-        grid=SpaceTimeGrid(-2.0, 2.0, 41, 64, 1.0),
-        schedule=DEFAULT_SCHEDULE,
-        note="Hamiltonian gap exactly 2; lower/upper values -(T-t) and +(T-t)",
-    )
+    return spec, SpaceTimeGrid(-2.0, 2.0, 41, 64, 1.0)
 
 
 def separable_game():
@@ -195,41 +173,28 @@ def separable_game():
     best-response tables coincide entry by entry, and the two reductions
     produce bitwise identical fields: the game trivially has a value.
     """
-    co = CoefficientSet(
-        b=lambda t, x, u, v: np.zeros_like(np.asarray(x, dtype=float)),
-        sigma=lambda t, x, u, v: np.ones_like(np.asarray(x, dtype=float)),
+    spec = _spec(
+        1.0,
+        (-1.0, 0.0, 1.0),
+        (-1.0, 0.0, 1.0),
+        b=_flat(0.0),
+        sigma=_flat(1.0),
         driver=lambda t, x, y, z, u, v: 0.5 * (u - v)
         + np.zeros_like(np.asarray(x, dtype=float)),
-        terminal=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
-        lower=_const(-1.0),
-        upper=_const(2.0),
+        # exp(-x^2) is 0.0 past |x| = 27.3, and the clamp keeps x^2 from overflowing
+        terminal=lambda x: np.exp(-np.minimum(np.abs(np.asarray(x, dtype=float)), 30.0) ** 2),
+        lower=_flat(-1.0),
+        upper=_flat(2.0),
         lipschitz=1.0,
         driver_lipschitz=0.0,
     )
-    spec = ProblemSpec(
-        horizon=1.0,
-        coefficients=co,
-        controls_i=ControlGrid("u", (-1.0, 0.0, 1.0)),
-        controls_ii=ControlGrid("v", (-1.0, 0.0, 1.0)),
-    )
-    return BuiltinProblem(
-        name="separable_game",
-        spec=spec,
-        grid=SpaceTimeGrid(-6.0, 6.0, 201, 400, 1.0),
-        schedule=DEFAULT_SCHEDULE,
-        note="saddle point in pure strategies; lower and upper fields identical",
-    )
+    return spec, SpaceTimeGrid(-6.0, 6.0, 201, 400, 1.0)
 
-
-BUILTINS = ("constant", "transport", "dynkin_heat", "bilinear_game", "separable_game")
 
 _FACTORIES = {
-    "constant": constant,
-    "transport": transport,
-    "dynkin_heat": dynkin_heat,
-    "bilinear_game": bilinear_game,
-    "separable_game": separable_game,
+    f.__name__: f for f in (constant, transport, dynkin_heat, bilinear_game, separable_game)
 }
+BUILTINS = tuple(_FACTORIES)
 
 
 def builtin(name):
@@ -238,7 +203,7 @@ def builtin(name):
         factory = _FACTORIES[name]
     except KeyError:
         raise ValueError(f"unknown problem {name!r}; available: {', '.join(BUILTINS)}")
-    return factory()
+    return BuiltinProblem(name, *factory(), DEFAULT_SCHEDULE)
 
 
 _ALLOWED_VARS = {
@@ -291,7 +256,10 @@ def from_expressions(
 
     eb, es, ef = exprs["b"], exprs["sigma"], exprs["driver"]
     ephi, elo, eup = exprs["terminal"], exprs["lower"], exprs["upper"]
-    co = CoefficientSet(
+    return _spec(
+        horizon,
+        controls_i,
+        controls_ii,
         b=lambda t, x, u, v: eb(t=t, x=x, u=u, v=v),
         sigma=lambda t, x, u, v: es(t=t, x=x, u=u, v=v),
         driver=lambda t, x, y, z, u, v: ef(t=t, x=x, y=y, z=z, u=u, v=v),
@@ -300,10 +268,4 @@ def from_expressions(
         upper=lambda t, x: eup(t=t, x=x),
         lipschitz=float(lipschitz),
         driver_lipschitz=float(driver_lipschitz),
-    )
-    return ProblemSpec(
-        horizon=float(horizon),
-        coefficients=co,
-        controls_i=ControlGrid("u", tuple(float(p) for p in controls_i)),
-        controls_ii=ControlGrid("v", tuple(float(p) for p in controls_ii)),
     )

@@ -8,6 +8,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -652,6 +653,32 @@ def _data_files(out):
     return data
 
 
+def _exit_code_of_two_equal_runs(text):
+    """Run the config `text` twice; assert that each run exits 0, 1 or 2
+    with no traceback and no warning, a refusal with one error line and
+    any other outcome with a parseable verdict and manifest, and that the
+    two runs agree on the outcome and on every data byte.  The exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.ini")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        outcomes = []
+        for out in (os.path.join(tmp, "a"), os.path.join(tmp, "b")):
+            code, err, caught = _run_in_process(config, out)
+            assert code in (0, 1, 2), code
+            assert "Traceback" not in err and "Warning" not in err, err
+            assert caught == [], caught
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                for name in ("verdict.json", "manifest.json"):
+                    with open(os.path.join(out, name), encoding="utf-8") as fh:
+                        json.load(fh)
+            outcomes.append((code, err, _data_files(out)))
+        assert outcomes[0] == outcomes[1]
+    return outcomes[0][0]
+
+
 _SEEDS, _THREADS = (0, 1, 2 ** 64 - 1, 2 ** 64, -1, 10 ** 30), (-1, 0, 1, 4)
 
 
@@ -674,26 +701,9 @@ def test_any_run_section_exits_0_1_or_2_and_reruns_to_the_same_bytes(
         f"[grid]\nx_min = -9.0\nx_max = 9.0\nnx = {nx}\nnt = {nt}\n\n"
         f"[run]\nchecks = {', '.join(checks)}\nseed = {seed}\nthreads = {threads}\n"
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "run.ini")
-        with open(config, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        outcomes = []
-        for out in (os.path.join(tmp, "a"), os.path.join(tmp, "b")):
-            code, err, caught = _run_in_process(config, out)
-            assert code in (0, 1, 2), code
-            assert "Traceback" not in err and "Warning" not in err, err
-            assert caught == [], caught
-            if code == 2:
-                assert err.startswith("error: ") and err.count("\n") == 1, err
-            else:
-                for name in ("verdict.json", "manifest.json"):
-                    with open(os.path.join(out, name), encoding="utf-8") as fh:
-                        json.load(fh)
-            outcomes.append((code, err, _data_files(out)))
-        assert outcomes[0] == outcomes[1]
+    code = _exit_code_of_two_equal_runs(text)
     # a seed outside [0, 2**64) and a thread count below 1 are refused
-    assert (outcomes[0][0] == 2) == (not 0 <= seed < 2 ** 64 or threads < 1)
+    assert (code == 2) == (not 0 <= seed < 2 ** 64 or threads < 1)
 
 
 def _expressions(names):
@@ -768,22 +778,57 @@ def test_any_custom_problem_exits_0_1_or_2_and_reruns_to_the_same_bytes(
         f"[grid]\nx_min = -4.0\nx_max = 4.0\nnx = {nx}\nnt = {nt}\n\n"
         f"[run]\nchecks = {', '.join(checks)}\n"
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "run.ini")
-        with open(config, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        outcomes = []
-        for out in (os.path.join(tmp, "a"), os.path.join(tmp, "b")):
-            code, err, caught = _run_in_process(config, out)
-            assert code in (0, 1, 2), code
-            assert "Traceback" not in err and "Warning" not in err, err
-            assert caught == [], caught
-            if code != 2:
-                for name in ("verdict.json", "manifest.json"):
-                    with open(os.path.join(out, name), encoding="utf-8") as fh:
-                        json.load(fh)
-            outcomes.append((code, err, _data_files(out)))
-        assert outcomes[0] == outcomes[1]
+    _exit_code_of_two_equal_runs(text)
+
+
+# a [grid] section is drawn ordinary half the time, with |x| <= 20, a span
+# of at least 1, nx in [3, 41] and nt in [1, 80]: transport moves dt/dx
+# nodes a step, so a small span would grow its lattice by about 2 dt/dx
+# nodes a level, and MAX_LEVEL_NODES caps a level, not the lattice.  The
+# other half draws hostile values as well: nx < 3, nt < 1, x_max <= x_min
+# and nonfinite bounds.  The examples are bounds whose dx^2 overflows
+# (through the span, then through the square) or underflows to 0, and a
+# grid so far out that separable_game's payoff exp(-x^2) squares past the
+# float range.
+_NONFINITE = st.sampled_from((math.inf, -math.inf, math.nan))
+
+
+@st.composite
+def _grid_sections(draw):
+    x_min = draw(st.floats(-20.0, 19.0))
+    x_max = draw(st.floats(x_min + 1.0, 20.0))
+    nx, nt = draw(st.integers(3, 41)), draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        x_min, x_max = draw(st.sampled_from(((x_min, x_max), (x_max, x_min), (x_min, x_min))))
+        x_min = draw(st.just(x_min) | _NONFINITE)
+        x_max = draw(st.just(x_max) | _NONFINITE)
+        nx = draw(st.just(nx) | st.integers(-2, 2))
+        nt = draw(st.just(nt) | st.integers(-2, 0))
+    return x_min, x_max, nx, nt
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    problem=st.sampled_from(problems.BUILTINS),
+    grid=_grid_sections(),
+    checks=st.lists(st.sampled_from(CHECKS), min_size=1, unique=True),
+)
+@example(problem="dynkin_heat", grid=(-1e308, 1e308, 11, 20), checks=list(CHECKS))
+@example(problem="dynkin_heat", grid=(-8e307, 8e307, 11, 20), checks=list(CHECKS))
+@example(problem="dynkin_heat", grid=(0.0, 1e-300, 11, 20), checks=list(CHECKS))
+@example(problem="separable_game", grid=(1e160, 1.0000000000000006e160, 3, 4), checks=list(CHECKS))
+def test_any_grid_section_exits_0_1_or_2_and_reruns_to_the_same_bytes(problem, grid, checks):
+    x_min, x_max, nx, nt = grid
+    text = (
+        f"[problem]\nname = {problem}\n\n"
+        f"[grid]\nx_min = {x_min!r}\nx_max = {x_max!r}\nnx = {nx}\nnt = {nt}\n\n"
+        f"[run]\nchecks = {', '.join(checks)}\n"
+    )
+    code = _exit_code_of_two_equal_runs(text)
+    # refused: too few nodes or steps, or a dx that is not positive or
+    # whose square leaves the float range (every nonfinite bound does)
+    dx = (x_max - x_min) / max(nx - 1, 1)
+    assert (code == 2) == (nx < 3 or nt < 1 or not (dx > 0 and 0 < dx * dx < math.inf))
 
 
 # what probing the custom-problem property with more examples found: each

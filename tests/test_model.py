@@ -566,6 +566,16 @@ def test_grid_bounds_must_be_finite(bound):
         SpaceTimeGrid(bound, 1.0, 11, 4, 1.0)
 
 
+# the span overflows; the span is finite but dx^2 overflows; dx^2 underflows to 0
+@pytest.mark.parametrize(
+    "x_min, x_max", [(-1e308, 1e308), (-8e307, 8e307), (0.0, 1e-300)], ids=["span", "square", "zero"]
+)
+def test_a_grid_whose_dx_squared_leaves_the_float_range_is_refused(x_min, x_max):
+    message = f"x_min = {x_min!r} and x_max = {x_max!r} over 11 nodes give a dx whose square"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        SpaceTimeGrid(x_min, x_max, 11, 20, 1.0)
+
+
 @pytest.mark.parametrize("name", ["lipschitz", "driver_lipschitz"])
 @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
 def test_lipschitz_constants_must_be_finite_and_nonnegative(name, value):

