@@ -34,6 +34,7 @@ import contextlib
 import dataclasses
 import hashlib
 import inspect
+import json
 import math
 import os
 import sys
@@ -62,9 +63,11 @@ CHECKS = (
 DEFAULT_CHECKS = ("validate", "game_value", "penalization", "dpp")
 
 _CUSTOM_KEYS = tuple(inspect.signature(problems.from_expressions).parameters)
+# [grid]'s keys in order, each with the type its value is read as
+_GRID_KEYS = {"x_min": float, "x_max": float, "nx": int, "nt": int}
 _SECTION_KEYS = {
     "problem": {"name", *_CUSTOM_KEYS},
-    "grid": {"x_min", "x_max", "nx", "nt"},
+    "grid": set(_GRID_KEYS),
     "penalization": {"levels"},
     "run": {"checks", "seed", "threads"},
 }
@@ -119,17 +122,7 @@ class ExperimentConfig:
             # a continuation line is indented, a blank one included
             lines.extend(f"{k} = {v}".replace("\n", "\n    ") for k, v in self.custom)
         if self.grid is not None:
-            x_min, x_max, nx, nt = self.grid
-            lines.extend(
-                [
-                    "",
-                    "[grid]",
-                    f"x_min = {x_min!r}",
-                    f"x_max = {x_max!r}",
-                    f"nx = {nx}",
-                    f"nt = {nt}",
-                ]
-            )
+            lines.extend(["", "[grid]", *(f"{k} = {v!r}" for k, v in zip(_GRID_KEYS, self.grid))])
         if self.levels is not None:
             lines.extend(
                 ["", "[penalization]", "levels = " + ", ".join(repr(l) for l in self.levels)]
@@ -141,8 +134,13 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
+def _items(text):
+    """The nonblank items of the comma-separated list `text`, stripped."""
+    return [p.strip() for p in str(text).split(",") if p.strip()]
+
+
 def _parse_floats(text):
-    items = [p.strip() for p in str(text).split(",") if p.strip()]
+    items = _items(text)
     if not items:
         raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}")
     try:
@@ -162,9 +160,26 @@ def _check_list(checks):
     return checks
 
 
+def _require(cp, section, keys):
+    """Refuse a [section] of `cp` that lacks any of `keys`, naming them."""
+    missing = [k for k in keys if k not in cp[section]]
+    if missing:
+        raise ConfigError(f"[{section}] is missing: {', '.join(missing)}")
+
+
+def _integer(section, key):
+    """`section[key]` as an int, refused by name when it is not one."""
+    try:
+        return int(section[key])
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, got {section[key]!r}")
+
+
 def parse_config(text):
     """Parse INI text into an ExperimentConfig, rejecting unknown keys."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header can name a section "\n", so [DEFAULT] is a section like any
+    # other, and refused as unknown, not read into every other section
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     cp.optionxform = str
     try:
         cp.read_string(text)
@@ -207,16 +222,9 @@ def parse_config(text):
 
     grid = None
     if "grid" in cp:
-        missing = [k for k in ("x_min", "x_max", "nx", "nt") if k not in cp["grid"]]
-        if missing:
-            raise ConfigError(f"[grid] is missing: {', '.join(missing)}")
+        _require(cp, "grid", _GRID_KEYS)
         try:
-            grid = (
-                float(cp["grid"]["x_min"]),
-                float(cp["grid"]["x_max"]),
-                int(cp["grid"]["nx"]),
-                int(cp["grid"]["nt"]),
-            )
+            grid = tuple(kind(cp["grid"][key]) for key, kind in _GRID_KEYS.items())
         except ValueError as exc:
             raise ConfigError(f"bad [grid] value: {exc}")
     elif name == "custom":
@@ -224,8 +232,7 @@ def parse_config(text):
 
     levels = None
     if "penalization" in cp:
-        if "levels" not in cp["penalization"]:
-            raise ConfigError("[penalization] is missing: levels")
+        _require(cp, "penalization", ("levels",))
         levels = _parse_floats(cp["penalization"]["levels"])
         try:
             PenalizationSchedule(levels)
@@ -237,20 +244,12 @@ def parse_config(text):
     threads = None
     if "run" in cp:
         if "checks" in cp["run"]:
-            checks = _check_list(p.strip() for p in cp["run"]["checks"].split(",") if p.strip())
+            checks = _check_list(_items(cp["run"]["checks"]))
         if "seed" in cp["run"]:
-            try:
-                seed = int(cp["run"]["seed"])
-            except ValueError:
-                raise ConfigError(f"seed must be an integer, got {cp['run']['seed']!r}")
+            seed = _integer(cp["run"], "seed")
             _check_seed(seed)
         if "threads" in cp["run"]:
-            try:
-                threads = int(cp["run"]["threads"])
-            except ValueError:
-                raise ConfigError(
-                    f"threads must be an integer, got {cp['run']['threads']!r}"
-                )
+            threads = _integer(cp["run"], "threads")
     return ExperimentConfig(
         problem=name,
         custom=custom,
@@ -278,18 +277,6 @@ def _format_float(v):
     return format(v, ".17g")
 
 
-# JSON's escapes: the short forms where it has one, \u00XX for the other
-# characters below U+0020
-_JSON_ESCAPES = str.maketrans(
-    {chr(c): f"\\u{c:04x}" for c in range(0x20)}
-    | {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-)
-
-
-def _format_string(text):
-    return '"' + text.translate(_JSON_ESCAPES) + '"'
-
-
 def _format_json(obj, indent=0):
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -297,7 +284,7 @@ def _format_json(obj, indent=0):
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{_format_string(key)}: {_format_json(obj[key], indent + 1)}"
+            f"{inner}{json.encoder.encode_basestring(key)}: {_format_json(obj[key], indent + 1)}"
             for key in sorted(obj)
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
@@ -313,7 +300,7 @@ def _format_json(obj, indent=0):
     if isinstance(obj, (float, np.floating)):
         return _format_float(obj)
     if isinstance(obj, str):
-        return _format_string(obj)
+        return json.encoder.encode_basestring(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -321,18 +308,15 @@ def _format_json(obj, indent=0):
 
 def _write_text(out_dir, filenames, steps, outputs, quiet):
     """Write the files `filenames` together: each step holds one string
-    chunk per file.  A chunk is encoded once however many files take it,
-    each file is hashed on its own, and only one step is held as bytes."""
+    chunk per file.  Each file is hashed on its own, and only one chunk is
+    held as bytes."""
     paths = [os.path.join(out_dir, name) for name in filenames]
     digests = [hashlib.sha256() for _ in filenames]
     with contextlib.ExitStack() as stack:
         handles = [stack.enter_context(open(path, "wb")) for path in paths]
         for chunks in steps:
-            encoded = {}
             for chunk, digest, fh in zip(chunks, digests, handles):
-                data = encoded.get(chunk)
-                if data is None:
-                    data = encoded[chunk] = chunk.encode("utf-8")
+                data = chunk.encode("utf-8")
                 digest.update(data)
                 fh.write(data)
     for name, path, digest in zip(filenames, paths, digests):
@@ -588,22 +572,13 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
     if threads is None:
         threads = config.threads
     if threads is None:
-        env = os.environ.get("ISAACS_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError(f"ISAACS_THREADS must be an integer, got {env!r}")
-        else:
-            threads = 1
+        threads = _integer(os.environ, "ISAACS_THREADS") if "ISAACS_THREADS" in os.environ else 1
     if threads < 1:
         raise ConfigError(f"thread count must be positive, got {threads}")
     ordered = list(dict.fromkeys(_check_list(config.checks if checks is None else checks)))
 
     try:
         spec, grid, schedule = config.resolve()
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc))
 

@@ -412,36 +412,24 @@ def comparison_check(
     conclusive, detail, equal_barriers = _ordering_hypotheses(
         spec_a.coefficients, spec_b.coefficients, list(spec_a.control_pairs()), draws
     )
-
-    if not conclusive:
-        return ComparisonReport(
-            conclusive=False,
-            hypothesis_detail=detail,
-            equal_barriers=False,
-            max_y_violation=math.nan,
-            max_k_plus_violation=math.nan,
-            max_k_minus_violation=math.nan,
-            tolerance=tolerance,
-            passed=False,
-        )
-
-    variant = Variant.named(mode, penalty)
-    # checked on the per-step increments, which implies the ordering of the
-    # cumulative reflection along every path
-    reflections = equal_barriers and mode == "two_barrier"
-    y_viol = kp_viol = km_viol = -math.inf
-    # max(new, old) keeps the new value on ties: the walk runs backward, so
-    # this is the first maximum in level order, as over the stored levels
-    for _, _, ((ya, _, kpa, kma, _, _), (yb, _, kpb, kmb, _, _)) in _walk(
-        [spec_a, spec_b], lattice, variant
-    ):
-        y_viol = max(float(np.max(ya - yb)), y_viol)
-        if reflections:
-            km_viol = max(float(np.max(kma - kmb)), km_viol)
-            kp_viol = max(float(np.max(kpb - kpa)), kp_viol)
+    # an inconclusive check walks nothing, and its nan maxima fail it
+    y_viol = kp_viol = km_viol = -math.inf if conclusive else math.nan
+    if conclusive:
+        # checked on the per-step increments, which implies the ordering of
+        # the cumulative reflection along every path
+        reflections = equal_barriers and mode == "two_barrier"
+        # max(new, old) keeps the new value on ties: the walk runs backward,
+        # so this is the first maximum in level order, as over stored levels
+        for _, _, ((ya, _, kpa, kma, _, _), (yb, _, kpb, kmb, _, _)) in _walk(
+            [spec_a, spec_b], lattice, Variant.named(mode, penalty)
+        ):
+            y_viol = max(float(np.max(ya - yb)), y_viol)
+            if reflections:
+                km_viol = max(float(np.max(kma - kmb)), km_viol)
+                kp_viol = max(float(np.max(kpb - kpa)), kp_viol)
     return ComparisonReport(
-        conclusive=True,
-        hypothesis_detail="ok",
+        conclusive=conclusive,
+        hypothesis_detail=detail,
         equal_barriers=equal_barriers,
         max_y_violation=y_viol,
         max_k_plus_violation=kp_viol,

@@ -34,6 +34,7 @@ from isaacs.cli import (
     parse_config,
     run,
 )
+from isaacs.model import PenalizationSchedule
 
 MINIMAL = """\
 [problem]
@@ -106,6 +107,48 @@ def test_config_round_trips_through_ini_text(tmp_path):
         assert parse_config(json.load(fh)["config"]) == config
 
 
+# every section and every key, a continuation line included
+EVERY_KEY = CUSTOM.replace("sigma = 1\n", "sigma = 1\n    + 0\n").replace(
+    "x_min = -4.0\nx_max = 4.0\nnx = 81\nnt = 100\n\n[run]\nchecks = validate, dpp\nseed = 7\n",
+    "x_min = -4\nx_max = 4\nnx = 41\nnt = 40\n\n[penalization]\nlevels = 1, 4, 16\n\n"
+    "[run]\nchecks = validate, game_value, penalization, dpp\nseed = 7\nthreads = 2\n",
+)
+
+
+def test_the_config_echo_is_pinned_byte_for_byte():
+    # the round trip alone would pass a change of key order or number format
+    assert parse_config(EVERY_KEY).to_ini() == (
+        "[problem]\n"
+        "name = custom\n"
+        "horizon = 0.5\n"
+        "b = 0\n"
+        "sigma = 1\n"
+        "    + 0\n"
+        "driver = 0\n"
+        "terminal = max(0, 1 - abs(x))\n"
+        "lower = 0 - 2\n"
+        "upper = 2\n"
+        "controls_i = 0\n"
+        "controls_ii = 0\n"
+        "lipschitz = 1\n"
+        "driver_lipschitz = 0\n"
+        "\n"
+        "[grid]\n"
+        "x_min = -4.0\n"
+        "x_max = 4.0\n"
+        "nx = 41\n"
+        "nt = 40\n"
+        "\n"
+        "[penalization]\n"
+        "levels = 1.0, 4.0, 16.0\n"
+        "\n"
+        "[run]\n"
+        "checks = validate, game_value, penalization, dpp\n"
+        "seed = 7\n"
+        "threads = 2\n"
+    )
+
+
 def test_explicit_grid_and_levels_override_the_pinned_ones():
     text = MINIMAL + "\n[grid]\nx_min = -3\nx_max = 3\nnx = 61\nnt = 50\n"
     text += "\n[penalization]\nlevels = 2, 8\n"
@@ -132,6 +175,11 @@ def test_explicit_grid_and_levels_override_the_pinned_ones():
         ),
         (lambda t: "[grid]\nx_min = 0\nx_max = 1\nnx = 11\nnt = 4\n", "missing"),
         (lambda t: t + "\n[penalization]\n", r"\[penalization\] is missing: levels"),
+        # configparser would read [DEFAULT] into every section: a key blamed
+        # on [problem], a name that [problem] does not hold
+        (lambda t: "[DEFAULT]\nnx = 5\n\n" + t, r"^unknown section\(s\): DEFAULT$"),
+        (lambda t: "[DEFAULT]\nname = constant\n\n[problem]\n", r"^unknown section\(s\): DEFAULT$"),
+        (lambda t: "[DEFAULT]\nseed = 3\n\n[run]\n\n" + t, r"^unknown section\(s\): DEFAULT$"),
     ],
 )
 def test_bad_configs_are_rejected_with_cause(mangle, message):
@@ -829,6 +877,68 @@ def test_any_grid_section_exits_0_1_or_2_and_reruns_to_the_same_bytes(problem, g
     # whose square leaves the float range (every nonfinite bound does)
     dx = (x_max - x_min) / max(nx - 1, 1)
     assert (code == 2) == (nx < 3 or nt < 1 or not (dx > 0 and 0 < dx * dx < math.inf))
+
+
+# a [penalization] schedule is drawn ordinary half the time: 1 to 8 strictly
+# increasing weights in [1e-3, 1e3].  The other half lists up to 12 items
+# of those and of hostile ones in any order, so that it may be empty, skip
+# blank items, repeat or decrease, or hold a non-number, a nonfinite
+# weight, one that parses to inf or to 0, or the float range's ends.  Each
+# level adds two march rows, so no schedule has more than 12.
+_HOSTILE_LEVELS = ("", " ", "four", "nan", "inf", "1e309", "1e-400", "0", "-1", "1e308", "5e-324")
+
+
+@st.composite
+def _level_lists(draw):
+    weights = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8, unique=True)))
+    items = [repr(w) for w in weights]
+    if draw(st.booleans()):
+        items = draw(
+            st.lists(st.sampled_from(items) | st.sampled_from(_HOSTILE_LEVELS), max_size=12)
+        )
+    return ", ".join(items)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    problem=st.sampled_from(problems.BUILTINS),
+    x_min=st.floats(-3.0, 2.0),
+    span=st.floats(1.0, 6.0),
+    nx=st.integers(3, 21),
+    nt=st.integers(1, 40),
+    levels=_level_lists(),
+    other_checks=st.lists(st.sampled_from(CHECKS), unique=True),
+)
+# a sweep that passes, and one that meets the ends of the float range
+@example(
+    problem="constant", x_min=-3.0, span=6.0, nx=11, nt=40, levels="1.0, 2.0", other_checks=[]
+)
+@example(
+    problem="dynkin_heat", x_min=-3.0, span=6.0, nx=11, nt=40, levels="5e-324, 1e308",
+    other_checks=list(CHECKS),
+)
+def test_any_penalization_section_exits_0_1_or_2_and_reruns_to_the_same_bytes(
+    problem, x_min, span, nx, nt, levels, other_checks
+):
+    # a grid with |x| <= 3 and a span of at least 1, so that it is never refused
+    x_max = min(x_min + span, 3.0)
+    checks = list(dict.fromkeys(["penalization", *other_checks]))
+    text = (
+        f"[problem]\nname = {problem}\n\n"
+        f"[grid]\nx_min = {x_min!r}\nx_max = {x_max!r}\nnx = {nx}\nnt = {nt}\n\n"
+        f"[penalization]\nlevels = {levels}\n\n"
+        f"[run]\nchecks = {', '.join(checks)}\n"
+    )
+    code = _exit_code_of_two_equal_runs(text)
+    # refused: a list with no item, an item that is no number, or weights
+    # that are not strictly increasing, positive and finite
+    try:
+        PenalizationSchedule(tuple(float(p) for p in levels.split(",") if p.strip()))
+    except ValueError:
+        refused = True
+    else:
+        refused = False
+    assert (code == 2) == refused
 
 
 # what probing the custom-problem property with more examples found: each
