@@ -43,7 +43,7 @@ import time
 import numpy as np
 
 from . import __version__, forwardsim, games, pde, problems, rbsde
-from .model import PenalizationSchedule, SpaceTimeGrid, shifted_spec, validate_problem
+from .model import PenalizationSchedule, SpaceTimeGrid, Variant, shifted_spec, validate_problem
 
 
 class ConfigError(ValueError):
@@ -453,6 +453,40 @@ def _march_fields(spec, grid, schedule, checks):
     return dict(zip(names, pde.march_rows(spec, grid, stack, readers.get("sweep")))) | readers
 
 
+def _lattice_reader(check, spec, lattice, seed):
+    """The reader of the base-lattice walk that `check` reports from, or
+    None for a check that reads none."""
+    if check == "comparison":
+        lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
+        return rbsde.ComparisonReader(spec, lifted, "two_barrier", 64, seed)
+    if check == "crosscheck":
+        return rbsde.InitialValues(spec)
+    if check == "estimates":
+        return rbsde.EstimateReader(spec, lattice, rbsde.PERTURBATION)
+    return None
+
+
+def _walk_lattice(spec, lattice, checks, seed):
+    """The readers of the lattice checks among `checks`, fed by one
+    two-barrier walk of `lattice` that carries only the rows they read, the
+    lattice twin of `_march_fields`: maps each such check to its reader or
+    to its failure.  A reader that cannot be made (its sampled hypotheses
+    raise) is that check's failure and reads no row; a row's failure, or a
+    reader's own, fails only the checks that read it.
+    """
+    readers = {}
+    for check in checks:
+        try:
+            reader = _lattice_reader(check, spec, lattice, seed)
+        except ValueError as exc:
+            reader = exc
+        if reader is not None:
+            readers[check] = reader
+    walked = {name: r for name, r in readers.items() if not isinstance(r, Exception)}
+    failures = rbsde.read_walk(lattice, Variant.named("two_barrier"), list(walked.values()))
+    return readers | {name: f for name, f in zip(walked, failures) if f is not None}
+
+
 def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet, fields):
     """Execute one named check; returns a flat dict of JSON-safe numbers.
 
@@ -461,14 +495,19 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
     in `checks` at once (see `_rows`), and each check builds its report from
     its own fields, failing with the first failure among them in its own
     row order.  `comparison`, `crosscheck` and `estimates` share one base
-    lattice: the first control pair on `grid` from t = 0.
+    lattice, the first control pair on `grid` from t = 0, and one walk of
+    it: the first of them builds the lattice and walks the rows of every
+    lattice check in `checks` at once (see `_walk_lattice`), and each
+    reports from its own reader, or fails with its own first failure.  The
+    refined lattice of `estimates` is built and walked by that check alone.
     """
     rows = _rows(name, grid, schedule)
     if not rows.keys() <= fields.keys():
         fields.update(_march_fields(spec, grid, schedule, checks))
     marched = pde.raise_first_failure([fields[row] for row in rows])
     if name in ("comparison", "crosscheck", "estimates") and "lattice" not in fields:
-        fields["lattice"] = forwardsim.build_lattice(spec, 0.0, grid)
+        lattice = forwardsim.build_lattice(spec, 0.0, grid)
+        fields.update(_walk_lattice(spec, lattice, checks, seed), lattice=lattice)
     if name == "validate":
         report = validate_problem(spec, seed=seed)
         return {
@@ -525,8 +564,8 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
             "split_time": lo.split_time,
         }
     if name == "comparison":
-        lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
-        report = rbsde.comparison_check(spec, lifted, fields["lattice"], seed=seed)
+        (reader,) = pde.raise_first_failure([fields[name]])
+        report = reader.report()
         return {
             "passed": bool(report.passed),
             "conclusive": bool(report.conclusive),
@@ -535,14 +574,17 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
             "max_k_minus_violation": report.max_k_minus_violation,
         }
     if name == "crosscheck":
-        report = games.fixed_control_crosscheck(spec, fields["lattice"])
+        field = games.frozen_control_field(spec, fields["lattice"])
+        (reader,) = pde.raise_first_failure([fields[name]])
+        report = games.crosscheck_report(fields["lattice"], field, reader.values, None)
         return {
             "passed": bool(report.passed),
             "max_diff": report.max_diff,
             "tolerance": report.tolerance,
         }
     if name == "estimates":
-        report = rbsde.apriori_estimate_check(spec, fields["lattice"])
+        (reader,) = pde.raise_first_failure([fields[name]])
+        report = rbsde.estimate_report(spec, fields["lattice"], reader.quantities())
         out = {"passed": bool(report.passed), "refinement": report.refinement}
         for key, val in report.constants.items():
             out[f"constant_{key}"] = val

@@ -147,25 +147,37 @@ def fixed_control_crosscheck(spec, lattice, tolerance=None):
     problem twice.
 
     The finite-difference march runs on singleton control grids, where both
-    reductions collapse, and the lattice recursion on the pair's chain:
-    both approximate the same reflected solution through different spatial
-    schemes (upwind differences against exact-mean transitions).  Agreement
-    is checked at the initial time on the inner half of the domain, out of
-    reach of either boundary treatment at these horizons.  The default
-    tolerance 5 (dx + dt) at the field's own scale matches the schemes'
-    first-order disagreement.  `lattice` must start at t = 0
-    (`rbsde.require_base`); the march runs on its grid.
+    reductions collapse (`frozen_control_field`), and the lattice recursion
+    on the pair's chain: both approximate the same reflected solution
+    through different spatial schemes (upwind differences against
+    exact-mean transitions).  `crosscheck_report` compares them.  `lattice`
+    must start at t = 0 (`rbsde.require_base`); the march runs on its grid.
     """
+    field = frozen_control_field(spec, lattice)
+    y0 = rbsde.backward_semigroup(spec, lattice, 0, lattice.n_steps, None)
+    return crosscheck_report(lattice, field, y0, tolerance)
+
+
+def frozen_control_field(spec, lattice):
+    """The lower field of `spec` with its controls frozen at the pair of
+    `lattice`, a base lattice, marched on the lattice's grid."""
     rbsde.require_base(lattice)
-    grid = lattice.grid
     u, v = spec.control_pair(lattice.controls)
     frozen = dataclasses.replace(
         spec,
         controls_i=ControlGrid(spec.controls_i.label, (u,)),
         controls_ii=ControlGrid(spec.controls_ii.label, (v,)),
     )
-    field = pde.solve_isaacs_double_obstacle(frozen, grid, "lower")
-    y0 = rbsde.backward_semigroup(spec, lattice, 0, lattice.n_steps, None)
+    return pde.solve_isaacs_double_obstacle(frozen, lattice.grid, "lower")
+
+
+def crosscheck_report(lattice, field, y0, tolerance):
+    """The CrosscheckReport of the frozen-control `field` against the
+    lattice's root level `y0`.  Agreement is checked at the initial time on
+    the inner half of the domain, out of reach of either boundary treatment
+    at these horizons.  The default tolerance (None) 5 (dx + dt) at the
+    field's own scale matches the schemes' first-order disagreement."""
+    grid = lattice.grid
     w0 = field.initial()
     i0, i1 = grid.nx // 4, grid.nx - grid.nx // 4
     max_diff = float(np.max(np.abs(y0[i0:i1] - w0[i0:i1])))

@@ -17,12 +17,22 @@ residuals are the reflection increments dK+ and dK-, and the discrete
 Skorokhod conditions hold for them as identities, both node by node and
 in the occupation-weighted sums reported on the solution.
 
-Every solve here iterates one walk down the lattice that holds only the
-current level; the comparison and a-priori checks stream through it and
-store no levels.  The walk refuses an explicit step that does not
+Every solve here iterates one walk down the lattice, `_walk`, that holds
+only the current level of each of its rows, one row per problem.  Each row
+ends at its own first failure and the others walk on, as the rows of
+`pde._march` do.  The walk refuses an explicit step that does not
 contract, dt * (driver_lipschitz + max(m, n)) >= 1, a lattice pair that
 is not on a spec's control grids, a nonfinite terminal row and, at any
 level, a nonfinite expectation or driver value.
+
+`read_walk` feeds one walk to readers, each of which names the problems
+whose rows it reads: `ComparisonReader` folds the maxima of
+`comparison_check`, `EstimateReader` the Snell envelopes and path-sum
+moments of `apriori_estimate_check`, and `InitialValues` keeps the root
+level that `games` compares with the grid.  None of them stores a level.
+`isaacs run` walks each base lattice once, with the rows that its
+requested checks read, and each check reads its report off its own
+reader; the refined lattice of the estimates is walked on its own.
 """
 
 from __future__ import annotations
@@ -43,6 +53,9 @@ from .model import (
     on_nodes,
     shifted_spec,
 )
+
+# the data perturbation of the a priori estimates
+PERTURBATION = 0.1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,13 +96,19 @@ class RBSDESolution:
 class _Step(NamedTuple):
     """What one backward step from level j+1 to level j reads that does not
     depend on the solved values: the nodes, the transition's index columns
-    and probabilities, and the target deviations of the chain."""
+    and probabilities, and the target deviations of the chain.  The
+    expectation reads the probabilities as three contiguous columns: p_down
+    and p_up are the lattice's own arrays and p_stay is 1 - p_down - p_up,
+    bitwise the middle column of `probs`, which the moments read."""
 
     t: float
     x: np.ndarray
     below: np.ndarray  # center - 1
     center: np.ndarray
     above: np.ndarray  # center + 1
+    p_down: np.ndarray
+    p_stay: np.ndarray
+    p_up: np.ndarray
     probs: np.ndarray  # (n, 3): down, stay, up
     around: np.ndarray  # (n, 3) next-step indices
     deviation: np.ndarray  # (n, 3) targets minus their mean
@@ -113,6 +132,7 @@ def _lattice_step(lattice, co, j, u, v, after=None):
         x = after.x
         return after._replace(t=t, sigma=on_nodes(co.sigma(t, x, u, v), x.shape, "sigma"))
     center, probs = lattice.transition(j)
+    _, p_down, p_up = lattice.transitions[j]
     x = lattice.node_values(j)
     around = center[:, None] + (-1, 0, 1)
     targets = lattice.node_values(j + 1)[around]
@@ -126,6 +146,9 @@ def _lattice_step(lattice, co, j, u, v, after=None):
         below=center - 1,
         center=center,
         above=center + 1,
+        p_down=p_down,
+        p_stay=1.0 - p_down - p_up,
+        p_up=p_up,
         probs=probs,
         around=around,
         deviation=deviation,
@@ -137,9 +160,9 @@ def _lattice_step(lattice, co, j, u, v, after=None):
 
 def _expectation(y_next, step):
     return (
-        step.probs[:, 0] * y_next[step.below]
-        + step.probs[:, 1] * y_next[step.center]
-        + step.probs[:, 2] * y_next[step.above]
+        step.p_down * y_next[step.below]
+        + step.p_stay * y_next[step.center]
+        + step.p_up * y_next[step.above]
     )
 
 
@@ -159,17 +182,21 @@ def _walk(specs, lattice, variant, terminal=None, start_step=0, end_step=None):
     """The backward recursion of every spec in `specs` on one lattice.
 
     Yields (end_step, None, rows) for the terminal level, then (j, step,
-    rows) for each level j down to start_step, where rows[i] = (y, z, dK+,
-    dK-, lo, up) of specs[i] on the step-j nodes.  The lattice-only `_Step`
-    is built once per level, and where the lattice shares level j + 1's
-    transition with level j on one node set (`_lattice_step`) it is level
-    j + 1's with t and sigma made anew; sigma and the obstacles are
-    evaluated at every level.  A spec whose sigma, lower or upper is the
-    first spec's callable reuses the first spec's row of it.  Refusals: the
-    step range; for each spec in turn the contraction budget, the lattice's
-    pair off its control grids, and a terminal row (`terminal`, or the
-    payoff when None) outside a clamped obstacle or nonfinite; then, level
-    by level, a nonfinite expectation or driver value.
+    rows) for each level j down to start_step, where rows[i] is (y, z, dK+,
+    dK-, lo, up) of specs[i] on the step-j nodes, or the ValueError that
+    stopped it: a row stops at its own first failure, carries it from then
+    on, and never stops another row.  The walk ends early once every row
+    has failed.  The lattice-only `_Step` is built once per level, and
+    where the lattice shares level j + 1's transition with level j on one
+    node set (`_lattice_step`) it is level j + 1's with t and sigma made
+    anew; sigma and the obstacles are evaluated at every level.  A spec
+    whose sigma, lower or upper is the first spec's callable reuses the
+    first spec's row of it, and a failure of the step or of those rows is
+    the failure of every row still walking.  Refusals: the step range, for
+    the whole walk; per row, the contraction budget, the lattice's pair off
+    its control grids, and a terminal row (`terminal`, or the payoff when
+    None) outside a clamped obstacle or nonfinite; then, level by level, a
+    nonfinite expectation or driver value.
     """
     n_total = lattice.n_steps
     if end_step is None:
@@ -182,8 +209,8 @@ def _walk(specs, lattice, variant, terminal=None, start_step=0, end_step=None):
     pen = max(variant.pen_upper, variant.pen_lower)
     t_end = float(lattice.times[end_step])
     x_end = lattice.node_values(end_step)
-    rows = []
-    for spec in specs:
+
+    def start(spec):
         co = spec.coefficients
         mu = co.driver_lipschitz
         slope_budget = dt * (mu + pen)
@@ -195,30 +222,60 @@ def _walk(specs, lattice, variant, terminal=None, start_step=0, end_step=None):
         spec.control_pair(lattice.controls)  # "not on grid" for a pair off its grids
         y = variant.terminal_row(co, t_end, x_end, terminal)
         zeros = [np.zeros_like(y) for _ in range(3)]
-        rows.append((y, *zeros, *obstacle_rows(co, t_end, x_end)))
+        return (y, *zeros, *obstacle_rows(co, t_end, x_end))
+
+    rows = [_row_or_failure(start, spec) for spec in specs]
     yield end_step, None, rows
 
     u, v = lattice.controls
     first = specs[0].coefficients
     step = None
-    for j in range(end_step - 1, start_step - 1, -1):
-        step = _lattice_step(lattice, first, j, u, v, step)
+
+    def advance(spec, row):
+        # one level down from `row`, on the step and first obstacles of level j
+        co = spec.coefficients
         t, x = step.t, step.x
-        lo_first, up_first = obstacle_rows(first, t, x)
-        levels = []
-        for spec, (y, *_) in zip(specs, rows):
-            co = spec.coefficients
-            own = step
-            if co.sigma is not first.sigma:
-                own = step._replace(sigma=on_nodes(co.sigma(t, x, u, v), x.shape, "sigma"))
-            lo, up = lo_first, up_first
-            if co.lower is not first.lower:
-                lo = on_nodes(co.lower(t, x), x.shape, "lower")
-            if co.upper is not first.upper:
-                up = on_nodes(co.upper(t, x), x.shape, "upper")
-            levels.append((*_reflected_step(co, variant, dt, u, v, own, y, lo, up), lo, up))
-        rows = levels
+        own = step
+        if co.sigma is not first.sigma:
+            own = step._replace(sigma=on_nodes(co.sigma(t, x, u, v), x.shape, "sigma"))
+        lo, up = lo_first, up_first
+        if co.lower is not first.lower:
+            lo = on_nodes(co.lower(t, x), x.shape, "lower")
+        if co.upper is not first.upper:
+            up = on_nodes(co.upper(t, x), x.shape, "upper")
+        return (*_reflected_step(co, variant, dt, u, v, own, row[0], lo, up), lo, up)
+
+    for j in range(end_step - 1, start_step - 1, -1):
+        if not any(isinstance(row, tuple) for row in rows):
+            return
+        try:
+            step = _lattice_step(lattice, first, j, u, v, step)
+            lo_first, up_first = obstacle_rows(first, step.t, step.x)
+        except ValueError as exc:
+            # every row reads these, so every row still walking fails
+            yield j, None, [exc if isinstance(row, tuple) else row for row in rows]
+            return
+        rows = [
+            _row_or_failure(advance, spec, row) if isinstance(row, tuple) else row
+            for spec, row in zip(specs, rows)
+        ]
         yield j, step, rows
+
+
+def _row_or_failure(make, *args):
+    """make(*args), a walk's row, or the ValueError that stopped it."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _raise_first(rows):
+    """`rows`, once none of them is a failure; raises the first otherwise."""
+    for row in rows:
+        if isinstance(row, ValueError):
+            raise row
+    return rows
 
 
 def _occupation(lattice, start_step, end_step, root_index):
@@ -260,7 +317,8 @@ def solve_backward(
     """
     variant = Variant.named(mode, penalty)
     walk = _walk([spec], lattice, variant, terminal, start_step, end_step)
-    end_step, _, ((y, z, dkp, dkm, _, _),) = next(walk)
+    end_step, _, rows = next(walk)
+    ((y, z, dkp, dkm, _, _),) = _raise_first(rows)
     root_index = lattice.counts[start_step] // 2
     occ = _occupation(lattice, start_step, end_step, root_index)
 
@@ -271,7 +329,8 @@ def solve_backward(
     # k in column k + 1, summed in step order by the cumsum below
     sums = np.zeros((4, n_levels))
     excl = 0.0
-    for j, _, ((y, z, dkp, dkm, lo, up),) in walk:
+    for j, _, rows in walk:
+        ((y, z, dkp, dkm, lo, up),) = _raise_first(rows)
         k = j - start_step
         w = occ[k]
         sums[:, k + 1] = (
@@ -317,8 +376,61 @@ def backward_semigroup(spec, lattice, start_step, end_step, values):
     """
     variant = Variant.named("two_barrier")
     for _, _, rows in _walk([spec], lattice, variant, values, start_step, end_step):
-        pass
-    return rows[0][0]
+        ((y, *_),) = _raise_first(rows)
+    return y
+
+
+# a row that overflows is refused a level later, as nonfinite, and an
+# infinite obstacle or an overflowing square fails the estimate quotients:
+# neither warns
+@np.errstate(over="ignore", invalid="ignore")
+def read_walk(lattice, variant, readers):
+    """Feed one walk of the whole lattice to every reader in `readers`;
+    returns each reader's failure, or None for a reader fed every level.
+
+    A reader names the problems whose rows it reads in `reader.specs`, and
+    the walk carries each problem named once, in order of first use, so
+    that readers naming one spec object read one row.  `reader.feed(j,
+    step, rows)` takes the rows of its specs at each level j, from the last
+    level (step None) to the root, for as long as none of them has failed
+    and the reader itself has raised no ValueError; its failure is the
+    first of these in that order.  A reader that names no spec is fed
+    nothing, and the walk stops once every reader has failed.
+    """
+    specs, position = [], {}
+    for reader in readers:
+        for spec in reader.specs:
+            if id(spec) not in position:
+                position[id(spec)] = len(specs)
+                specs.append(spec)
+    index = [[position[id(spec)] for spec in reader.specs] for reader in readers]
+    failures = [None] * len(readers)
+    fed = [r for r, rows in enumerate(index) if rows]
+    if not fed:
+        return failures
+    for j, step, rows in _walk(specs, lattice, variant):
+        for r in fed:
+            if failures[r] is None:
+                try:
+                    readers[r].feed(j, step, _raise_first([rows[i] for i in index[r]]))
+                except ValueError as exc:
+                    failures[r] = exc
+        if all(failures[r] is not None for r in fed):
+            break
+    return failures
+
+
+class InitialValues:
+    """The root level of one problem's two-barrier walk from its payoff:
+    `values` is what `backward_semigroup(spec, lattice, 0, n_steps, None)`
+    returns, read off a shared walk."""
+
+    def __init__(self, spec):
+        self.specs = (spec,)
+        self.values = None
+
+    def feed(self, j, step, rows):
+        ((self.values, *_),) = rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -384,6 +496,60 @@ def _ordering_hypotheses(ca, cb, pairs, draws):
     )[kind], False
 
 
+class ComparisonReader:
+    """The maxima of `comparison_check`, folded one level at a time as a
+    walk goes.
+
+    The ordering hypotheses are sampled under `seed` when the reader is
+    made.  When they hold it reads the rows of both problems; when they fail
+    it reads no row, and its report is inconclusive with nan maxima, which
+    fail it.  With equal obstacles and `mode` two-barrier the reflection
+    increments are compared too.
+    """
+
+    def __init__(self, spec_a, spec_b, mode, samples, seed):
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples!r}")
+        radius = 3.0
+        rng = np.random.default_rng(seed)
+        # four draws per sample, one sample after another: t, x, y and z
+        lows, highs = (0.0, -radius, -radius, -radius), (spec_a.horizon, radius, radius, radius)
+        draws = rng.uniform(lows, highs, size=(samples, 4))
+        self.conclusive, self.detail, self.equal_barriers = _ordering_hypotheses(
+            spec_a.coefficients, spec_b.coefficients, list(spec_a.control_pairs()), draws
+        )
+        self.specs = (spec_a, spec_b) if self.conclusive else ()
+        # checked on the per-step increments, which implies the ordering of
+        # the cumulative reflection along every path
+        self.reflections = self.equal_barriers and mode == "two_barrier"
+        # the signed maxima of Y^a - Y^b, dK+^b - dK+^a and dK-^a - dK-^b; an
+        # inconclusive check walks nothing, and its nan maxima fail it
+        start = -math.inf if self.conclusive else math.nan
+        self.max_y = self.max_k_plus = self.max_k_minus = start
+
+    def feed(self, j, step, rows):
+        (ya, _, kpa, kma, _, _), (yb, _, kpb, kmb, _, _) = rows
+        # max(new, old) keeps the new value on ties: the walk runs backward,
+        # so this is the first maximum in level order, as over stored levels
+        self.max_y = max(float(np.max(ya - yb)), self.max_y)
+        if self.reflections:
+            self.max_k_minus = max(float(np.max(kma - kmb)), self.max_k_minus)
+            self.max_k_plus = max(float(np.max(kpb - kpa)), self.max_k_plus)
+
+    def report(self):
+        tolerance = 1e-10
+        return ComparisonReport(
+            conclusive=self.conclusive,
+            hypothesis_detail=self.detail,
+            equal_barriers=self.equal_barriers,
+            max_y_violation=self.max_y,
+            max_k_plus_violation=self.max_k_plus,
+            max_k_minus_violation=self.max_k_minus,
+            tolerance=tolerance,
+            passed=all(v <= tolerance for v in (self.max_y, self.max_k_plus, self.max_k_minus)),
+        )
+
+
 def comparison_check(
     spec_a,
     spec_b,
@@ -397,46 +563,15 @@ def comparison_check(
 
     The ordering hypotheses (terminal_a <= terminal_b, driver_a <= driver_b,
     matching dynamics and ordered obstacles) are sampled first; if they fail
-    the report is inconclusive.  With equal obstacles and a two-barrier
-    solve the reflection orderings dK-^a <= dK-^b and dK+^a >= dK+^b are
-    checked on every step increment as well: the smaller solution is pushed
-    down less at the upper obstacle and up more at the lower one.
+    the report is inconclusive and nothing is walked.  With equal obstacles
+    and a two-barrier solve the reflection orderings dK-^a <= dK-^b and
+    dK+^a >= dK+^b are checked on every step increment as well: the smaller
+    solution is pushed down less at the upper obstacle and up more at the
+    lower one.  This is one `ComparisonReader` fed by a walk of its own.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples!r}")
-    radius, tolerance = 3.0, 1e-10
-    rng = np.random.default_rng(seed)
-    # four draws per sample, one sample after another: t, x, y and z
-    lows, highs = (0.0, -radius, -radius, -radius), (spec_a.horizon, radius, radius, radius)
-    draws = rng.uniform(lows, highs, size=(samples, 4))
-    conclusive, detail, equal_barriers = _ordering_hypotheses(
-        spec_a.coefficients, spec_b.coefficients, list(spec_a.control_pairs()), draws
-    )
-    # an inconclusive check walks nothing, and its nan maxima fail it
-    y_viol = kp_viol = km_viol = -math.inf if conclusive else math.nan
-    if conclusive:
-        # checked on the per-step increments, which implies the ordering of
-        # the cumulative reflection along every path
-        reflections = equal_barriers and mode == "two_barrier"
-        # max(new, old) keeps the new value on ties: the walk runs backward,
-        # so this is the first maximum in level order, as over stored levels
-        for _, _, ((ya, _, kpa, kma, _, _), (yb, _, kpb, kmb, _, _)) in _walk(
-            [spec_a, spec_b], lattice, Variant.named(mode, penalty)
-        ):
-            y_viol = max(float(np.max(ya - yb)), y_viol)
-            if reflections:
-                km_viol = max(float(np.max(kma - kmb)), km_viol)
-                kp_viol = max(float(np.max(kpb - kpa)), kp_viol)
-    return ComparisonReport(
-        conclusive=conclusive,
-        hypothesis_detail=detail,
-        equal_barriers=equal_barriers,
-        max_y_violation=y_viol,
-        max_k_plus_violation=kp_viol,
-        max_k_minus_violation=km_viol,
-        tolerance=tolerance,
-        passed=(y_viol <= tolerance and kp_viol <= tolerance and km_viol <= tolerance),
-    )
+    reader = ComparisonReader(spec_a, spec_b, mode, samples, seed)
+    _raise_first(read_walk(lattice, Variant.named(mode, penalty), [reader]))
+    return reader.report()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -458,14 +593,13 @@ class EstimateReport:
     passed: bool
 
 
-# an infinite obstacle or an overflowing square fails the check, unwarned
-@np.errstate(over="ignore", invalid="ignore")
-def _estimate_quantities(spec, lattice, perturbation):
-    """The three quotients of `apriori_estimate_check` on one lattice.
+class EstimateReader:
+    """The three quotients of `apriori_estimate_check` on one lattice,
+    folded one level at a time as a two-barrier walk goes.
 
-    One backward walk from the last level to the root carries the
-    two-barrier solves of `spec` and of its perturbed copy side by side,
-    together with every row whose root value the quotients read:
+    It reads the rows of `spec` and of its copy with terminal, driver and
+    upper obstacle shifted by `perturbation`, and advances every row whose
+    root value the quotients read:
 
         Snell envelopes   |Y|^2, lower^2, upper^2, |Y - Y'|^2
         path-sum moments  E[S] and E[S^2] of S_j = g_j + S_{j+1}, for the
@@ -474,66 +608,90 @@ def _estimate_quantities(spec, lattice, perturbation):
                           (g = |Z - Z'|^2 dt) and the reflection difference
                           (g = dK+ - dK- - dK+' + dK-')
 
-    This is `_walk` over both specs, the walk `solve_backward` takes, with
-    its refusals; it stores no levels and builds no occupation law.
+    It stores no levels and builds no occupation law; `quantities` forms
+    the quotients once the root level is fed.
     """
-    co = spec.coefficients
-    eps = perturbation
-    spec_b = shifted_spec(spec, eps, ("terminal", "driver", "upper"))
-    u, v = lattice.controls
-    dt = float(lattice.times[1] - lattice.times[0])
-    walk = _walk([spec, spec_b], lattice, Variant.named("two_barrier"))
 
-    _, _, ((y, _, _, _, lo, up), (y_b, *_)) = next(walk)
-    snell_y, snell_lo, snell_up, snell_dy = y ** 2, lo ** 2, up ** 2, (y - y_b) ** 2
-    term = snell_y  # E[phi^2] starts from the same squared payoff
-    drive = drive_sq = dz_mean = dk = dk_sq = np.zeros(lattice.counts[lattice.n_steps])
+    def __init__(self, spec, lattice, perturbation):
+        self.specs = (spec, shifted_spec(spec, perturbation, ("terminal", "driver", "upper")))
+        self.lattice = lattice
+        self.perturbation = perturbation
+        self.dt = float(lattice.times[1] - lattice.times[0])
 
-    for _, step, ((y, z, dkp, dkm, lo, up), (y_b, z_b, dkp_b, dkm_b, _, _)) in walk:
-        snell_y = np.maximum(y ** 2, _expectation(snell_y, step))
-        snell_lo = np.maximum(lo ** 2, _expectation(snell_lo, step))
-        snell_up = np.maximum(up ** 2, _expectation(snell_up, step))
-        snell_dy = np.maximum((y - y_b) ** 2, _expectation(snell_dy, step))
-        term = _expectation(term, step)
+    def feed(self, j, step, rows):
+        (y, z, dkp, dkm, lo, up), (y_b, z_b, dkp_b, dkm_b, _, _) = rows
+        self.y = y
+        if step is None:
+            self.snell_y, self.snell_lo = y ** 2, lo ** 2
+            self.snell_up, self.snell_dy = up ** 2, (y - y_b) ** 2
+            self.term = self.snell_y  # E[phi^2] starts from the same squared payoff
+            zeros = np.zeros_like(y)
+            self.drive = self.drive_sq = self.dz_mean = self.dk = self.dk_sq = zeros
+            return
+        self.snell_y = np.maximum(y ** 2, _expectation(self.snell_y, step))
+        self.snell_lo = np.maximum(lo ** 2, _expectation(self.snell_lo, step))
+        self.snell_up = np.maximum(up ** 2, _expectation(self.snell_up, step))
+        self.snell_dy = np.maximum((y - y_b) ** 2, _expectation(self.snell_dy, step))
+        self.term = _expectation(self.term, step)
 
-        f0 = on_nodes(co.driver(step.t, step.x, 0.0, 0.0, u, v), step.x.shape, "driver")
+        dt, driver = self.dt, self.specs[0].coefficients.driver
+        u, v = self.lattice.controls
+        f0 = on_nodes(driver(step.t, step.x, 0.0, 0.0, u, v), step.x.shape, "driver")
         g = np.abs(f0) * dt
-        mean = _expectation(drive, step)
-        drive_sq = g * g + 2.0 * g * mean + _expectation(drive_sq, step)
-        drive = g + mean
+        mean = _expectation(self.drive, step)
+        self.drive_sq = g * g + 2.0 * g * mean + _expectation(self.drive_sq, step)
+        self.drive = g + mean
 
         dz = z - z_b
-        dz_mean = dz * dz * dt + _expectation(dz_mean, step)
+        self.dz_mean = dz * dz * dt + _expectation(self.dz_mean, step)
 
         g = dkp - dkm - dkp_b + dkm_b
-        mean = _expectation(dk, step)
-        dk_sq = g * g + 2.0 * g * mean + _expectation(dk_sq, step)
-        dk = g + mean
+        mean = _expectation(self.dk, step)
+        self.dk_sq = g * g + 2.0 * g * mean + _expectation(self.dk_sq, step)
+        self.dk = g + mean
 
-    root = lattice.counts[0] // 2
+    @np.errstate(over="ignore", invalid="ignore")  # see `read_walk`
+    def quantities(self):
+        spec = self.specs[0]
+        root = self.lattice.counts[0] // 2
 
-    # size bound: Snell(|Y|^2) against terminal, driver-at-zero and obstacles;
-    # the driver enters through the second moment of S_j = sum_{r>=j} |f0| dt
-    rhs_size = (
-        float(term[root]) + float(drive_sq[root]) + float(snell_lo[root]) + float(snell_up[root])
-    )
-    const_size = float(snell_y[root]) / rhs_size if rhs_size > 0 else math.inf
+        # size bound: Snell(|Y|^2) against terminal, driver-at-zero and
+        # obstacles; the driver enters through the second moment of
+        # S_j = sum_{r>=j} |f0| dt
+        rhs_size = (
+            float(self.term[root])
+            + float(self.drive_sq[root])
+            + float(self.snell_lo[root])
+            + float(self.snell_up[root])
+        )
+        const_size = float(self.snell_y[root]) / rhs_size if rhs_size > 0 else math.inf
 
-    # initial-state stability: difference quotient of Y at the start level
-    quot = float(np.max(np.abs(np.diff(y)))) / lattice.grid.dx
-    const_state = quot / max(co.lipschitz, 1e-30)
+        # initial-state stability: difference quotient of Y at the start level
+        quot = float(np.max(np.abs(np.diff(self.y)))) / self.lattice.grid.dx
+        const_state = quot / max(spec.coefficients.lipschitz, 1e-30)
 
-    # data-perturbation bound: terminal, driver and upper obstacle shifted by
-    # eps; the shifted upper obstacle enters through its square root times
-    # bounded moments, hence the first-order eps term
-    rhs_diff = eps * eps + (spec.horizon * eps) ** 2 + eps
-    const_diff = (float(snell_dy[root]) + float(dz_mean[root]) + float(dk_sq[root])) / rhs_diff
+        # data-perturbation bound: terminal, driver and upper obstacle shifted
+        # by eps; the shifted upper obstacle enters through its square root
+        # times bounded moments, hence the first-order eps term
+        eps = self.perturbation
+        rhs_diff = eps * eps + (spec.horizon * eps) ** 2 + eps
+        const_diff = (
+            float(self.snell_dy[root]) + float(self.dz_mean[root]) + float(self.dk_sq[root])
+        ) / rhs_diff
 
-    return {
-        "size": const_size,
-        "state_lipschitz": const_state,
-        "perturbation": const_diff,
-    }
+        return {
+            "size": const_size,
+            "state_lipschitz": const_state,
+            "perturbation": const_diff,
+        }
+
+
+def _estimate_quantities(spec, lattice, perturbation):
+    """The three quotients of `apriori_estimate_check` on one lattice: an
+    `EstimateReader` fed by a walk of its own, with that walk's refusals."""
+    reader = EstimateReader(spec, lattice, perturbation)
+    _raise_first(read_walk(lattice, Variant.named("two_barrier"), [reader]))
+    return reader.quantities()
 
 
 def require_base(lattice):
@@ -551,26 +709,33 @@ def apriori_estimate_check(spec, base):
     square of Y against terminal, driver-at-zero and obstacle data), the
     initial-state Lipschitz quotient of Y against the declared state
     constant, and the data-perturbation bound (joint Y / Z / reflection
-    difference against a perturbation of size 0.1).  Running suprema are
-    realized as Snell envelopes on the lattice, which the same inequalities
-    dominate.  The check passes when refining the grid moves each quotient
-    by at most a factor of 2 either way.
+    difference against a perturbation of size PERTURBATION).  Running
+    suprema are realized as Snell envelopes on the lattice, which the same
+    inequalities dominate.  The check passes when refining the grid moves
+    each quotient by at most a factor of 2 either way.
 
-    Each lattice is walked once, from the last level to the root: both
-    reflected solves, the four Snell envelopes and the path-sum moments
-    advance together, and no level is stored.  `base` is the lattice of one
-    pair from t = 0 (`require_base`); the refined lattice is built here from
-    its grid and its pair.
+    Each lattice is walked once, from the last level to the root, by an
+    `EstimateReader`: both reflected solves, the four Snell envelopes and
+    the path-sum moments advance together, and no level is stored.  `base`
+    is the lattice of one pair from t = 0 (`require_base`);
+    `estimate_report` builds and walks the refined lattice.
+    """
+    require_base(base)
+    return estimate_report(spec, base, _estimate_quantities(spec, base, PERTURBATION))
+
+
+def estimate_report(spec, base, constants):
+    """The EstimateReport of the quotients `constants` measured on the base
+    lattice `base`, against those of the refined lattice, built here from
+    its grid and its pair and walked on its own.
 
     Refinement halves dx; dt is halved when the pair's lattice still admits
     nonnegative probabilities at the finer spacing and quartered when that
     lattice is infeasible (the report records which); any other error
     propagates.
     """
-    require_base(base)
     grid, controls = base.grid, base.controls
-    perturbation, stability_factor = 0.1, 2.0
-    constants = _estimate_quantities(spec, base, perturbation)
+    stability_factor = 2.0
 
     def finer(factor_t):
         nx = (grid.nx - 1) * 2 + 1
@@ -582,7 +747,7 @@ def apriori_estimate_check(spec, base):
     except LatticeError:
         fine = build_lattice(spec, 0.0, finer(4), controls)
         refinement = "dx/2, dt/4"
-    refined = _estimate_quantities(spec, fine, perturbation)
+    refined = _estimate_quantities(spec, fine, PERTURBATION)
 
     ratios = {}
     stable = True

@@ -383,6 +383,79 @@ def test_comparison_and_estimates_share_one_base_lattice(tmp_path, monkeypatch):
     assert together.checks == alone
 
 
+def test_a_run_walks_the_base_lattice_once_with_only_the_rows_its_checks_read(
+    tmp_path, monkeypatch
+):
+    config = parse_config(_AT_THE_UPPER_OBSTACLE)
+    walked = []
+    original = isaacs.rbsde._walk
+
+    def counting(specs, *args):
+        walked.append(len(specs))
+        return original(specs, *args)
+
+    monkeypatch.setattr(isaacs.rbsde, "_walk", counting)
+    # rows per walk: the problem, comparison's lifted copy and the
+    # estimates' perturbed copy; the estimates walk their refined lattice
+    # on their own
+    for checks, rows in (
+        (("crosscheck",), [1]),
+        (("comparison",), [2]),
+        (("estimates",), [2, 2]),
+        (("comparison", "crosscheck"), [2]),
+        (("estimates", "forward", "comparison", "crosscheck"), [3, 2]),
+        (("forward", "validate"), []),
+    ):
+        walked.clear()
+        run(config, str(tmp_path / "-".join(checks)), checks=checks, quiet=True)
+        assert walked == rows, checks
+
+
+# the payoff is the upper obstacle, so comparison's lifted payoff leaves it
+# at the horizon: only comparison fails, and every other lattice check
+# reads its rows off the same base lattice
+_AT_THE_UPPER_OBSTACLE = """\
+[problem]
+name = custom
+horizon = 0.5
+b = 0.2
+sigma = 0.8
+driver = 0.1 * min(max(y, 0 - 1), 1)
+terminal = max(0, 1 - abs(x))
+lower = 0 - 1
+upper = max(0, 1 - abs(x))
+controls_i = 0
+controls_ii = 0
+lipschitz = 1
+driver_lipschitz = 0.1
+
+[grid]
+x_min = -3
+x_max = 3
+nx = 31
+nt = 40
+"""
+
+
+def test_the_lattice_checks_fail_one_by_one(tmp_path):
+    config = parse_config(_AT_THE_UPPER_OBSTACLE)
+    checks = ("comparison", "crosscheck", "estimates", "forward")
+    alone = {
+        check: run(config, str(tmp_path / check), checks=(check,), quiet=True).checks[check]
+        for check in checks
+    }
+    assert alone["comparison"] == {
+        "passed": False,
+        "error": "ValueError: terminal values exceed the upper obstacle at t=0.5",
+    }
+    assert all(alone[check]["passed"] for check in checks[1:])
+    for order in (checks, checks[::-1], checks[1:] + checks[:1]):
+        joint = run(config, str(tmp_path / "-".join(order)), checks=order, quiet=True)
+        assert [c for c in order if not joint.checks[c]["passed"]] == ["comparison"]
+        for check in order:
+            assert _format_json(joint.checks[check]) == _format_json(alone[check]), check
+
+
 def test_the_manifest_times_every_check_it_ran(tmp_path):
     config = parse_config(MINIMAL)
     checks = ("validate", "dpp", "game_value")

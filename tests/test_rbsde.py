@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isaacs import rbsde
 from isaacs.forwardsim import build_lattice
 from isaacs.games import fixed_control_crosscheck
 from isaacs.model import (
@@ -20,18 +21,24 @@ from isaacs.model import (
     PenalizationSchedule,
     ProblemSpec,
     SpaceTimeGrid,
+    Variant,
     obstacle_rows,
     on_nodes,
     shifted_spec,
 )
 from isaacs.problems import builtin, from_expressions
 from isaacs.rbsde import (
+    ComparisonReader,
     ComparisonReport,
+    EstimateReader,
+    InitialValues,
     _estimate_quantities,
+    _lattice_step,
     _occupation,
     apriori_estimate_check,
     backward_semigroup,
     comparison_check,
+    read_walk,
     solve_backward,
 )
 
@@ -543,6 +550,136 @@ def test_estimate_walk_equals_the_solve_composition_bitwise(case):
         for eps in (0.1, 0.37):
             walk = _estimate_quantities(spec, lattice, eps)
             assert walk == _reference_estimate_quantities(spec, lattice, eps), (pair, eps)
+
+
+# the lattices `isaacs run` walks: every builtin whose pinned grid admits
+# one, and the time-dependent and multi-pair problems of the CI steps
+_CI_TEXTS = dict(
+    horizon=0.5,
+    driver="0",
+    terminal="max(0, 1 - abs(x))",
+    lower="0 - 2",
+    upper="2",
+    lipschitz=1.0,
+    driver_lipschitz=0.0,
+)
+_CI_GRID = SpaceTimeGrid(-4.0, 4.0, 41, 40, 0.5)
+_RUN_LATTICES = {
+    **{
+        name: (builtin(name).spec, builtin(name).grid)
+        for name in ("constant", "dynkin_heat", "bilinear_game", "separable_game")
+    },
+    "time_dependent": (
+        from_expressions(
+            **_CI_TEXTS,
+            b="0.3 * t * (1 + u)",
+            sigma="1 + 0.5 * t",
+            controls_i=(0.0,),
+            controls_ii=(0.0,),
+        ),
+        _CI_GRID,
+    ),
+    "multi_pair": (
+        from_expressions(
+            **{**_CI_TEXTS, "driver": "0.1 * v"},
+            b="0.3 * u",
+            sigma="1",
+            controls_i=(-1.0, 1.0),
+            controls_ii=(0.0, 1.0),
+        ),
+        _CI_GRID,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RUN_LATTICES))
+def test_one_walk_reads_what_the_three_separate_walks_read_bitwise(case):
+    spec, grid = _RUN_LATTICES[case]
+    lattice = build_lattice(spec, 0.0, grid)
+    lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
+    readers = [
+        ComparisonReader(spec, lifted, "two_barrier", 64, 3),
+        InitialValues(spec),
+        EstimateReader(spec, lattice, 0.1),
+    ]
+    assert read_walk(lattice, Variant.named("two_barrier"), readers) == [None] * 3
+    comparison, initial, estimates = readers
+    assert comparison.conclusive
+    assert comparison.report() == comparison_check(spec, lifted, lattice, seed=3)
+    y0 = backward_semigroup(spec, lattice, 0, lattice.n_steps, None)
+    assert initial.values.tobytes() == y0.tobytes()
+    assert estimates.quantities() == _reference_estimate_quantities(spec, lattice, 0.1)
+
+
+def test_the_walk_carries_only_the_rows_its_readers_read(monkeypatch):
+    spec, lattice = _ramp_spec(), _ramp_lattice()
+    walked = []
+    original = rbsde._walk
+
+    def counting(specs, *args):
+        walked.append(len(specs))
+        return original(specs, *args)
+
+    monkeypatch.setattr(rbsde, "_walk", counting)
+    smaller = shifted_spec(spec, -0.05, ("terminal", "driver"))
+    # the hypotheses fail for a problem above its comparand: no row is read
+    inconclusive = ComparisonReader(spec, smaller, "two_barrier", 16, 0)
+    assert inconclusive.specs == ()
+    two_barrier = Variant.named("two_barrier")
+    assert read_walk(lattice, two_barrier, [inconclusive]) == [None]
+    assert walked == []
+    initial = InitialValues(spec)
+    assert read_walk(lattice, two_barrier, [inconclusive, initial]) == [None, None]
+    assert walked == [1]
+    report = inconclusive.report()
+    assert not report.conclusive and not report.passed and math.isnan(report.max_y_violation)
+    lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
+    readers = [
+        ComparisonReader(spec, lifted, "two_barrier", 16, 0),
+        InitialValues(spec),
+        EstimateReader(spec, lattice, 0.1),
+    ]
+    walked.clear()
+    read_walk(lattice, two_barrier, readers)
+    assert walked == [3]
+
+
+def test_a_failing_row_stops_only_its_own_readers():
+    # the lifted payoff leaves the upper obstacle, so the lifted row is
+    # refused at the horizon; the readers of the other rows read every level
+    spec, lattice = _ramp_spec(), _ramp_lattice()
+    at_upper = dataclasses.replace(
+        spec.coefficients, terminal=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0)
+    )
+    spec = dataclasses.replace(spec, coefficients=at_upper)
+    lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
+    readers = [
+        ComparisonReader(spec, lifted, "two_barrier", 16, 0),
+        InitialValues(spec),
+        EstimateReader(spec, lattice, 0.1),
+    ]
+    comparison, initial, estimates = read_walk(lattice, Variant.named("two_barrier"), readers)
+    assert str(comparison) == "terminal values exceed the upper obstacle at t=1"
+    assert initial is estimates is None
+    y0 = backward_semigroup(spec, lattice, 0, lattice.n_steps, None)
+    assert readers[1].values.tobytes() == y0.tobytes()
+    assert readers[2].quantities() == _estimate_quantities(spec, lattice, 0.1)
+
+
+def test_the_step_reads_contiguous_columns_of_the_stored_probabilities():
+    bp = builtin("dynkin_heat")
+    grid = bp.grid
+    fine = SpaceTimeGrid(grid.x_min, grid.x_max, 2 * grid.nx - 1, 4 * grid.nt, grid.horizon)
+    lattice = build_lattice(bp.spec, 0.0, fine)
+    assert (lattice.counts[0], lattice.n_steps) == (401, 1600)
+    assert any(a is b for a, b in zip(lattice.transitions, lattice.transitions[1:]))
+    step = None
+    for j in range(lattice.n_steps - 1, -1, -1):
+        step = _lattice_step(lattice, bp.spec.coefficients, j, 0.0, 0.0, step)
+        _, probs = lattice.transition(j)
+        for k, column in enumerate((step.p_down, step.p_stay, step.p_up)):
+            assert column.flags.c_contiguous
+            assert column.tobytes() == probs[:, k].tobytes(), (j, k)
 
 
 def test_estimate_walk_refuses_what_solve_backward_refuses():
