@@ -309,16 +309,21 @@ def _format_json(obj, indent=0):
 def _write_text(out_dir, filenames, steps, outputs, quiet):
     """Write the files `filenames` together: each step holds one string
     chunk per file.  Each file is hashed on its own, and only one chunk is
-    held as bytes."""
+    held as bytes.  A file that cannot be written is a ConfigError naming
+    it."""
     paths = [os.path.join(out_dir, name) for name in filenames]
     digests = [hashlib.sha256() for _ in filenames]
-    with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "wb")) for path in paths]
-        for chunks in steps:
-            for chunk, digest, fh in zip(chunks, digests, handles):
-                data = chunk.encode("utf-8")
-                digest.update(data)
-                fh.write(data)
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = [stack.enter_context(open(path, "wb")) for path in paths]
+            for chunks in steps:
+                for chunk, digest, fh in zip(chunks, digests, handles):
+                    data = chunk.encode("utf-8")
+                    digest.update(data)
+                    fh.write(data)
+    except OSError as exc:  # a failed open names its file, a failed write none
+        failed = exc.filename or " and ".join(paths)
+        raise ConfigError(f"cannot write output file {failed!r}: {exc.strerror}")
     for name, path, digest in zip(filenames, paths, digests):
         outputs[name] = digest.hexdigest()
         if not quiet:
@@ -453,17 +458,17 @@ def _march_fields(spec, grid, schedule, checks):
     return dict(zip(names, pde.march_rows(spec, grid, stack, readers.get("sweep")))) | readers
 
 
-def _lattice_reader(check, spec, lattice, seed):
-    """The reader of the base-lattice walk that `check` reports from, or
-    None for a check that reads none."""
-    if check == "comparison":
-        lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
-        return rbsde.ComparisonReader(spec, lifted, "two_barrier", 64, seed)
-    if check == "crosscheck":
-        return rbsde.InitialValues(spec)
-    if check == "estimates":
-        return rbsde.EstimateReader(spec, lattice, rbsde.PERTURBATION)
-    return None
+# the reader of the base-lattice walk that each lattice check reports from,
+# made from (spec, lattice, seed)
+_LATTICE_READERS = {
+    "comparison": lambda spec, lattice, seed: rbsde.ComparisonReader(
+        spec, shifted_spec(spec, 0.05, ("terminal", "driver")), "two_barrier", 64, seed
+    ),
+    "crosscheck": lambda spec, lattice, seed: rbsde.InitialValues(spec),
+    "estimates": lambda spec, lattice, seed: rbsde.EstimateReader(
+        spec, lattice, rbsde.PERTURBATION
+    ),
+}
 
 
 def _walk_lattice(spec, lattice, checks, seed):
@@ -475,13 +480,11 @@ def _walk_lattice(spec, lattice, checks, seed):
     reader's own, fails only the checks that read it.
     """
     readers = {}
-    for check in checks:
+    for check in (c for c in checks if c in _LATTICE_READERS):
         try:
-            reader = _lattice_reader(check, spec, lattice, seed)
+            readers[check] = _LATTICE_READERS[check](spec, lattice, seed)
         except ValueError as exc:
-            reader = exc
-        if reader is not None:
-            readers[check] = reader
+            readers[check] = exc
     walked = {name: r for name, r in readers.items() if not isinstance(r, Exception)}
     failures = rbsde.read_walk(lattice, Variant.named("two_barrier"), list(walked.values()))
     return readers | {name: f for name, f in zip(walked, failures) if f is not None}
@@ -505,7 +508,7 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
     if not rows.keys() <= fields.keys():
         fields.update(_march_fields(spec, grid, schedule, checks))
     marched = pde.raise_first_failure([fields[row] for row in rows])
-    if name in ("comparison", "crosscheck", "estimates") and "lattice" not in fields:
+    if name in _LATTICE_READERS and "lattice" not in fields:
         lattice = forwardsim.build_lattice(spec, 0.0, grid)
         fields.update(_walk_lattice(spec, lattice, checks, seed), lattice=lattice)
     if name == "validate":
@@ -638,6 +641,8 @@ def run(config, out_dir, seed=None, threads=None, checks=None, quiet=False):
             results[name] = _run_check(
                 name, ordered, spec, grid, schedule, seed, out_dir, outputs, quiet, fields
             )
+        except ConfigError:  # an output file that cannot be written ends the run
+            raise
         except Exception as exc:  # a failed stage must not lose earlier output
             results[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
         timings[name] = time.monotonic() - check_started

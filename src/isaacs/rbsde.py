@@ -18,12 +18,15 @@ Skorokhod conditions hold for them as identities, both node by node and
 in the occupation-weighted sums reported on the solution.
 
 Every solve here iterates one walk down the lattice, `_walk`, that holds
-only the current level of each of its rows, one row per problem.  Each row
-ends at its own first failure and the others walk on, as the rows of
-`pde._march` do.  The walk refuses an explicit step that does not
-contract, dt * (driver_lipschitz + max(m, n)) >= 1, a lattice pair that
-is not on a spec's control grids, a nonfinite terminal row and, at any
-level, a nonfinite expectation or driver value.
+only the current level of each of its rows, one row per problem.  A level
+is the lattice's step geometry, which no coefficient enters, and the
+sigma and obstacle rows, evaluated once per distinct callable for every
+problem that reads it.  The walk has one failure rule: a row ends at the
+first refusal of anything it reads and the others walk on, as the rows of
+`pde._march` do.  It refuses an explicit step that does not contract,
+dt * (driver_lipschitz + max(m, n)) >= 1, a lattice pair off a spec's
+control grids, a nonfinite terminal row and, at any level, a coefficient
+of the wrong shape or a nonfinite expectation or driver value.
 
 `read_walk` feeds one walk to readers, each of which names the problems
 whose rows it reads: `ComparisonReader` folds the maxima of
@@ -94,12 +97,12 @@ class RBSDESolution:
 
 
 class _Step(NamedTuple):
-    """What one backward step from level j+1 to level j reads that does not
-    depend on the solved values: the nodes, the transition's index columns
-    and probabilities, and the target deviations of the chain.  The
-    expectation reads the probabilities as three contiguous columns: p_down
-    and p_up are the lattice's own arrays and p_stay is 1 - p_down - p_up,
-    bitwise the middle column of `probs`, which the moments read."""
+    """What the lattice alone decides of one backward step from level j+1
+    to level j: the nodes, the transition's index columns and probabilities,
+    and the target deviations of the chain.  The expectation reads the
+    probabilities as three contiguous columns: p_down and p_up are the
+    lattice's own arrays and p_stay is 1 - p_down - p_up, bitwise the
+    middle column of `probs`, which the moments read."""
 
     t: float
     x: np.ndarray
@@ -114,14 +117,12 @@ class _Step(NamedTuple):
     deviation: np.ndarray  # (n, 3) targets minus their mean
     spread: np.ndarray  # Var(X_{j+1}) > 0
     var_x: np.ndarray  # Var(X_{j+1}), 1 where it vanishes
-    sigma: np.ndarray
 
 
-def _lattice_step(lattice, co, j, u, v, after=None):
-    """The `_Step` of level j.  `after` is that of level j + 1, if known:
+def _lattice_step(lattice, j, after):
+    """The `_Step` of level j.  `after` is that of level j + 1, or None:
     when transitions[j] is the object transitions[j + 1] and levels j, j + 1
-    and j + 2 hold one node set, every field but t and sigma is bitwise
-    that of `after`, so only those two are made."""
+    and j + 2 hold one node set, the step is `after` at level j's time."""
     t = float(lattice.times[j])
     if (
         after is not None
@@ -129,8 +130,7 @@ def _lattice_step(lattice, co, j, u, v, after=None):
         and lattice.first_index[j] == lattice.first_index[j + 1] == lattice.first_index[j + 2]
         and lattice.counts[j] == lattice.counts[j + 1] == lattice.counts[j + 2]
     ):
-        x = after.x
-        return after._replace(t=t, sigma=on_nodes(co.sigma(t, x, u, v), x.shape, "sigma"))
+        return after._replace(t=t)
     center, probs = lattice.transition(j)
     _, p_down, p_up = lattice.transitions[j]
     x = lattice.node_values(j)
@@ -154,7 +154,6 @@ def _lattice_step(lattice, co, j, u, v, after=None):
         deviation=deviation,
         spread=spread,
         var_x=np.where(spread, var_x, 1.0),
-        sigma=on_nodes(co.sigma(t, x, u, v), x.shape, "sigma"),
     )
 
 
@@ -166,11 +165,11 @@ def _expectation(y_next, step):
     )
 
 
-def _reflected_step(co, variant, dt, u, v, step, y_next, lo, up):
+def _reflected_step(co, variant, dt, u, v, step, sigma, y_next, lo, up):
     """The backward step of the module docstring: (Y_j, Z_j, dK+, dK-)."""
     ey = _expectation(y_next, step)
     cov = np.einsum("ik,ik->i", step.probs, y_next[step.around] * step.deviation)
-    z = step.sigma * np.where(step.spread, cov / step.var_x, 0.0)
+    z = sigma * np.where(step.spread, cov / step.var_x, 0.0)
     fval = on_nodes(co.driver(step.t, step.x, ey, z, u, v), step.x.shape, "driver")
     if not (np.isfinite(ey).all() and np.isfinite(fval).all()):
         raise ValueError(f"nonfinite expectation or driver value at t={step.t:.6g}")
@@ -185,18 +184,15 @@ def _walk(specs, lattice, variant, terminal=None, start_step=0, end_step=None):
     rows) for each level j down to start_step, where rows[i] is (y, z, dK+,
     dK-, lo, up) of specs[i] on the step-j nodes, or the ValueError that
     stopped it: a row stops at its own first failure, carries it from then
-    on, and never stops another row.  The walk ends early once every row
-    has failed.  The lattice-only `_Step` is built once per level, and
-    where the lattice shares level j + 1's transition with level j on one
-    node set (`_lattice_step`) it is level j + 1's with t and sigma made
-    anew; sigma and the obstacles are evaluated at every level.  A spec
-    whose sigma, lower or upper is the first spec's callable reuses the
-    first spec's row of it, and a failure of the step or of those rows is
-    the failure of every row still walking.  Refusals: the step range, for
-    the whole walk; per row, the contraction budget, the lattice's pair off
-    its control grids, and a terminal row (`terminal`, or the payoff when
-    None) outside a clamped obstacle or nonfinite; then, level by level, a
-    nonfinite expectation or driver value.
+    on, and never stops another row.  A level is the lattice's `_Step`
+    (`_lattice_step`) and the rows of sigma, lower and upper, evaluated
+    once per distinct callable and read by every row whose spec holds it,
+    so that a refused coefficient fails exactly those rows.  Refusals: the
+    step range, for the whole walk; per row, the contraction budget, the
+    lattice's pair off its control grids, and a terminal row (`terminal`,
+    or the payoff when None) outside a clamped obstacle or nonfinite; then,
+    level by level, a refused coefficient and a nonfinite expectation or
+    driver value.
     """
     n_total = lattice.n_steps
     if end_step is None:
@@ -228,33 +224,26 @@ def _walk(specs, lattice, variant, terminal=None, start_step=0, end_step=None):
     yield end_step, None, rows
 
     u, v = lattice.controls
-    first = specs[0].coefficients
     step = None
 
+    def coefficient(fn, name, *controls):
+        # the row of the coefficient `name` at this level, evaluated once per
+        # callable for every row that reads it; its refusal fails each of them
+        key = (name, fn)
+        if key not in level:
+            level[key] = _row_or_failure(
+                lambda: on_nodes(fn(step.t, step.x, *controls), step.x.shape, name)
+            )
+        return _raise_first([level[key]])[0]
+
     def advance(spec, row):
-        # one level down from `row`, on the step and first obstacles of level j
         co = spec.coefficients
-        t, x = step.t, step.x
-        own = step
-        if co.sigma is not first.sigma:
-            own = step._replace(sigma=on_nodes(co.sigma(t, x, u, v), x.shape, "sigma"))
-        lo, up = lo_first, up_first
-        if co.lower is not first.lower:
-            lo = on_nodes(co.lower(t, x), x.shape, "lower")
-        if co.upper is not first.upper:
-            up = on_nodes(co.upper(t, x), x.shape, "upper")
-        return (*_reflected_step(co, variant, dt, u, v, own, row[0], lo, up), lo, up)
+        sigma = coefficient(co.sigma, "sigma", u, v)
+        lo, up = coefficient(co.lower, "lower"), coefficient(co.upper, "upper")
+        return (*_reflected_step(co, variant, dt, u, v, step, sigma, row[0], lo, up), lo, up)
 
     for j in range(end_step - 1, start_step - 1, -1):
-        if not any(isinstance(row, tuple) for row in rows):
-            return
-        try:
-            step = _lattice_step(lattice, first, j, u, v, step)
-            lo_first, up_first = obstacle_rows(first, step.t, step.x)
-        except ValueError as exc:
-            # every row reads these, so every row still walking fails
-            yield j, None, [exc if isinstance(row, tuple) else row for row in rows]
-            return
+        step, level = _lattice_step(lattice, j, step), {}
         rows = [
             _row_or_failure(advance, spec, row) if isinstance(row, tuple) else row
             for spec, row in zip(specs, rows)

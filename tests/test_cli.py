@@ -437,7 +437,7 @@ nt = 40
 """
 
 
-def test_the_lattice_checks_fail_one_by_one(tmp_path):
+def test_the_lattice_checks_fail_one_by_one(tmp_path, monkeypatch):
     config = parse_config(_AT_THE_UPPER_OBSTACLE)
     checks = ("comparison", "crosscheck", "estimates", "forward")
     alone = {
@@ -454,6 +454,16 @@ def test_the_lattice_checks_fail_one_by_one(tmp_path):
         assert [c for c in order if not joint.checks[c]["passed"]] == ["comparison"]
         for check in order:
             assert _format_json(joint.checks[check]) == _format_json(alone[check]), check
+
+    # a reader that cannot be made is its check's failure and reads no row
+    def refused(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(isaacs.rbsde, "ComparisonReader", refused)
+    joint = run(config, str(tmp_path / "refused"), checks=checks, quiet=True).checks
+    assert joint["comparison"] == {"passed": False, "error": "ValueError: boom"}
+    for check in checks[1:]:
+        assert _format_json(joint[check]) == _format_json(alone[check]), check
 
 
 def test_the_manifest_times_every_check_it_ran(tmp_path):
@@ -1057,6 +1067,26 @@ def test_an_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
     taken.write_text("not a directory\n")
     assert main(["run", str(path), "--out", str(taken), "--quiet"]) == 2
     assert str(taken) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, check",
+    [
+        ("verdict.json", "validate"),
+        ("manifest.json", "validate"),
+        ("values_lower.csv", "game_value"),
+        ("sweep.csv", "penalization"),
+    ],
+)
+def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys, name, check):
+    # a directory stands where the run writes the file
+    path = tmp_path / "good.ini"
+    path.write_text(MINIMAL)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["run", str(path), "--out", str(out), "--check", check, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and name in err and "Traceback" not in err, err
 
 
 def test_a_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):

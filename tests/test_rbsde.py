@@ -666,6 +666,29 @@ def test_a_failing_row_stops_only_its_own_readers():
     assert readers[2].quantities() == _estimate_quantities(spec, lattice, 0.1)
 
 
+def test_a_refused_coefficient_fails_only_the_rows_that_read_it():
+    # the first row's sigma has the wrong shape, so that row fails at the
+    # first level below the horizon; the second row evaluates its own sigma
+    # and walks to the root as if it were walked alone
+    bp = builtin("dynkin_heat")
+    grid = bp.grid
+    lattice = build_lattice(bp.spec, 0.0, SpaceTimeGrid(grid.x_min, grid.x_max, 37, 40, 1.0))
+    co = bp.spec.coefficients
+
+    def with_sigma(sigma):
+        return dataclasses.replace(bp.spec, coefficients=dataclasses.replace(co, sigma=sigma))
+
+    broken = with_sigma(lambda t, x, u, v: np.zeros(3))
+    scaled = with_sigma(lambda t, x, u, v: 1.1 * co.sigma(t, x, u, v))
+    readers = [InitialValues(broken), InitialValues(scaled)]
+    failure, other = read_walk(lattice, Variant.named("two_barrier"), readers)
+    assert isinstance(failure, CoefficientError)
+    assert str(failure).startswith("sigma returned shape (3,) for nodes of shape")
+    assert other is None
+    y0 = backward_semigroup(scaled, lattice, 0, lattice.n_steps, None)
+    assert readers[1].values.tobytes() == y0.tobytes()
+
+
 def test_the_step_reads_contiguous_columns_of_the_stored_probabilities():
     bp = builtin("dynkin_heat")
     grid = bp.grid
@@ -675,7 +698,7 @@ def test_the_step_reads_contiguous_columns_of_the_stored_probabilities():
     assert any(a is b for a, b in zip(lattice.transitions, lattice.transitions[1:]))
     step = None
     for j in range(lattice.n_steps - 1, -1, -1):
-        step = _lattice_step(lattice, bp.spec.coefficients, j, 0.0, 0.0, step)
+        step = _lattice_step(lattice, j, step)
         _, probs = lattice.transition(j)
         for k, column in enumerate((step.p_down, step.p_stay, step.p_up)):
             assert column.flags.c_contiguous
