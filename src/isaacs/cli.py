@@ -310,18 +310,24 @@ def _write_text(out_dir, filenames, steps, outputs, quiet):
     """Write the files `filenames` together: each step holds one string
     chunk per file.  Each file is hashed on its own, and only one chunk is
     held as bytes.  A file that cannot be written is a ConfigError naming
-    it."""
+    it, and the files this call opened are removed, not left empty or cut
+    short."""
     paths = [os.path.join(out_dir, name) for name in filenames]
     digests = [hashlib.sha256() for _ in filenames]
+    handles = []
     try:
         with contextlib.ExitStack() as stack:
-            handles = [stack.enter_context(open(path, "wb")) for path in paths]
+            for path in paths:
+                handles.append(stack.enter_context(open(path, "wb")))
             for chunks in steps:
                 for chunk, digest, fh in zip(chunks, digests, handles):
                     data = chunk.encode("utf-8")
                     digest.update(data)
                     fh.write(data)
     except OSError as exc:  # a failed open names its file, a failed write none
+        for path in paths[: len(handles)]:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         failed = exc.filename or " and ".join(paths)
         raise ConfigError(f"cannot write output file {failed!r}: {exc.strerror}")
     for name, path, digest in zip(filenames, paths, digests):

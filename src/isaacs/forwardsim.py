@@ -53,8 +53,11 @@ any grid node at step 0 meets a clipped row with probability at most
 ESCAPE_BOUND.  The moment check covers the unclipped rows.
 
 A stored transition is 20 bytes a node: the int32 center and the float64
-down and up probabilities.  The builder caps up at 1 - down, so that a
-down + up rounded past 1 leaves stay at 0 rather than at -2e-16, and the
+down and up probabilities.  They live in anonymous memory maps
+(`model.mapped_array`), carved in order in chunks of at least 1 MiB, not in
+the C heap, so a dropped lattice returns its pages to the system at once.
+The builder caps up at 1 - down, so that a down + up rounded past 1
+leaves stay at 0 rather than at -2e-16, and the
 stay probability is rebuilt on reading as 1 - down - up, the expression
 the builder assigns it, so every row a solver reads is bitwise the row
 that was built.  A level with the node set of the level before and of the
@@ -72,7 +75,7 @@ import math
 
 import numpy as np
 
-from .model import on_nodes, require_finite
+from .model import mapped_array, on_nodes, require_finite
 
 _U64 = (1 << 64) - 1
 
@@ -83,6 +86,9 @@ ESCAPE_BOUND = 2.0 ** -60
 # the most nodes a level may hold: a drift that would carry the next level
 # past it is refused before the level is built
 MAX_LEVEL_NODES = 2 ** 20
+
+# the smallest anonymous memory map a lattice carves its columns from
+_CHUNK_BYTES = 1 << 20
 
 
 class LatticeError(ValueError):
@@ -195,11 +201,12 @@ class RecombiningLattice:
     `halo[j]` nodes beyond each end of the grid, K_j of the module
     docstring, which grows with the variance the chain has built up by step
     j.  transitions[j] is the triple (center, p_down, p_up) of one int32 and
-    two float64 columns, 20 bytes a node; `transition(j)` reads it as
-    (center, probs).  It is the object transitions[j - 1] when steps j - 1,
-    j and j + 1 hold one node set and b and sigma have the same bytes at
-    steps j - 1 and j, so the lattice stores 20 bytes a node of each
-    distinct step.
+    two float64 columns, 20 bytes a node, each a view of an anonymous memory
+    map that the system takes back once the lattice is dropped;
+    `transition(j)` reads it as (center, probs).  It is the object
+    transitions[j - 1] when steps j - 1, j and j + 1 hold one node set and
+    b and sigma have the same bytes at steps j - 1 and j, so the lattice
+    stores 20 bytes a node of each distinct step.
 
     At the halo's edge `clipped_rows` rows in all have their center clipped
     inward; the chain from a grid node at step 0 reaches one with
@@ -239,6 +246,30 @@ class RecombiningLattice:
         return center.astype(np.intp), probs
 
 
+class _Columns:
+    """Copies of a lattice's columns, carved in order from anonymous memory
+    maps (`model.mapped_array`) of at least _CHUNK_BYTES each.  One map is
+    open at a time: a column that does not fit in what is left of it opens
+    the next, so every map but the open one has less than one column's
+    bytes unused.  A column is a view of its map, which it keeps alive."""
+
+    def __init__(self):
+        self._chunk = None
+        self._used = 0
+
+    def copy(self, column, dtype):
+        """`column` cast to `dtype`, each column starting on 8 bytes."""
+        dtype = np.dtype(dtype)
+        size = len(column) * dtype.itemsize
+        if self._chunk is None or self._used + size > len(self._chunk):
+            self._chunk = mapped_array((max(size, _CHUNK_BYTES),), np.uint8)
+            self._used = 0
+        out = self._chunk[self._used : self._used + size].view(dtype)
+        self._used += -(-size // 8) * 8
+        out[...] = column
+        return out
+
+
 def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
     """Build the moment-matched trinomial lattice of one control pair.
 
@@ -270,6 +301,7 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
     first_index = [0]
     counts = [grid.nx]
     transitions = []
+    columns = _Columns()
     clipped_rows = 0
     worst_mean = 0.0
     worst_var = 0.0
@@ -371,7 +403,13 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
         var_gap = np.max(np.abs(var - s2 * dt), where=kept, initial=0.0)
         worst_mean = max(worst_mean, float(mean_gap))
         worst_var = max(worst_var, float(var_gap))
-        transitions.append((center.astype(np.int32), probs[:, 0].copy(), probs[:, 2].copy()))
+        transitions.append(
+            (
+                columns.copy(center, np.int32),
+                columns.copy(probs[:, 0], np.float64),
+                columns.copy(probs[:, 2], np.float64),
+            )
+        )
 
     if worst_mean > consistency_tol or worst_var > consistency_tol:
         raise LatticeError(

@@ -45,7 +45,8 @@ finite-difference march in `pde`) take the same reflected step,
 and which it clamps to (the march steps its whole stack of rows at once,
 under `Variant.stacked`, through the step's two halves `penalized_step` and
 `obstacle_clamp`, since it keeps no reflection increments); the grid and
-penalty-schedule types they share live here as well.
+penalty-schedule types they share live here as well, and `mapped_array`,
+the anonymous memory both keep their stored levels in.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import mmap
 import numbers
 from typing import Callable, NamedTuple
 
@@ -217,6 +219,22 @@ class PenalizationSchedule:
 
     def __len__(self):
         return len(self.levels)
+
+
+# a private map, so that a forked process writes to its own copy, as it
+# would of a heap array; Windows has neither fork nor the flags
+_PRIVATE = {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def mapped_array(shape, dtype=np.float64):
+    """A zeroed array of `shape` in an anonymous memory map of its own.
+    The system takes the pages back once the last view of it is dropped,
+    where the C heap would keep freed blocks resident for reuse; both
+    solvers keep the levels they store in such maps."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    mapped = mmap.mmap(-1, max(count * dtype.itemsize, 1), **_PRIVATE)
+    return np.frombuffer(mapped, dtype, count).reshape(shape)
 
 
 # name -> (clamp lower, clamp upper, penalty argument), as in Variant

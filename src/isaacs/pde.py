@@ -67,7 +67,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import mmap
 
 import numpy as np
 
@@ -77,6 +76,7 @@ from .model import (
     PenalizationSchedule,
     Variant,
     hamiltonian_tables,
+    mapped_array,
     obstacle_clamp,
     obstacle_rows,
     penalized_step,
@@ -188,19 +188,6 @@ def _live_stack(rows, live):
     return index, Variant.stacked(variants), penalties, reduce
 
 
-# a private map, so that a forked process writes to its own copy, as it
-# would of a heap array; Windows has neither fork nor the flags
-_PRIVATE = {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS} if hasattr(mmap, "MAP_PRIVATE") else {}
-
-
-def _mapped_levels(n, nx):
-    """An (n, nx) array in an anonymous memory map of its own.  The system
-    takes the pages back once the last view of it is dropped, where the C
-    heap would keep a freed block of a few MB resident for reuse."""
-    mapped = mmap.mmap(-1, max(n * nx * 8, 1), **_PRIVATE)
-    return np.frombuffer(mapped, count=n * nx).reshape(n, nx)
-
-
 def _march(spec, grid, rows, terminal, t_hi, cfl_margin, reader=None):
     """March rows of (kind, variant, label, join) side by side; returns, per
     row, its ValueField, its own first failure, or None for a row that
@@ -251,10 +238,11 @@ def _march(spec, grid, rows, terminal, t_hi, cfl_margin, reader=None):
     mu = co.driver_lipschitz
 
     level = np.empty((len(rows), grid.nx))  # the level each marching row holds
-    # the levels of the stored rows: one mapped block, a view per row
+    # the levels of the stored rows: one block in an anonymous memory map of
+    # its own (`model.mapped_array`), a view per row
     kept = [r for r in range(len(rows)) if reader is None or r not in reader.streamed]
     ends = list(itertools.accumulate(starts[r] + 1 for r in kept))
-    stored = _mapped_levels(ends[-1] if kept else 0, grid.nx)
+    stored = mapped_array((ends[-1] if kept else 0, grid.nx))
     fields = {r: stored[end - starts[r] - 1 : end] for r, end in zip(kept, ends)}
     worst = np.zeros(len(rows))
     results = [None] * len(rows)  # each row's failure, until its field is built

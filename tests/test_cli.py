@@ -1075,6 +1075,7 @@ def test_an_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
         ("verdict.json", "validate"),
         ("manifest.json", "validate"),
         ("values_lower.csv", "game_value"),
+        ("values_upper.csv", "game_value"),
         ("sweep.csv", "penalization"),
     ],
 )
@@ -1087,6 +1088,10 @@ def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsy
     assert main(["run", str(path), "--out", str(out), "--check", check, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and name in err and "Traceback" not in err, err
+    # no file of the failed write stays behind: values_lower.csv, opened
+    # before values_upper.csv failed, is removed, not left empty
+    written = ["verdict.json"] if name == "manifest.json" else []
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == written
 
 
 def test_a_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -436,6 +437,25 @@ def test_the_refined_dynkin_heat_lattice_stores_each_distinct_level_once():
     distinct = {id(triple): triple for triple in lattice.transitions}.values()
     # 1,401,269 nodes over 1600 levels, 28 MB of rows were each stored
     assert sum(a.nbytes for triple in distinct for a in triple) <= 20 * 460_000
+
+
+def _owner(array):
+    """The object that holds the memory of `array`: the end of its chain of
+    bases, or the exporter of the buffer when that end is a memoryview."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+def test_the_dynkin_heat_lattices_keep_their_columns_in_memory_maps():
+    # anonymous maps, whose pages go back to the system once a dropped
+    # lattice's last column is gone, where the C heap would keep them
+    bp = builtin("dynkin_heat")
+    for lattice in (build_lattice(bp.spec, 0.0, bp.grid), _refined(bp.spec, bp.grid)[1]):
+        distinct = {id(triple): triple for triple in lattice.transitions}.values()
+        for triple in distinct:
+            for column in triple:
+                assert isinstance(_owner(column), mmap.mmap)
 
 
 def _unshared(lattice):

@@ -641,13 +641,13 @@ def test_the_library_sweep_stores_no_field(monkeypatch):
     bp = builtin("dynkin_heat")
     *_, stored = _sweep_three_ways(bp.spec, bp.grid, bp.schedule)
     sizes = []
-    original = pde._mapped_levels
+    original = pde.mapped_array
 
-    def recording(n, nx):
-        sizes.append((n, nx))
-        return original(n, nx)
+    def recording(shape):
+        sizes.append(shape)
+        return original(shape)
 
-    monkeypatch.setattr(pde, "_mapped_levels", recording)
+    monkeypatch.setattr(pde, "mapped_array", recording)
     report = run_penalization_sweep(bp.spec, bp.grid, bp.schedule)
     assert sizes == [(0, bp.grid.nx)]
     _assert_same_sweep(report, stored)
