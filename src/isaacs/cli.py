@@ -470,7 +470,7 @@ _LATTICE_READERS = {
     "comparison": lambda spec, lattice, seed: rbsde.ComparisonReader(
         spec, shifted_spec(spec, 0.05, ("terminal", "driver")), "two_barrier", 64, seed
     ),
-    "crosscheck": lambda spec, lattice, seed: rbsde.InitialValues(spec),
+    "crosscheck": lambda spec, lattice, seed: games.CrosscheckReader(spec, lattice),
     "estimates": lambda spec, lattice, seed: rbsde.EstimateReader(
         spec, lattice, rbsde.PERTURBATION
     ),
@@ -482,8 +482,8 @@ def _walk_lattice(spec, lattice, checks, seed):
     two-barrier walk of `lattice` that carries only the rows they read, the
     lattice twin of `_march_fields`: maps each such check to its reader or
     to its failure.  A reader that cannot be made (its sampled hypotheses
-    raise) is that check's failure and reads no row; a row's failure, or a
-    reader's own, fails only the checks that read it.
+    or its march raise) is that check's failure and reads no row; a row's
+    failure, or a reader's own, fails only the checks that read it.
     """
     readers = {}
     for check in (c for c in checks if c in _LATTICE_READERS):
@@ -505,18 +505,22 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
     its own fields, failing with the first failure among them in its own
     row order.  `comparison`, `crosscheck` and `estimates` share one base
     lattice, the first control pair on `grid` from t = 0, and one walk of
-    it: the first of them builds the lattice and walks the rows of every
-    lattice check in `checks` at once (see `_walk_lattice`), and each
-    reports from its own reader, or fails with its own first failure.  The
-    refined lattice of `estimates` is built and walked by that check alone.
+    it: the first of them builds the lattice, makes the reader of every
+    lattice check in `checks` and walks their rows at once (see
+    `_walk_lattice`), and each reports from its own reader, or fails with
+    its own first failure.  Only the verdict is built here: the refined
+    lattice of `estimates` and the march of `crosscheck` are their readers'.
     """
     rows = _rows(name, grid, schedule)
     if not rows.keys() <= fields.keys():
         fields.update(_march_fields(spec, grid, schedule, checks))
     marched = pde.raise_first_failure([fields[row] for row in rows])
-    if name in _LATTICE_READERS and "lattice" not in fields:
-        lattice = forwardsim.build_lattice(spec, 0.0, grid)
-        fields.update(_walk_lattice(spec, lattice, checks, seed), lattice=lattice)
+    if name in _LATTICE_READERS:
+        if "lattice" not in fields:
+            lattice = forwardsim.build_lattice(spec, 0.0, grid)
+            fields.update(_walk_lattice(spec, lattice, checks, seed), lattice=lattice)
+        (reader,) = pde.raise_first_failure([fields[name]])
+        report = reader.report()
     if name == "validate":
         report = validate_problem(spec, seed=seed)
         return {
@@ -573,8 +577,6 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
             "split_time": lo.split_time,
         }
     if name == "comparison":
-        (reader,) = pde.raise_first_failure([fields[name]])
-        report = reader.report()
         return {
             "passed": bool(report.passed),
             "conclusive": bool(report.conclusive),
@@ -583,17 +585,12 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
             "max_k_minus_violation": report.max_k_minus_violation,
         }
     if name == "crosscheck":
-        field = games.frozen_control_field(spec, fields["lattice"])
-        (reader,) = pde.raise_first_failure([fields[name]])
-        report = games.crosscheck_report(fields["lattice"], field, reader.values, None)
         return {
             "passed": bool(report.passed),
             "max_diff": report.max_diff,
             "tolerance": report.tolerance,
         }
     if name == "estimates":
-        (reader,) = pde.raise_first_failure([fields[name]])
-        report = rbsde.estimate_report(spec, fields["lattice"], reader.quantities())
         out = {"passed": bool(report.passed), "refinement": report.refinement}
         for key, val in report.constants.items():
             out[f"constant_{key}"] = val

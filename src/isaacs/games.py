@@ -9,7 +9,9 @@ the game has a value.  The checks here measure exactly that, plus two
 structural identities of the backward solvers: recomposing a solve at an
 intermediate time changes nothing, and freezing the controls makes the
 finite-difference and lattice solvers approximate the same linear problem,
-which is the one place the lattice meets the game.
+which is the one place the lattice meets the game.  `CrosscheckReader`
+marches that problem when it is made and reads the lattice's root row off
+a walk, its own in `fixed_control_crosscheck` or that of `isaacs run`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import dataclasses
 import numpy as np
 
 from . import pde, rbsde
-from .model import ControlGrid, isaacs_condition_check
+from .model import ControlGrid, Variant, isaacs_condition_check
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,50 +146,57 @@ class CrosscheckReport:
 
 def fixed_control_crosscheck(spec, lattice, tolerance=None):
     """Freeze the lattice's control pair and solve the resulting linear
-    problem twice.
-
-    The finite-difference march runs on singleton control grids, where both
-    reductions collapse (`frozen_control_field`), and the lattice recursion
-    on the pair's chain: both approximate the same reflected solution
-    through different spatial schemes (upwind differences against
-    exact-mean transitions).  `crosscheck_report` compares them.  `lattice`
-    must start at t = 0 (`rbsde.require_base`); the march runs on its grid.
+    problem twice: the finite-difference march of `CrosscheckReader`
+    against the lattice recursion, which a walk of its own feeds to it.
+    `lattice` must start at t = 0 (`rbsde.require_base`); the march runs on
+    its grid.
     """
-    field = frozen_control_field(spec, lattice)
-    y0 = rbsde.backward_semigroup(spec, lattice, 0, lattice.n_steps, None)
-    return crosscheck_report(lattice, field, y0, tolerance)
+    reader = CrosscheckReader(spec, lattice)
+    return rbsde.read_alone(lattice, Variant.named("two_barrier"), reader).report(tolerance)
 
 
-def frozen_control_field(spec, lattice):
-    """The lower field of `spec` with its controls frozen at the pair of
-    `lattice`, a base lattice, marched on the lattice's grid."""
-    rbsde.require_base(lattice)
-    u, v = spec.control_pair(lattice.controls)
-    frozen = dataclasses.replace(
-        spec,
-        controls_i=ControlGrid(spec.controls_i.label, (u,)),
-        controls_ii=ControlGrid(spec.controls_ii.label, (v,)),
-    )
-    return pde.solve_isaacs_double_obstacle(frozen, lattice.grid, "lower")
+class CrosscheckReader:
+    """The frozen-control crosscheck on one base lattice, the reader of a
+    two-barrier walk of `spec`.  Made, it refuses a lattice not from t = 0
+    and a pair off the control grids of `spec`, then marches the lower
+    field with the controls frozen to singleton grids at the lattice's
+    pair, where both reductions collapse, and keeps its initial row.  Fed,
+    it keeps the walk's root row: the same reflected solution through
+    another spatial scheme (exact-mean transitions against upwind
+    differences)."""
 
+    def __init__(self, spec, lattice):
+        rbsde.require_base(lattice)
+        u, v = spec.control_pair(lattice.controls)
+        frozen = dataclasses.replace(
+            spec,
+            controls_i=ControlGrid(spec.controls_i.label, (u,)),
+            controls_ii=ControlGrid(spec.controls_ii.label, (v,)),
+        )
+        self.specs = (spec,)
+        self.grid, self.controls = lattice.grid, lattice.controls
+        # a copy, so that the reader does not pin the whole stored field
+        self.w0 = pde.solve_isaacs_double_obstacle(frozen, lattice.grid, "lower").initial().copy()
 
-def crosscheck_report(lattice, field, y0, tolerance):
-    """The CrosscheckReport of the frozen-control `field` against the
-    lattice's root level `y0`.  Agreement is checked at the initial time on
-    the inner half of the domain, out of reach of either boundary treatment
-    at these horizons.  The default tolerance (None) 5 (dx + dt) at the
-    field's own scale matches the schemes' first-order disagreement."""
-    grid = lattice.grid
-    w0 = field.initial()
-    i0, i1 = grid.nx // 4, grid.nx - grid.nx // 4
-    max_diff = float(np.max(np.abs(y0[i0:i1] - w0[i0:i1])))
-    if tolerance is None:
-        spread = float(np.max(w0) - np.min(w0))
-        tolerance = 5.0 * (grid.dx + grid.dt) * max(1.0, spread)
-    return CrosscheckReport(
-        controls=lattice.controls,
-        max_diff=max_diff,
-        tolerance=tolerance,
-        inner=(i0, i1),
-        passed=max_diff <= tolerance,
-    )
+    def feed(self, j, step, rows):
+        ((self.y0, *_),) = rows
+
+    def report(self, tolerance=None):
+        """The CrosscheckReport of the grid's initial row against the
+        lattice's root row.  Agreement is checked on the inner half of the
+        domain, out of reach of either boundary treatment at these
+        horizons.  The default tolerance (None) 5 (dx + dt) at the field's
+        own scale matches the schemes' first-order disagreement."""
+        grid, w0 = self.grid, self.w0
+        i0, i1 = grid.nx // 4, grid.nx - grid.nx // 4
+        max_diff = float(np.max(np.abs(self.y0[i0:i1] - w0[i0:i1])))
+        if tolerance is None:
+            spread = float(np.max(w0) - np.min(w0))
+            tolerance = 5.0 * (grid.dx + grid.dt) * max(1.0, spread)
+        return CrosscheckReport(
+            controls=self.controls,
+            max_diff=max_diff,
+            tolerance=tolerance,
+            inner=(i0, i1),
+            passed=max_diff <= tolerance,
+        )

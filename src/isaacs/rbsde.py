@@ -28,14 +28,14 @@ dt * (driver_lipschitz + max(m, n)) >= 1, a lattice pair off a spec's
 control grids, a nonfinite terminal row and, at any level, a coefficient
 of the wrong shape or a nonfinite expectation or driver value.
 
-`read_walk` feeds one walk to readers, each of which names the problems
-whose rows it reads: `ComparisonReader` folds the maxima of
+A lattice check is one reader, made before the walk, fed by it a level at
+a time and reporting after it: `ComparisonReader` folds the maxima of
 `comparison_check`, `EstimateReader` the Snell envelopes and path-sum
-moments of `apriori_estimate_check`, and `InitialValues` keeps the root
-level that `games` compares with the grid.  None of them stores a level.
-`isaacs run` walks each base lattice once, with the rows that its
-requested checks read, and each check reads its report off its own
-reader; the refined lattice of the estimates is walked on its own.
+moments of `apriori_estimate_check`, and `games.CrosscheckReader` keeps
+the root level it compares with the grid; none stores a level.
+`read_alone` feeds a walk of its own to one reader, as the library checks
+do, and `read_walk` one walk to several: `isaacs run` walks each base
+lattice once, with the rows its requested checks read.
 """
 
 from __future__ import annotations
@@ -409,17 +409,10 @@ def read_walk(lattice, variant, readers):
     return failures
 
 
-class InitialValues:
-    """The root level of one problem's two-barrier walk from its payoff:
-    `values` is what `backward_semigroup(spec, lattice, 0, n_steps, None)`
-    returns, read off a shared walk."""
-
-    def __init__(self, spec):
-        self.specs = (spec,)
-        self.values = None
-
-    def feed(self, j, step, rows):
-        ((self.values, *_),) = rows
+def read_alone(lattice, variant, reader):
+    """`reader`, fed by a walk of `lattice` of its own; raises its failure."""
+    _raise_first(read_walk(lattice, variant, [reader]))
+    return reader
 
 
 @dataclasses.dataclass(frozen=True)
@@ -559,8 +552,7 @@ def comparison_check(
     lower one.  This is one `ComparisonReader` fed by a walk of its own.
     """
     reader = ComparisonReader(spec_a, spec_b, mode, samples, seed)
-    _raise_first(read_walk(lattice, Variant.named(mode, penalty), [reader]))
-    return reader.report()
+    return read_alone(lattice, Variant.named(mode, penalty), reader).report()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -598,7 +590,8 @@ class EstimateReader:
                           (g = dK+ - dK- - dK+' + dK-')
 
     It stores no levels and builds no occupation law; `quantities` forms
-    the quotients once the root level is fed.
+    the quotients once the root level is fed, and `report` holds them
+    against those of the refined lattice.
     """
 
     def __init__(self, spec, lattice, perturbation):
@@ -674,13 +667,57 @@ class EstimateReader:
             "perturbation": const_diff,
         }
 
+    def report(self):
+        """The EstimateReport of `quantities` against those of the refined
+        lattice, built here from this lattice's grid and pair and walked on
+        its own.
 
-def _estimate_quantities(spec, lattice, perturbation):
-    """The three quotients of `apriori_estimate_check` on one lattice: an
-    `EstimateReader` fed by a walk of its own, with that walk's refusals."""
-    reader = EstimateReader(spec, lattice, perturbation)
-    _raise_first(read_walk(lattice, Variant.named("two_barrier"), [reader]))
-    return reader.quantities()
+        Refinement halves dx; dt is halved when the pair's lattice still
+        admits nonnegative probabilities at the finer spacing and quartered
+        when that lattice is infeasible (the report records which); any
+        other error propagates.
+        """
+        constants = self.quantities()
+        spec, grid, controls = self.specs[0], self.lattice.grid, self.lattice.controls
+        stability_factor = 2.0
+
+        def finer(factor_t):
+            nx = (grid.nx - 1) * 2 + 1
+            return SpaceTimeGrid(grid.x_min, grid.x_max, nx, grid.nt * factor_t, grid.horizon)
+
+        try:
+            fine = build_lattice(spec, 0.0, finer(2), controls)
+            refinement = "dx/2, dt/2"
+        except LatticeError:
+            fine = build_lattice(spec, 0.0, finer(4), controls)
+            refinement = "dx/2, dt/4"
+        reader = EstimateReader(spec, fine, self.perturbation)
+        refined = read_alone(fine, Variant.named("two_barrier"), reader).quantities()
+
+        ratios = {}
+        stable = True
+        for name, val in constants.items():
+            ref = refined[name]
+            if val == 0.0 and ref == 0.0:
+                ratios[name] = 1.0
+                continue
+            if val <= 0.0 or not math.isfinite(val) or not math.isfinite(ref):
+                ratios[name] = math.inf
+                stable = False
+                continue
+            r = ref / val
+            ratios[name] = r
+            if not (1.0 / stability_factor <= r <= stability_factor):
+                stable = False
+
+        return EstimateReport(
+            constants=constants,
+            refined=refined,
+            ratios=ratios,
+            refinement=refinement,
+            stability_factor=stability_factor,
+            passed=stable,
+        )
 
 
 def require_base(lattice):
@@ -706,59 +743,9 @@ def apriori_estimate_check(spec, base):
     Each lattice is walked once, from the last level to the root, by an
     `EstimateReader`: both reflected solves, the four Snell envelopes and
     the path-sum moments advance together, and no level is stored.  `base`
-    is the lattice of one pair from t = 0 (`require_base`);
-    `estimate_report` builds and walks the refined lattice.
+    is the lattice of one pair from t = 0 (`require_base`); the reader's
+    `report` builds and walks the refined lattice.
     """
     require_base(base)
-    return estimate_report(spec, base, _estimate_quantities(spec, base, PERTURBATION))
-
-
-def estimate_report(spec, base, constants):
-    """The EstimateReport of the quotients `constants` measured on the base
-    lattice `base`, against those of the refined lattice, built here from
-    its grid and its pair and walked on its own.
-
-    Refinement halves dx; dt is halved when the pair's lattice still admits
-    nonnegative probabilities at the finer spacing and quartered when that
-    lattice is infeasible (the report records which); any other error
-    propagates.
-    """
-    grid, controls = base.grid, base.controls
-    stability_factor = 2.0
-
-    def finer(factor_t):
-        nx = (grid.nx - 1) * 2 + 1
-        return SpaceTimeGrid(grid.x_min, grid.x_max, nx, grid.nt * factor_t, grid.horizon)
-
-    try:
-        fine = build_lattice(spec, 0.0, finer(2), controls)
-        refinement = "dx/2, dt/2"
-    except LatticeError:
-        fine = build_lattice(spec, 0.0, finer(4), controls)
-        refinement = "dx/2, dt/4"
-    refined = _estimate_quantities(spec, fine, PERTURBATION)
-
-    ratios = {}
-    stable = True
-    for name, val in constants.items():
-        ref = refined[name]
-        if val == 0.0 and ref == 0.0:
-            ratios[name] = 1.0
-            continue
-        if val <= 0.0 or not math.isfinite(val) or not math.isfinite(ref):
-            ratios[name] = math.inf
-            stable = False
-            continue
-        r = ref / val
-        ratios[name] = r
-        if not (1.0 / stability_factor <= r <= stability_factor):
-            stable = False
-
-    return EstimateReport(
-        constants=constants,
-        refined=refined,
-        ratios=ratios,
-        refinement=refinement,
-        stability_factor=stability_factor,
-        passed=stable,
-    )
+    reader = EstimateReader(spec, base, PERTURBATION)
+    return read_alone(base, Variant.named("two_barrier"), reader).report()

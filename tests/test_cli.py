@@ -1157,6 +1157,33 @@ def test_a_nonfinite_sigma_is_named_by_the_march_the_lattice_and_the_paths(tmp_p
         }, check
 
 
+def test_the_crosscheck_fails_on_its_march_before_its_walk(tmp_path):
+    # dt * driver_lipschitz = 0.025 * 50 = 1.25, so the walk refuses the
+    # step; the crosscheck's march, made before the walk, refuses it first
+    text = CUSTOM.replace("driver_lipschitz = 0", "driver_lipschitz = 50")
+    text = text.replace("nx = 81", "nx = 41").replace("nt = 100", "nt = 20")
+    checks = ("comparison", "crosscheck", "estimates")
+    manifest = run(parse_config(text), str(tmp_path), checks=checks, quiet=True)
+    march = (
+        "CflError: stability number 8.125 exceeds margin 0.9 at t=0.475;"
+        " largest admissible dt is 0.00276923"
+    )
+    walk = (
+        "ValueError: explicit step not contracting: dt*(driver_lipschitz + penalty)"
+        " = 1.25 >= 1; need dt < 0.02"
+    )
+    assert manifest.checks == {
+        "comparison": {"passed": False, "error": walk},
+        "crosscheck": {"passed": False, "error": march},
+        "estimates": {"passed": False, "error": walk},
+    }
+    spec, grid, _ = parse_config(text).resolve()
+    lattice = isaacs.forwardsim.build_lattice(spec, 0.0, grid)
+    with pytest.raises(pde.CflError) as caught:
+        isaacs.games.fixed_control_crosscheck(spec, lattice)
+    assert f"CflError: {caught.value}" == march
+
+
 def test_a_nonfinite_lattice_coefficient_is_a_failed_check(tmp_path):
     text = CUSTOM.replace("sigma = 1\n", "sigma = 0/0\n", 1)
     assert "0/0" in text

@@ -24,21 +24,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isaacs.forwardsim import ESCAPE_BOUND, LatticeError, RecombiningLattice, build_lattice
+from isaacs.games import CrosscheckReader
 from isaacs.model import (
     CoefficientSet,
     ControlGrid,
     ProblemSpec,
     SpaceTimeGrid,
+    Variant,
     on_nodes,
     shifted_spec,
 )
 from isaacs.problems import BUILTINS, builtin
 from isaacs.rbsde import (
-    _estimate_quantities,
+    EstimateReader,
     backward_semigroup,
     comparison_check,
+    read_alone,
     solve_backward,
 )
+
+
+def _estimate_quantities(spec, lattice, perturbation):
+    """The three estimate quotients of an `EstimateReader` fed by a walk of
+    its own."""
+    reader = EstimateReader(spec, lattice, perturbation)
+    return read_alone(lattice, Variant.named("two_barrier"), reader).quantities()
 
 
 def _uncapped_lattice(spec, grid, controls=None):
@@ -456,6 +466,15 @@ def test_the_dynkin_heat_lattices_keep_their_columns_in_memory_maps():
         for triple in distinct:
             for column in triple:
                 assert isinstance(_owner(column), mmap.mmap)
+
+
+def test_the_crosscheck_reader_owns_its_grid_root_row():
+    # a view of the frozen-control field's initial row would pin the whole
+    # mapped field for as long as the reader lives
+    bp = builtin("dynkin_heat")
+    lattice = build_lattice(bp.spec, 0.0, bp.grid)
+    reader = CrosscheckReader(bp.spec, lattice)
+    assert not isinstance(_owner(reader.w0), mmap.mmap)
 
 
 def _unshared(lattice):

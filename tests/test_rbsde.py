@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from isaacs import rbsde
 from isaacs.forwardsim import build_lattice
-from isaacs.games import fixed_control_crosscheck
+from isaacs.games import CrosscheckReader, fixed_control_crosscheck
 from isaacs.model import (
     CoefficientError,
     CoefficientSet,
@@ -31,13 +31,12 @@ from isaacs.rbsde import (
     ComparisonReader,
     ComparisonReport,
     EstimateReader,
-    InitialValues,
-    _estimate_quantities,
     _lattice_step,
     _occupation,
     apriori_estimate_check,
     backward_semigroup,
     comparison_check,
+    read_alone,
     read_walk,
     solve_backward,
 )
@@ -433,11 +432,30 @@ def test_penalty_mode_argument_validation():
 # -- the a-priori estimate walk ------------------------------------------
 
 
+def _estimate_quantities(spec, lattice, perturbation):
+    """The three estimate quotients of an `EstimateReader` fed by a walk of
+    its own."""
+    reader = EstimateReader(spec, lattice, perturbation)
+    return read_alone(lattice, Variant.named("two_barrier"), reader).quantities()
+
+
+class _RootRow:
+    """A reader of one problem's rows that keeps the last row it is fed:
+    after a whole walk, what `backward_semigroup(spec, lattice, 0, n_steps,
+    None)` returns."""
+
+    def __init__(self, spec):
+        self.specs = (spec,)
+
+    def feed(self, j, step, rows):
+        ((self.values, *_),) = rows
+
+
 def _reference_estimate_quantities(spec, lattice, perturbation):
     """The three estimate quotients composed from whole solves: two
     `solve_backward` calls, four Snell envelopes and three moment recursions,
     each its own backward pass over stored levels.  The streaming walk of
-    `rbsde._estimate_quantities` must reproduce these numbers bitwise."""
+    `EstimateReader` must reproduce these numbers bitwise."""
     co = spec.coefficients
     n_steps = lattice.n_steps
     u, v = lattice.controls
@@ -599,16 +617,18 @@ def test_one_walk_reads_what_the_three_separate_walks_read_bitwise(case):
     lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
     readers = [
         ComparisonReader(spec, lifted, "two_barrier", 64, 3),
-        InitialValues(spec),
+        CrosscheckReader(spec, lattice),
         EstimateReader(spec, lattice, 0.1),
     ]
     assert read_walk(lattice, Variant.named("two_barrier"), readers) == [None] * 3
-    comparison, initial, estimates = readers
+    comparison, crosscheck, estimates = readers
     assert comparison.conclusive
     assert comparison.report() == comparison_check(spec, lifted, lattice, seed=3)
     y0 = backward_semigroup(spec, lattice, 0, lattice.n_steps, None)
-    assert initial.values.tobytes() == y0.tobytes()
+    assert crosscheck.y0.tobytes() == y0.tobytes()
+    assert repr(crosscheck.report()) == repr(fixed_control_crosscheck(spec, lattice))
     assert estimates.quantities() == _reference_estimate_quantities(spec, lattice, 0.1)
+    assert repr(estimates.report()) == repr(apriori_estimate_check(spec, lattice))
 
 
 def test_the_walk_carries_only_the_rows_its_readers_read(monkeypatch):
@@ -628,7 +648,7 @@ def test_the_walk_carries_only_the_rows_its_readers_read(monkeypatch):
     two_barrier = Variant.named("two_barrier")
     assert read_walk(lattice, two_barrier, [inconclusive]) == [None]
     assert walked == []
-    initial = InitialValues(spec)
+    initial = _RootRow(spec)
     assert read_walk(lattice, two_barrier, [inconclusive, initial]) == [None, None]
     assert walked == [1]
     report = inconclusive.report()
@@ -636,7 +656,7 @@ def test_the_walk_carries_only_the_rows_its_readers_read(monkeypatch):
     lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
     readers = [
         ComparisonReader(spec, lifted, "two_barrier", 16, 0),
-        InitialValues(spec),
+        _RootRow(spec),
         EstimateReader(spec, lattice, 0.1),
     ]
     walked.clear()
@@ -655,7 +675,7 @@ def test_a_failing_row_stops_only_its_own_readers():
     lifted = shifted_spec(spec, 0.05, ("terminal", "driver"))
     readers = [
         ComparisonReader(spec, lifted, "two_barrier", 16, 0),
-        InitialValues(spec),
+        _RootRow(spec),
         EstimateReader(spec, lattice, 0.1),
     ]
     comparison, initial, estimates = read_walk(lattice, Variant.named("two_barrier"), readers)
@@ -680,7 +700,7 @@ def test_a_refused_coefficient_fails_only_the_rows_that_read_it():
 
     broken = with_sigma(lambda t, x, u, v: np.zeros(3))
     scaled = with_sigma(lambda t, x, u, v: 1.1 * co.sigma(t, x, u, v))
-    readers = [InitialValues(broken), InitialValues(scaled)]
+    readers = [_RootRow(broken), _RootRow(scaled)]
     failure, other = read_walk(lattice, Variant.named("two_barrier"), readers)
     assert isinstance(failure, CoefficientError)
     assert str(failure).startswith("sigma returned shape (3,) for nodes of shape")
