@@ -9,7 +9,7 @@ Modules:
                  reflected step both backward solvers take
     forwardsim   path simulation, recombining lattices, forward estimates
     rbsde        backward solvers with reflection and penalization
-    pde          finite-difference value fields, sweeps, residuals
+    pde          finite-difference value fields and penalization sweeps
     games        value comparison, dynamic programming, crosschecks
     problems     builtin problems and the expression-based constructor
     cli          INI-configured runs (the `isaacs run` command)
@@ -23,15 +23,12 @@ from .model import (
     CoefficientSet,
     ControlGrid,
     HamiltonianInput,
-    HamiltonianValue,
     IsaacsReport,
     PenalizationSchedule,
     ProblemSpec,
     SpaceTimeGrid,
     ValidationReport,
     Variant,
-    hamiltonian_lower,
-    hamiltonian_upper,
     isaacs_condition_check,
     obstacle_step,
     validate_problem,
@@ -59,7 +56,6 @@ from .pde import (
     run_penalization_sweep,
     solve_isaacs_double_obstacle,
     solve_isaacs_penalized,
-    viscosity_residual,
 )
 from .games import GameVerdict, compute_values, dpp_check, fixed_control_crosscheck
 from .problems import BUILTINS, builtin, from_expressions

@@ -43,7 +43,14 @@ import time
 import numpy as np
 
 from . import __version__, forwardsim, games, pde, problems, rbsde
-from .model import PenalizationSchedule, SpaceTimeGrid, Variant, shifted_spec, validate_problem
+from .model import (
+    PenalizationSchedule,
+    SpaceTimeGrid,
+    Variant,
+    raise_first_failure,
+    shifted_spec,
+    validate_problem,
+)
 
 
 class ConfigError(ValueError):
@@ -402,9 +409,11 @@ class RunManifest:
     """Provenance record of one run.
 
     `timings` maps each check run to its seconds, data files included;
-    the run's one march counts toward the first check that needs it.
-    They differ from run to run, so they are kept here and never in
-    verdict.json.
+    the run's one march counts toward the first check that needs it, and
+    the base lattice's build, the making of every lattice check's reader
+    (the crosscheck's march among them) and the one walk count toward the
+    first lattice check.  They differ from run to run, so they are kept
+    here and never in verdict.json.
     """
 
     version: str
@@ -514,12 +523,12 @@ def _run_check(name, checks, spec, grid, schedule, seed, out_dir, outputs, quiet
     rows = _rows(name, grid, schedule)
     if not rows.keys() <= fields.keys():
         fields.update(_march_fields(spec, grid, schedule, checks))
-    marched = pde.raise_first_failure([fields[row] for row in rows])
+    marched = raise_first_failure([fields[row] for row in rows])
     if name in _LATTICE_READERS:
         if "lattice" not in fields:
             lattice = forwardsim.build_lattice(spec, 0.0, grid)
             fields.update(_walk_lattice(spec, lattice, checks, seed), lattice=lattice)
-        (reader,) = pde.raise_first_failure([fields[name]])
+        (reader,) = raise_first_failure([fields[name]])
         report = reader.report()
     if name == "validate":
         report = validate_problem(spec, seed=seed)

@@ -284,8 +284,9 @@ def build_lattice(spec, t0, grid, controls=None, consistency_tol=1e-10):
     helps, the largest admissible dt.
     """
     dt, dx = grid.dt, grid.dx
-    s0 = int(round(t0 / dt))
-    if abs(s0 * dt - t0) > 1e-9 * max(1.0, abs(t0)) or not 0 <= s0 < grid.nt:
+    level = t0 / dt
+    s0 = int(round(level)) if math.isfinite(level) else None
+    if s0 is None or not 0 <= s0 < grid.nt or abs(s0 * dt - t0) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"t0 = {t0} is not a time level of the grid")
     n_steps = grid.nt - s0
     times = t0 + dt * np.arange(n_steps + 1)

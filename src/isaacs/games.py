@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 
 from . import pde, rbsde
-from .model import ControlGrid, Variant, isaacs_condition_check
+from .model import ControlGrid, Variant, isaacs_condition_check, raise_first_failure
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,7 +48,7 @@ def compute_values(spec, grid, seed=0):
     """Solve both Hamiltonian reductions, two rows of one stacked march, and
     compare them as `value_verdict` does."""
     rows = [pde.two_barrier_row(kind, None) for kind in ("lower", "upper")]
-    lower, upper = pde.raise_first_failure(pde.march_rows(spec, grid, rows))
+    lower, upper = raise_first_failure(pde.march_rows(spec, grid, rows))
     return value_verdict(spec, grid, lower, upper, seed)
 
 
@@ -99,7 +99,7 @@ def dpp_check(spec, grid, kind="lower", split=None):
     """
     split, split_level = dpp_split(grid, split)
     rows = [pde.two_barrier_row(kind, None), pde.two_barrier_row(kind, (0, split_level))]
-    full, head = pde.raise_first_failure(pde.march_rows(spec, grid, rows))
+    full, head = raise_first_failure(pde.march_rows(spec, grid, rows))
     return dpp_report(kind, split, full, head)
 
 

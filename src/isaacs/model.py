@@ -16,8 +16,8 @@ The two Hamiltonians are
 H_lower <= H_upper always; equality of the two is what makes the game have
 a value, and `isaacs_condition_check` measures the gap by sampling.  The
 integrand is written once, in `hamiltonian_tables`, and the reductions in
-`REDUCTIONS`: `pde` reads them on grid rows, this module at single points
-and on the samples of `isaacs_condition_check`, all at once.
+`REDUCTIONS`: `pde` reads them on grid rows and `isaacs_condition_check` on
+all its samples at once, going point by point only to name a refusal.
 
 Conventions used across the package:
 
@@ -45,8 +45,10 @@ finite-difference march in `pde`) take the same reflected step,
 and which it clamps to (the march steps its whole stack of rows at once,
 under `Variant.stacked`, through the step's two halves `penalized_step` and
 `obstacle_clamp`, since it keeps no reflection increments); the grid and
-penalty-schedule types they share live here as well, and `mapped_array`,
-the anonymous memory both keep their stored levels in.
+penalty-schedule types they share live here as well, `mapped_array`, the
+anonymous memory both keep their stored levels in, and
+`raise_first_failure`, which raises the first failed row of a march or a
+walk.
 """
 
 from __future__ import annotations
@@ -188,8 +190,10 @@ class SpaceTimeGrid:
 
     def time_level(self, t):
         """Index of the time level at t, which must sit on the grid."""
-        j = int(round(t / self.dt))
-        if not 0 <= j <= self.nt or abs(j * self.dt - t) > 1e-9 * max(1.0, self.horizon):
+        level = t / self.dt
+        j = int(round(level)) if math.isfinite(level) else None
+        tolerance = 1e-9 * max(1.0, self.horizon)
+        if j is None or not 0 <= j <= self.nt or abs(j * self.dt - t) > tolerance:
             raise ValueError(
                 f"t={t!r} is not a grid time level (dt={self.dt!r}, nt={self.nt})"
             )
@@ -418,6 +422,16 @@ def _on_rows(flag, step, rest):
     return step() if flag else rest()
 
 
+def raise_first_failure(results):
+    """The results of a march or a walk, once none of them is a failure;
+    raises the first failure in row order otherwise, as solving the rows one
+    after another would."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
 def shifted_spec(spec, delta, names):
     """Copy of the problem with the named coefficients lifted by delta."""
     co = spec.coefficients
@@ -438,12 +452,6 @@ class HamiltonianInput:
     y: float
     gradient: float
     hessian: float
-
-
-class HamiltonianValue(NamedTuple):
-    value: float
-    u: object
-    v: object
 
 
 class Violation(NamedTuple):
@@ -537,10 +545,10 @@ REDUCTIONS = {
 }
 
 
-def _pointwise(spec, point):
-    """(H_lower, H_upper) at one point from its (nu, nv) integrand table, with
-    d2 = X and every first derivative q; a nonfinite entry is refused,
-    naming its pair."""
+def _point_table(spec, point):
+    """The (nu, nv) integrand table at one point, with d2 = X and every first
+    derivative q; a nonfinite entry is refused, naming its first pair in grid
+    order."""
     q = np.array([[point.gradient]])
     with np.errstate(all="ignore"):  # refused below
         tables, *_ = hamiltonian_tables(
@@ -554,28 +562,7 @@ def _pointwise(spec, point):
         raise CoefficientError(
             f"nonfinite integrand at t={point.t}, x={point.x}, controls ({u!r}, {v!r})"
         )
-    lower, upper = REDUCTIONS["lower"](table), REDUCTIONS["upper"](table)
-    # the first u whose min over v is the lower value, at its first such v,
-    # and the first v whose max over u is the upper value, at its first such u
-    at_lower = (table == lower) & (np.min(table, axis=1, keepdims=True) == lower)
-    at_upper = (table == upper) & (np.max(table, axis=0, keepdims=True) == upper)
-    pairs = np.argwhere(at_lower)[0], np.argwhere(at_upper.T)[0][::-1]
-    us, vs = spec.controls_i.points, spec.controls_ii.points
-    return [HamiltonianValue(float(table[i, j]), us[i], vs[j]) for i, j in pairs]
-
-
-def hamiltonian_lower(spec, point):
-    """max over u of min over v of the Hamiltonian integrand.
-
-    Returns (value, u, v) with the first optimizing pair in grid order,
-    so repeated calls are deterministic.
-    """
-    return _pointwise(spec, point)[0]
-
-
-def hamiltonian_upper(spec, point):
-    """min over v of max over u of the Hamiltonian integrand."""
-    return _pointwise(spec, point)[1]
+    return table
 
 
 def isaacs_condition_check(spec, samples=64, seed=0, radius=2.0):
@@ -611,7 +598,7 @@ def isaacs_condition_check(spec, samples=64, seed=0, radius=2.0):
     except CoefficientError:
         # the first sample in draw order, then its first pair, names it
         for point in points:
-            _pointwise(spec, point)
+            _point_table(spec, point)
         raise
     lower = REDUCTIONS["lower"](tables)[0].tolist()
     upper = REDUCTIONS["upper"](tables)[0].tolist()

@@ -22,8 +22,7 @@ followed by clamping to the obstacles that the variant keeps hard: this is
 `model.obstacle_step` with base W_next and drive H, and the penalty
 weights and clamps come from a `model.Variant`.  The clamp makes each
 level satisfy its obstacle constraints exactly and the discrete
-complementarity residual vanish identically, which is what
-`viscosity_residual` measures.
+complementarity residual vanish identically.
 
 Monotonicity of the explicit step requires roughly
 
@@ -80,6 +79,7 @@ from .model import (
     obstacle_clamp,
     obstacle_rows,
     penalized_step,
+    raise_first_failure,
 )
 
 _CFL_MARGIN = 0.9
@@ -328,16 +328,6 @@ def march_rows(spec, grid, rows, reader=None):
     return _march(spec, grid, rows, None, None, _CFL_MARGIN, reader)
 
 
-def raise_first_failure(results):
-    """The results of a march, once none of them is a failure; raises the
-    first failure in row order otherwise, as marching the rows one after
-    another would."""
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
-
-
 def two_barrier_row(kind, join):
     """The two-obstacle row of reduction `kind`; `join` is None or the
     (source row, level) it starts from."""
@@ -485,9 +475,9 @@ class SweepStatistics:
 def run_penalization_sweep(spec, grid, schedule):
     """March the penalized approximations of the lower-Hamiltonian field
     through a schedule of weights, all levels and the two-obstacle
-    reference side by side in one stacked march, and report them as
-    `sweep_report` does; the statistics are taken level by level as the
-    march goes, and none of the 2L + 1 fields is stored.
+    reference side by side in one stacked march, and report them; the
+    statistics are taken level by level as the march goes, and none of the
+    2L + 1 fields is stored.
     """
     if not isinstance(schedule, PenalizationSchedule):
         schedule = PenalizationSchedule(tuple(schedule))
@@ -497,76 +487,3 @@ def run_penalization_sweep(spec, grid, schedule):
     statistics.streamed.add(0)
     raise_first_failure(march_rows(spec, grid, rows, statistics))
     return statistics.report()
-
-
-def sweep_report(schedule, reference, penalized):
-    """The sweep's report from the two-obstacle lower field `reference` and
-    the fields of `sweep_rows(schedule)`, fed to SweepStatistics level by
-    level from the horizon down, as the march feeds it.
-
-    Checks, level by level: the approximation from above decreases, the one
-    from below increases, both stay on the correct side of the two-obstacle
-    field, and the two-sided gap between them never widens.
-    """
-    statistics = SweepStatistics(schedule, range(len(penalized) + 1))
-    for j in range(len(reference.times) - 1, -1, -1):
-        statistics.feed(np.stack([reference.values[j], *(f.values[j] for f in penalized)]))
-    return statistics.report()
-
-
-@dataclasses.dataclass(frozen=True)
-class ResidualReport:
-    """Worst discrete complementarity residual of a double-obstacle field."""
-
-    max_residual: float
-    time_index: int
-    node_index: int
-    tolerance: float
-    passed: bool
-
-
-def viscosity_residual(spec, field):
-    """Measure how well a field satisfies the discrete double-obstacle
-    equation in complementarity form.
-
-    At every interior level the residual is
-
-        max( min( -(W_next - W)/dt - H(t, W_next), W - lower ), W - upper )
-
-    which vanishes identically for fields produced by the two-obstacle
-    solver and grows like (perturbation / dt) for anything else.  The
-    field's label names the reduction H.  The tolerance 1e-9 / dt admits
-    accumulated roundoff but flags any real perturbation.
-    """
-    if field.label not in REDUCTIONS:
-        raise ValueError(
-            "residual check covers the two-obstacle fields; got label"
-            f" {field.label!r}"
-        )
-    dt = float(field.times[1] - field.times[0])
-    dx = float(field.nodes[1] - field.nodes[0])
-    tolerance = 1e-9 / dt
-    x = field.nodes
-    worst = -1.0
-    where = (0, 0)
-    for j in range(len(field.times) - 1):
-        t = float(field.times[j])
-        w = field.values[j]
-        w_next = field.values[j + 1 : j + 2]  # a stack of one row
-        tables, _, _, _ = hamiltonian_tables(spec, t, x, w_next, *_derivatives(w_next, dx))
-        if not np.isfinite(tables).all():
-            raise _nonfinite_error(t)
-        h = REDUCTIONS[field.label](tables)[0]
-        lo, up = obstacle_rows(spec.coefficients, t, x)
-        resid = np.maximum(np.minimum(-(w_next[0] - w) / dt - h, w - lo), w - up)
-        k = int(np.argmax(np.abs(resid)))
-        if abs(float(resid[k])) > worst:
-            worst = abs(float(resid[k]))
-            where = (j, k)
-    return ResidualReport(
-        max_residual=worst,
-        time_index=where[0],
-        node_index=where[1],
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-    )

@@ -54,6 +54,7 @@ from .model import (
     obstacle_rows,
     obstacle_step,
     on_nodes,
+    raise_first_failure,
     shifted_spec,
 )
 
@@ -234,7 +235,7 @@ def _walk(specs, lattice, variant, terminal=None, start_step=0, end_step=None):
             level[key] = _row_or_failure(
                 lambda: on_nodes(fn(step.t, step.x, *controls), step.x.shape, name)
             )
-        return _raise_first([level[key]])[0]
+        return raise_first_failure([level[key]])[0]
 
     def advance(spec, row):
         co = spec.coefficients
@@ -257,14 +258,6 @@ def _row_or_failure(make, *args):
         return make(*args)
     except ValueError as exc:
         return exc
-
-
-def _raise_first(rows):
-    """`rows`, once none of them is a failure; raises the first otherwise."""
-    for row in rows:
-        if isinstance(row, ValueError):
-            raise row
-    return rows
 
 
 def _occupation(lattice, start_step, end_step, root_index):
@@ -307,7 +300,7 @@ def solve_backward(
     variant = Variant.named(mode, penalty)
     walk = _walk([spec], lattice, variant, terminal, start_step, end_step)
     end_step, _, rows = next(walk)
-    ((y, z, dkp, dkm, _, _),) = _raise_first(rows)
+    ((y, z, dkp, dkm, _, _),) = raise_first_failure(rows)
     root_index = lattice.counts[start_step] // 2
     occ = _occupation(lattice, start_step, end_step, root_index)
 
@@ -319,7 +312,7 @@ def solve_backward(
     sums = np.zeros((4, n_levels))
     excl = 0.0
     for j, _, rows in walk:
-        ((y, z, dkp, dkm, lo, up),) = _raise_first(rows)
+        ((y, z, dkp, dkm, lo, up),) = raise_first_failure(rows)
         k = j - start_step
         w = occ[k]
         sums[:, k + 1] = (
@@ -365,7 +358,7 @@ def backward_semigroup(spec, lattice, start_step, end_step, values):
     """
     variant = Variant.named("two_barrier")
     for _, _, rows in _walk([spec], lattice, variant, values, start_step, end_step):
-        ((y, *_),) = _raise_first(rows)
+        ((y, *_),) = raise_first_failure(rows)
     return y
 
 
@@ -401,7 +394,7 @@ def read_walk(lattice, variant, readers):
         for r in fed:
             if failures[r] is None:
                 try:
-                    readers[r].feed(j, step, _raise_first([rows[i] for i in index[r]]))
+                    readers[r].feed(j, step, raise_first_failure([rows[i] for i in index[r]]))
                 except ValueError as exc:
                     failures[r] = exc
         if all(failures[r] is not None for r in fed):
@@ -411,7 +404,7 @@ def read_walk(lattice, variant, readers):
 
 def read_alone(lattice, variant, reader):
     """`reader`, fed by a walk of `lattice` of its own; raises its failure."""
-    _raise_first(read_walk(lattice, variant, [reader]))
+    raise_first_failure(read_walk(lattice, variant, [reader]))
     return reader
 
 

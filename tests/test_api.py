@@ -1,4 +1,5 @@
-"""Every optional parameter of the package is set by some caller.
+"""Every optional parameter of the package is set by some caller, and
+every public name has a caller outside the tests.
 
 A defaulted or keyword-only parameter that no call in the package, its
 tests or its demos ever passes always takes one value, so it is a constant
@@ -7,6 +8,12 @@ such parameter.  Calls are matched on the called function or attribute
 name; a parameter counts as set when some call passes it by keyword, or
 passes enough positional arguments to reach it.  A `**mapping` argument
 counts as setting nothing.
+
+A public top-level function or class that only tests call is a test
+oracle and belongs in `tests/oracles.py`, unless it is one of the library
+entry points in `LIBRARY_ONLY`.  A name counts as used when a package
+module other than `__init__`, or a demo, mentions it beyond its own
+definition, matched on the bare name as the calls are.
 """
 
 from __future__ import annotations
@@ -26,6 +33,16 @@ CALLERS = (PACKAGE, ROOT / "tests", ROOT / "demos")
 TRACER_BOUND = {
     ("forwardsim", "build_lattice", "consistency_tol"),
     ("pde", "solve_isaacs_double_obstacle", "cfl_margin"),
+}
+
+# Documented library entry points that only tests call: `isaacs run` reaches
+# the same numbers through the lattice readers and the stacked march.
+LIBRARY_ONLY = {
+    ("games", "fixed_control_crosscheck"),
+    ("pde", "solve_isaacs_penalized"),
+    ("rbsde", "apriori_estimate_check"),
+    ("rbsde", "backward_semigroup"),
+    ("rbsde", "comparison_check"),
 }
 
 
@@ -107,3 +124,44 @@ def test_the_tracer_bound_parameters_still_exist():
         for fn, param, _ in _optional_parameters(path)
     }
     assert TRACER_BOUND <= present
+
+
+def _public_definitions():
+    """(module, name) of every public top-level function or class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path.stem, node.name
+
+
+def _used_names():
+    """Every name, attribute and imported name that a package module other
+    than `__init__`, or a demo, mentions."""
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    used = set()
+    for path in paths + sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    used = _used_names()
+    unused = [
+        f"{module}.{name}"
+        for module, name in _public_definitions()
+        if name not in used and (module, name) not in LIBRARY_ONLY
+    ]
+    assert unused == [], "public names only tests use: " + ", ".join(unused)
+
+
+def test_the_library_entry_points_are_still_called_only_by_tests():
+    # an entry that is gone, or that the package now calls, hides nothing
+    used = _used_names()
+    assert LIBRARY_ONLY <= set(_public_definitions())
+    assert sorted(name for _, name in LIBRARY_ONLY if name in used) == []

@@ -22,9 +22,7 @@ from isaacs.model import (
     SpaceTimeGrid,
     Variant,
     Violation,
-    hamiltonian_lower,
     hamiltonian_tables,
-    hamiltonian_upper,
     isaacs_condition_check,
     obstacle_step,
     on_nodes,
@@ -33,6 +31,7 @@ from isaacs.model import (
 from isaacs.pde import solve_isaacs_double_obstacle, solve_isaacs_penalized
 from isaacs.problems import BUILTINS, builtin, from_expressions
 from isaacs.rbsde import comparison_check, solve_backward
+from oracles import hamiltonian_lower, hamiltonian_upper
 
 
 def _point(t=0.3, x=0.7, y=0.2, gradient=1.5, hessian=-2.0):
@@ -804,6 +803,7 @@ _AT_ONE_STATE = ("b", "sigma", "driver", "terminal", "lower", "upper")
     [
         (lambda spec: hamiltonian_lower(spec, _point()), "b", "for nodes of shape (1,)"),
         (lambda spec: hamiltonian_upper(spec, _point()), "b", "for nodes of shape (1,)"),
+        (isaacs_condition_check, "b", "for nodes of shape (1,)"),
         (
             lambda spec: solve_isaacs_penalized(spec, SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)),
             "b",
@@ -816,7 +816,10 @@ _AT_ONE_STATE = ("b", "sigma", "driver", "terminal", "lower", "upper")
         ),
     ]
     + [(validate_problem, name, "for nodes of shape (1,)") for name in _AT_ONE_STATE],
-    ids=["hamiltonian_lower", "hamiltonian_upper", "march", "build_lattice"]
+    ids=[
+        "hamiltonian_lower", "hamiltonian_upper", "isaacs_condition_check", "march",
+        "build_lattice",
+    ]
     + [f"validate_problem_{name}" for name in _AT_ONE_STATE],
 )
 def test_a_wrong_shaped_coefficient_names_both_shapes(call, name, where):

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from isaacs import pde
 from isaacs.cli import DEFAULT_CHECKS, _march_fields, parse_config
+from isaacs.forwardsim import build_lattice
+from isaacs.games import dpp_check
 from isaacs.model import (
     CoefficientError,
     CoefficientSet,
@@ -23,8 +25,8 @@ from isaacs.model import (
     ProblemSpec,
     SpaceTimeGrid,
     Variant,
-    hamiltonian_lower,
     hamiltonian_tables,
+    raise_first_failure,
 )
 from isaacs.pde import (
     CflError,
@@ -32,16 +34,14 @@ from isaacs.pde import (
     _march,
     cfl_number,
     march_rows,
-    raise_first_failure,
     run_penalization_sweep,
     solve_isaacs_double_obstacle,
     solve_isaacs_penalized,
-    sweep_report,
     sweep_rows,
     two_barrier_row,
-    viscosity_residual,
 )
 from isaacs.problems import BUILTINS, builtin, from_expressions
+from oracles import hamiltonian_lower, sweep_report, viscosity_residual
 
 DYNKIN_COARSE = SpaceTimeGrid(-9.0, 9.0, 101, 400, 1.0)
 
@@ -230,6 +230,36 @@ def test_grid_validation_and_time_levels():
     assert grid.time_level(1.0) == 10
     with pytest.raises(ValueError, match="not a grid time level"):
         grid.time_level(0.05)
+
+
+_TEN_LEVELS = SpaceTimeGrid(-1.0, 1.0, 11, 10, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (_TEN_LEVELS.time_level, "t={t!r} is not a grid time level (dt=0.1, nt=10)"),
+        (
+            lambda t: solve_isaacs_double_obstacle(
+                builtin("dynkin_heat").spec, _TEN_LEVELS, t_hi=t
+            ),
+            "t={t!r} is not a grid time level (dt=0.1, nt=10)",
+        ),
+        (
+            lambda t: dpp_check(builtin("dynkin_heat").spec, _TEN_LEVELS, split=t),
+            "t={t!r} is not a grid time level (dt=0.1, nt=10)",
+        ),
+        (
+            lambda t: build_lattice(builtin("dynkin_heat").spec, t, _TEN_LEVELS),
+            "t0 = {t} is not a time level of the grid",
+        ),
+    ],
+    ids=["time_level", "t_hi", "dpp_split", "build_lattice"],
+)
+def test_a_nonfinite_time_is_not_a_time_level(call, message, t):
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(t=t))}$"):
+        call(t)
 
 
 # -- stacked marches ----------------------------------------------------------

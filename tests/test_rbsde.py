@@ -26,6 +26,7 @@ from isaacs.model import (
     on_nodes,
     shifted_spec,
 )
+from isaacs.pde import solve_isaacs_double_obstacle
 from isaacs.problems import builtin, from_expressions
 from isaacs.rbsde import (
     ComparisonReader,
@@ -219,6 +220,64 @@ def test_solution_is_a_function_of_time_and_state_only():
         offset = sub.first_index[j] - big.first_index[64 + j]
         inner = sol_big.y[64 + j][offset : offset + sub.counts[j]]
         assert np.array_equal(inner, sol_sub.y[j])
+
+
+def _girsanov_spec(b, sigma, driver, driver_lipschitz):
+    """A tent payoff on T = 0.5 under obstacles at -5 and 5, which never
+    bind, with the one control pair (0, 0)."""
+    co = CoefficientSet(
+        b=b,
+        sigma=sigma,
+        driver=driver,
+        terminal=lambda x: np.maximum(0.0, 1.0 - np.abs(x)),
+        lower=lambda t, x: np.full_like(np.asarray(x, dtype=float), -5.0),
+        upper=lambda t, x: np.full_like(np.asarray(x, dtype=float), 5.0),
+        lipschitz=1.0,
+        driver_lipschitz=driver_lipschitz,
+    )
+    return ProblemSpec(0.5, co, ControlGrid("u", (0.0,)), ControlGrid("v", (0.0,)))
+
+
+@pytest.mark.parametrize(
+    "kappa, sigma",
+    [
+        (0.8, lambda x: 1.0 + 0.0 * x),
+        (-0.8, lambda x: 1.0 + 0.0 * x),
+        (0.8, lambda x: 1.0 + 0.2 * np.tanh(x)),
+    ],
+    ids=["drift_up", "drift_down", "tanh_sigma"],
+)
+def test_the_lattice_z_carries_a_girsanov_drift(kappa, sigma):
+    # Girsanov: the driver kappa z on the driftless lattice is the drift
+    # kappa sigma without a driver, -dW/dt = 1/2 sigma^2 W'' + kappa sigma W'
+    # either way, so the lattice root row meets the grid's initial row to
+    # first order.  A Z that is not sigma times the slope leaves a gap near
+    # 0.14 on every grid.
+    walked = _girsanov_spec(
+        lambda t, x, u, v: 0.0 * x,
+        lambda t, x, u, v: sigma(x),
+        lambda t, x, y, z, u, v: kappa * z,
+        abs(kappa),
+    )
+    marched = _girsanov_spec(
+        lambda t, x, u, v: kappa * sigma(x),
+        lambda t, x, u, v: sigma(x),
+        lambda t, x, y, z, u, v: 0.0 * y,
+        0.0,
+    )
+    gaps = []
+    for nx, nt in ((81, 100), (161, 400), (321, 1600)):
+        grid = SpaceTimeGrid(-4.0, 4.0, nx, nt, 0.5)
+        root = solve_backward(walked, build_lattice(walked, 0.0, grid)).y[0]
+        initial = solve_isaacs_double_obstacle(marched, grid).initial()
+        i0, i1 = nx // 4, nx - nx // 4
+        gaps.append(float(np.max(np.abs(root[i0:i1] - initial[i0:i1]))))
+    # measured: 1.38e-2, 7.00e-3, 3.53e-3 (1.44e-2, 7.28e-3, 3.67e-3 with
+    # the tanh sigma)
+    for k, gap in enumerate(gaps):
+        assert gap < 1.5e-2 / 2**k, gaps
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 1.8 < coarse / fine < 2.2, gaps
 
 
 def test_comparison_orders_solutions_and_reflections():
